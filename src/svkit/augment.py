@@ -126,10 +126,9 @@ def assign_codec(manifest: UtteranceManifest, fraction: float, seed: int) -> Aug
     n = len(manifest)
     k = exact_fraction_count(fraction, n)
     order = np.random.default_rng(seed).permutation(n)
-    flagged = {manifest.ids[i] for i in order[:k]}
-    entries = [
-        PlanEntry(u, codec="gsm" if u in flagged else "none") for u in manifest.ids
-    ]
+    ids = manifest.ids  # a property that builds a new list on every access
+    flagged = {ids[i] for i in order[:k]}
+    entries = [PlanEntry(u, codec="gsm" if u in flagged else "none") for u in ids]
     return AugmentPlan(manifest, entries)
 
 

@@ -5,29 +5,46 @@ range of effective priors.
 Decision rule throughout: accept iff score >= threshold (ties accept).
 All metrics are rank statistics, invariant under strictly increasing
 transforms of the scores.
+
+One sweep per score set: the ROC sweep is the only step that sorts, and it
+runs once per LabeledScores, which caches it.  EER, every minDCF, C_primary
+and every DCF-curve point then cost one O(N) pass over that sweep.  The
+minimum of a linear cost over the ROC depends only on the sweep, not on
+the prior (Brümmer & du Preez, CSL 2006), so one sweep serves every
+operating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ContractError
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabeledScores:
+    """Target and nontarget scores, immutable so that the ROC sweep can be
+    cached: the constructor copies both arrays and makes them read-only."""
+
     target: np.ndarray
     nontarget: np.ndarray
 
     def __post_init__(self):
-        self.target = np.asarray(self.target, dtype=np.float64).reshape(-1)
-        self.nontarget = np.asarray(self.nontarget, dtype=np.float64).reshape(-1)
+        for name in ("target", "nontarget"):
+            values = np.array(getattr(self, name), dtype=np.float64).reshape(-1)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
         if len(self.target) == 0 or len(self.nontarget) == 0:
             raise ContractError("need at least one target and one nontarget score")
         if not (np.all(np.isfinite(self.target)) and np.all(np.isfinite(self.nontarget))):
             raise ContractError("non-finite scores")
+
+    @cached_property
+    def _roc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _sweep(self.target, self.nontarget)
 
 
 @dataclass(frozen=True)
@@ -58,16 +75,23 @@ def roc_points(scores: LabeledScores) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     Returns (p_fa, p_miss, thresholds) with thresholds ascending, so p_miss
     is non-decreasing and p_fa non-increasing.  The (1, 0) and (0, 1)
-    endpoints are always present.
+    endpoints are always present.  Computed on the first call for a score
+    set and cached on it; the arrays are read-only.
     """
-    tar = np.sort(scores.target)
-    non = np.sort(scores.nontarget)
+    return scores._roc
+
+
+def _sweep(target: np.ndarray, nontarget: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    tar = np.sort(target)
+    non = np.sort(nontarget)
     thresholds = np.concatenate(
         [[-np.inf], np.unique(np.concatenate([tar, non])), [np.inf]]
     )
     # pure count ratios, bit-identical to direct comparison counting
     p_miss = np.searchsorted(tar, thresholds, side="left") / len(tar)
     p_fa = (len(non) - np.searchsorted(non, thresholds, side="left")) / len(non)
+    for a in (p_fa, p_miss, thresholds):
+        a.flags.writeable = False
     return p_fa, p_miss, thresholds
 
 
@@ -149,9 +173,10 @@ def dcf_curve(
 ) -> DcfCurve:
     """Sweep normalized minDCF over effective priors sigmoid(log odds).
 
-    Each sample equals an independent min_dcf call at (p_eff, 1, 1);
-    marked operating points are evaluated at their cost-folded effective
-    prior and carried alongside the curve.
+    Each sample equals an independent min_dcf call at (p_eff, 1, 1), and
+    all of them read the one cached sweep; marked operating points are
+    evaluated at their cost-folded effective prior and carried alongside
+    the curve.
     """
     if not logodds_lo < logodds_hi:
         raise ContractError("need logodds_lo < logodds_hi")

@@ -126,9 +126,13 @@ def _parse_sveb(data: bytes, path) -> EmbeddingSet:
     off += _HEADER.size
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
+    vec_bytes = 4 * dim
+    # every record takes at least its id length and vector: check before allocating
+    if count * (2 + vec_bytes) > len(data) - off:
+        raise FormatError(f"{path}: header claims {count} records of dim {dim}, "
+                          f"more than the {len(data) - off} bytes that follow")
     ids = []
     vecs = np.empty((count, dim), dtype=np.float32)
-    vec_bytes = 4 * dim
     for k in range(count):
         if off + 2 > len(data):
             raise FormatError(f"{path}: truncated at record {k}")
@@ -136,13 +140,19 @@ def _parse_sveb(data: bytes, path) -> EmbeddingSet:
         off += 2
         if off + id_len + vec_bytes > len(data):
             raise FormatError(f"{path}: truncated at record {k}")
-        ids.append(data[off : off + id_len].decode("utf-8"))
+        try:
+            ids.append(data[off : off + id_len].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: record {k}: id is not UTF-8") from None
         off += id_len
         vecs[k] = np.frombuffer(data, dtype="<f4", count=dim, offset=off)
         off += vec_bytes
     if off != len(data):
         raise FormatError(f"{path}: {len(data) - off} trailing bytes")
-    return EmbeddingSet(ids, vecs)
+    try:
+        return EmbeddingSet(ids, vecs)
+    except ContractError as e:  # empty, blank or duplicate id, or a non-finite value
+        raise FormatError(f"{path}: {e}") from None
 
 
 def _parse_tsv(text: str, path) -> EmbeddingSet:

@@ -3,6 +3,8 @@ import wave
 import numpy as np
 import pytest
 
+from oracles import oracle_resample
+
 from svkit import audio
 from svkit.errors import ContractError, FormatError
 
@@ -144,6 +146,21 @@ class TestResample:
     def test_bad_rate(self):
         with pytest.raises(ContractError):
             audio.resample(audio.AudioBuffer(np.zeros(10), 8000), 0)
+
+    @pytest.mark.parametrize("src, target, seconds", [(16000, 8000, 2.0), (8000, 16000, 3.0)])
+    def test_integer_ratio_bitwise_equals_oracle(self, src, target, seconds):
+        x = np.random.default_rng(src).uniform(-1, 1, int(seconds * src))
+        out = audio.resample(audio.AudioBuffer(x, src), target)
+        np.testing.assert_array_equal(out.samples, oracle_resample(x, src, target))
+
+    # 16000 -> 44101 has 44101 phases, more than one block of outputs
+    @pytest.mark.parametrize("target, seconds", [(44100, 3.0), (11025, 3.0), (44101, 0.75)])
+    def test_fractional_ratio_matches_oracle(self, target, seconds):
+        x = np.random.default_rng(target).uniform(-1, 1, int(seconds * 16000))
+        out = audio.resample(audio.AudioBuffer(x, 16000), target)
+        want = oracle_resample(x, 16000, target)
+        assert out.samples.shape == want.shape
+        assert np.max(np.abs(out.samples - want)) <= 1e-9
 
 
 class TestFbank:

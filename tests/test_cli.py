@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -358,6 +360,16 @@ class TestConfigAndExitCodes:
         rc = main(["score", "--enroll", str(bad), "--test", str(bad),
                    "--trials", str(tmp_path / "t.txt"), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_hostile_sveb_exit_2(self, tmp_path, capsys):
+        huge = tmp_path / "huge.sveb"
+        huge.write_bytes(b"SVEB" + struct.pack("<HQI", 1, 2**40, 1))
+        bad_id = tmp_path / "id.sveb"
+        bad_id.write_bytes(b"SVEB" + struct.pack("<HQIH", 1, 1, 1, 2) + b"\xff\xfe"
+                           + struct.pack("<f", 1.0))
+        for path in (huge, bad_id):
+            assert main(["pool", str(path), "--method", "tstp"]) == 2
+        assert "format error" in capsys.readouterr().err
 
     def test_contract_error_exit_3(self, tmp_path, capsys):
         s = store.EmbeddingSet(["a", "b"], np.eye(2, dtype=np.float32))

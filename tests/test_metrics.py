@@ -119,6 +119,32 @@ class TestMinDcf:
             assert v <= bound + 1e-12
 
 
+class TestSharedSweep:
+    def test_one_sort_per_score_set(self, monkeypatch):
+        calls = []
+        sweep = metrics._sweep
+        monkeypatch.setattr(metrics, "_sweep", lambda *a: calls.append(1) or sweep(*a))
+        s = random_scores(np.random.default_rng(17))
+        ops = list(metrics.DEFAULT_OPERATING_POINTS)
+        metrics.eer(s)
+        for op in ops:
+            metrics.min_dcf(s, op)
+        metrics.c_primary(s, ops)
+        metrics.dcf_curve(s, -6, 6, 13, ops)
+        assert len(calls) == 1
+
+    def test_caller_arrays_copied_and_sweep_read_only(self):
+        tar, non = np.array([0.2, 0.9]), np.array([0.1, 0.5])
+        s = metrics.LabeledScores(tar, non)
+        before = metrics.eer(s)
+        tar[:] = -1.0  # the caller's array, not the cached score set
+        assert s.target[0] == 0.2
+        assert metrics.eer(s) == before
+        for a in (s.target, *metrics.roc_points(s)):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
 class TestActDcf:
     def test_accept_all_threshold(self):
         s = metrics.LabeledScores([0.5, 0.7], [0.2, 0.4])

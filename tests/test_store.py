@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from svkit import store
 from svkit.errors import ContractError, FormatError
@@ -103,6 +107,46 @@ class TestSvebFormat:
         path = tmp_path / "u.sveb"
         store.write_embeddings(s, path)
         assert store.read_embeddings(path).ids == s.ids
+
+    def test_header_count_beyond_file_size(self, tmp_path):
+        # 18 bytes claiming 2**40 records: rejected before any allocation
+        path = tmp_path / "huge.sveb"
+        path.write_bytes(b"SVEB" + struct.pack("<HQI", 1, 2**40, 1))
+        with pytest.raises(FormatError, match="claims"):
+            store.read_embeddings(path)
+
+    def test_id_not_utf8(self, tmp_path):
+        path = tmp_path / "id.sveb"
+        path.write_bytes(b"SVEB" + struct.pack("<HQIH", 1, 1, 1, 2) + b"\xff\xfe"
+                         + struct.pack("<f", 1.0))
+        with pytest.raises(FormatError, match="UTF-8"):
+            store.read_embeddings(path)
+
+    def test_invalid_record_is_format_error(self, tmp_path):
+        path = tmp_path / "nan.sveb"
+        path.write_bytes(b"SVEB" + struct.pack("<HQIH", 1, 1, 1, 1) + b"a"
+                         + struct.pack("<f", float("nan")))
+        with pytest.raises(FormatError, match="non-finite"):
+            store.read_embeddings(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(body=st.one_of(
+        st.binary(max_size=64),
+        # a version-1 header, so the record loop is reached
+        st.builds(lambda count, dim, rest: struct.pack("<HQI", 1, count, dim) + rest,
+                  st.one_of(st.integers(0, 4), st.integers(0, 2**64 - 1)),
+                  st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1)),
+                  st.binary(max_size=64)),
+    ))
+    def test_arbitrary_bytes_only_format_error(self, tmp_path, body):
+        path = tmp_path / "fuzz.sveb"
+        path.write_bytes(store.MAGIC + body)
+        for read in (store.read_embeddings, store.read_matrix):
+            try:
+                read(path)
+            except FormatError:
+                pass
 
 
 class TestTsvFormat:
