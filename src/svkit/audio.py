@@ -15,6 +15,8 @@ import numpy as np
 from .errors import ContractError, FormatError
 
 _ENERGY_EPS = np.finfo(np.float64).tiny
+MAX_WAV_RATE = 768_000  # highest sample rate read_wav accepts, Hz
+_RESAMPLE_CELLS = 1 << 22  # resample works on at most this many (output, tap) cells at once
 
 
 @dataclass
@@ -40,7 +42,9 @@ class AudioBuffer:
 
 
 def read_wav(path) -> AudioBuffer:
-    """Read a RIFF/WAVE PCM 16-bit mono file, scaling samples by 1/32768."""
+    """Read a RIFF/WAVE PCM 16-bit mono file, scaling samples by 1/32768.
+
+    A header rate outside 1..MAX_WAV_RATE Hz is a FormatError."""
     try:
         with wave.open(str(path), "rb") as w:
             if w.getcomptype() != "NONE":
@@ -50,6 +54,8 @@ def read_wav(path) -> AudioBuffer:
             if w.getsampwidth() != 2:
                 raise FormatError(f"{path}: expected 16-bit PCM, got {8 * w.getsampwidth()}-bit")
             rate = w.getframerate()
+            if not 0 < rate <= MAX_WAV_RATE:
+                raise FormatError(f"{path}: sample rate {rate} Hz outside 1..{MAX_WAV_RATE}")
             n = w.getnframes()
             data = w.readframes(n)
     except wave.Error as e:
@@ -95,6 +101,10 @@ def resample(
     output's float position k * source / target.  For other ratios it
     differs from that only by the rounding of the float position, which
     grows with k: at most 1e-9 on 3 s of noise in [-1, 1].
+
+    Outputs are computed in blocks of at most 2**22 (output, tap) cells,
+    so memory stays bounded at any ratio; a kernel of more taps than that
+    is a ContractError.
     """
     if target_rate <= 0:
         raise ContractError(f"target_rate must be positive, got {target_rate}")
@@ -110,6 +120,8 @@ def resample(
     min_rate = min(src, target_rate)
     cutoff_hz = 0.95 * min_rate / 2.0
     n_taps = max(2, int(round(taps * src / min_rate)))  # tap grid is the input grid
+    if n_taps > _RESAMPLE_CELLS:
+        raise ContractError(f"{src} -> {target_rate} Hz needs {n_taps} taps, more than {_RESAMPLE_CELLS}")
     half_span = n_taps / 2.0  # kernel half-width, input samples
     i0_beta = np.i0(kaiser_beta)
     g = math.gcd(src, target_rate)
@@ -127,7 +139,8 @@ def resample(
         w /= w.sum(axis=1, keepdims=True)
         return w
 
-    block = 1 << 15
+    # outputs per block: 32768 up to 128 taps, fewer for longer kernels
+    block = min(1 << 15, _RESAMPLE_CELLS // n_taps)
     # one row per phase; with more phases than a block has outputs, no
     # phase repeats within a block, so each block builds its own rows
     table = phase_weights(np.arange(up)) if up <= block else None

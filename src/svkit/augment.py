@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, FormatError
+from .store import text_lines
 
 CHAIN_KEEP16K = "keep16k"
 CHAIN_DOWN8K = "down8k"
@@ -55,20 +56,22 @@ class UtteranceManifest:
 def read_manifest(path) -> UtteranceManifest:
     """TSV manifest: `utt_id<TAB>path<TAB>duration_s<TAB>sample_rate`."""
     utts = []
-    with open(path, "r", encoding="utf-8") as f:
-        for ln, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 4:
-                raise FormatError(f"{path}:{ln}: expected 4 tab-separated fields")
-            try:
-                utts.append(
-                    Utterance(fields[0], fields[1], float(fields[2]), int(fields[3]))
-                )
-            except ValueError:
-                raise FormatError(f"{path}:{ln}: bad duration or sample rate") from None
-    return UtteranceManifest(utts)
+    for ln, line in text_lines(path):
+        if not line.strip():
+            continue
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != 4:
+            raise FormatError(f"{path}:{ln}: expected 4 tab-separated fields")
+        try:
+            utts.append(
+                Utterance(fields[0], fields[1], float(fields[2]), int(fields[3]))
+            )
+        except ValueError:
+            raise FormatError(f"{path}:{ln}: bad duration or sample rate") from None
+    try:
+        return UtteranceManifest(utts)
+    except ContractError as e:  # a duplicate id or a non-positive duration
+        raise FormatError(f"{path}: {e}") from None
 
 
 def write_manifest(manifest: UtteranceManifest, path) -> None:
@@ -220,16 +223,18 @@ def write_plan(plan: AugmentPlan, path) -> None:
 
 def read_plan(path, manifest: UtteranceManifest) -> AugmentPlan:
     entries = []
-    with open(path, "r", encoding="utf-8") as f:
-        for ln, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 4:
-                raise FormatError(f"{path}:{ln}: expected 4 tab-separated fields")
-            try:
-                speed = float(fields[3])
-            except ValueError:
-                raise FormatError(f"{path}:{ln}: bad speed factor") from None
-            entries.append(PlanEntry(fields[0], fields[1], fields[2], speed))
-    return AugmentPlan(manifest, entries)
+    for ln, line in text_lines(path):
+        if not line.strip():
+            continue
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != 4:
+            raise FormatError(f"{path}:{ln}: expected 4 tab-separated fields")
+        try:
+            speed = float(fields[3])
+        except ValueError:
+            raise FormatError(f"{path}:{ln}: bad speed factor") from None
+        entries.append(PlanEntry(fields[0], fields[1], fields[2], speed))
+    try:
+        return AugmentPlan(manifest, entries)
+    except ContractError as e:  # entries that do not match the manifest, or a bad field
+        raise FormatError(f"{path}: {e}") from None

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ContractError, FormatError
 from .store import EmbeddingSet
@@ -105,6 +104,8 @@ def fit_lda(s: EmbeddingSet, k: int | None = None) -> LdaStage:
     eps = 1e-6 * np.trace(sw) / d
     if eps <= 0:
         eps = 1e-12  # degenerate within-class scatter: any positive ridge works
+    import scipy.linalg  # here, not at module level: only LDA needs scipy
+
     vals, vecs = scipy.linalg.eigh(sb, sw + eps * np.eye(d))
     order = np.argsort(vals)[::-1][:k]
     proj = vecs[:, order]

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import audio, augment, backend, metrics, objectives, pooling, scoring, store
+from . import audio, augment, backend, metrics, scoring, store
 from .errors import ContractError, FormatError
 
 
@@ -91,8 +91,7 @@ def _load_config(path) -> dict[str, dict[str, str]]:
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            cp.read_file(f)
+        cp.read_file((line for _, line in store.text_lines(path)), source=str(path))
     except configparser.Error as e:
         raise FormatError(f"{path}: {e}") from None
     unknown = sorted(set(cp.sections()) - set(_REGISTRY))
@@ -283,6 +282,8 @@ def cmd_features(args) -> int:
 
 
 def cmd_pool(args) -> int:
+    from . import pooling  # loads scipy.special, which no other command needs
+
     x = store.read_matrix(args.matrix)
     if args.method == "tstp":
         vec = pooling.tstp(x)
@@ -463,6 +464,8 @@ def cmd_augment_plan(args) -> int:
 
 
 def cmd_schedule(args) -> int:
+    from . import objectives  # loads scipy.special, which no other command needs
+
     msched = objectives.MarginSchedule(
         start_epoch=args.margin_start, end_epoch=args.margin_end, final=args.margin_final,
         lmf_margin=args.lmf_margin,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .store import EmbeddingSet
+from .store import EmbeddingSet, text_lines
 
 _LABELS = {"target": True, "nontarget": False}
 
@@ -47,29 +47,28 @@ def parse_trials(path) -> TrialList:
     labels: list[bool] = []
     seen: set[tuple[str, str]] = set()
     labeled: bool | None = None
-    with open(path, "r", encoding="utf-8") as f:
-        for ln, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) not in (2, 3):
-                raise FormatError(f"{path}:{ln}: expected 'enroll test [label]'")
-            pair = (fields[0], fields[1])
-            if pair in seen:
-                raise FormatError(f"{path}:{ln}: duplicate pair {pair[0]} {pair[1]}")
-            seen.add(pair)
-            has_label = len(fields) == 3
-            if labeled is None:
-                labeled = has_label
-            elif labeled != has_label:
-                raise FormatError(f"{path}:{ln}: mixed labeled and unlabeled lines")
-            if has_label:
-                key = fields[2].lower()
-                if key not in _LABELS:
-                    raise FormatError(f"{path}:{ln}: unknown label {fields[2]!r}")
-                labels.append(_LABELS[key])
-            pairs.append(pair)
+    for ln, line in text_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) not in (2, 3):
+            raise FormatError(f"{path}:{ln}: expected 'enroll test [label]'")
+        pair = (fields[0], fields[1])
+        if pair in seen:
+            raise FormatError(f"{path}:{ln}: duplicate pair {pair[0]} {pair[1]}")
+        seen.add(pair)
+        has_label = len(fields) == 3
+        if labeled is None:
+            labeled = has_label
+        elif labeled != has_label:
+            raise FormatError(f"{path}:{ln}: mixed labeled and unlabeled lines")
+        if has_label:
+            key = fields[2].lower()
+            if key not in _LABELS:
+                raise FormatError(f"{path}:{ln}: unknown label {fields[2]!r}")
+            labels.append(_LABELS[key])
+        pairs.append(pair)
     return TrialList(pairs, np.asarray(labels, dtype=bool) if labeled else None)
 
 
@@ -128,17 +127,16 @@ def models_to_set(models: list[EnrollmentModel]) -> EmbeddingSet:
 def parse_enroll_map(path) -> dict[str, list[str]]:
     """Parse `model seg1 seg2 ...` lines (one model per line)."""
     out: dict[str, list[str]] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for ln, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) < 2:
-                raise FormatError(f"{path}:{ln}: expected 'model seg1 [seg2 ...]'")
-            if fields[0] in out:
-                raise FormatError(f"{path}:{ln}: duplicate model {fields[0]!r}")
-            out[fields[0]] = fields[1:]
+    for ln, line in text_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) < 2:
+            raise FormatError(f"{path}:{ln}: expected 'model seg1 [seg2 ...]'")
+        if fields[0] in out:
+            raise FormatError(f"{path}:{ln}: duplicate model {fields[0]!r}")
+        out[fields[0]] = fields[1:]
     return out
 
 
@@ -218,19 +216,18 @@ def write_scores(trials: TrialList, scores: np.ndarray, path) -> None:
 
 def read_scores(path) -> dict[tuple[str, str], float]:
     out: dict[tuple[str, str], float] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for ln, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 3:
-                raise FormatError(f"{path}:{ln}: expected 'enroll<TAB>test<TAB>score'")
-            try:
-                score = float(fields[2])
-            except ValueError:
-                raise FormatError(f"{path}:{ln}: bad score {fields[2]!r}") from None
-            key = (fields[0], fields[1])
-            if key in out:
-                raise FormatError(f"{path}:{ln}: duplicate pair {key[0]} {key[1]}")
-            out[key] = score
+    for ln, line in text_lines(path):
+        if not line.strip():
+            continue
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != 3:
+            raise FormatError(f"{path}:{ln}: expected 'enroll<TAB>test<TAB>score'")
+        try:
+            score = float(fields[2])
+        except ValueError:
+            raise FormatError(f"{path}:{ln}: bad score {fields[2]!r}") from None
+        key = (fields[0], fields[1])
+        if key in out:
+            raise FormatError(f"{path}:{ln}: duplicate pair {key[0]} {key[1]}")
+        out[key] = score
     return out

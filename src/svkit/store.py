@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -24,6 +24,20 @@ from .errors import ContractError, FormatError
 MAGIC = b"SVEB"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<HQI")  # version, count, dim
+
+
+def text_lines(path) -> Iterator[tuple[int, str]]:
+    """Stream (line number from 1, line) pairs from a UTF-8 text file.
+
+    Lines split where a text-mode file splits them (unlike str.splitlines,
+    at no other control character), which keeps ``path:ln`` in error
+    messages stable.  Bytes that are not UTF-8 raise FormatError.
+    """
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            yield from enumerate(f, start=1)
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: not UTF-8 text") from None
 
 
 class EmbeddingSet:
@@ -202,16 +216,15 @@ def write_labels(labels: Mapping[str, str], path) -> None:
 
 def read_labels(path) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for ln, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 2:
-                raise FormatError(f"{path}:{ln}: expected 'id<TAB>label'")
-            if fields[0] in out:
-                raise FormatError(f"{path}:{ln}: duplicate id {fields[0]!r}")
-            out[fields[0]] = fields[1]
+    for ln, line in text_lines(path):
+        if not line.strip():
+            continue
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != 2:
+            raise FormatError(f"{path}:{ln}: expected 'id<TAB>label'")
+        if fields[0] in out:
+            raise FormatError(f"{path}:{ln}: duplicate id {fields[0]!r}")
+        out[fields[0]] = fields[1]
     return out
 
 

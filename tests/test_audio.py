@@ -1,3 +1,5 @@
+import struct
+import tracemalloc
 import wave
 
 import numpy as np
@@ -74,6 +76,16 @@ class TestWavIO:
         with pytest.raises(FormatError):
             audio.read_wav(path)
 
+    @pytest.mark.parametrize("rate", [0, audio.MAX_WAV_RATE + 1, 2_000_000_000])
+    def test_header_rate_out_of_range(self, tmp_path, rate):
+        path = tmp_path / "rate.wav"
+        audio.write_wav(audio.AudioBuffer(np.zeros(64), 16000), path)
+        raw = bytearray(path.read_bytes())
+        raw[24:32] = struct.pack("<II", rate, 2 * rate)  # sample rate, byte rate
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="sample rate"):
+            audio.read_wav(path)
+
     def test_write_read_roundtrip_one_lsb(self, tmp_path):
         rng = np.random.default_rng(7)
         buf = audio.AudioBuffer(rng.uniform(-1, 1, 4321) * 0.99, 16000)
@@ -147,11 +159,30 @@ class TestResample:
         with pytest.raises(ContractError):
             audio.resample(audio.AudioBuffer(np.zeros(10), 8000), 0)
 
-    @pytest.mark.parametrize("src, target, seconds", [(16000, 8000, 2.0), (8000, 16000, 3.0)])
+    @pytest.mark.parametrize("src, target, seconds",
+                             [(16000, 8000, 2.0), (8000, 16000, 3.0), (48000, 8000, 0.75)])
     def test_integer_ratio_bitwise_equals_oracle(self, src, target, seconds):
         x = np.random.default_rng(src).uniform(-1, 1, int(seconds * src))
         out = audio.resample(audio.AudioBuffer(x, src), target)
         np.testing.assert_array_equal(out.samples, oracle_resample(x, src, target))
+
+    def test_block_memory_bounded_by_cells(self, monkeypatch):
+        # 48000 -> 8000 has 384 taps: 42 outputs per block at this bound
+        cells = 1 << 14
+        monkeypatch.setattr(audio, "_RESAMPLE_CELLS", cells)
+        x = np.random.default_rng(3).uniform(-1, 1, 24000)  # 4000 outputs x 384 taps at 48k -> 8k
+        tracemalloc.start()
+        try:
+            out = audio.resample(audio.AudioBuffer(x, 48000), 8000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * cells * 8  # one unbounded (outputs, taps) array alone is 12 MB
+        np.testing.assert_array_equal(out.samples, oracle_resample(x, 48000, 8000))
+
+    def test_kernel_longer_than_cell_bound_rejected(self):
+        with pytest.raises(ContractError, match="taps"):
+            audio.resample(audio.AudioBuffer(np.zeros(audio.MAX_WAV_RATE), audio.MAX_WAV_RATE), 1)
 
     # 16000 -> 44101 has 44101 phases, more than one block of outputs
     @pytest.mark.parametrize("target, seconds", [(44100, 3.0), (11025, 3.0), (44101, 0.75)])

@@ -1,9 +1,15 @@
+import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from svkit import audio, backend, metrics, scoring, store
+import svkit
+from svkit import audio, augment, backend, metrics, scoring, store
 from svkit.cli import main
 
 
@@ -371,6 +377,31 @@ class TestConfigAndExitCodes:
             assert main(["pool", str(path), "--method", "tstp"]) == 2
         assert "format error" in capsys.readouterr().err
 
+    def test_not_utf8_exit_2(self, tmp_path, capsys):
+        s = store.EmbeddingSet(["a", "b"], np.eye(2, dtype=np.float32))
+        store.write_embeddings(s, tmp_path / "e.sveb")
+        (tmp_path / "t.txt").write_text("a b\n")
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"a b\n\xff\n")
+        score = ["score", "--enroll", str(tmp_path / "e.sveb"), "--test", str(tmp_path / "e.sveb"),
+                 "--out", str(tmp_path / "o")]
+        assert main(score + ["--trials", str(bad)]) == 2
+        assert main(score + ["--trials", str(tmp_path / "t.txt"), "--enroll-map", str(bad)]) == 2
+        assert main(["--config", str(bad), "schedule"]) == 2
+        assert capsys.readouterr().err.count("not UTF-8 text") == 3
+
+    def test_hostile_wav_rate_exit_2(self, tmp_path, capsys):
+        # the header claims 2 GHz: at 8 kHz, a file long enough for one
+        # output sample would need a 16M-tap resampling kernel
+        path = tmp_path / "fast.wav"
+        audio.write_wav(audio.AudioBuffer(np.zeros(1000), 16000), path)
+        raw = bytearray(path.read_bytes())
+        raw[24:32] = struct.pack("<II", 2_000_000_000, 4_000_000_000)  # sample rate, byte rate
+        path.write_bytes(bytes(raw))
+        rc = main(["features", "--resample", "8000", "--out-dir", str(tmp_path / "f"), str(path)])
+        assert rc == 2
+        assert "sample rate 2000000000 Hz" in capsys.readouterr().err
+
     def test_contract_error_exit_3(self, tmp_path, capsys):
         s = store.EmbeddingSet(["a", "b"], np.eye(2, dtype=np.float32))
         store.write_embeddings(s, tmp_path / "e.sveb")
@@ -402,3 +433,70 @@ class TestConfigAndExitCodes:
             assert rc == 0
             blobs.append((tmp_path / d / "plan.tsv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def _fresh_python(code, *args):
+    """Run `code` in a new interpreter that imports svkit from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(svkit.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+_SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+class TestStartup:
+    """scipy is loaded only by the commands that call it: fit-backend (LDA),
+    pool and schedule.  Every other command starts in numpy's import time."""
+
+    def test_import_cli_loads_no_scipy(self):
+        proc = _fresh_python(f"import sys, svkit.cli; print({_SCIPY})")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_commands_load_scipy_only_when_they_use_it(self, tmp_path):
+        s = synthetic_speakers(np.random.default_rng(5), n_spk=3, per_spk=4, dim=6)
+        store.write_embeddings(s, tmp_path / "e.sveb")
+        store.write_labels(s.labels, tmp_path / "e.labels")
+        (tmp_path / "trials.txt").write_text("".join(
+            f"{a} {b} {'target' if s.labels[a] == s.labels[b] else 'nontarget'}\n"
+            for a in s.ids[:6] for b in s.ids[6:]))
+        backend.save_pipeline(backend.Pipeline(center=backend.fit_center(s)), tmp_path / "c.svpl")
+        wavs = make_wavs(tmp_path)
+        augment.write_manifest(augment.UtteranceManifest(
+            [augment.Utterance(f"u{k}", f"/d/u{k}.wav", 2.0, 16000) for k in range(4)]),
+            tmp_path / "man.tsv")
+        t = str(tmp_path)
+        lean = [
+            ["score", "--enroll", f"{t}/e.sveb", "--test", f"{t}/e.sveb",
+             "--trials", f"{t}/trials.txt", "--out", f"{t}/scores.tsv"],
+            ["eval", "--scores", f"{t}/scores.tsv", "--trials", f"{t}/trials.txt"],
+            ["dcf-curve", "--scores", f"{t}/scores.tsv", "--trials", f"{t}/trials.txt",
+             "--out", f"{t}/curve.csv"],
+            ["apply-backend", "--pipeline", f"{t}/c.svpl", "--embeddings", f"{t}/e.sveb",
+             "--out", f"{t}/e.proc.sveb"],
+            ["features", "--resample", "8000", "--out-dir", f"{t}/feats", str(wavs["tone"])],
+            ["augment-plan", "--manifest", f"{t}/man.tsv", "--out-dir", f"{t}/aug", "--seed", "1"],
+        ]
+        heavy = [
+            ["fit-backend", "--embeddings", f"{t}/e.sveb", "--labels", f"{t}/e.labels",
+             "--lda", "--out", f"{t}/lda.svpl"],
+            ["pool", "--method", "tstp", f"{t}/feats/tone.feats"],
+            ["schedule", "--epochs", "10", "--out", f"{t}/schedule.csv"],
+        ]
+        code = f"""
+import json, sys
+from svkit.cli import main
+runs = json.loads(sys.argv[1])
+result = {{"lean_rc": [main(argv) for argv in runs["lean"]], "lean_scipy": {_SCIPY}}}
+result["heavy_rc"] = [main(argv) for argv in runs["heavy"]]
+result["heavy_scipy"] = {_SCIPY}
+print(json.dumps(result))
+"""
+        proc = _fresh_python(code, json.dumps({"lean": lean, "heavy": heavy}))
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["lean_rc"] == [0] * len(lean), proc.stderr
+        assert result["lean_scipy"] == []
+        assert result["heavy_rc"] == [0] * len(heavy), proc.stderr
+        assert {"scipy.linalg", "scipy.special"} <= set(result["heavy_scipy"])

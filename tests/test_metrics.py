@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import oracle_eer, oracle_min_dcf, oracle_points
 
@@ -17,6 +19,16 @@ def random_scores(rng, max_n=100):
         tar = np.round(tar, 1)
         non = np.round(non, 1)
     return metrics.LabeledScores(tar, non)
+
+
+@st.composite
+def tie_free_scores(draw):
+    """(target, nontarget) of distinct multiples of 1e-3 in [-20, 20]: exp,
+    arctan and a positive affine map keep them distinct in float64."""
+    ticks = draw(st.lists(st.integers(-20000, 20000), min_size=2, max_size=60, unique=True))
+    n_tar = draw(st.integers(1, len(ticks) - 1))
+    values = np.array(ticks) / 1000.0
+    return values[:n_tar], values[n_tar:]
 
 
 class TestRocPoints:
@@ -265,6 +277,23 @@ class TestInvariances:
             a = metrics.dcf_curve(s, -3, 3, 9)
             b = metrics.dcf_curve(warped, -3, 3, 9)
             np.testing.assert_array_equal(a.values, b.values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(scores=tie_free_scores(), transform=st.sampled_from(
+        [np.exp, lambda x: 0.25 * x - 3.0, np.arctan]))
+    def test_rank_statistics_property(self, scores, transform):
+        tar, non = scores
+        assert len(np.unique(transform(np.concatenate([tar, non])))) == len(tar) + len(non)
+        s = metrics.LabeledScores(tar, non)
+        warped = metrics.LabeledScores(transform(tar), transform(non))
+        assert metrics.eer(s) == metrics.eer(warped)
+        ops = [metrics.OperatingPoint(0.01), metrics.OperatingPoint(0.3, 2.0, 0.5)]
+        for op in ops:
+            assert metrics.min_dcf(s, op)[0] == metrics.min_dcf(warped, op)[0]
+        a = metrics.dcf_curve(s, -6, 6, 25, ops)
+        b = metrics.dcf_curve(warped, -6, 6, 25, ops)
+        np.testing.assert_array_equal(a.values, b.values)
+        assert [v for _, v, _ in a.marked] == [v for _, v, _ in b.marked]
 
     def test_duplication_invariance(self):
         rng = np.random.default_rng(16)

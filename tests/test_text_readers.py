@@ -1,0 +1,84 @@
+"""Every line-oriented text reader against bad bytes: not UTF-8, records its
+constructor rejects, and arbitrary input.  Each may raise FormatError (or
+OSError) on bad input and nothing else; the config loader may also raise
+UsageError for an unknown section."""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from svkit import augment, cli, scoring, store
+from svkit.errors import FormatError
+
+cli._build_parser()  # fills the option registry that the config loader checks sections against
+
+MANIFEST = augment.UtteranceManifest(
+    [augment.Utterance("a", "/d/a.wav", 1.0, 16000), augment.Utterance("b", "/d/b.wav", 2.0, 8000)]
+)
+
+READERS = {
+    "trials": scoring.parse_trials,
+    "enroll-map": scoring.parse_enroll_map,
+    "scores": scoring.read_scores,
+    "labels": store.read_labels,
+    "manifest": augment.read_manifest,
+    "plan": lambda path: augment.read_plan(path, MANIFEST),
+    "config": cli._load_config,
+}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_not_utf8_is_format_error(tmp_path, name):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"a\tb\n\xff\xfe\n")
+    with pytest.raises(FormatError, match="not UTF-8 text"):
+        READERS[name](path)
+
+
+def test_text_lines_splits_only_at_newlines(tmp_path):
+    path = tmp_path / "ctl.txt"
+    path.write_bytes("a\x0bb\x0cc\x1cd\x85e f\r\ng\rh\n".encode("utf-8"))
+    assert list(store.text_lines(path)) == [
+        (1, "a\x0bb\x0cc\x1cd\x85e f\n"), (2, "g\n"), (3, "h\n")]
+
+
+def test_manifest_record_error_is_format_error(tmp_path):
+    path = tmp_path / "man.tsv"
+    path.write_text("a\t/d/a.wav\t1.0\t16000\na\t/d/b.wav\t2.0\t16000\n")
+    with pytest.raises(FormatError, match="man.tsv: duplicate"):
+        augment.read_manifest(path)
+    path.write_text("a\t/d/a.wav\t0\t16000\n")
+    with pytest.raises(FormatError, match="man.tsv: a: duration"):
+        augment.read_manifest(path)
+
+
+def test_plan_record_error_is_format_error(tmp_path):
+    path = tmp_path / "plan.tsv"
+    path.write_text("a\tnone\tkeep16k\t1\n")  # no entry for b
+    with pytest.raises(FormatError, match="plan.tsv: plan entries"):
+        augment.read_plan(path, MANIFEST)
+    path.write_text("a\tmp3\tkeep16k\t1\nb\tnone\tkeep16k\t1\n")
+    with pytest.raises(FormatError, match="plan.tsv: a: unknown codec"):
+        augment.read_plan(path, MANIFEST)
+
+
+# fragments that reach past the decoder: field separators, line ends,
+# numbers, labels, codecs and config syntax, plus bytes that are not UTF-8
+TOKENS = [b"a", b"b", b" ", b"\t", b"\n", b"\r", b"\x0c", b"#", b"1", b"-2.5", b"0", b"nan",
+          b"inf", b"1e999", b"16000", b"target", b"NonTarget", b"none", b"gsm", b"keep16k",
+          b"down8k", b"[score]", b"[x]", b"workers", b"=", b":", b"\xc2\x85", b"\xff", b"\xc3"]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(st.binary(max_size=48),
+                      st.lists(st.sampled_from(TOKENS), max_size=24).map(b"".join)))
+def test_arbitrary_bytes_only_format_error(tmp_path, data):
+    path = tmp_path / "fuzz.txt"
+    path.write_bytes(data)
+    for name, read in READERS.items():
+        allowed = (FormatError, OSError) + ((cli.UsageError,) if name == "config" else ())
+        try:
+            read(path)
+        except allowed:
+            pass
