@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .store import text_lines
+from .store import record_errors, records
 
 CHAIN_KEEP16K = "keep16k"
 CHAIN_DOWN8K = "down8k"
@@ -42,8 +42,10 @@ class UtteranceManifest:
         if len(set(ids)) != len(ids):
             raise ContractError("duplicate utterance id in manifest")
         for u in self.utterances:
-            if u.duration_s <= 0:
-                raise ContractError(f"{u.utt_id}: duration must be positive")
+            if not 0 < u.duration_s < np.inf:  # NaN fails both
+                raise ContractError(f"{u.utt_id}: duration must be finite and positive")
+            if u.sample_rate <= 0:
+                raise ContractError(f"{u.utt_id}: sample rate must be positive")
 
     @property
     def ids(self) -> list[str]:
@@ -56,10 +58,7 @@ class UtteranceManifest:
 def read_manifest(path) -> UtteranceManifest:
     """TSV manifest: `utt_id<TAB>path<TAB>duration_s<TAB>sample_rate`."""
     utts = []
-    for ln, line in text_lines(path):
-        if not line.strip():
-            continue
-        fields = line.rstrip("\n").split("\t")
+    for ln, fields in records(path):
         if len(fields) != 4:
             raise FormatError(f"{path}:{ln}: expected 4 tab-separated fields")
         try:
@@ -68,10 +67,8 @@ def read_manifest(path) -> UtteranceManifest:
             )
         except ValueError:
             raise FormatError(f"{path}:{ln}: bad duration or sample rate") from None
-    try:
+    with record_errors(path):  # a duplicate id, or a bad duration or rate
         return UtteranceManifest(utts)
-    except ContractError as e:  # a duplicate id or a non-positive duration
-        raise FormatError(f"{path}: {e}") from None
 
 
 def write_manifest(manifest: UtteranceManifest, path) -> None:
@@ -223,10 +220,7 @@ def write_plan(plan: AugmentPlan, path) -> None:
 
 def read_plan(path, manifest: UtteranceManifest) -> AugmentPlan:
     entries = []
-    for ln, line in text_lines(path):
-        if not line.strip():
-            continue
-        fields = line.rstrip("\n").split("\t")
+    for ln, fields in records(path):
         if len(fields) != 4:
             raise FormatError(f"{path}:{ln}: expected 4 tab-separated fields")
         try:
@@ -234,7 +228,5 @@ def read_plan(path, manifest: UtteranceManifest) -> AugmentPlan:
         except ValueError:
             raise FormatError(f"{path}:{ln}: bad speed factor") from None
         entries.append(PlanEntry(fields[0], fields[1], fields[2], speed))
-    try:
+    with record_errors(path):  # entries that do not match the manifest, or a bad field
         return AugmentPlan(manifest, entries)
-    except ContractError as e:  # entries that do not match the manifest, or a bad field
-        raise FormatError(f"{path}: {e}") from None

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .store import EmbeddingSet
+from .store import EmbeddingSet, record_errors
 
 PIPELINE_MAGIC = b"SVPL"
 PIPELINE_VERSION = 1
@@ -186,6 +186,12 @@ class _Reader:
         raw = self.take(4 * rows * cols)
         return np.frombuffer(raw, dtype="<f4").reshape(rows, cols).copy()
 
+    def flag(self) -> bool:
+        (b,) = self.take(1)
+        if b > 1:
+            raise FormatError(f"{self.path}: flag byte {b} is neither 0 nor 1")
+        return bool(b)
+
 
 def load_pipeline(path) -> Pipeline:
     data = Path(path).read_bytes()
@@ -195,13 +201,15 @@ def load_pipeline(path) -> Pipeline:
     (version,) = struct.unpack("<H", r.take(2))
     if version != PIPELINE_VERSION:
         raise FormatError(f"{path}: unsupported pipeline version {version}")
-    center = None
-    if r.take(1)[0]:
-        center = CenterStage(r.mat()[0])
-    lda = None
-    if r.take(1)[0]:
-        lda = LdaStage(r.mat())
-    length_norm = bool(r.take(1)[0])
-    if r.off != len(data):
-        raise FormatError(f"{path}: {len(data) - r.off} trailing bytes")
-    return Pipeline(center=center, lda=lda, length_norm=length_norm)
+    with record_errors(path):  # a non-finite stage, or stages of different dims
+        center = None
+        if r.flag():
+            mean = r.mat()
+            if mean.shape[0] != 1:
+                raise FormatError(f"{path}: center mean has {mean.shape[0]} rows, not 1")
+            center = CenterStage(mean[0])
+        lda = LdaStage(r.mat()) if r.flag() else None
+        length_norm = r.flag()
+        if r.off != len(data):
+            raise FormatError(f"{path}: {len(data) - r.off} trailing bytes")
+        return Pipeline(center=center, lda=lda, length_norm=length_norm)

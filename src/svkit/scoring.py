@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .store import EmbeddingSet, text_lines
+from .store import EmbeddingSet, records
 
 _LABELS = {"target": True, "nontarget": False}
 
@@ -47,11 +47,7 @@ def parse_trials(path) -> TrialList:
     labels: list[bool] = []
     seen: set[tuple[str, str]] = set()
     labeled: bool | None = None
-    for ln, line in text_lines(path):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for ln, fields in records(path, sep=None, comment=True):
         if len(fields) not in (2, 3):
             raise FormatError(f"{path}:{ln}: expected 'enroll test [label]'")
         pair = (fields[0], fields[1])
@@ -127,11 +123,7 @@ def models_to_set(models: list[EnrollmentModel]) -> EmbeddingSet:
 def parse_enroll_map(path) -> dict[str, list[str]]:
     """Parse `model seg1 seg2 ...` lines (one model per line)."""
     out: dict[str, list[str]] = {}
-    for ln, line in text_lines(path):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for ln, fields in records(path, sep=None, comment=True):
         if len(fields) < 2:
             raise FormatError(f"{path}:{ln}: expected 'model seg1 [seg2 ...]'")
         if fields[0] in out:
@@ -216,10 +208,7 @@ def write_scores(trials: TrialList, scores: np.ndarray, path) -> None:
 
 def read_scores(path) -> dict[tuple[str, str], float]:
     out: dict[tuple[str, str], float] = {}
-    for ln, line in text_lines(path):
-        if not line.strip():
-            continue
-        fields = line.rstrip("\n").split("\t")
+    for ln, fields in records(path):
         if len(fields) != 3:
             raise FormatError(f"{path}:{ln}: expected 'enroll<TAB>test<TAB>score'")
         try:

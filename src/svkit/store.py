@@ -14,6 +14,7 @@ format label-agnostic.
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -38,6 +39,35 @@ def text_lines(path) -> Iterator[tuple[int, str]]:
             yield from enumerate(f, start=1)
         except UnicodeDecodeError:
             raise FormatError(f"{path}: not UTF-8 text") from None
+
+
+def records(path, sep="\t", comment=False) -> Iterator[tuple[int, list[str]]]:
+    """Stream (line number, fields) for each non-blank line of text_lines(path).
+
+    Fields are the line, minus its newline, split at ``sep``; ``sep=None``
+    splits at any run of whitespace.  ``comment=True`` first drops
+    everything from the first ``#``.
+    """
+    for ln, line in text_lines(path):
+        if comment:
+            line = line.split("#", 1)[0]
+        if line.strip():
+            yield ln, line.split() if sep is None else line.rstrip("\n").split(sep)
+
+
+@contextmanager
+def record_errors(path):
+    """Report a record that its constructor rejects (ContractError) as a
+    FormatError of the file it came from."""
+    try:
+        yield
+    except ContractError as e:
+        raise FormatError(f"{path}: {e}") from None
+
+
+def _is_sveb(path) -> bool:
+    with open(path, "rb") as f:
+        return f.read(len(MAGIC)) == MAGIC
 
 
 class EmbeddingSet:
@@ -132,7 +162,8 @@ def write_embeddings_tsv(s: EmbeddingSet, path) -> None:
             f.write(id_ + "\t" + "\t".join(f"{v:.9g}" for v in vec) + "\n")
 
 
-def _parse_sveb(data: bytes, path) -> EmbeddingSet:
+def _parse_sveb(path) -> EmbeddingSet:
+    data = Path(path).read_bytes()
     off = len(MAGIC)
     if len(data) < off + _HEADER.size:
         raise FormatError(f"{path}: truncated header")
@@ -163,20 +194,15 @@ def _parse_sveb(data: bytes, path) -> EmbeddingSet:
         off += vec_bytes
     if off != len(data):
         raise FormatError(f"{path}: {len(data) - off} trailing bytes")
-    try:
+    with record_errors(path):  # empty, blank or duplicate id, or a non-finite value
         return EmbeddingSet(ids, vecs)
-    except ContractError as e:  # empty, blank or duplicate id, or a non-finite value
-        raise FormatError(f"{path}: {e}") from None
 
 
-def _parse_tsv(text: str, path) -> EmbeddingSet:
+def _parse_tsv(path) -> EmbeddingSet:
     ids = []
     rows = []
     dim = None
-    for ln, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
+    for ln, fields in records(path):
         if len(fields) < 2:
             raise FormatError(f"{path}:{ln}: expected id and at least one value")
         try:
@@ -193,19 +219,13 @@ def _parse_tsv(text: str, path) -> EmbeddingSet:
         rows.append(row)
     if dim is None:
         raise FormatError(f"{path}: no records")
-    return EmbeddingSet(ids, np.asarray(rows, dtype=np.float32))
+    with record_errors(path):  # a bad or duplicate id, or a non-finite value, as in SVEB
+        return EmbeddingSet(ids, np.asarray(rows, dtype=np.float32))
 
 
 def read_embeddings(path) -> EmbeddingSet:
     """Read SVEB or TSV embeddings, auto-detected by the magic bytes."""
-    data = Path(path).read_bytes()
-    if data[:4] == MAGIC:
-        return _parse_sveb(data, path)
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        raise FormatError(f"{path}: not SVEB and not UTF-8 text") from None
-    return _parse_tsv(text, path)
+    return _parse_sveb(path) if _is_sveb(path) else _parse_tsv(path)
 
 
 def write_labels(labels: Mapping[str, str], path) -> None:
@@ -216,10 +236,7 @@ def write_labels(labels: Mapping[str, str], path) -> None:
 
 def read_labels(path) -> dict[str, str]:
     out: dict[str, str] = {}
-    for ln, line in text_lines(path):
-        if not line.strip():
-            continue
-        fields = line.rstrip("\n").split("\t")
+    for ln, fields in records(path):
         if len(fields) != 2:
             raise FormatError(f"{path}:{ln}: expected 'id<TAB>label'")
         if fields[0] in out:
@@ -249,25 +266,20 @@ def write_matrix_tsv(values: np.ndarray, path) -> None:
 
 def read_matrix(path) -> np.ndarray:
     """Read a matrix: SVEB, id-prefixed TSV, or plain numeric TSV."""
-    data = Path(path).read_bytes()
-    if data[:4] == MAGIC:
-        return _parse_sveb(data, path).vectors.astype(np.float64)
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        raise FormatError(f"{path}: not SVEB and not UTF-8 text") from None
+    if _is_sveb(path):
+        return _parse_sveb(path).vectors.astype(np.float64)
     rows = []
-    for ln, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
+    for ln, fields in records(path):
         try:
             rows.append([float(v) for v in fields])
         except ValueError:
             # first column is an id, not a number: fall back to record layout
-            return _parse_tsv(text, path).vectors.astype(np.float64)
-        if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
+            return _parse_tsv(path).vectors.astype(np.float64)
+        if len(rows[-1]) != len(rows[0]):
             raise FormatError(f"{path}:{ln}: inconsistent row length")
     if not rows:
         raise FormatError(f"{path}: no rows")
-    return np.asarray(rows, dtype=np.float64)
+    m = np.asarray(rows, dtype=np.float64)
+    if not np.all(np.isfinite(m)):  # as the SVEB and id-prefixed layouts reject
+        raise FormatError(f"{path}: non-finite matrix values")
+    return m

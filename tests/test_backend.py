@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from svkit import backend, store
 from svkit.errors import ContractError, FormatError
@@ -10,6 +14,15 @@ def make_set(vecs, labels=None, prefix="u"):
     ids = [f"{prefix}{k}" for k in range(len(vecs))]
     labs = dict(zip(ids, labels)) if labels is not None else None
     return store.EmbeddingSet(ids, vecs, labs)
+
+
+def svpl_bytes(*parts: bytes) -> bytes:
+    return backend.PIPELINE_MAGIC + struct.pack("<H", backend.PIPELINE_VERSION) + b"".join(parts)
+
+
+def svpl_mat(rows) -> bytes:
+    m = np.asarray(rows, dtype="<f4").reshape(len(rows), -1)
+    return struct.pack("<II", *m.shape) + m.tobytes()
 
 
 def brute_force_lda(x, labels, k, ridge_scale=1e-6):
@@ -243,3 +256,41 @@ class TestPipelineIO:
         path.write_bytes(b"NOPE" + bytes(16))
         with pytest.raises(FormatError):
             backend.load_pipeline(path)
+
+    @pytest.mark.parametrize("body, message", [
+        (b"\x01" + struct.pack("<II", 0, 2) + b"\x00\x00", "center mean has 0 rows"),
+        (b"\x01" + svpl_mat([[1, 2], [3, 4]]) + b"\x00\x00", "center mean has 2 rows"),
+        (b"\x07" + svpl_mat([[1, 2]]) + b"\x00\x00", "flag byte 7"),
+        (b"\x00\x00\x02", "flag byte 2"),
+        (b"\x01" + svpl_mat([[np.nan, 2]]) + b"\x00\x00", "center mean must be a finite"),
+        (b"\x00\x01" + svpl_mat([[np.nan], [1]]) + b"\x00", "LDA projection must be a finite"),
+        (b"\x01" + svpl_mat([[1, 2]]) + b"\x01" + svpl_mat([[1], [2], [3]]) + b"\x00",
+         "center dim 2 != LDA input dim 3"),
+    ], ids=["empty-center", "two-row-center", "presence-byte-7", "length-norm-byte-2",
+            "nan-center", "nan-lda", "stage-dims-differ"])
+    def test_malformed_stage_is_format_error(self, tmp_path, body, message):
+        path = tmp_path / "bad.svpl"
+        path.write_bytes(svpl_bytes(body))
+        with pytest.raises(FormatError, match=f"bad.svpl: {message}"):
+            backend.load_pipeline(path)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(body=st.one_of(
+        st.binary(max_size=48),
+        # flag bytes, matrix headers and float32 values, so the stage checks are reached
+        st.lists(st.one_of(
+            st.sampled_from([b"\x00", b"\x01", b"\x07"]),
+            st.builds(lambda r, c: struct.pack("<II", r, c),
+                      st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1)),
+                      st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1))),
+            st.floats(width=32).map(lambda v: struct.pack("<f", v)),
+        ), max_size=12).map(b"".join),
+    ))
+    def test_arbitrary_bytes_only_format_error(self, tmp_path, body):
+        path = tmp_path / "fuzz.svpl"
+        path.write_bytes(svpl_bytes(body))
+        try:
+            backend.load_pipeline(path)
+        except FormatError:
+            pass

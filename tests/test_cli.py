@@ -377,6 +377,27 @@ class TestConfigAndExitCodes:
             assert main(["pool", str(path), "--method", "tstp"]) == 2
         assert "format error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("record", ["a\t3\t4", "c\tnan\t1", "c\t1e400\t1", "c d\t1\t2"],
+                             ids=["duplicate-id", "nan", "1e400", "space-in-id"])
+    def test_bad_tsv_embedding_record_exit_2(self, tmp_path, capsys, record):
+        path = tmp_path / "e.tsv"
+        path.write_text(f"a\t1\t2\nb\t2\t1\n{record}\n")
+        rc = main(["fit-backend", "--no-lda", "--embeddings", str(path),
+                   "--out", str(tmp_path / "p.svpl")])
+        assert rc == 2
+        assert f"format error: {path}: " in capsys.readouterr().err
+
+    def test_nan_matrix_exit_2_in_every_layout(self, tmp_path, capsys):
+        sveb = tmp_path / "m.feats"
+        sveb.write_bytes(b"SVEB" + struct.pack("<HQI", 1, 2, 2)
+                         + b"".join(struct.pack("<H", 1) + t + struct.pack("<2f", 1.0, v)
+                                    for t, v in ((b"0", 2.0), (b"1", float("nan")))))
+        (tmp_path / "ids.tsv").write_text("f0\t1\t2\nf1\t1\tnan\n")
+        (tmp_path / "plain.tsv").write_text("1\t2\n1\tnan\n")
+        for name in ("m.feats", "ids.tsv", "plain.tsv"):
+            assert main(["pool", "--method", "tstp", str(tmp_path / name)]) == 2, name
+        assert capsys.readouterr().err.count("non-finite") == 3
+
     def test_not_utf8_exit_2(self, tmp_path, capsys):
         s = store.EmbeddingSet(["a", "b"], np.eye(2, dtype=np.float32))
         store.write_embeddings(s, tmp_path / "e.sveb")

@@ -24,6 +24,8 @@ READERS = {
     "manifest": augment.read_manifest,
     "plan": lambda path: augment.read_plan(path, MANIFEST),
     "config": cli._load_config,
+    "embeddings": store.read_embeddings,
+    "matrix": store.read_matrix,
 }
 
 
@@ -42,13 +44,25 @@ def test_text_lines_splits_only_at_newlines(tmp_path):
         (1, "a\x0bb\x0cc\x1cd\x85e f\n"), (2, "g\n"), (3, "h\n")]
 
 
+def test_tsv_embeddings_cite_text_line_numbers(tmp_path):
+    path = tmp_path / "ff.tsv"
+    path.write_bytes(b"a\t1\t2\x0c\nb\t1\t2\n\x0cc\t1\n")  # form feeds are not line ends
+    for read in (store.read_embeddings, store.read_matrix):
+        with pytest.raises(FormatError, match="ff.tsv:3: dimension 1 != 2"):
+            read(path)
+
+
 def test_manifest_record_error_is_format_error(tmp_path):
     path = tmp_path / "man.tsv"
     path.write_text("a\t/d/a.wav\t1.0\t16000\na\t/d/b.wav\t2.0\t16000\n")
     with pytest.raises(FormatError, match="man.tsv: duplicate"):
         augment.read_manifest(path)
-    path.write_text("a\t/d/a.wav\t0\t16000\n")
-    with pytest.raises(FormatError, match="man.tsv: a: duration"):
+    for duration in ("0", "nan", "inf"):
+        path.write_text(f"a\t/d/a.wav\t{duration}\t16000\n")
+        with pytest.raises(FormatError, match="man.tsv: a: duration"):
+            augment.read_manifest(path)
+    path.write_text("a\t/d/a.wav\t1.0\t-5\n")
+    with pytest.raises(FormatError, match="man.tsv: a: sample rate"):
         augment.read_manifest(path)
 
 
