@@ -60,6 +60,8 @@ def read_wav(path) -> AudioBuffer:
             data = w.readframes(n)
     except wave.Error as e:
         raise FormatError(f"{path}: {e}") from None
+    except RuntimeError:  # wave's chunk reader: a chunk runs past the RIFF chunk
+        raise FormatError(f"{path}: chunk size runs past the end of its RIFF chunk") from None
     except EOFError:
         raise OSError(f"{path}: truncated file") from None
     if len(data) < 2 * n:

@@ -100,8 +100,8 @@ class AugmentPlan:
                 raise ContractError(f"{e.utt_id}: unknown codec {e.codec!r}")
             if e.chain not in CHAINS:
                 raise ContractError(f"{e.utt_id}: unknown chain {e.chain!r}")
-            if e.speed <= 0:
-                raise ContractError(f"{e.utt_id}: speed factor must be positive")
+            if not 0 < e.speed < np.inf:  # NaN fails both
+                raise ContractError(f"{e.utt_id}: speed factor must be finite and positive")
 
     def entry(self, utt_id: str) -> PlanEntry:
         for e in self.entries:

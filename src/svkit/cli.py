@@ -32,6 +32,13 @@ class _Parser(argparse.ArgumentParser):
 
 _REQUIRED = object()
 
+# handled error -> (exit code, message label); exit code 1 is UsageError
+_EXITS = {FormatError: (2, "format error"), ContractError: (3, "error"), OSError: (4, "I/O error")}
+
+
+def _exit_of(e: Exception) -> tuple[int, str]:
+    return next(v for kind, v in _EXITS.items() if isinstance(e, kind))
+
 # option registries: subcommand -> name -> (kind, default)
 # kind is a callable type, "flag", or "list:<type>"
 _REGISTRY: dict[str, dict[str, tuple]] = {}
@@ -268,16 +275,10 @@ def cmd_features(args) -> int:
                 store.write_matrix_tsv(feats.values, out_dir / f"{name}.tsv")
             else:
                 store.write_matrix(feats.values, out_dir / f"{name}.feats")
-        except (FormatError, ContractError, OSError) as e:
-            if isinstance(e, FormatError):
-                code = 2
-            elif isinstance(e, ContractError):
-                code = 3
-            else:
-                code = 4
+        except tuple(_EXITS) as e:
             print(f"svkit: {wav}: {e}", file=sys.stderr)
             if first_fail == 0:
-                first_fail = code
+                first_fail = _exit_of(e)[0]
     return first_fail
 
 
@@ -519,15 +520,10 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"svkit: usage error: {e}", file=sys.stderr)
         return 1
-    except FormatError as e:
-        print(f"svkit: format error: {e}", file=sys.stderr)
-        return 2
-    except ContractError as e:
-        print(f"svkit: error: {e}", file=sys.stderr)
-        return 3
-    except OSError as e:
-        print(f"svkit: I/O error: {e}", file=sys.stderr)
-        return 4
+    except tuple(_EXITS) as e:
+        code, label = _exit_of(e)
+        print(f"svkit: {label}: {e}", file=sys.stderr)
+        return code
     except SystemExit as e:  # argparse --help
         return int(e.code or 0)
 

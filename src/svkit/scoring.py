@@ -1,14 +1,14 @@
 """Trial parsing, enrollment models, and batched deterministic cosine scoring.
 
-Scoring parallelizes over disjoint trial blocks; each trial's score is a
-pure function of its two vectors, so worker count and block size never
-change a single output bit.
+Scoring runs on one thread over blocks of trials: each row's norm is
+computed once, and each trial's score is a pure function of its two rows,
+so block size never changes a single output bit.  ``workers`` is accepted
+for compatibility and ignored.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +83,6 @@ class EnrollmentModel:
 
     model_id: str
     vector: np.ndarray
-    member_ids: tuple[str, ...] = field(default_factory=tuple)
 
 
 def build_enrollment(segments) -> list[EnrollmentModel]:
@@ -142,14 +141,13 @@ def cosine_score(a, b) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def _score_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = a.astype(np.float64)
-    b = b.astype(np.float64)
-    na = np.sqrt(np.einsum("ij,ij->i", a, a))
-    nb = np.sqrt(np.einsum("ij,ij->i", b, b))
-    if np.any(na == 0) or np.any(nb == 0):
-        raise ContractError("cannot score a zero vector")
-    return np.einsum("ij,ij->i", a, b) / (na * nb)
+def _row_norms(x: np.ndarray, block_size: int) -> np.ndarray:
+    """float64 norm of every row, casting at most block_size rows at a time."""
+    out = np.empty(len(x))
+    for lo in range(0, len(x), block_size):
+        rows = x[lo : lo + block_size].astype(np.float64)
+        out[lo : lo + block_size] = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    return out
 
 
 def score_trials(
@@ -161,8 +159,9 @@ def score_trials(
 ) -> np.ndarray:
     """Cosine score per trial, aligned with the trial list order.
 
-    Deterministic: repeated runs and any (workers, block_size) combination
-    produce bitwise-identical scores.
+    Deterministic: repeated runs and any block_size produce bitwise-identical
+    scores.  block_size bounds the rows cast to float64 at once; workers
+    must be >= 1 and does not change anything.
     """
     if workers < 1 or block_size < 1:
         raise ContractError("workers and block_size must be >= 1")
@@ -178,21 +177,16 @@ def score_trials(
         t_rows = np.array([tests._index[t] for _, t in trials.pairs])
     except KeyError as exc:
         raise ContractError(f"unknown test id {exc.args[0]!r}") from None
-
-    blocks = [(lo, min(lo + block_size, n)) for lo in range(0, n, block_size)]
-
-    def run(span):
-        lo, hi = span
-        scores[lo:hi] = _score_block(
-            models.vectors[e_rows[lo:hi]], tests.vectors[t_rows[lo:hi]]
-        )
-
-    if workers == 1 or len(blocks) == 1:
-        for span in blocks:
-            run(span)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, blocks))
+    na = _row_norms(models.vectors, block_size)
+    nb = _row_norms(tests.vectors, block_size)
+    for lo in range(0, n, block_size):
+        e, t = e_rows[lo : lo + block_size], t_rows[lo : lo + block_size]
+        norms = na[e] * nb[t]
+        if not norms.all():
+            raise ContractError("cannot score a zero vector")
+        a, b = models.vectors[e].astype(np.float64), tests.vectors[t].astype(np.float64)
+        scores[lo : lo + block_size] = np.einsum("ij,ij->i", a, b) / norms
+        del a, b  # frees this block's cast rows before the next block casts its own
     return scores
 
 

@@ -273,7 +273,9 @@ def read_matrix(path) -> np.ndarray:
         try:
             rows.append([float(v) for v in fields])
         except ValueError:
-            # first column is an id, not a number: fall back to record layout
+            if rows:  # the first record fixed the plain layout
+                raise FormatError(f"{path}:{ln}: non-numeric value") from None
+            # the first record starts with an id, not a number: id-prefixed layout
             return _parse_tsv(path).vectors.astype(np.float64)
         if len(rows[-1]) != len(rows[0]):
             raise FormatError(f"{path}:{ln}: inconsistent row length")

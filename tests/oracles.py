@@ -3,10 +3,13 @@
 The metric oracles recompute error rates by direct comparison at every
 candidate threshold, deliberately sharing no code with the package's
 searchsorted-based sweep.  The resampler oracle evaluates the windowed
-sinc afresh for every output sample at its float position.
+sinc afresh for every output sample at its float position.  The scoring
+oracle casts, normalises and dots a block of gathered row pairs together.
 """
 
 import numpy as np
+
+from svkit.errors import ContractError
 
 
 def oracle_points(tar, non):
@@ -78,3 +81,16 @@ def oracle_resample(x, src, target_rate, taps=64, kaiser_beta=5.0):
         idx_r = np.where(m >= n, 2 * n - 1 - m, m)
         out[lo:hi] = (w * x[idx_r]).sum(axis=1)
     return out
+
+
+def oracle_score_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine score of each row pair (a[i], b[i]), with both norms taken
+    from the block itself.  Same contract as svkit.scoring.score_trials
+    on the gathered rows of one block of trials."""
+    a = a.astype(np.float64)
+    b = b.astype(np.float64)
+    na = np.sqrt(np.einsum("ij,ij->i", a, a))
+    nb = np.sqrt(np.einsum("ij,ij->i", b, b))
+    if np.any(na == 0) or np.any(nb == 0):
+        raise ContractError("cannot score a zero vector")
+    return np.einsum("ij,ij->i", a, b) / (na * nb)

@@ -1,9 +1,12 @@
+import io
 import struct
 import tracemalloc
 import wave
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from oracles import oracle_resample
 
@@ -23,6 +26,26 @@ def tone_amplitude(x, rate, freq, trim=150):
     basis = np.column_stack([np.cos(2 * np.pi * freq * t), np.sin(2 * np.pi * freq * t)])
     coef, *_ = np.linalg.lstsq(basis, x, rcond=None)
     return float(np.hypot(*coef))
+
+
+def noise_wav_bytes(frames=400, rate=16000) -> bytes:
+    """A valid PCM16 mono WAV of seeded noise: its sample bytes, read as
+    chunk headers after a header mutation, hold arbitrary chunk sizes."""
+    pcm = np.random.default_rng(5).integers(-32768, 32768, frames).astype("<i2")
+    f = io.BytesIO()
+    with wave.open(f, "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(2)
+        w.setframerate(rate)
+        w.writeframes(pcm.tobytes())
+    return f.getvalue()
+
+
+VALID_WAV = noise_wav_bytes()
+
+
+def mutate(data: bytes, pos: int, value: int) -> bytes:
+    return data[:pos] + bytes([value]) + data[pos + 1 :]
 
 
 class TestWavIO:
@@ -85,6 +108,21 @@ class TestWavIO:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="sample rate"):
             audio.read_wav(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.one_of(
+        st.binary(max_size=120).map(lambda tail: b"RIFF" + tail),
+        st.builds(mutate, st.just(VALID_WAV), st.integers(0, 59), st.integers(0, 255)),
+    ))
+    @example(data=mutate(VALID_WAV, 16, 0x55))  # fmt chunk size 85: a later chunk runs past RIFF
+    def test_hostile_bytes_only_format_or_io_error(self, tmp_path, data):
+        path = tmp_path / "fuzz.wav"
+        path.write_bytes(data)
+        try:
+            audio.read_wav(path)
+        except (FormatError, OSError):
+            pass
 
     def test_write_read_roundtrip_one_lsb(self, tmp_path):
         rng = np.random.default_rng(7)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from svkit import backend, store
 from svkit.errors import ContractError, FormatError
@@ -23,6 +24,22 @@ def svpl_bytes(*parts: bytes) -> bytes:
 def svpl_mat(rows) -> bytes:
     m = np.asarray(rows, dtype="<f4").reshape(len(rows), -1)
     return struct.pack("<II", *m.shape) + m.tobytes()
+
+
+# finite float32 values; the edge values are drawn often, not left to chance
+FLOAT32 = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-45, -1e-45, 1.1754942e-38, 3.4028235e38]),
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def pipelines(draw):
+    d = draw(st.integers(0, 5))
+    center = draw(st.none() | arrays(np.float32, d, elements=FLOAT32).map(backend.CenterStage))
+    lda = draw(st.none() | arrays(np.float32, st.tuples(st.just(d), st.integers(1, 5)),
+                                  elements=FLOAT32).map(backend.LdaStage))
+    return backend.Pipeline(center=center, lda=lda, length_norm=draw(st.booleans()))
 
 
 def brute_force_lda(x, labels, k, ridge_scale=1e-6):
@@ -240,6 +257,23 @@ class TestPipelineIO:
             assert (back.center is None) == (pipe.center is None)
             assert (back.lda is None) == (pipe.lda is None)
             assert back.length_norm == pipe.length_norm
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(pipe=pipelines())
+    def test_roundtrip_property_bit_exact(self, tmp_path, pipe):
+        path, again = tmp_path / "p.svpl", tmp_path / "q.svpl"
+        backend.save_pipeline(pipe, path)
+        back = backend.load_pipeline(path)
+        backend.save_pipeline(back, again)
+        for stage, attr in (("center", "mean"), ("lda", "projection")):
+            want, got = getattr(pipe, stage), getattr(back, stage)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert getattr(got, attr).shape == getattr(want, attr).shape
+                assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+        assert back.length_norm == pipe.length_norm
+        assert again.read_bytes() == path.read_bytes()
 
     def test_truncated_file(self, tmp_path):
         rng = np.random.default_rng(12)

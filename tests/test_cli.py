@@ -236,6 +236,15 @@ class TestBackendScoreEvalFlow:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    @pytest.mark.parametrize("option", ["--workers", "--block-size"])
+    def test_workers_or_block_size_below_one_exit_3(self, tmp_path, capsys, option):
+        store.write_embeddings(store.EmbeddingSet(["a"], np.ones((1, 2), np.float32)), tmp_path / "e.sveb")
+        (tmp_path / "t.txt").write_text("a a\n")
+        rc = main(["score", "--enroll", str(tmp_path / "e.sveb"), "--test", str(tmp_path / "e.sveb"),
+                   "--trials", str(tmp_path / "t.txt"), "--out", str(tmp_path / "s.tsv"), option, "0"])
+        assert rc == 3
+        assert "workers and block_size must be >= 1" in capsys.readouterr().err
+
     def test_eval_perfect_separation(self, tmp_path, capsys):
         (tmp_path / "trials.txt").write_text(
             "e1 t1 target\ne1 t2 nontarget\ne2 t1 nontarget\ne2 t2 target\n"
@@ -422,6 +431,19 @@ class TestConfigAndExitCodes:
         rc = main(["features", "--resample", "8000", "--out-dir", str(tmp_path / "f"), str(path)])
         assert rc == 2
         assert "sample rate 2000000000 Hz" in capsys.readouterr().err
+
+    def test_wav_chunk_past_riff_exit_2(self, tmp_path, capsys):
+        # a fmt chunk size of 0x55 makes the reader take noise samples for
+        # the next chunk header, whose size runs past the RIFF chunk
+        path = tmp_path / "chunk.wav"
+        pcm = np.random.default_rng(5).uniform(-0.5, 0.5, 400)
+        audio.write_wav(audio.AudioBuffer(pcm, 16000), path)
+        raw = bytearray(path.read_bytes())
+        raw[16] = 0x55
+        path.write_bytes(bytes(raw))
+        rc = main(["features", "--out-dir", str(tmp_path / "f"), str(path)])
+        assert rc == 2
+        assert "chunk.wav: chunk size runs past" in capsys.readouterr().err
 
     def test_contract_error_exit_3(self, tmp_path, capsys):
         s = store.EmbeddingSet(["a", "b"], np.eye(2, dtype=np.float32))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import oracle_score_block
 from svkit import scoring, store
 from svkit.errors import ContractError, FormatError
 
@@ -137,6 +138,32 @@ class TestScoreTrials:
             for block in (1, 17, 256, 100000):
                 got = scoring.score_trials(models, tests, trials, workers=workers, block_size=block)
                 assert got.tobytes() == base.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 5, 13, 257])
+    def test_bitwise_equal_to_block_oracle(self, dim):
+        rng = np.random.default_rng(dim)
+        scale = 10.0 ** rng.uniform(-20, 20, size=(60, 1))  # per-row magnitudes 1e-20..1e20
+        m = (rng.normal(size=(20, dim)) * scale[:20]).astype(np.float32)
+        t = (rng.normal(size=(40, dim)) * scale[20:]).astype(np.float32)
+        models, tests = embset(m, "m"), embset(t, "t")
+        rows = list(dict.fromkeys(zip(rng.integers(20, size=500), rng.integers(40, size=500))))
+        trials = scoring.TrialList([(f"m{i}", f"t{j}") for i, j in rows])
+        e, k = np.array(rows).T
+        want = oracle_score_block(m[e], t[k])
+        for block in (1, 17, 1000):
+            got = scoring.score_trials(models, tests, trials, block_size=block)
+            assert got.tobytes() == want.tobytes()
+
+    def test_zero_vector_only_when_referenced(self):
+        models = embset([[1.0, 0.0]], "m")
+        tests = embset([[0.0, 1.0], [0.0, 0.0]], "t")
+        got = scoring.score_trials(models, tests, scoring.TrialList([("m0", "t0")]))
+        np.testing.assert_array_equal(got, [0.0])
+        for block in (1, 4096):
+            with pytest.raises(ContractError, match="cannot score a zero vector"):
+                scoring.score_trials(
+                    models, tests, scoring.TrialList([("m0", "t0"), ("m0", "t1")]), block_size=block
+                )
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)

@@ -4,9 +4,26 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from svkit import store
 from svkit.errors import ContractError, FormatError
+
+# finite float32 values; the edge values are drawn often, not left to chance
+FLOAT32 = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-45, -1e-45, 1.1754942e-38, 3.4028235e38]),
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+)
+# non-empty unicode ids without whitespace (surrogates cannot be UTF-8 encoded)
+IDS = st.text(st.characters(exclude_categories=["Cs"]), min_size=1, max_size=6).filter(
+    lambda i: not any(c.isspace() for c in i))
+
+
+@st.composite
+def embedding_sets(draw):
+    vecs = draw(arrays(np.float32, st.tuples(st.integers(0, 5), st.integers(0, 5)), elements=FLOAT32))
+    ids = draw(st.lists(IDS, min_size=len(vecs), max_size=len(vecs), unique=True))
+    return store.EmbeddingSet(ids, vecs)
 
 
 def random_set(rng, n=10, d=8, labels=False):
@@ -129,6 +146,19 @@ class TestSvebFormat:
         with pytest.raises(FormatError, match="non-finite"):
             store.read_embeddings(path)
 
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(s=embedding_sets())
+    def test_roundtrip_property_bit_exact(self, tmp_path, s):
+        path, again = tmp_path / "p.sveb", tmp_path / "q.sveb"
+        store.write_embeddings(s, path)
+        back = store.read_embeddings(path)
+        store.write_embeddings(back, again)
+        assert back.ids == s.ids
+        assert back.vectors.shape == s.vectors.shape
+        assert back.vectors.tobytes() == s.vectors.tobytes()
+        assert again.read_bytes() == path.read_bytes()
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(body=st.one_of(
@@ -217,6 +247,12 @@ class TestMatrix:
         path = tmp_path / "rec.tsv"
         path.write_text("f0\t1.0\t2.0\nf1\t3.0\t4.0\n")
         np.testing.assert_array_equal(store.read_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_first_record_fixes_layout(self, tmp_path):
+        path = tmp_path / "plain.tsv"
+        path.write_text("1\t2\t3\nx\t2\t3\n")  # plain layout, then a non-numeric field
+        with pytest.raises(FormatError, match="plain.tsv:2: non-numeric value"):
+            store.read_matrix(path)
 
     def test_empty_matrix_file(self, tmp_path):
         path = tmp_path / "e.tsv"

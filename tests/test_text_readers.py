@@ -74,6 +74,10 @@ def test_plan_record_error_is_format_error(tmp_path):
     path.write_text("a\tmp3\tkeep16k\t1\nb\tnone\tkeep16k\t1\n")
     with pytest.raises(FormatError, match="plan.tsv: a: unknown codec"):
         augment.read_plan(path, MANIFEST)
+    for speed in ("nan", "inf"):
+        path.write_text(f"a\tnone\tkeep16k\t{speed}\nb\tnone\tkeep16k\t1\n")
+        with pytest.raises(FormatError, match="plan.tsv: a: speed factor"):
+            augment.read_plan(path, MANIFEST)
 
 
 # fragments that reach past the decoder: field separators, line ends,
