@@ -104,11 +104,10 @@ def fit_lda(s: EmbeddingSet, k: int | None = None) -> LdaStage:
     eps = 1e-6 * np.trace(sw) / d
     if eps <= 0:
         eps = 1e-12  # degenerate within-class scatter: any positive ridge works
-    import scipy.linalg  # here, not at module level: only LDA needs scipy
-
-    vals, vecs = scipy.linalg.eigh(sb, sw + eps * np.eye(d))
-    order = np.argsort(vals)[::-1][:k]
-    proj = vecs[:, order]
+    # sb v = lambda (L L^T) v as LAPACK's sygvd reduces it: eigh(L^-1 sb L^-T), v = L^-T y
+    inv = np.linalg.inv(np.linalg.cholesky(sw + eps * np.eye(d)))
+    vals, y = np.linalg.eigh(inv @ sb @ inv.T)
+    proj = (inv.T @ y)[:, np.argsort(vals)[::-1][:k]]
     proj /= np.linalg.norm(proj, axis=0, keepdims=True)
     for j in range(proj.shape[1]):
         col = proj[:, j]
@@ -116,15 +115,6 @@ def fit_lda(s: EmbeddingSet, k: int | None = None) -> LdaStage:
         if nz.size and col[nz[0]] < 0:
             proj[:, j] = -col
     return LdaStage(proj)
-
-
-def length_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm."""
-    v = np.asarray(v, dtype=np.float64)
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise ContractError("cannot length-normalize a zero vector")
-    return v / n
 
 
 def apply_pipeline(p: Pipeline, s: EmbeddingSet) -> EmbeddingSet:

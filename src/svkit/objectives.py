@@ -11,11 +11,26 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_softmax, softmax
 
 from .errors import ContractError
 
 _SINE_FLOOR = 1e-12  # keeps the margin-derivative finite at cos = +-1
+
+
+def softmax(x, axis=None) -> np.ndarray:
+    """scipy.special.softmax in its operation order, so bitwise equal to it."""
+    x = np.asarray(x)
+    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def log_softmax(x, axis=None) -> np.ndarray:
+    """scipy.special.log_softmax in its operation order, so bitwise equal to it."""
+    x = np.asarray(x)
+    m = np.max(x, axis=axis, keepdims=True)
+    tmp = x - np.where(np.isfinite(m), m, 0)
+    with np.errstate(divide="ignore"):  # log(0) = -inf is the right answer
+        return tmp - np.log(np.sum(np.exp(tmp), axis=axis, keepdims=True))
 
 
 @dataclass(frozen=True)

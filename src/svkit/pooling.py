@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_softmax, softmax
 
 from .errors import ContractError
+from .objectives import log_softmax, softmax
 
 STD_FLOOR = 1e-7
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .store import EmbeddingSet, records
+from .store import EmbeddingSet, records, row_blocks
 
 _LABELS = {"target": True, "nontarget": False}
 
@@ -66,15 +66,6 @@ def parse_trials(path) -> TrialList:
             labels.append(_LABELS[key])
         pairs.append(pair)
     return TrialList(pairs, np.asarray(labels, dtype=bool) if labeled else None)
-
-
-def write_trials(trials: TrialList, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for k, (e, t) in enumerate(trials.pairs):
-            if trials.labels is not None:
-                f.write(f"{e} {t} {'target' if trials.labels[k] else 'nontarget'}\n")
-            else:
-                f.write(f"{e} {t}\n")
 
 
 @dataclass(frozen=True)
@@ -131,16 +122,6 @@ def parse_enroll_map(path) -> dict[str, list[str]]:
     return out
 
 
-def cosine_score(a, b) -> float:
-    """Cosine similarity a.b / (|a||b|)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        raise ContractError("cannot score a zero vector")
-    return float(np.dot(a, b) / (na * nb))
-
-
 def _row_norms(x: np.ndarray, block_size: int) -> np.ndarray:
     """float64 norm of every row, casting at most block_size rows at a time."""
     out = np.empty(len(x))
@@ -194,10 +175,11 @@ def write_scores(trials: TrialList, scores: np.ndarray, path) -> None:
     """Score TSV: `enroll<TAB>test<TAB>score` with 6 decimal digits."""
     scores = np.asarray(scores)
     if scores.shape != (len(trials),):
-        raise ContractError(f"{scores.shape[0]} scores for {len(trials)} trials")
+        raise ContractError(f"scores of shape {scores.shape} for {len(trials)} trials")
     with open(path, "w", encoding="utf-8") as f:
-        for (e, t), s in zip(trials.pairs, scores):
-            f.write(f"{e}\t{t}\t{s:.6f}\n")
+        for b in row_blocks(len(trials), 1):
+            rows = zip(trials.pairs[b], scores[b].tolist())
+            f.writelines("%s\t%s\t%.6f\n" % (e, t, s) for (e, t), s in rows)
 
 
 def read_scores(path) -> dict[tuple[str, str], float]:

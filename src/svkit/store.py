@@ -25,6 +25,13 @@ from .errors import ContractError, FormatError
 MAGIC = b"SVEB"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<HQI")  # version, count, dim
+TEXT_BLOCK = 1 << 14  # values per tolist() in the text writers: no whole-set list is held
+
+
+def row_blocks(n: int, width: int) -> Iterator[slice]:
+    """Slices of range(n) that each hold at most TEXT_BLOCK values, or one row."""
+    step = max(1, TEXT_BLOCK // max(width, 1))
+    return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
 def text_lines(path) -> Iterator[tuple[int, str]]:
@@ -157,9 +164,10 @@ def write_embeddings(s: EmbeddingSet, path) -> None:
 
 
 def write_embeddings_tsv(s: EmbeddingSet, path) -> None:
+    fmt = "%s\t" + "\t".join(["%.9g"] * s.dim) + "\n"
     with open(path, "w", encoding="utf-8") as f:
-        for id_, vec in zip(s.ids, s.vectors):
-            f.write(id_ + "\t" + "\t".join(f"{v:.9g}" for v in vec) + "\n")
+        for b in row_blocks(len(s), s.dim):
+            f.writelines(fmt % (i, *r) for i, r in zip(s.ids[b], s.vectors[b].tolist()))
 
 
 def _parse_sveb(path) -> EmbeddingSet:
@@ -259,9 +267,10 @@ def write_matrix_tsv(values: np.ndarray, path) -> None:
     values = np.asarray(values)
     if values.ndim != 2:
         raise ContractError(f"matrix must be 2-D, got shape {values.shape}")
+    fmt = "\t".join(["%.9g"] * values.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as f:
-        for row in values:
-            f.write("\t".join(f"{v:.9g}" for v in row) + "\n")
+        for b in row_blocks(len(values), values.shape[1]):
+            f.writelines(fmt % tuple(r) for r in values[b].tolist())
 
 
 def read_matrix(path) -> np.ndarray:

@@ -5,9 +5,12 @@ candidate threshold, deliberately sharing no code with the package's
 searchsorted-based sweep.  The resampler oracle evaluates the windowed
 sinc afresh for every output sample at its float position.  The scoring
 oracle casts, normalises and dots a block of gathered row pairs together.
+The text-writer oracles format one value per f-string, and the LDA oracle
+solves its generalized eigenproblem with scipy.linalg.eigh.
 """
 
 import numpy as np
+import scipy.linalg
 
 from svkit.errors import ContractError
 
@@ -94,3 +97,72 @@ def oracle_score_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if np.any(na == 0) or np.any(nb == 0):
         raise ContractError("cannot score a zero vector")
     return np.einsum("ij,ij->i", a, b) / (na * nb)
+
+
+def cosine_score(a, b) -> float:
+    """Cosine similarity a.b / (|a||b|)."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0 or nb == 0:
+        raise ContractError("cannot score a zero vector")
+    return float(np.dot(a, b) / (na * nb))
+
+
+def oracle_write_embeddings_tsv(s, path) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        for id_, vec in zip(s.ids, s.vectors):
+            f.write(id_ + "\t" + "\t".join(f"{v:.9g}" for v in vec) + "\n")
+
+
+def oracle_write_matrix_tsv(values: np.ndarray, path) -> None:
+    """Plain-text matrix dump: one row per line, tab-separated values."""
+    values = np.asarray(values)
+    if values.ndim != 2:
+        raise ContractError(f"matrix must be 2-D, got shape {values.shape}")
+    with open(path, "w", encoding="utf-8") as f:
+        for row in values:
+            f.write("\t".join(f"{v:.9g}" for v in row) + "\n")
+
+
+def oracle_write_scores(trials, scores: np.ndarray, path) -> None:
+    """Score TSV: `enroll<TAB>test<TAB>score` with 6 decimal digits."""
+    scores = np.asarray(scores)
+    if scores.shape != (len(trials),):
+        raise ContractError(f"{scores.shape[0]} scores for {len(trials)} trials")
+    with open(path, "w", encoding="utf-8") as f:
+        for (e, t), s in zip(trials.pairs, scores):
+            f.write(f"{e}\t{t}\t{s:.6f}\n")
+
+
+def oracle_lda(s, k=None):
+    """svkit.backend.fit_lda's float64 projection, before the float32 cast,
+    with the generalized eigenproblem solved by scipy.linalg.eigh(sb, sw +
+    eps I).  Returns (projection, every eigenvalue in ascending order)."""
+    labels = np.asarray(s.label_array())
+    classes = np.unique(labels)
+    d = s.dim
+    k = min(d, len(classes) - 1) if k is None else k
+    x = s.vectors.astype(np.float64)
+    mean = x.mean(axis=0)
+    sw = np.zeros((d, d))
+    sb = np.zeros((d, d))
+    for c in classes:
+        xc = x[labels == c]
+        mc = xc.mean(axis=0)
+        diff = xc - mc
+        sw += diff.T @ diff
+        gap = mc - mean
+        sb += len(xc) * np.outer(gap, gap)
+    eps = 1e-6 * np.trace(sw) / d
+    if eps <= 0:
+        eps = 1e-12
+    vals, vecs = scipy.linalg.eigh(sb, sw + eps * np.eye(d))
+    proj = vecs[:, np.argsort(vals)[::-1][:k]]
+    proj /= np.linalg.norm(proj, axis=0, keepdims=True)
+    for j in range(proj.shape[1]):
+        col = proj[:, j]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        if nz.size and col[nz[0]] < 0:
+            proj[:, j] = -col
+    return proj, vals

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import svkit
-from svkit import audio, augment, backend, metrics, scoring, store
+from svkit import audio, augment, backend, cli, metrics, scoring, store
 from svkit.cli import main
 
 
@@ -235,6 +235,31 @@ class TestBackendScoreEvalFlow:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_score_file_order_does_not_matter(self, workspace, capsys):
+        tmp_path, _, _ = workspace
+        assert main(["score", "--enroll", str(tmp_path / "train.sveb"),
+                     "--test", str(tmp_path / "train.sveb"),
+                     "--trials", str(tmp_path / "trials.txt"),
+                     "--enroll-map", str(tmp_path / "enroll.map"),
+                     "--out", str(tmp_path / "scores.tsv")]) == 0
+        lines = (tmp_path / "scores.tsv").read_text().splitlines(keepends=True)
+        perm = np.random.default_rng(3).permutation(len(lines))
+        (tmp_path / "shuffled.tsv").write_text("".join(lines[k] for k in perm))
+        (tmp_path / "missing.tsv").write_text("".join(lines[1:]))  # in order, less the first
+        capsys.readouterr()
+        reports = []
+        for name in ("scores", "shuffled"):
+            trials = ["--scores", str(tmp_path / f"{name}.tsv"), "--trials", str(tmp_path / "trials.txt")]
+            assert main(["eval", *trials, "--csv", str(tmp_path / f"{name}.csv")]) == 0
+            assert main(["dcf-curve", *trials, "--mark", "0.01", "--out", str(tmp_path / f"{name}.curve")]) == 0
+            reports.append((capsys.readouterr().out, (tmp_path / f"{name}.csv").read_bytes(),
+                            (tmp_path / f"{name}.curve").read_bytes()))
+        assert reports[0] == reports[1]
+        for command in ("eval", "dcf-curve"):
+            assert main([command, "--scores", str(tmp_path / "missing.tsv"),
+                         "--trials", str(tmp_path / "trials.txt")]) == 3
+            assert "no score for trial model0 spk0-utt3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option", ["--workers", "--block-size"])
     def test_workers_or_block_size_below_one_exit_3(self, tmp_path, capsys, option):
@@ -489,57 +514,50 @@ _SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'
 
 
 class TestStartup:
-    """scipy is loaded only by the commands that call it: fit-backend (LDA),
-    pool and schedule.  Every other command starts in numpy's import time."""
+    """No command loads scipy: numpy is the only runtime dependency."""
 
     def test_import_cli_loads_no_scipy(self):
         proc = _fresh_python(f"import sys, svkit.cli; print({_SCIPY})")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_commands_load_scipy_only_when_they_use_it(self, tmp_path):
+    def test_no_command_loads_scipy(self, tmp_path):
         s = synthetic_speakers(np.random.default_rng(5), n_spk=3, per_spk=4, dim=6)
         store.write_embeddings(s, tmp_path / "e.sveb")
         store.write_labels(s.labels, tmp_path / "e.labels")
         (tmp_path / "trials.txt").write_text("".join(
             f"{a} {b} {'target' if s.labels[a] == s.labels[b] else 'nontarget'}\n"
             for a in s.ids[:6] for b in s.ids[6:]))
-        backend.save_pipeline(backend.Pipeline(center=backend.fit_center(s)), tmp_path / "c.svpl")
         wavs = make_wavs(tmp_path)
         augment.write_manifest(augment.UtteranceManifest(
             [augment.Utterance(f"u{k}", f"/d/u{k}.wav", 2.0, 16000) for k in range(4)]),
             tmp_path / "man.tsv")
         t = str(tmp_path)
-        lean = [
-            ["score", "--enroll", f"{t}/e.sveb", "--test", f"{t}/e.sveb",
+        runs = [
+            ["features", "--resample", "8000", "--out-dir", f"{t}/feats", str(wavs["tone"])],
+            ["pool", "--method", "asp", "--seed", "1", f"{t}/feats/tone.feats"],
+            ["pool", "--method", "xi", f"{t}/feats/tone.feats"],
+            ["fit-backend", "--embeddings", f"{t}/e.sveb", "--labels", f"{t}/e.labels",
+             "--lda", "--out", f"{t}/lda.svpl"],
+            ["apply-backend", "--pipeline", f"{t}/lda.svpl", "--embeddings", f"{t}/e.sveb",
+             "--out", f"{t}/e.proc.sveb"],
+            ["score", "--enroll", f"{t}/e.proc.sveb", "--test", f"{t}/e.proc.sveb",
              "--trials", f"{t}/trials.txt", "--out", f"{t}/scores.tsv"],
             ["eval", "--scores", f"{t}/scores.tsv", "--trials", f"{t}/trials.txt"],
             ["dcf-curve", "--scores", f"{t}/scores.tsv", "--trials", f"{t}/trials.txt",
              "--out", f"{t}/curve.csv"],
-            ["apply-backend", "--pipeline", f"{t}/c.svpl", "--embeddings", f"{t}/e.sveb",
-             "--out", f"{t}/e.proc.sveb"],
-            ["features", "--resample", "8000", "--out-dir", f"{t}/feats", str(wavs["tone"])],
             ["augment-plan", "--manifest", f"{t}/man.tsv", "--out-dir", f"{t}/aug", "--seed", "1"],
-        ]
-        heavy = [
-            ["fit-backend", "--embeddings", f"{t}/e.sveb", "--labels", f"{t}/e.labels",
-             "--lda", "--out", f"{t}/lda.svpl"],
-            ["pool", "--method", "tstp", f"{t}/feats/tone.feats"],
             ["schedule", "--epochs", "10", "--out", f"{t}/schedule.csv"],
         ]
         code = f"""
 import json, sys
 from svkit.cli import main
 runs = json.loads(sys.argv[1])
-result = {{"lean_rc": [main(argv) for argv in runs["lean"]], "lean_scipy": {_SCIPY}}}
-result["heavy_rc"] = [main(argv) for argv in runs["heavy"]]
-result["heavy_scipy"] = {_SCIPY}
-print(json.dumps(result))
+print(json.dumps({{"rc": [main(argv) for argv in runs], "scipy": {_SCIPY}}}))
 """
-        proc = _fresh_python(code, json.dumps({"lean": lean, "heavy": heavy}))
+        proc = _fresh_python(code, json.dumps(runs))
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert result["lean_rc"] == [0] * len(lean), proc.stderr
-        assert result["lean_scipy"] == []
-        assert result["heavy_rc"] == [0] * len(heavy), proc.stderr
-        assert {"scipy.linalg", "scipy.special"} <= set(result["heavy_scipy"])
+        assert result["rc"] == [0] * len(runs), proc.stderr
+        assert {argv[0] for argv in runs} == set(cli._DISPATCH)  # all nine commands
+        assert result["scipy"] == []

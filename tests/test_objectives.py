@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.special
 
 from svkit import objectives
 from svkit.errors import ContractError
@@ -17,6 +18,36 @@ def random_instance(rng, b=4, d=8, c=5):
     weights = rng.normal(size=(c, d))
     labels = rng.integers(0, c, size=b)
     return emb, weights, labels
+
+
+class TestSoftmax:
+    """The numpy softmax and log_softmax are bitwise equal to scipy.special's."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(11)
+        for _ in range(400):  # shapes up to 80 x 300, scales 1e-3 to 1e3
+            shape = (int(rng.integers(1, 81)), int(rng.integers(1, 301)))
+            yield rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3)
+        x = rng.normal(size=(6, 7))
+        x[1] = -np.inf  # rows and columns with a non-finite max
+        x[2, 3] = x[4, :2] = -np.inf
+        x[5, 4] = np.inf
+        yield x
+        yield x.astype(np.float32)
+
+    @pytest.mark.parametrize("name", ["softmax", "log_softmax"])
+    def test_bitwise_equal_to_scipy(self, name):
+        ours, theirs = getattr(objectives, name), getattr(scipy.special, name)
+        checked = 0
+        with np.errstate(invalid="ignore"):  # an all -inf row gives NaN in both
+            for x in self.cases():
+                for axis in (None, 0, 1):
+                    want = theirs(x, axis=axis)
+                    got = ours(x, axis=axis)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                    checked += 1
+        assert checked == 1206
 
 
 class TestAamForward:

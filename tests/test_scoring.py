@@ -1,9 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from oracles import oracle_score_block
+from oracles import cosine_score, oracle_score_block, oracle_write_scores
 from svkit import scoring, store
 from svkit.errors import ContractError, FormatError
+
+
+# any text a UTF-8 file can hold (surrogates cannot be encoded)
+NAMES = st.text(st.characters(exclude_categories=["Cs"]), min_size=1, max_size=4)
 
 
 def embset(vecs, prefix="x"):
@@ -82,18 +91,18 @@ class TestBuildEnrollment:
 
 class TestCosine:
     def test_identical(self):
-        assert scoring.cosine_score([1.0, 2.0], [1.0, 2.0]) == pytest.approx(1.0, abs=1e-12)
+        assert cosine_score([1.0, 2.0], [1.0, 2.0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal(self):
-        assert scoring.cosine_score([1.0, 0.0], [0.0, 1.0]) == 0.0
+        assert cosine_score([1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_known_value(self):
-        got = scoring.cosine_score([1.0, 0.0], [1.0, 1.0])
+        got = cosine_score([1.0, 0.0], [1.0, 1.0])
         assert abs(got - 0.70710678) < 1e-8
 
     def test_zero_vector(self):
         with pytest.raises(ContractError):
-            scoring.cosine_score([0.0, 0.0], [1.0, 0.0])
+            cosine_score([0.0, 0.0], [1.0, 0.0])
 
 
 class TestScoreTrials:
@@ -123,7 +132,7 @@ class TestScoreTrials:
         trials = scoring.TrialList(list(dict.fromkeys(pairs)))
         got = scoring.score_trials(models, tests, trials)
         want = [
-            scoring.cosine_score(models.vector(e), tests.vector(t)) for e, t in trials.pairs
+            cosine_score(models.vector(e), tests.vector(t)) for e, t in trials.pairs
         ]
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -200,6 +209,35 @@ class TestScoreIO:
         path = tmp_path / "s.tsv"
         scoring.write_scores(trials, np.array([1 / 3]), path)
         assert path.read_text() == "a\tb\t0.333333\n"
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(pairs=st.lists(st.tuples(NAMES, NAMES), max_size=9, unique=True),
+           data=st.data(), block=st.integers(1, 4))
+    def test_byte_equal_to_per_value_writer(self, tmp_path, pairs, data, block):
+        """At any block size, as oracles.py's f-string writer, on every
+        float64 (NaN, infinities, -0.0 and subnormals included)."""
+        trials = scoring.TrialList(pairs)
+        scores = data.draw(arrays(np.float64, len(pairs), elements=st.one_of(
+            st.sampled_from([-0.0, 5e-324, -1.7976931348623157e308, 4.9999995e-7]), st.floats())))
+        with mock.patch.object(store, "TEXT_BLOCK", block):
+            scoring.write_scores(trials, scores, tmp_path / "got.tsv")
+        oracle_write_scores(trials, scores, tmp_path / "want.tsv")
+        assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+    def test_more_rows_than_one_block(self, tmp_path):
+        n = 2 * store.TEXT_BLOCK + 3
+        trials = scoring.TrialList([(f"e{k % 7}", f"t{k}") for k in range(n)])
+        scores = np.random.default_rng(13).normal(size=n)
+        scoring.write_scores(trials, scores, tmp_path / "got.tsv")
+        oracle_write_scores(trials, scores, tmp_path / "want.tsv")
+        assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+    @pytest.mark.parametrize("scores, shape", [(np.float64(0.5), r"\(\)"),
+                                               (np.array([[0.5]]), r"\(1, 1\)")])
+    def test_wrong_shape_names_it(self, tmp_path, scores, shape):
+        with pytest.raises(ContractError, match=f"scores of shape {shape} for 1 trials"):
+            scoring.write_scores(scoring.TrialList([("a", "b")]), scores, tmp_path / "s.tsv")
 
     def test_enroll_map(self, tmp_path):
         path = tmp_path / "map.txt"

@@ -1,4 +1,5 @@
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import oracle_write_embeddings_tsv, oracle_write_matrix_tsv
 from svkit import store
 from svkit.errors import ContractError, FormatError
 
@@ -207,6 +209,60 @@ class TestTsvFormat:
         path.write_text("a\t1.0\tbogus\n")
         with pytest.raises(FormatError):
             store.read_embeddings(path)
+
+
+# values whose .9g form has an exponent, and -max float32, drawn often
+WRITE_FLOAT32 = st.one_of(st.sampled_from([-3.4028235e38, 1e-5, -1.5e-7, 123456789.0, 1.2345678e12]),
+                          FLOAT32)
+# every float64, NaN and infinities included, with its extremes drawn often
+FLOAT64 = st.one_of(st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                                     -1.7976931348623157e308, 1e16, 1e-5]), st.floats())
+SHAPES = st.tuples(st.integers(0, 9), st.integers(0, 6))  # dim 0 included
+
+
+@st.composite
+def writable_sets(draw):
+    vecs = draw(arrays(np.float32, SHAPES, elements=WRITE_FLOAT32))
+    ids = draw(st.lists(IDS, min_size=len(vecs), max_size=len(vecs), unique=True))
+    return store.EmbeddingSet(ids, vecs)
+
+
+class TestTsvWriters:
+    """The row-format writers are byte-equal to the per-value f-string
+    writers they replaced, at any block size (oracles.py)."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(s=writable_sets(), block=st.integers(1, 12))
+    def test_embeddings_byte_equal(self, tmp_path, s, block):
+        with mock.patch.object(store, "TEXT_BLOCK", block):
+            store.write_embeddings_tsv(s, tmp_path / "got.tsv")
+        oracle_write_embeddings_tsv(s, tmp_path / "want.tsv")
+        assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(m=st.one_of(arrays(np.float32, SHAPES, elements=WRITE_FLOAT32),
+                       arrays(np.float64, SHAPES, elements=FLOAT64)),
+           block=st.integers(1, 12))
+    def test_matrix_byte_equal(self, tmp_path, m, block):
+        with mock.patch.object(store, "TEXT_BLOCK", block):
+            store.write_matrix_tsv(m, tmp_path / "got.tsv")
+        oracle_write_matrix_tsv(m, tmp_path / "want.tsv")
+        assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+    def test_dim_zero_keeps_the_tab(self, tmp_path):
+        store.write_embeddings_tsv(store.EmbeddingSet(["a", "b"], np.zeros((2, 0))), tmp_path / "e.tsv")
+        assert (tmp_path / "e.tsv").read_bytes() == b"a\t\nb\t\n"
+
+    def test_more_rows_than_one_block(self, tmp_path):
+        rng = np.random.default_rng(12)
+        s = random_set(rng, n=store.TEXT_BLOCK, d=3)  # three blocks
+        for write, oracle, obj in ((store.write_embeddings_tsv, oracle_write_embeddings_tsv, s),
+                                   (store.write_matrix_tsv, oracle_write_matrix_tsv, s.vectors)):
+            write(obj, tmp_path / "got.tsv")
+            oracle(obj, tmp_path / "want.tsv")
+            assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
 
 
 class TestLabels:
