@@ -103,12 +103,6 @@ class AugmentPlan:
             if not 0 < e.speed < np.inf:  # NaN fails both
                 raise ContractError(f"{e.utt_id}: speed factor must be finite and positive")
 
-    def entry(self, utt_id: str) -> PlanEntry:
-        for e in self.entries:
-            if e.utt_id == utt_id:
-                return e
-        raise ContractError(f"unknown utterance {utt_id!r}")
-
 
 def exact_fraction_count(fraction: float, n: int) -> int:
     """round(fraction * n) with half-up rounding, the planning contract."""

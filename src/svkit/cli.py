@@ -30,31 +30,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_REQUIRED = object()
-
 # handled error -> (exit code, message label); exit code 1 is UsageError
 _EXITS = {FormatError: (2, "format error"), ContractError: (3, "error"), OSError: (4, "I/O error")}
 
 
 def _exit_of(e: Exception) -> tuple[int, str]:
     return next(v for kind, v in _EXITS.items() if isinstance(e, kind))
-
-# option registries: subcommand -> name -> (kind, default)
-# kind is a callable type, "flag", or "list:<type>"
-_REGISTRY: dict[str, dict[str, tuple]] = {}
-
-
-def _opt(sub, registry, name, kind, default=None, help="", choices=None, metavar=None):
-    registry[name] = (kind, default)
-    if kind == "flag":
-        sub.add_argument(f"--{name}", action=argparse.BooleanOptionalAction, default=None, help=help)
-    elif isinstance(kind, str) and kind.startswith("list:"):
-        typ = {"float": float, "str": str}[kind.split(":", 1)[1]]
-        sub.add_argument(f"--{name}", action="append", type=typ, default=None, help=help, metavar=metavar)
-    else:
-        sub.add_argument(
-            f"--{name}", type=kind, default=None, help=help, choices=choices, metavar=metavar
-        )
 
 
 def _parse_bool(raw: str) -> bool:
@@ -66,34 +47,6 @@ def _parse_bool(raw: str) -> bool:
     raise UsageError(f"cannot parse boolean config value {raw!r}")
 
 
-def _resolve(args, command: str, config: dict[str, dict[str, str]]):
-    registry = _REGISTRY[command]
-    section = config.get(command, {})
-    unknown = sorted(set(section) - set(registry))
-    if unknown:
-        raise UsageError(f"unknown config key in [{command}]: {unknown[0]}")
-    for name, (kind, default) in registry.items():
-        dest = name.replace("-", "_")
-        val = getattr(args, dest)
-        if val is None and name in section:
-            raw = section[name]
-            if kind == "flag":
-                val = _parse_bool(raw)
-            elif isinstance(kind, str) and kind.startswith("list:"):
-                typ = {"float": float, "str": str}[kind.split(":", 1)[1]]
-                val = [typ(v.strip()) for v in raw.split(",") if v.strip()]
-            else:
-                try:
-                    val = kind(raw)
-                except ValueError:
-                    raise UsageError(f"bad config value for {name}: {raw!r}") from None
-        if val is None:
-            val = default
-        if val is _REQUIRED:
-            raise UsageError(f"missing required option --{name}")
-        setattr(args, dest, val)
-
-
 def _load_config(path) -> dict[str, dict[str, str]]:
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
@@ -101,121 +54,149 @@ def _load_config(path) -> dict[str, dict[str, str]]:
         cp.read_file((line for _, line in store.text_lines(path)), source=str(path))
     except configparser.Error as e:
         raise FormatError(f"{path}: {e}") from None
-    unknown = sorted(set(cp.sections()) - set(_REGISTRY))
+    return {s: dict(cp.items(s)) for s in cp.sections()}
+
+
+def _with_config(config: dict[str, dict[str, str]], parsers: dict, values: list[str]) -> list[str]:
+    """`values`, a command and its arguments, with the command's config section as
+    option tokens after the command name, less the options the arguments name.
+
+    `--key=value` keeps a value such as `-8` attached to its key; a flag becomes `--key`
+    or `--no-key`, and a repeatable option one token per comma-separated value."""
+    unknown = sorted(set(config) - set(parsers))
     if unknown:
         raise UsageError(f"unknown config section [{unknown[0]}]")
-    return {s: dict(cp.items(s)) for s in cp.sections()}
+    command, *argv = values
+    strings = parsers[command]._option_string_actions
+    names = {t.split("=", 1)[0] for t in argv if t.startswith("--") and t != "--"}
+    # an exact name, else an abbreviation (an ambiguous one fails the parse anyway)
+    named = {a for s, a in strings.items() for n in names if s == n or (n not in strings and s.startswith(n))}
+    tokens = []
+    for key, raw in config.get(command, {}).items():
+        action = strings.get(f"--{key}")
+        if action is None or action.option_strings[0] != f"--{key}":  # -h/--help, --no-KEY
+            raise UsageError(f"unknown config key in [{command}]: {key}")
+        if action in named:
+            continue
+        if isinstance(action, argparse.BooleanOptionalAction):
+            tokens.append(f"--{key}" if _parse_bool(raw) else f"--no-{key}")
+        elif isinstance(action, argparse._AppendAction):
+            tokens += [f"--{key}={v.strip()}" for v in raw.split(",") if v.strip()]
+        else:
+            tokens.append(f"--{key}={raw}")
+    return [command, *tokens, *argv]
+
+
+class _Commands(argparse._SubParsersAction):
+    """Subcommand action that parses the command's `--config` section together
+    with its arguments, so that both get the same types, choices and checks."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if namespace.config:  # `--config` precedes the command, so it is parsed by now
+            values = _with_config(_load_config(namespace.config), self.choices, values)
+        super().__call__(parser, namespace, values, option_string)
 
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="svkit", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--config", default=None, help="sectioned key = value config file")
-    subs = p.add_subparsers(dest="command", metavar="COMMAND")
+    subs = p.add_subparsers(dest="command", metavar="COMMAND", required=True, action=_Commands)
+    flag = argparse.BooleanOptionalAction
 
     s = subs.add_parser("features", help="extract log-Mel features (optionally VAD-filtered)")
-    r = _REGISTRY["features"] = {}
     s.add_argument("inputs", nargs="+", help="wav files or directories")
-    _opt(s, r, "out-dir", str, _REQUIRED, "output directory for feature files")
-    _opt(s, r, "resample", int, None, "resample to this rate before extraction")
-    _opt(s, r, "n-mels", int, 80)
-    _opt(s, r, "frame-len", float, 25.0, "frame length, ms")
-    _opt(s, r, "frame-shift", float, 10.0, "frame shift, ms")
-    _opt(s, r, "preemphasis", float, 0.97)
-    _opt(s, r, "low-freq", float, 20.0)
-    _opt(s, r, "high-freq", float, None, "defaults to Nyquist")
-    _opt(s, r, "log-floor", float, 1e-10)
-    _opt(s, r, "dither", float, 0.0, "dither stddev; requires --seed when > 0")
-    _opt(s, r, "seed", int, None)
-    _opt(s, r, "vad", "flag", False, "drop non-speech frames")
-    _opt(s, r, "vad-energy-threshold", float, 5.0)
-    _opt(s, r, "vad-energy-mean-scale", float, 0.5)
-    _opt(s, r, "vad-context", int, 5)
-    _opt(s, r, "vad-proportion", float, 0.6)
-    _opt(s, r, "text", "flag", False, "write TSV instead of binary matrices")
+    s.add_argument("--out-dir", required=True, help="output directory for feature files")
+    s.add_argument("--resample", type=int, help="resample to this rate before extraction")
+    s.add_argument("--n-mels", type=int, default=80)
+    s.add_argument("--frame-len", type=float, default=25.0, help="frame length, ms")
+    s.add_argument("--frame-shift", type=float, default=10.0, help="frame shift, ms")
+    s.add_argument("--preemphasis", type=float, default=0.97)
+    s.add_argument("--low-freq", type=float, default=20.0)
+    s.add_argument("--high-freq", type=float, help="defaults to Nyquist")
+    s.add_argument("--log-floor", type=float, default=1e-10)
+    s.add_argument("--dither", type=float, default=0.0, help="dither stddev; requires --seed when > 0")
+    s.add_argument("--seed", type=int)
+    s.add_argument("--vad", action=flag, default=False, help="drop non-speech frames")
+    s.add_argument("--vad-energy-threshold", type=float, default=5.0)
+    s.add_argument("--vad-energy-mean-scale", type=float, default=0.5)
+    s.add_argument("--vad-context", type=int, default=5)
+    s.add_argument("--vad-proportion", type=float, default=0.6)
+    s.add_argument("--text", action=flag, default=False, help="write TSV instead of binary matrices")
 
     s = subs.add_parser("pool", help="pool a frame matrix into a single vector")
-    r = _REGISTRY["pool"] = {}
     s.add_argument("matrix", help="feature/frame matrix file (binary or TSV)")
-    _opt(s, r, "method", str, _REQUIRED, "tstp | asp | xi | mhfa", choices=["tstp", "asp", "xi", "mhfa"])
-    _opt(s, r, "seed", int, None, "seed for randomly drawn asp/mhfa parameters")
-    _opt(s, r, "hidden-dim", int, 128, "asp attention hidden size")
-    _opt(s, r, "heads", int, 64, "mhfa attention heads")
-    _opt(s, r, "key-dim", int, 64, "mhfa key dimension")
-    _opt(s, r, "embed-dim", int, 256, "mhfa output dimension")
-    _opt(s, r, "precisions", str, None, "matrix of per-frame log precisions (xi)")
-    _opt(s, r, "prior-log-precision", float, -60.0, "flat prior log precision (xi)")
+    s.add_argument("--method", required=True, choices=["tstp", "asp", "xi", "mhfa"], help="tstp | asp | xi | mhfa")
+    s.add_argument("--seed", type=int, help="seed for randomly drawn asp/mhfa parameters")
+    s.add_argument("--hidden-dim", type=int, default=128, help="asp attention hidden size")
+    s.add_argument("--heads", type=int, default=64, help="mhfa attention heads")
+    s.add_argument("--key-dim", type=int, default=64, help="mhfa key dimension")
+    s.add_argument("--embed-dim", type=int, default=256, help="mhfa output dimension")
+    s.add_argument("--precisions", help="matrix of per-frame log precisions (xi)")
+    s.add_argument("--prior-log-precision", type=float, default=-60.0, help="flat prior log precision (xi)")
 
     s = subs.add_parser("fit-backend", help="fit center/LDA/length-norm stages")
-    r = _REGISTRY["fit-backend"] = {}
-    _opt(s, r, "embeddings", str, _REQUIRED, "training embedding set (SVEB/TSV)")
-    _opt(s, r, "labels", str, None, "sidecar TSV id<TAB>speaker (needed for LDA)")
-    _opt(s, r, "out", str, _REQUIRED, "output pipeline file")
-    _opt(s, r, "center", "flag", True)
-    _opt(s, r, "lda", "flag", True)
-    _opt(s, r, "lda-dim", int, None, "defaults to min(dim, classes - 1)")
-    _opt(s, r, "length-norm", "flag", True)
+    s.add_argument("--embeddings", required=True, help="training embedding set (SVEB/TSV)")
+    s.add_argument("--labels", help="sidecar TSV id<TAB>speaker (needed for LDA)")
+    s.add_argument("--out", required=True, help="output pipeline file")
+    s.add_argument("--center", action=flag, default=True)
+    s.add_argument("--lda", action=flag, default=True)
+    s.add_argument("--lda-dim", type=int, help="defaults to min(dim, classes - 1)")
+    s.add_argument("--length-norm", action=flag, default=True)
 
     s = subs.add_parser("apply-backend", help="apply a fitted pipeline to embeddings")
-    r = _REGISTRY["apply-backend"] = {}
-    _opt(s, r, "pipeline", str, _REQUIRED)
-    _opt(s, r, "embeddings", str, _REQUIRED)
-    _opt(s, r, "out", str, _REQUIRED)
-    _opt(s, r, "text", "flag", False, "write TSV instead of SVEB")
+    s.add_argument("--pipeline", required=True)
+    s.add_argument("--embeddings", required=True)
+    s.add_argument("--out", required=True)
+    s.add_argument("--text", action=flag, default=False, help="write TSV instead of SVEB")
 
     s = subs.add_parser("score", help="cosine-score a trial list")
-    r = _REGISTRY["score"] = {}
-    _opt(s, r, "enroll", str, _REQUIRED, "enrollment embeddings")
-    _opt(s, r, "test", str, _REQUIRED, "test embeddings")
-    _opt(s, r, "trials", str, _REQUIRED)
-    _opt(s, r, "out", str, _REQUIRED, "output score TSV")
-    _opt(s, r, "enroll-map", str, None, "multi-segment models: `model seg1 seg2 ...` lines")
-    _opt(s, r, "workers", int, 1)
-    _opt(s, r, "block-size", int, 4096)
+    s.add_argument("--enroll", required=True, help="enrollment embeddings")
+    s.add_argument("--test", required=True, help="test embeddings")
+    s.add_argument("--trials", required=True)
+    s.add_argument("--out", required=True, help="output score TSV")
+    s.add_argument("--enroll-map", help="multi-segment models: `model seg1 seg2 ...` lines")
+    s.add_argument("--workers", type=int, default=1)
+    s.add_argument("--block-size", type=int, default=4096)
 
     s = subs.add_parser("eval", help="EER / minDCF / averaged-cost report")
-    r = _REGISTRY["eval"] = {}
-    _opt(s, r, "scores", str, _REQUIRED, "score TSV from `score`")
-    _opt(s, r, "trials", str, _REQUIRED, "labeled trial list")
-    _opt(s, r, "p-target", "list:float", None, "operating-point prior (repeatable)")
-    _opt(s, r, "c-miss", float, 1.0)
-    _opt(s, r, "c-fa", float, 1.0)
-    _opt(s, r, "csv", str, None, "also write a CSV report here")
+    s.add_argument("--scores", required=True, help="score TSV from `score`")
+    s.add_argument("--trials", required=True, help="labeled trial list")
+    s.add_argument("--p-target", action="append", type=float, help="operating-point prior (repeatable)")
+    s.add_argument("--c-miss", type=float, default=1.0)
+    s.add_argument("--c-fa", type=float, default=1.0)
+    s.add_argument("--csv", help="also write a CSV report here")
 
     s = subs.add_parser("dcf-curve", help="minDCF over a range of effective priors")
-    r = _REGISTRY["dcf-curve"] = {}
-    _opt(s, r, "scores", str, _REQUIRED)
-    _opt(s, r, "trials", str, _REQUIRED)
-    _opt(s, r, "lo", float, -8.0, "lowest effective-prior log odds")
-    _opt(s, r, "hi", float, 8.0, "highest effective-prior log odds")
-    _opt(s, r, "points", int, 161)
-    _opt(s, r, "mark", "list:str", None, "operating point p[:c_miss:c_fa] (repeatable)", metavar="P[:CM:CF]")
-    _opt(s, r, "out", str, None, "output CSV (default stdout)")
+    s.add_argument("--scores", required=True)
+    s.add_argument("--trials", required=True)
+    s.add_argument("--lo", type=float, default=-8.0, help="lowest effective-prior log odds")
+    s.add_argument("--hi", type=float, default=8.0, help="highest effective-prior log odds")
+    s.add_argument("--points", type=int, default=161)
+    s.add_argument("--mark", action="append", help="operating point p[:c_miss:c_fa] (repeatable)", metavar="P[:CM:CF]")
+    s.add_argument("--out", help="output CSV (default stdout)")
 
     s = subs.add_parser("augment-plan", help="plan codec/rate-chain/speed augmentation")
-    r = _REGISTRY["augment-plan"] = {}
-    _opt(s, r, "manifest", str, _REQUIRED, "TSV utt_id<TAB>path<TAB>duration<TAB>rate")
-    _opt(s, r, "out-dir", str, _REQUIRED)
-    _opt(s, r, "fraction", float, 0.5, "fraction of utterances to codec-flag")
-    _opt(s, r, "mode", str, augment.CHAIN_DOWN8K, "rate chain", choices=list(augment.CHAINS))
-    _opt(s, r, "seed", int, _REQUIRED)
-    _opt(s, r, "speed-perturb", "flag", False)
-    _opt(s, r, "speed-seed", int, None, "defaults to seed + 1")
+    s.add_argument("--manifest", required=True, help="TSV utt_id<TAB>path<TAB>duration<TAB>rate")
+    s.add_argument("--out-dir", required=True)
+    s.add_argument("--fraction", type=float, default=0.5, help="fraction of utterances to codec-flag")
+    s.add_argument("--mode", default=augment.CHAIN_DOWN8K, choices=list(augment.CHAINS), help="rate chain")
+    s.add_argument("--seed", type=int, required=True)
+    s.add_argument("--speed-perturb", action=flag, default=False)
+    s.add_argument("--speed-seed", type=int, help="defaults to seed + 1")
 
     s = subs.add_parser("schedule", help="dump the margin/learning-rate recipe as CSV")
-    r = _REGISTRY["schedule"] = {}
-    _opt(s, r, "dump", "flag", True)
-    _opt(s, r, "out", str, None, "output CSV (default stdout)")
-    _opt(s, r, "epochs", int, 150, "stage-1 epochs")
-    _opt(s, r, "warmup-epochs", float, 6.0)
-    _opt(s, r, "peak-lr", float, 0.1)
-    _opt(s, r, "final-lr", float, 5e-5)
-    _opt(s, r, "margin-start", float, 20.0)
-    _opt(s, r, "margin-end", float, 40.0)
-    _opt(s, r, "margin-final", float, 0.2)
-    _opt(s, r, "segment-seconds", float, 2.0)
-    _opt(s, r, "lmf-epochs", int, 10, "stage-2 epochs")
-    _opt(s, r, "lmf-margin", float, 0.5)
-    _opt(s, r, "lmf-segment-seconds", float, 10.0)
+    s.add_argument("--out", help="output CSV (default stdout)")
+    s.add_argument("--epochs", type=int, default=150, help="stage-1 epochs")
+    s.add_argument("--warmup-epochs", type=float, default=6.0)
+    s.add_argument("--peak-lr", type=float, default=0.1)
+    s.add_argument("--final-lr", type=float, default=5e-5)
+    s.add_argument("--margin-start", type=float, default=20.0)
+    s.add_argument("--margin-end", type=float, default=40.0)
+    s.add_argument("--margin-final", type=float, default=0.2)
+    s.add_argument("--segment-seconds", type=float, default=2.0)
+    s.add_argument("--lmf-epochs", type=int, default=10, help="stage-2 epochs")
+    s.add_argument("--lmf-margin", type=float, default=0.5)
+    s.add_argument("--lmf-segment-seconds", type=float, default=10.0)
     return p
 
 
@@ -286,11 +267,11 @@ def cmd_pool(args) -> int:
     from . import pooling  # about 10 ms of imports that no other command needs
 
     x = store.read_matrix(args.matrix)
+    if args.method in ("asp", "mhfa") and args.seed is None:
+        raise UsageError(f"--method {args.method} requires --seed")
     if args.method == "tstp":
         vec = pooling.tstp(x)
     elif args.method == "asp":
-        if args.seed is None:
-            raise UsageError("--method asp requires --seed")
         params = pooling.AspParams.random(x.shape[1], args.hidden_dim, np.random.default_rng(args.seed))
         vec = pooling.asp(x, params)
     elif args.method == "xi":
@@ -302,8 +283,6 @@ def cmd_pool(args) -> int:
         prior = pooling.XiPrior.flat(x.shape[1], args.prior_log_precision)
         vec, _ = pooling.xi_pool(stats, prior)
     else:  # mhfa over a single-layer stack
-        if args.seed is None:
-            raise UsageError("--method mhfa requires --seed")
         params = pooling.MhfaParams.random(
             1, x.shape[1], np.random.default_rng(args.seed),
             num_heads=args.heads, key_dim=args.key_dim, embed_dim=args.embed_dim,
@@ -512,13 +491,8 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            raise UsageError("missing subcommand (see --help)")
-        config = _load_config(args.config) if args.config else {}
-        _resolve(args, args.command, config)
+        args = _build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
     except UsageError as e:
         print(f"svkit: usage error: {e}", file=sys.stderr)

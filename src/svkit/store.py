@@ -114,9 +114,6 @@ class EmbeddingSet:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __contains__(self, id_: str) -> bool:
-        return id_ in self._index
-
     def vector(self, id_: str) -> np.ndarray:
         try:
             return self.vectors[self._index[id_]]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import struct
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import svkit
 from svkit import audio, augment, backend, cli, metrics, scoring, store
@@ -308,7 +311,7 @@ class TestDcfCurveCommand:
 
 class TestScheduleCommand:
     def test_epoch_six_peak_lr(self, tmp_path, capsys):
-        rc = main(["schedule", "--dump"])
+        rc = main(["schedule"])
         assert rc == 0
         rows = capsys.readouterr().out.strip().splitlines()
         assert rows[0] == "stage,epoch,segment_seconds,margin,lr"
@@ -387,6 +390,87 @@ class TestConfigAndExitCodes:
         cfg = tmp_path / "svkit.cfg"
         cfg.write_text("[nosuch]\nx = 1\n")
         assert main(["--config", str(cfg), "schedule"]) == 1
+
+    @pytest.mark.parametrize("section,bad", [
+        ("[pool]\nseed = 1\nmethod = bogus", "bogus"),
+        ("[augment-plan]\nmode = bogus", "bogus"),
+        ("[eval]\np-target = 0.01, abc", "abc"),
+        ("[score]\nblock-size = x", "x"),
+        ("[fit-backend]\nlda = maybe", "maybe"),
+    ], ids=["choices", "choices-contract", "list-type", "type", "flag"])
+    def test_config_value_checked_like_its_flag(self, tmp_path, capsys, section, bad):
+        command = section[1:section.index("]")]
+        (tmp_path / "m.tsv").write_text("1\t2\n3\t4\n")
+        (tmp_path / "man.tsv").write_text("u\t/p.wav\t1.0\t16000\n")
+        (tmp_path / "svkit.cfg").write_text(section + "\n")
+        t = str(tmp_path)
+        argv = {
+            "pool": [f"{t}/m.tsv"],
+            "augment-plan": ["--manifest", f"{t}/man.tsv", "--out-dir", f"{t}/aug", "--seed", "1"],
+            "eval": ["--scores", f"{t}/s.tsv", "--trials", f"{t}/t.txt"],
+            "score": ["--enroll", f"{t}/e", "--test", f"{t}/e", "--trials", f"{t}/t.txt", "--out", f"{t}/o"],
+            "fit-backend": ["--embeddings", f"{t}/e", "--out", f"{t}/p.svpl"],
+        }[command]
+        assert main(["--config", f"{t}/svkit.cfg", command, *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("svkit: usage error: ")
+        assert f"'{bad}'" in err
+
+    def test_required_options_from_config_only(self, tmp_path, capsys):
+        lines = [f"utt{k}\t/data/utt{k}.wav\t4.0\t16000" for k in range(6)]
+        (tmp_path / "man.tsv").write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "svkit.cfg"
+        cfg.write_text(f"[augment-plan]\nmanifest = {tmp_path / 'man.tsv'}\nseed = 5\n"
+                       f"out-dir = {tmp_path / 'a1'}\nspeed-perturb = yes\n")
+        assert main(["--config", str(cfg), "augment-plan"]) == 0
+        assert main(["augment-plan", "--manifest", str(tmp_path / "man.tsv"), "--seed", "5",
+                     "--out-dir", str(tmp_path / "a2"), "--speed-perturb"]) == 0
+        assert (tmp_path / "a1" / "plan.tsv").read_bytes() == (tmp_path / "a2" / "plan.tsv").read_bytes()
+
+    def test_command_line_replaces_repeatable_config_option(self, tmp_path, capsys):
+        (tmp_path / "trials.txt").write_text("e t1 target\ne t2 nontarget\n")
+        (tmp_path / "scores.tsv").write_text("e\tt1\t0.9\ne\tt2\t0.1\n")
+        cfg = tmp_path / "svkit.cfg"
+        cfg.write_text("[dcf-curve]\nmark = 0.01, 0.005\nlo = -4\npoints = 3\n")
+        curve = ["dcf-curve", "--scores", str(tmp_path / "scores.tsv"), "--trials", str(tmp_path / "trials.txt")]
+
+        def marked(*extra):
+            assert main(["--config", str(cfg), *curve, *extra]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[1].startswith("-4,")  # `lo = -4` keeps its sign
+            return [ln.split(",")[2] for ln in lines[lines.index("# marked") + 2:]]
+
+        assert marked() == ["0.01", "0.005"]
+        assert marked("--mark", "0.1") == ["0.1"]
+        assert marked("--mark=0.1", "--mark", "0.2") == ["0.1", "0.2"]
+        assert marked("--mar", "0.1") == ["0.1"]  # an abbreviation names the option too
+
+    def test_config_workers_accepted(self, tmp_path, capsys):
+        store.write_embeddings(store.EmbeddingSet(["a", "b"], np.eye(2, dtype=np.float32)), tmp_path / "e.sveb")
+        (tmp_path / "t.txt").write_text("a b\n")
+        (tmp_path / "svkit.cfg").write_text("[score]\nworkers = 2\nblock-size = 1\n")
+        score = ["score", "--enroll", str(tmp_path / "e.sveb"), "--test", str(tmp_path / "e.sveb"),
+                 "--trials", str(tmp_path / "t.txt")]
+        assert main(["--config", str(tmp_path / "svkit.cfg"), *score, "--out", str(tmp_path / "s1")]) == 0
+        assert main([*score, "--out", str(tmp_path / "s2")]) == 0
+        assert (tmp_path / "s1").read_bytes() == (tmp_path / "s2").read_bytes()
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_config_value_exits_with_a_code(self, tmp_path, data):
+        command = data.draw(st.sampled_from(["eval", "dcf-curve", "pool", "schedule"]))
+        keys = [a.option_strings[0][2:] for a in _subcommands()[command]._actions
+                if a.option_strings[0:1] != ["-h"] and a.option_strings] + ["help", "no-such"]
+        values = ["abc", "-4", "0.5", "1e999", "", "nan", "yes", "tstp", "0.1, x", "3"]
+        section = data.draw(st.dictionaries(st.sampled_from(keys), st.sampled_from(values), max_size=4))
+        cfg = tmp_path / "svkit.cfg"
+        cfg.write_text(f"[{command}]\n" + "".join(f"{k} = {v}\n" for k, v in section.items()))
+        t = str(tmp_path)
+        argv = {"eval": ["--scores", f"{t}/none", "--trials", f"{t}/none"],
+                "dcf-curve": ["--scores", f"{t}/none", "--trials", f"{t}/none"],
+                "pool": [f"{t}/none"], "schedule": ["--out", f"{t}/sched.csv"]}[command]
+        assert main(["--config", str(cfg), command, *argv]) in range(5)  # never a traceback
 
     def test_usage_errors_exit_1(self, capsys):
         assert main(["score"]) == 1  # missing required options
@@ -486,9 +570,10 @@ class TestConfigAndExitCodes:
                    "--trials", str(tmp_path / "t.txt"), "--out", str(tmp_path / "o")])
         assert rc == 4
 
-    def test_help_exits_zero(self, capsys):
-        assert main(["--help"]) == 0
-        capsys.readouterr()
+    @pytest.mark.parametrize("command", ["svkit", *cli._DISPATCH])
+    def test_help_exits_zero(self, capsys, command):
+        assert main(["--help"] if command == "svkit" else [command, "--help"]) == 0
+        assert "usage: svkit" in capsys.readouterr().out
 
     def test_idempotent_given_same_inputs(self, tmp_path, capsys):
         lines = [f"utt{k}\t/d/u{k}.wav\t2.0\t16000" for k in range(6)]
@@ -501,6 +586,50 @@ class TestConfigAndExitCodes:
             assert rc == 0
             blobs.append((tmp_path / d / "plan.tsv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def _subcommands():
+    return next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _valid_values(action):
+    """Two command-line values that `action` accepts, neither its default."""
+    if action.choices:
+        return [c for c in action.choices if c != action.default][:2]
+    return {int: ["7", "8"], float: ["-0.5", "0.25"], None: ["x", "y"]}[action.type]
+
+
+@pytest.mark.parametrize("command,key", [
+    (command, action.option_strings[0][2:]) for command, sub in _subcommands().items()
+    for action in sub._actions if action.option_strings and action.option_strings[0] != "-h"])
+def test_config_value_parses_like_command_line(tmp_path, command, key):
+    """Setting any option through --config gives the same arguments as passing it on the command line."""
+    sub = _subcommands()[command]
+    action = sub._option_string_actions[f"--{key}"]
+    base = [command]
+    for other in sub._actions:
+        if not other.option_strings:
+            base.append("in.wav")  # a positional argument
+        elif other.required and other is not action:
+            base += [other.option_strings[0], _valid_values(other)[0]]
+    if isinstance(action, argparse.BooleanOptionalAction):
+        cases = [(raw, [f"--{key}"]) for raw in ("yes", "True", "1", "on")]
+        cases += [(raw, [f"--no-{key}"]) for raw in ("no", "FALSE", "0", " off ")]
+    elif isinstance(action, argparse._AppendAction):
+        values = _valid_values(action)
+        cases = [(", ".join(values), [tok for v in values for tok in (f"--{key}", v)])]
+    else:
+        cases = [(v, [f"--{key}", v]) for v in _valid_values(action)]
+    cfg = tmp_path / "svkit.cfg"
+    seen = []
+    for raw, tokens in cases:
+        cfg.write_text(f"[{command}]\n{key} = {raw}\n")
+        from_config = vars(cli._build_parser().parse_args(["--config", str(cfg), *base]))
+        from_flags = vars(cli._build_parser().parse_args([*base, *tokens]))
+        assert from_config.pop("config") == str(cfg) and from_flags.pop("config") is None
+        assert from_config == from_flags, raw
+        seen.append(from_flags[action.dest])
+    assert any(v != action.default for v in seen)
 
 
 def _fresh_python(code, *args):
