@@ -295,7 +295,7 @@ def cmd_pool(args) -> int:
 def _load_labeled(path, labels_path):
     s = store.read_embeddings(path)
     if labels_path is not None:
-        return store.EmbeddingSet(s.ids, s.vectors, store.read_labels(labels_path))
+        s.labels = store.read_labels(labels_path)
     return s
 
 
@@ -335,12 +335,8 @@ def cmd_score(args) -> int:
     enroll = store.read_embeddings(args.enroll)
     tests = store.read_embeddings(args.test)
     trials = scoring.parse_trials(args.trials)
-    if args.enroll_map is not None:
-        member_map = scoring.parse_enroll_map(args.enroll_map)
-        segments = {m: [enroll.vector(i) for i in ids] for m, ids in member_map.items()}
-    else:
-        segments = {i: [enroll.vector(i)] for i in enroll.ids}
-    models = scoring.models_to_set(scoring.build_enrollment(segments))
+    member_map = scoring.parse_enroll_map(args.enroll_map) if args.enroll_map is not None else None
+    models = scoring.build_enrollment(enroll, member_map)
     scores = scoring.score_trials(
         models, tests, trials, workers=args.workers, block_size=args.block_size
     )
@@ -372,8 +368,8 @@ def _operating_points(args) -> tuple[list[metrics.OperatingPoint], bool]:
 
 
 def cmd_eval(args) -> int:
+    ops, is_default = _operating_points(args)  # a bad operating point fails before any read
     scores = _labeled_scores(args.scores, args.trials)
-    ops, is_default = _operating_points(args)
     tag = " [default]" if is_default else ""
     err = metrics.eer(scores)
     dcfs = [metrics.min_dcf(scores, op)[0] for op in ops]
@@ -400,20 +396,18 @@ def cmd_eval(args) -> int:
 
 
 def _parse_mark(spec: str) -> metrics.OperatingPoint:
-    parts = spec.split(":")
     try:
-        if len(parts) == 1:
-            return metrics.OperatingPoint(float(parts[0]))
-        if len(parts) == 3:
-            return metrics.OperatingPoint(float(parts[0]), float(parts[1]), float(parts[2]))
+        values = [float(v) for v in spec.split(":")]
     except ValueError:
-        pass
-    raise UsageError(f"bad --mark value {spec!r}, expected p or p:c_miss:c_fa")
+        values = []  # not a number: the same usage error as a wrong field count
+    if len(values) not in (1, 3):
+        raise UsageError(f"bad --mark value {spec!r}, expected p or p:c_miss:c_fa")
+    return metrics.OperatingPoint(*values)  # a value out of range exits 3, as --p-target does
 
 
 def cmd_dcf_curve(args) -> int:
+    marked = [_parse_mark(m) for m in args.mark] if args.mark else []  # before any read, as in eval
     scores = _labeled_scores(args.scores, args.trials)
-    marked = [_parse_mark(m) for m in args.mark] if args.mark else []
     curve = metrics.dcf_curve(scores, args.lo, args.hi, args.points, marked)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:

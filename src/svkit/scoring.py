@@ -9,6 +9,7 @@ for compatibility and ignored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -68,46 +69,37 @@ def parse_trials(path) -> TrialList:
     return TrialList(pairs, np.asarray(labels, dtype=bool) if labeled else None)
 
 
-@dataclass(frozen=True)
-class EnrollmentModel:
-    """A speaker model: unit-norm vector aggregated from member segments."""
+def build_enrollment(
+    enroll: EmbeddingSet, member_map: Mapping[str, Sequence[str]] | None = None
+) -> EmbeddingSet:
+    """Aggregate segment embeddings into a set of unit-norm model vectors.
 
-    model_id: str
-    vector: np.ndarray
-
-
-def build_enrollment(segments) -> list[EnrollmentModel]:
-    """Aggregate per-model segment embeddings into unit-norm model vectors.
-
-    `segments` maps model_id -> list of embedding vectors.  Each member is
-    length-normalized, members are averaged, and the average is normalized
-    again; a zero average (e.g. antipodal members) is an error.
+    `member_map` maps model_id -> member segment ids in `enroll`; without
+    one, each segment is its own model.  Each member is length-normalized,
+    members are averaged, and the average is normalized again; a zero
+    average (e.g. antipodal members) is an error.
     """
-    models = []
-    for model_id, vecs in segments.items():
-        if len(vecs) == 0:
+    if member_map is None:
+        member_map = {i: [i] for i in enroll.ids}
+    if not member_map:
+        raise ContractError("no enrollment models")
+    members = {model_id: enroll.rows(ids) for model_id, ids in member_map.items()}
+    vectors = []
+    for model_id, rows in members.items():
+        if len(rows) == 0:
             raise ContractError(f"model {model_id!r} has no member segments")
-        members = []
-        for v in vecs:
-            v = np.asarray(v, dtype=np.float64)
+        units = []
+        for v in enroll.vectors[rows].astype(np.float64):
             n = np.linalg.norm(v)
             if n == 0:
                 raise ContractError(f"model {model_id!r} has a zero-norm member")
-            members.append(v / n)
-        mean = np.mean(members, axis=0)
+            units.append(v / n)
+        mean = np.mean(units, axis=0)
         n = np.linalg.norm(mean)
         if n == 0:
             raise ContractError(f"model {model_id!r}: member mean is the zero vector")
-        models.append(EnrollmentModel(model_id, mean / n))
-    return models
-
-
-def models_to_set(models: list[EnrollmentModel]) -> EmbeddingSet:
-    if not models:
-        raise ContractError("no enrollment models")
-    return EmbeddingSet(
-        [m.model_id for m in models], np.stack([m.vector for m in models]).astype(np.float32)
-    )
+        vectors.append(mean / n)
+    return EmbeddingSet(list(members), np.stack(vectors).astype(np.float32))
 
 
 def parse_enroll_map(path) -> dict[str, list[str]]:
@@ -150,14 +142,8 @@ def score_trials(
     scores = np.empty(n)
     if n == 0:
         return scores
-    try:
-        e_rows = np.array([models._index[e] for e, _ in trials.pairs])
-    except KeyError as exc:
-        raise ContractError(f"unknown enrollment id {exc.args[0]!r}") from None
-    try:
-        t_rows = np.array([tests._index[t] for _, t in trials.pairs])
-    except KeyError as exc:
-        raise ContractError(f"unknown test id {exc.args[0]!r}") from None
+    e_rows = models.rows((e for e, _ in trials.pairs), "enrollment id")
+    t_rows = tests.rows((t for _, t in trials.pairs), "test id")
     na = _row_norms(models.vectors, block_size)
     nb = _row_norms(tests.vectors, block_size)
     for lo in range(0, n, block_size):

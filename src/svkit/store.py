@@ -94,7 +94,7 @@ class EmbeddingSet:
                 f"{len(ids)} ids but {vectors.shape[0]} vectors"
             )
         for i in ids:
-            if not i or any(c.isspace() for c in i):
+            if i.split() != [i]:  # empty, or any character that str.isspace() accepts
                 raise ContractError(f"invalid id {i!r}: must be non-empty, no whitespace")
         if len(set(ids)) != len(ids):
             seen = set()
@@ -114,25 +114,24 @@ class EmbeddingSet:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def vector(self, id_: str) -> np.ndarray:
+    def rows(self, ids: Iterable[str], what: str = "id") -> np.ndarray:
+        """Row index of each id, in order; an unknown id is a ContractError
+        that names it as `what`."""
         try:
-            return self.vectors[self._index[id_]]
-        except KeyError:
-            raise ContractError(f"unknown id {id_!r}") from None
+            return np.fromiter(map(self._index.__getitem__, ids), np.intp)
+        except KeyError as exc:
+            raise ContractError(f"unknown {what} {exc.args[0]!r}") from None
+
+    def vector(self, id_: str) -> np.ndarray:
+        return self.vectors[self.rows([id_])[0]]
 
     def select(self, ids: Iterable[str]) -> "EmbeddingSet":
         """Subset in the requested order; unknown ids are an error."""
         ids = list(ids)
-        rows = []
-        for i in ids:
-            if i not in self._index:
-                raise ContractError(f"unknown id {i!r}")
-            rows.append(self._index[i])
-        vecs = self.vectors[rows] if rows else np.zeros((0, self.dim), np.float32)
         labels = None
         if self.labels is not None:
             labels = {i: self.labels[i] for i in ids if i in self.labels}
-        return EmbeddingSet(ids, vecs, labels)
+        return EmbeddingSet(ids, self.vectors[self.rows(ids)], labels)
 
     def label_array(self) -> list[str]:
         """Per-record labels in set order; every id must be labeled."""

@@ -5,14 +5,17 @@ candidate threshold, deliberately sharing no code with the package's
 searchsorted-based sweep.  The resampler oracle evaluates the windowed
 sinc afresh for every output sample at its float position.  The scoring
 oracle casts, normalises and dots a block of gathered row pairs together.
-The text-writer oracles format one value per f-string, and the LDA oracle
-solves its generalized eigenproblem with scipy.linalg.eigh.
+The enrollment oracle is the dict-of-vectors path that enrollment took
+before it read an embedding set directly.  The text-writer oracles format
+one value per f-string, and the LDA oracle solves its generalized
+eigenproblem with scipy.linalg.eigh.
 """
 
 import numpy as np
 import scipy.linalg
 
 from svkit.errors import ContractError
+from svkit.store import EmbeddingSet
 
 
 def oracle_points(tar, non):
@@ -107,6 +110,37 @@ def cosine_score(a, b) -> float:
     if na == 0 or nb == 0:
         raise ContractError("cannot score a zero vector")
     return float(np.dot(a, b) / (na * nb))
+
+
+def oracle_build_enrollment(segments) -> EmbeddingSet:
+    """Aggregate per-model segment embeddings into a set of unit-norm model vectors.
+
+    `segments` maps model_id -> list of embedding vectors.  Each member is
+    length-normalized, members are averaged, and the average is normalized
+    again; a zero average (e.g. antipodal members) is an error.  Same
+    contract as svkit.scoring.build_enrollment on the looked-up members.
+    """
+    models = []
+    for model_id, vecs in segments.items():
+        if len(vecs) == 0:
+            raise ContractError(f"model {model_id!r} has no member segments")
+        members = []
+        for v in vecs:
+            v = np.asarray(v, dtype=np.float64)
+            n = np.linalg.norm(v)
+            if n == 0:
+                raise ContractError(f"model {model_id!r} has a zero-norm member")
+            members.append(v / n)
+        mean = np.mean(members, axis=0)
+        n = np.linalg.norm(mean)
+        if n == 0:
+            raise ContractError(f"model {model_id!r}: member mean is the zero vector")
+        models.append((model_id, mean / n))
+    if not models:
+        raise ContractError("no enrollment models")
+    return EmbeddingSet(
+        [m for m, _ in models], np.stack([v for _, v in models]).astype(np.float32)
+    )
 
 
 def oracle_write_embeddings_tsv(s, path) -> None:

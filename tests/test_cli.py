@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import os
 import struct
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import svkit
 from svkit import audio, augment, backend, cli, metrics, scoring, store
@@ -192,8 +194,7 @@ class TestBackendScoreEvalFlow:
         pipe = backend.Pipeline(center=center, lda=lda, length_norm=True)
         proc = backend.apply_pipeline(pipe, train)
         member_map = scoring.parse_enroll_map(tmp_path / "enroll.map")
-        segments = {m: [proc.vector(i) for i in ids] for m, ids in member_map.items()}
-        models = scoring.models_to_set(scoring.build_enrollment(segments))
+        models = scoring.build_enrollment(proc, member_map)
         trials = scoring.parse_trials(tmp_path / "trials.txt")
         scores = scoring.score_trials(models, proc, trials)
         scoring.write_scores(trials, scores, tmp_path / "scores_lib.tsv")
@@ -263,6 +264,26 @@ class TestBackendScoreEvalFlow:
             assert main([command, "--scores", str(tmp_path / "missing.tsv"),
                          "--trials", str(tmp_path / "trials.txt")]) == 3
             assert "no score for trial model0 spk0-utt3" in capsys.readouterr().err
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_identity_enroll_map_changes_no_score_byte(self, tmp_path, data):
+        """`sK sK` for every segment makes each segment its own model, as no map does."""
+        n, dim = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+        vecs = data.draw(arrays(np.float32, (n, dim), elements=st.floats(-4, 4, width=32), fill=st.nothing()))
+        ids = [f"s{k}" for k in range(n)]
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                                   min_size=1, max_size=12, unique=True))
+        store.write_embeddings(store.EmbeddingSet(ids, vecs), tmp_path / "e.sveb")
+        (tmp_path / "t.txt").write_text("".join(f"{e} {t}\n" for e, t in pairs))
+        (tmp_path / "map.txt").write_text("".join(f"{i} {i}\n" for i in ids))
+        score = ["score", "--enroll", str(tmp_path / "e.sveb"), "--test", str(tmp_path / "e.sveb"),
+                 "--trials", str(tmp_path / "t.txt")]
+        plain = main([*score, "--out", str(tmp_path / "plain.tsv")])
+        mapped = main([*score, "--enroll-map", str(tmp_path / "map.txt"), "--out", str(tmp_path / "mapped.tsv")])
+        assert plain == mapped  # 3 on a zero vector, else 0
+        if plain == 0:
+            assert (tmp_path / "plain.tsv").read_bytes() == (tmp_path / "mapped.tsv").read_bytes()
 
     @pytest.mark.parametrize("option", ["--workers", "--block-size"])
     def test_workers_or_block_size_below_one_exit_3(self, tmp_path, capsys, option):
@@ -472,6 +493,16 @@ class TestConfigAndExitCodes:
                 "pool": [f"{t}/none"], "schedule": ["--out", f"{t}/sched.csv"]}[command]
         assert main(["--config", str(cfg), command, *argv]) in range(5)  # never a traceback
 
+    @pytest.mark.parametrize("argv,code", [
+        (["dcf-curve", "--mark", "bogus"], 1),
+        (["dcf-curve", "--mark", "2"], 3),
+        (["eval", "--p-target", "2"], 3),
+    ])
+    def test_bad_operating_point_exits_before_reading(self, tmp_path, capsys, argv, code):
+        missing = ["--scores", str(tmp_path / "missing"), "--trials", str(tmp_path / "missing")]
+        assert main([*argv, *missing]) == code  # reading either file would exit 4
+        assert "No such file" not in capsys.readouterr().err
+
     def test_usage_errors_exit_1(self, capsys):
         assert main(["score"]) == 1  # missing required options
         assert main(["nonexistent-command"]) == 1
@@ -630,6 +661,20 @@ def test_config_value_parses_like_command_line(tmp_path, command, key):
         assert from_config == from_flags, raw
         seen.append(from_flags[action.dest])
     assert any(v != action.default for v in seen)
+
+
+def test_benchmark_command_lines_parse():
+    """Every command line the benchmark runs (perfbench/spec.py) parses, so a CLI
+    change that would break the benchmark fails here first."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spec.py"
+    loader = importlib.util.spec_from_file_location("perfbench_spec", path)
+    spec = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spec)
+    argvs = [argv for w in spec.WORKLOADS for step in spec.steps(w, spec.sizes(w, spec.SCALE[w]), 1)
+             for argv in step.argvs]
+    assert argvs
+    for argv in argvs:
+        cli._build_parser().parse_args(argv)
 
 
 def _fresh_python(code, *args):

@@ -6,13 +6,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import cosine_score, oracle_score_block, oracle_write_scores
+from oracles import cosine_score, oracle_build_enrollment, oracle_score_block, oracle_write_scores
 from svkit import scoring, store
 from svkit.errors import ContractError, FormatError
 
 
 # any text a UTF-8 file can hold (surrogates cannot be encoded)
 NAMES = st.text(st.characters(exclude_categories=["Cs"]), min_size=1, max_size=4)
+FLOAT32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
 
 
 def embset(vecs, prefix="x"):
@@ -66,27 +67,78 @@ class TestParseTrials:
             scoring.parse_trials(path)
 
 
+def enroll_models(models):
+    """build_enrollment over {model_id: member vectors}: each member is a row
+    of one embedding set, and the map groups the rows into models."""
+    ids = [f"{m}-{k}" for m, vecs in models.items() for k in range(len(vecs))]
+    vecs = [v for vs in models.values() for v in vs]
+    enroll = store.EmbeddingSet(ids, np.array(vecs, np.float32).reshape(len(ids), 2))  # 2-D when empty
+    member_map = {m: [f"{m}-{k}" for k in range(len(vecs))] for m, vecs in models.items()}
+    return scoring.build_enrollment(enroll, member_map)
+
+
+@st.composite
+def enrollments(draw):
+    """An embedding set, and a member map over its ids (a member may repeat
+    or be shared) or None."""
+    n, dim = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    enroll = embset(draw(arrays(np.float32, (n, dim), elements=FLOAT32, fill=st.nothing())), "s")
+    members = st.lists(st.sampled_from(enroll.ids), min_size=1, max_size=4)
+    models = st.dictionaries(st.text("mn", min_size=1, max_size=3), members, min_size=1, max_size=4)
+    member_map = draw(st.none() | models)
+    return enroll, member_map
+
+
 class TestBuildEnrollment:
     def test_single_segment_normalized(self):
-        models = scoring.build_enrollment({"m1": [np.array([3.0, 4.0])]})
-        np.testing.assert_allclose(models[0].vector, [0.6, 0.8], atol=1e-12)
+        models = enroll_models({"m1": [[3.0, 4.0]]})
+        assert models.ids == ["m1"]
+        np.testing.assert_array_equal(models.vectors, np.float32([[0.6, 0.8]]))
+        alone = scoring.build_enrollment(embset([[3.0, 4.0]], "m"))  # no map: each id is a model
+        assert alone.ids == ["m0"] and alone.vectors.tobytes() == models.vectors.tobytes()
 
     def test_two_members(self):
-        models = scoring.build_enrollment({"m": [np.array([1.0, 0.0]), np.array([0.0, 1.0])]})
-        np.testing.assert_allclose(models[0].vector, np.array([1.0, 1.0]) / np.sqrt(2), atol=1e-12)
+        models = enroll_models({"m": [[1.0, 0.0], [0.0, 1.0]]})
+        np.testing.assert_allclose(models.vectors[0], np.array([1.0, 1.0]) / np.sqrt(2), rtol=0, atol=1e-7)
 
     def test_antipodal_members_error(self):
         with pytest.raises(ContractError, match="zero"):
-            scoring.build_enrollment({"m": [np.array([1.0, 0.0]), np.array([-1.0, 0.0])]})
+            enroll_models({"m": [[1.0, 0.0], [-1.0, 0.0]]})
 
     def test_empty_member_list(self):
         with pytest.raises(ContractError, match="m1"):
-            scoring.build_enrollment({"m1": []})
+            enroll_models({"m1": []})
 
     def test_scaling_of_members_irrelevant(self):
-        a = scoring.build_enrollment({"m": [np.array([1.0, 1.0]), np.array([0.0, 2.0])]})
-        b = scoring.build_enrollment({"m": [np.array([9.0, 9.0]), np.array([0.0, 0.1])]})
-        np.testing.assert_allclose(a[0].vector, b[0].vector, atol=1e-12)
+        a = enroll_models({"m": [[1.0, 1.0], [0.0, 2.0]]})
+        b = enroll_models({"m": [[9.0, 9.0], [0.0, 0.1]]})
+        np.testing.assert_allclose(a.vectors, b.vectors, rtol=0, atol=1e-7)
+
+    def test_unknown_segment_or_no_model_errors(self):
+        enroll = embset([[1.0, 0.0]], "s")
+        with pytest.raises(ContractError, match="unknown id 'nosuch'"):
+            scoring.build_enrollment(enroll, {"m": ["s0", "nosuch"]})
+        with pytest.raises(ContractError, match="no enrollment models"):
+            scoring.build_enrollment(enroll, {})
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=enrollments())
+    def test_bitwise_equal_to_oracle(self, case):
+        enroll, member_map = case
+        if member_map is None:
+            segments = {i: [enroll.vector(i)] for i in enroll.ids}
+        else:
+            segments = {m: [enroll.vector(i) for i in ids] for m, ids in member_map.items()}
+        try:
+            want = oracle_build_enrollment(segments)
+        except ContractError as e:  # the same check fails, with the same message
+            with pytest.raises(ContractError) as got:
+                scoring.build_enrollment(enroll, member_map)
+            assert str(got.value) == str(e)
+            return
+        got = scoring.build_enrollment(enroll, member_map)
+        assert got.ids == want.ids
+        assert got.vectors.tobytes() == want.vectors.tobytes()
 
 
 class TestCosine:
@@ -188,9 +240,9 @@ class TestScoreTrials:
     def test_unknown_ids_named(self):
         models = embset(np.eye(2), "m")
         tests = embset(np.eye(2), "t")
-        with pytest.raises(ContractError, match="m9"):
+        with pytest.raises(ContractError, match="unknown enrollment id 'm9'"):
             scoring.score_trials(models, tests, scoring.TrialList([("m9", "t0")]))
-        with pytest.raises(ContractError, match="t9"):
+        with pytest.raises(ContractError, match="unknown test id 't9'"):
             scoring.score_trials(models, tests, scoring.TrialList([("m0", "t9")]))
 
 

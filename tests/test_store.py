@@ -46,6 +46,14 @@ class TestEmbeddingSet:
         with pytest.raises(ContractError):
             store.EmbeddingSet([""], np.zeros((1, 3), np.float32))
 
+    @given(st.text(st.sampled_from(["\x1c", "\x85", "\xa0", "\u3000", "\t", " ", "\u200b", "a"]), max_size=4))
+    def test_id_rejected_exactly_when_empty_or_any_char_isspace(self, id_):
+        if not id_ or any(c.isspace() for c in id_):
+            with pytest.raises(ContractError, match="invalid id"):
+                store.EmbeddingSet([id_], np.zeros((1, 1), np.float32))
+        else:
+            assert store.EmbeddingSet([id_], np.zeros((1, 1), np.float32)).ids == [id_]
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ContractError):
             store.EmbeddingSet(["a"], np.array([[np.nan, 0.0]], np.float32))
@@ -63,6 +71,14 @@ class TestEmbeddingSet:
         empty = s.select([])
         assert len(empty) == 0
         assert empty.dim == 5
+
+    def test_rows_in_order_and_unknown_named(self):
+        s = random_set(np.random.default_rng(2))
+        rows = s.rows([s.ids[3], s.ids[0], s.ids[3]])
+        assert rows.dtype == np.intp and rows.tolist() == [3, 0, 3]
+        assert s.rows([]).shape == (0,)
+        with pytest.raises(ContractError, match="unknown test id 'nosuch'"):
+            s.rows([s.ids[0], "nosuch"], "test id")
 
     def test_select_unknown_names_id(self):
         s = random_set(np.random.default_rng(2))
