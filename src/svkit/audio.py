@@ -97,19 +97,19 @@ def resample(
 
     With L = target / gcd(source, target) and M = source / gcd, output
     k = q*L + p sits at input position q*M + p*M/L, so its weights depend
-    only on the phase p: they are built once per phase, and tap positions
-    come from exact integer arithmetic.  For integer ratios (L = 1 or
-    M = 1) the result is bitwise equal to evaluating the kernel at every
-    output's float position k * source / target.  For other ratios it
-    differs from that only by the rounding of the float position, which
-    grows with k: at most 1e-9 on 3 s of noise in [-1, 1].
+    only on the phase p: each block builds them once per phase present,
+    and tap positions come from exact integer arithmetic.  For integer
+    ratios (L = 1 or M = 1) the result is bitwise equal to evaluating the
+    kernel at every output's float position k * source / target.  For
+    other ratios it differs from that only by the rounding of the float
+    position, which grows with k: at most 1e-9 on 3 s of noise in [-1, 1].
 
     Outputs are computed in blocks of at most 2**22 (output, tap) cells,
     so memory stays bounded at any ratio; a kernel of more taps than that
-    is a ContractError.
+    is a ContractError, and so is a target rate outside 1..MAX_WAV_RATE.
     """
-    if target_rate <= 0:
-        raise ContractError(f"target_rate must be positive, got {target_rate}")
+    if not 0 < target_rate <= MAX_WAV_RATE:
+        raise ContractError(f"target_rate must be in 1..{MAX_WAV_RATE} Hz, got {target_rate}")
     src = buf.sample_rate
     x = buf.samples
     if src == target_rate:
@@ -143,20 +143,18 @@ def resample(
 
     # outputs per block: 32768 up to 128 taps, fewer for longer kernels
     block = min(1 << 15, _RESAMPLE_CELLS // n_taps)
-    # one row per phase; with more phases than a block has outputs, no
-    # phase repeats within a block, so each block builds its own rows
-    table = phase_weights(np.arange(up)) if up <= block else None
     out = np.empty(n_out)
     for lo in range(0, n_out, block):
         k = np.arange(lo, min(lo + block, n_out))
         phase = k % up
         first = (k // up) * down + (phase * down) // up - lead
-        idx = first[:, None] + offs[None, :]
-        w = table[phase] if table is not None else phase_weights(phase)
-        # reflect out-of-range tap indices back into the signal
-        m = np.mod(idx, 2 * n)
-        idx_r = np.where(m >= n, 2 * n - 1 - m, m)
-        out[lo : lo + len(k)] = (w * x[idx_r]).sum(axis=1)
+        # one weight row per phase present: one in all at 16k -> 8k, one per output at 16k -> 44101
+        phases, row = np.unique(phase, return_inverse=True)
+        # reflect the block's span of input indices back into the signal once
+        m = np.mod(np.arange(first[0], first[-1] + n_taps), 2 * n)
+        seg = x[np.where(m >= n, 2 * n - 1 - m, m)]
+        taps_x = seg[(first - first[0])[:, None] + offs[None, :]]
+        out[lo : lo + len(k)] = (phase_weights(phases)[row] * taps_x).sum(axis=1)
     return AudioBuffer(out, target_rate)
 
 
@@ -203,8 +201,10 @@ class FeatureMatrix:
 
 
 def _frame_params(sample_rate: int, frame_len_ms: float, frame_shift_ms: float) -> tuple[int, int]:
-    flen = int(round(sample_rate * frame_len_ms / 1000.0))
-    fshift = int(round(sample_rate * frame_shift_ms / 1000.0))
+    lengths = [sample_rate * ms / 1000.0 for ms in (frame_len_ms, frame_shift_ms)]
+    if not all(map(math.isfinite, lengths)):
+        raise ContractError(f"frame length/shift {frame_len_ms}/{frame_shift_ms} ms is not a finite sample count")
+    flen, fshift = (int(round(v)) for v in lengths)
     if flen < 1 or fshift < 1:
         raise ContractError("frame length/shift below one sample at this rate")
     return flen, fshift

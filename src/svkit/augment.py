@@ -42,6 +42,9 @@ class UtteranceManifest:
         if len(set(ids)) != len(ids):
             raise ContractError("duplicate utterance id in manifest")
         for u in self.utterances:
+            # render_commands writes <out_dir>/<id>.wav: an id must not leave out_dir
+            if u.utt_id in ("", ".", "..") or "/" in u.utt_id or "\0" in u.utt_id:
+                raise ContractError(f"utterance id {u.utt_id!r} is not a plain file name")
             if not 0 < u.duration_s < np.inf:  # NaN fails both
                 raise ContractError(f"{u.utt_id}: duration must be finite and positive")
             if u.sample_rate <= 0:
@@ -146,50 +149,32 @@ def assign_speed(plan: AugmentPlan, perturb: bool, seed: int) -> AugmentPlan:
     return AugmentPlan(plan.manifest, entries)
 
 
-def _speed_suffix(speed: float) -> str:
-    return "" if speed == 1.0 else f" speed {speed:g}"
-
-
 def render_commands(plan: AugmentPlan, out_dir: str) -> list[str]:
     """One shell line per utterance implementing its planned transformation.
 
-    The codec step always happens at 8 kHz; flagging the codec on a
-    keep16k chain is therefore a contract error.
+    Every chain but keep16k goes to 8 kHz first, into GSM when flagged, so
+    flagging the codec on a keep16k chain is a contract error.
     """
     lines = []
     for utt, entry in zip(plan.manifest.utterances, plan.entries):
         src = shlex.quote(utt.path)
         dst = shlex.quote(f"{out_dir}/{entry.utt_id}.wav")
-        tmp_gsm = shlex.quote(f"{out_dir}/{entry.utt_id}.gsm")
-        tmp_8k = shlex.quote(f"{out_dir}/{entry.utt_id}.8k.wav")
-        sp = _speed_suffix(entry.speed)
+        speed = "" if entry.speed == 1.0 else f" speed {entry.speed:g}"
+        gsm = entry.codec == "gsm"
         if entry.chain == CHAIN_KEEP16K:
-            if entry.codec == "gsm":
+            if gsm:
                 raise ContractError(
                     f"{entry.utt_id}: codec requires an 8 kHz chain, not {CHAIN_KEEP16K}"
                 )
-            if entry.speed == 1.0:
-                lines.append(f"cp {src} {dst}")
-            else:
-                lines.append(f"sox {src} {dst}{sp}")
-        elif entry.chain == CHAIN_DOWN8K:
-            if entry.codec == "gsm":
-                lines.append(
-                    f"sox {src} -r 8000 -t gsm {tmp_gsm}{sp} && "
-                    f"sox {tmp_gsm} -t wav -e signed -b 16 {dst}"
-                )
-            else:
-                lines.append(f"sox {src} -r 8000 {dst}{sp}")
-        else:  # down8k-up16k: codec (when flagged) happens at 8 kHz, then upsample
-            if entry.codec == "gsm":
-                lines.append(
-                    f"sox {src} -r 8000 -t gsm {tmp_gsm}{sp} && "
-                    f"sox {tmp_gsm} -t wav -e signed -b 16 -r 16000 {dst}"
-                )
-            else:
-                lines.append(
-                    f"sox {src} -r 8000 {tmp_8k}{sp} && sox {tmp_8k} -r 16000 {dst}"
-                )
+            lines.append(f"sox {src} {dst}{speed}" if speed else f"cp {src} {dst}")
+            continue
+        decode = " -t wav -e signed -b 16" if gsm else ""
+        upsample = " -r 16000" if entry.chain == CHAIN_DOWN8K_UP16K else ""
+        tmp, second = dst, ""
+        if decode or upsample:  # decode and/or upsample the 8 kHz file in a second step
+            tmp = shlex.quote(f"{out_dir}/{entry.utt_id}.{'gsm' if gsm else '8k.wav'}")
+            second = f" && sox {tmp}{decode}{upsample} {dst}"
+        lines.append(f"sox {src} -r 8000{' -t gsm' if gsm else ''} {tmp}{speed}{second}")
     return lines
 
 

@@ -3,7 +3,9 @@
 The metric oracles recompute error rates by direct comparison at every
 candidate threshold, deliberately sharing no code with the package's
 searchsorted-based sweep.  The resampler oracle evaluates the windowed
-sinc afresh for every output sample at its float position.  The scoring
+sinc afresh for every output sample at its float position; the
+phase-table resampler and the hand-written sox templates are the package's
+earlier code, kept verbatim as byte-for-byte references.  The scoring
 oracle casts, normalises and dots a block of gathered row pairs together.
 The enrollment oracle is the dict-of-vectors path that enrollment took
 before it read an embedding set directly.  The text-writer oracles format
@@ -11,11 +13,18 @@ one value per f-string, and the LDA oracle solves its generalized
 eigenproblem with scipy.linalg.eigh.
 """
 
+import math
+import shlex
+
 import numpy as np
 import scipy.linalg
 
+from svkit.audio import AudioBuffer
+from svkit.augment import CHAIN_DOWN8K, CHAIN_KEEP16K
 from svkit.errors import ContractError
 from svkit.store import EmbeddingSet
+
+_RESAMPLE_CELLS = 1 << 22  # resample works on at most this many (output, tap) cells at once
 
 
 def oracle_points(tar, non):
@@ -87,6 +96,111 @@ def oracle_resample(x, src, target_rate, taps=64, kaiser_beta=5.0):
         idx_r = np.where(m >= n, 2 * n - 1 - m, m)
         out[lo:hi] = (w * x[idx_r]).sum(axis=1)
     return out
+
+
+def oracle_phase_table_resample(
+    buf: AudioBuffer,
+    target_rate: int,
+    taps: int = 64,
+    kaiser_beta: float = 5.0,
+) -> AudioBuffer:
+    """svkit.audio.resample as it was with a phase table built ahead of the
+    block loop, a per-block fallback when the phases outnumber a block's
+    outputs, and reflection of every (output, tap) index on its own."""
+    if target_rate <= 0:
+        raise ContractError(f"target_rate must be positive, got {target_rate}")
+    src = buf.sample_rate
+    x = buf.samples
+    if src == target_rate:
+        return AudioBuffer(x.copy(), src)
+    n = len(x)
+    n_out = int(round(n * target_rate / src))
+    if n == 0 or n_out == 0:
+        return AudioBuffer(np.zeros(0), target_rate)
+
+    min_rate = min(src, target_rate)
+    cutoff_hz = 0.95 * min_rate / 2.0
+    n_taps = max(2, int(round(taps * src / min_rate)))  # tap grid is the input grid
+    if n_taps > _RESAMPLE_CELLS:
+        raise ContractError(f"{src} -> {target_rate} Hz needs {n_taps} taps, more than {_RESAMPLE_CELLS}")
+    half_span = n_taps / 2.0  # kernel half-width, input samples
+    i0_beta = np.i0(kaiser_beta)
+    g = math.gcd(src, target_rate)
+    up, down = target_rate // g, src // g
+    lead = n_taps // 2 - 1  # taps before the floor of the output position
+    offs = np.arange(n_taps)
+
+    def phase_weights(phase: np.ndarray) -> np.ndarray:
+        # output position minus tap index: the phase's fractional position
+        # (phase * down mod up) / up, plus lead - tap
+        d = ((phase * down) % up / up)[:, None] + (lead - offs)[None, :]
+        w = np.sinc(2.0 * cutoff_hz * (d / src))
+        u = d / half_span  # in (-1, 1]
+        w *= np.i0(kaiser_beta * np.sqrt(np.maximum(0.0, 1.0 - u * u))) / i0_beta
+        w /= w.sum(axis=1, keepdims=True)
+        return w
+
+    # outputs per block: 32768 up to 128 taps, fewer for longer kernels
+    block = min(1 << 15, _RESAMPLE_CELLS // n_taps)
+    # one row per phase; with more phases than a block has outputs, no
+    # phase repeats within a block, so each block builds its own rows
+    table = phase_weights(np.arange(up)) if up <= block else None
+    out = np.empty(n_out)
+    for lo in range(0, n_out, block):
+        k = np.arange(lo, min(lo + block, n_out))
+        phase = k % up
+        first = (k // up) * down + (phase * down) // up - lead
+        idx = first[:, None] + offs[None, :]
+        w = table[phase] if table is not None else phase_weights(phase)
+        # reflect out-of-range tap indices back into the signal
+        m = np.mod(idx, 2 * n)
+        idx_r = np.where(m >= n, 2 * n - 1 - m, m)
+        out[lo : lo + len(k)] = (w * x[idx_r]).sum(axis=1)
+    return AudioBuffer(out, target_rate)
+
+
+def _speed_suffix(speed: float) -> str:
+    return "" if speed == 1.0 else f" speed {speed:g}"
+
+
+def oracle_render_commands(plan, out_dir: str) -> list[str]:
+    """svkit.augment.render_commands as it was, with each of its six sox
+    line shapes written out by hand."""
+    lines = []
+    for utt, entry in zip(plan.manifest.utterances, plan.entries):
+        src = shlex.quote(utt.path)
+        dst = shlex.quote(f"{out_dir}/{entry.utt_id}.wav")
+        tmp_gsm = shlex.quote(f"{out_dir}/{entry.utt_id}.gsm")
+        tmp_8k = shlex.quote(f"{out_dir}/{entry.utt_id}.8k.wav")
+        sp = _speed_suffix(entry.speed)
+        if entry.chain == CHAIN_KEEP16K:
+            if entry.codec == "gsm":
+                raise ContractError(
+                    f"{entry.utt_id}: codec requires an 8 kHz chain, not {CHAIN_KEEP16K}"
+                )
+            if entry.speed == 1.0:
+                lines.append(f"cp {src} {dst}")
+            else:
+                lines.append(f"sox {src} {dst}{sp}")
+        elif entry.chain == CHAIN_DOWN8K:
+            if entry.codec == "gsm":
+                lines.append(
+                    f"sox {src} -r 8000 -t gsm {tmp_gsm}{sp} && "
+                    f"sox {tmp_gsm} -t wav -e signed -b 16 {dst}"
+                )
+            else:
+                lines.append(f"sox {src} -r 8000 {dst}{sp}")
+        else:  # down8k-up16k: codec (when flagged) happens at 8 kHz, then upsample
+            if entry.codec == "gsm":
+                lines.append(
+                    f"sox {src} -r 8000 -t gsm {tmp_gsm}{sp} && "
+                    f"sox {tmp_gsm} -t wav -e signed -b 16 -r 16000 {dst}"
+                )
+            else:
+                lines.append(
+                    f"sox {src} -r 8000 {tmp_8k}{sp} && sox {tmp_8k} -r 16000 {dst}"
+                )
+    return lines
 
 
 def oracle_score_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2,13 +2,14 @@ import io
 import struct
 import tracemalloc
 import wave
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_resample
+from oracles import oracle_phase_table_resample, oracle_resample
 
 from svkit import audio
 from svkit.errors import ContractError, FormatError
@@ -194,8 +195,30 @@ class TestResample:
         assert out.samples is not buf.samples
 
     def test_bad_rate(self):
-        with pytest.raises(ContractError):
-            audio.resample(audio.AudioBuffer(np.zeros(10), 8000), 0)
+        # the output array is sized from target_rate: 1e8 Hz on 3 s would be 2.4 GB
+        buf = audio.AudioBuffer(np.zeros(1600), 16000)
+        for rate in (0, audio.MAX_WAV_RATE + 1):
+            with pytest.raises(ContractError, match="target_rate must be in 1..768000 Hz"):
+                audio.resample(buf, rate)
+        assert len(audio.resample(buf, audio.MAX_WAV_RATE).samples) == audio.MAX_WAV_RATE // 10
+
+    # 16000 -> 44101 has 44101 phases, more than a block has outputs
+    RATE_PAIRS = [(16000, 8000), (8000, 16000), (48000, 8000), (16000, 11025), (16000, 44100),
+                  (16000, 44101), (44100, 16000), (22050, 16000), (8000, 8001), (7, 3), (3, 7)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(rates=st.sampled_from(RATE_PAIRS), n=st.integers(1, 600),
+           cells=st.sampled_from([1 << 9, 1 << 11, 1 << 22]), seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equals_phase_table_resampler(self, rates, n, cells, seed):
+        # the earlier phase-table resampler, at its own block size; small cell
+        # bounds split even these short signals into many blocks here
+        src, target = rates
+        buf = audio.AudioBuffer(np.random.default_rng(seed).uniform(-1, 1, n), src)
+        with mock.patch.object(audio, "_RESAMPLE_CELLS", cells):
+            got = audio.resample(buf, target)
+        want = oracle_phase_table_resample(buf, target)
+        assert got.sample_rate == want.sample_rate == target
+        assert got.samples.tobytes() == want.samples.tobytes()
 
     @pytest.mark.parametrize("src, target, seconds",
                              [(16000, 8000, 2.0), (8000, 16000, 3.0), (48000, 8000, 0.75)])
@@ -277,6 +300,16 @@ class TestFbank:
             audio.log_mel_fbank(buf, cfg)
         out = audio.log_mel_fbank(buf, cfg, np.random.default_rng(0))
         assert np.all(np.isfinite(out.values))
+
+    def test_non_finite_frame_geometry_rejected(self):
+        # unchecked, int(round(inf)) raises OverflowError and int(round(nan)) ValueError
+        buf = audio.AudioBuffer(np.zeros(16000), 16000)
+        for ms in (np.inf, 1e307):  # 1e307 ms is an infinite count of samples
+            with pytest.raises(ContractError, match="not a finite sample count"):
+                audio.log_mel_fbank(buf, audio.FbankConfig(frame_len_ms=ms))
+        for geometry in ({"frame_len_ms": np.nan}, {"frame_shift_ms": np.inf}):
+            with pytest.raises(ContractError, match="not a finite sample count"):
+                audio.energy_vad(buf, audio.VadConfig(**geometry))
 
     def test_bad_band_edges(self):
         buf = audio.AudioBuffer(np.zeros(16000), 16000)

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import oracle_render_commands
 
 from svkit import augment
 from svkit.errors import ContractError, FormatError
@@ -156,6 +160,32 @@ class TestCommandTemplates:
             "sox /out/utt1.gsm -t wav -e signed -b 16 /out/utt1.wav",
             "sox '/data/audio/utt 2.wav' /out/utt2.wav speed 1.1",
         ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_hand_written_templates(self, data):
+        # every chain x codec x finite positive speed, with the characters
+        # that shell quoting must survive in ids, paths and out_dir
+        shell = st.text(st.sampled_from("ab '\"$ .\\"), min_size=1, max_size=6)
+        ids = data.draw(st.lists(shell.filter(lambda i: i not in (".", "..")),
+                                 min_size=1, max_size=4, unique=True))
+        speeds = st.one_of(st.sampled_from([0.9, 1.0, 1.1, 2.5]),
+                           st.floats(0, 1e300, exclude_min=True, allow_nan=False))
+        utts, entries = [], []
+        for utt_id in ids:
+            utts.append(augment.Utterance(utt_id, data.draw(shell.map(lambda p: f"/d/{p}.wav")), 1.0, 16000))
+            entries.append(augment.PlanEntry(utt_id, data.draw(st.sampled_from(["gsm", "none"])),
+                                             data.draw(st.sampled_from(augment.CHAINS)), data.draw(speeds)))
+        plan = augment.AugmentPlan(augment.UtteranceManifest(utts), entries)
+        out_dir = data.draw(shell.map(lambda d: f"/o/{d}"))
+
+        def render(fn):
+            try:
+                return fn(plan, out_dir)
+            except ContractError as e:  # gsm on keep16k
+                return str(e)
+
+        assert render(augment.render_commands) == render(oracle_render_commands)
 
     def test_emit_writes_every_id_once(self, tmp_path):
         man = manifest(10)

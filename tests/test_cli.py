@@ -379,6 +379,15 @@ class TestAugmentPlanCommand:
         assert len(cmds) == 10
         assert "5 codec-flagged" in capsys.readouterr().out
 
+    def test_id_outside_out_dir_exit_2(self, tmp_path, capsys):
+        # the id would make the command write aug/../../tmp/evil.wav
+        (tmp_path / "man.tsv").write_text("ok\t/d/a.wav\t1.0\t16000\n../../tmp/evil\t/d/b.wav\t2.0\t16000\n")
+        rc = main(["augment-plan", "--manifest", str(tmp_path / "man.tsv"),
+                   "--out-dir", str(tmp_path / "aug"), "--seed", "1"])
+        assert rc == 2
+        assert "'../../tmp/evil' is not a plain file name" in capsys.readouterr().err
+        assert not (tmp_path / "aug" / "commands.txt").exists()
+
     def test_seed_required(self, tmp_path):
         (tmp_path / "man.tsv").write_text("u\t/p.wav\t1.0\t16000\n")
         rc = main(["augment-plan", "--manifest", str(tmp_path / "man.tsv"),
@@ -572,6 +581,17 @@ class TestConfigAndExitCodes:
         assert rc == 2
         assert "sample rate 2000000000 Hz" in capsys.readouterr().err
 
+    # unchecked, these end in an OverflowError, a 21.8 TiB allocation, and a
+    # 2.4 GB output array that takes minutes to fill
+    @pytest.mark.parametrize("argv", [["--frame-len", "inf"], ["--resample", "1000000000000"],
+                                      ["--resample", "100000000"]])
+    def test_unusable_geometry_exit_3(self, tmp_path, capsys, argv):
+        path = tmp_path / "x.wav"
+        audio.write_wav(audio.AudioBuffer(np.zeros(48000), 16000), path)
+        assert main(["features", *argv, "--out-dir", str(tmp_path / "f"), str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and ("not a finite sample count" in err or "1..768000 Hz" in err)
+
     def test_wav_chunk_past_riff_exit_2(self, tmp_path, capsys):
         # a fmt chunk size of 0x55 makes the reader take noise samples for
         # the next chunk header, whose size runs past the RIFF chunk
@@ -675,6 +695,26 @@ def test_benchmark_command_lines_parse():
     assert argvs
     for argv in argvs:
         cli._build_parser().parse_args(argv)
+
+
+def test_benchmark_trace_targets_resolve():
+    """Every function the benchmark's traced run wraps (perfbench/child.py
+    TARGETS) exists, so renaming one fails here rather than leaving a layer
+    of the benchmark silently empty.  scoring.models_to_set is the one known
+    stale target: it was deleted from svkit and is still listed there."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    loader = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(child)
+    missing = set()
+    for mod_name, attr, name, _ in child.TARGETS:
+        owner = importlib.import_module(f"svkit.{mod_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.add(name)
+    assert child.TARGETS
+    assert missing == {"scoring.models_to_set"}
 
 
 def _fresh_python(code, *args):

@@ -61,6 +61,11 @@ def test_manifest_record_error_is_format_error(tmp_path):
     path.write_text("a\t/d/a.wav\t1.0\t-5\n")
     with pytest.raises(FormatError, match="man.tsv: a: sample rate"):
         augment.read_manifest(path)
+    # commands write <out_dir>/<id>.wav, so an id must name a file inside out_dir
+    for utt_id in ("", ".", "..", "../../tmp/evil", "a/b", "/abs", "a\0b"):
+        path.write_text(f"{utt_id}\t/d/a.wav\t1.0\t16000\n")
+        with pytest.raises(FormatError, match="man.tsv: utterance id .* is not a plain file name"):
+            augment.read_manifest(path)
 
 
 def test_plan_record_error_is_format_error(tmp_path):
