@@ -36,10 +36,6 @@ class AudioBuffer:
             raise ContractError(f"sample_rate must be a positive integer, got {self.sample_rate}")
         self.sample_rate = int(self.sample_rate)
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 def read_wav(path) -> AudioBuffer:
     """Read a RIFF/WAVE PCM 16-bit mono file, scaling samples by 1/32768.
@@ -211,12 +207,10 @@ def _frame_params(sample_rate: int, frame_len_ms: float, frame_shift_ms: float) 
 
 
 def _frame_signal(x: np.ndarray, flen: int, fshift: int) -> np.ndarray:
-    # snip-edges framing: T = 1 + floor((N - flen) / fshift)
+    # snip-edges framing, T = 1 + floor((N - flen) / fshift), as a read-only view of x
     if len(x) < flen:
         raise ContractError(f"audio too short: {len(x)} samples < one {flen}-sample frame")
-    t = 1 + (len(x) - flen) // fshift
-    idx = fshift * np.arange(t)[:, None] + np.arange(flen)[None, :]
-    return x[idx]
+    return np.lib.stride_tricks.sliding_window_view(x, flen)[::fshift]
 
 
 def mel_filterbank(

@@ -61,9 +61,7 @@ class UtteranceManifest:
 def read_manifest(path) -> UtteranceManifest:
     """TSV manifest: `utt_id<TAB>path<TAB>duration_s<TAB>sample_rate`."""
     utts = []
-    for ln, fields in records(path):
-        if len(fields) != 4:
-            raise FormatError(f"{path}:{ln}: expected 4 tab-separated fields")
+    for ln, fields in records(path, "4 tab-separated fields", fields=(4, 4)):
         try:
             utts.append(
                 Utterance(fields[0], fields[1], float(fields[2]), int(fields[3]))
@@ -199,9 +197,7 @@ def write_plan(plan: AugmentPlan, path) -> None:
 
 def read_plan(path, manifest: UtteranceManifest) -> AugmentPlan:
     entries = []
-    for ln, fields in records(path):
-        if len(fields) != 4:
-            raise FormatError(f"{path}:{ln}: expected 4 tab-separated fields")
+    for ln, fields in records(path, "4 tab-separated fields", fields=(4, 4)):
         try:
             speed = float(fields[3])
         except ValueError:

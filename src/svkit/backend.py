@@ -41,10 +41,6 @@ class LdaStage:
             raise ContractError("LDA projection must be a finite D x k matrix")
         object.__setattr__(self, "projection", p)
 
-    @property
-    def out_dim(self) -> int:
-        return self.projection.shape[1]
-
 
 @dataclass(frozen=True)
 class Pipeline:

@@ -128,11 +128,14 @@ def min_dcf(scores: LabeledScores, op: OperatingPoint) -> tuple[float, float]:
 
 
 def act_dcf(scores: LabeledScores, op: OperatingPoint, threshold: float) -> float:
-    """Normalized detection cost of the fixed decision threshold."""
-    p_miss = float(np.mean(scores.target < threshold))
-    p_fa = float(np.mean(scores.nontarget >= threshold))
+    """Normalized detection cost of the fixed decision threshold (not NaN)."""
+    if np.isnan(threshold):
+        raise ContractError("threshold must not be NaN")
+    p_fa, p_miss, thresholds = roc_points(scores)
+    i = int(np.searchsorted(thresholds, threshold, "left"))  # no score lies between two thresholds
     norm = min(op.c_miss * op.p_target, op.c_fa * (1 - op.p_target))
-    return (op.c_miss * op.p_target * p_miss + op.c_fa * (1 - op.p_target) * p_fa) / norm
+    cost = op.c_miss * op.p_target * p_miss[i] + op.c_fa * (1 - op.p_target) * p_fa[i]
+    return float(cost) / norm
 
 
 def c_primary(scores: LabeledScores, ops: list[OperatingPoint]) -> float:

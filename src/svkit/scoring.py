@@ -48,9 +48,8 @@ def parse_trials(path) -> TrialList:
     labels: list[bool] = []
     seen: set[tuple[str, str]] = set()
     labeled: bool | None = None
-    for ln, fields in records(path, sep=None, comment=True):
-        if len(fields) not in (2, 3):
-            raise FormatError(f"{path}:{ln}: expected 'enroll test [label]'")
+    for ln, fields in records(path, "'enroll test [label]'", fields=(2, 3),
+                              sep=None, comment=True):
         pair = (fields[0], fields[1])
         if pair in seen:
             raise FormatError(f"{path}:{ln}: duplicate pair {pair[0]} {pair[1]}")
@@ -105,9 +104,8 @@ def build_enrollment(
 def parse_enroll_map(path) -> dict[str, list[str]]:
     """Parse `model seg1 seg2 ...` lines (one model per line)."""
     out: dict[str, list[str]] = {}
-    for ln, fields in records(path, sep=None, comment=True):
-        if len(fields) < 2:
-            raise FormatError(f"{path}:{ln}: expected 'model seg1 [seg2 ...]'")
+    for ln, fields in records(path, "'model seg1 [seg2 ...]'", fields=(2, None),
+                              sep=None, comment=True):
         if fields[0] in out:
             raise FormatError(f"{path}:{ln}: duplicate model {fields[0]!r}")
         out[fields[0]] = fields[1:]
@@ -170,9 +168,7 @@ def write_scores(trials: TrialList, scores: np.ndarray, path) -> None:
 
 def read_scores(path) -> dict[tuple[str, str], float]:
     out: dict[tuple[str, str], float] = {}
-    for ln, fields in records(path):
-        if len(fields) != 3:
-            raise FormatError(f"{path}:{ln}: expected 'enroll<TAB>test<TAB>score'")
+    for ln, fields in records(path, "'enroll<TAB>test<TAB>score'", fields=(3, 3)):
         try:
             score = float(fields[2])
         except ValueError:

@@ -48,18 +48,24 @@ def text_lines(path) -> Iterator[tuple[int, str]]:
             raise FormatError(f"{path}: not UTF-8 text") from None
 
 
-def records(path, sep="\t", comment=False) -> Iterator[tuple[int, list[str]]]:
+def records(path, expect, *, fields, sep="\t", comment=False) -> Iterator[tuple[int, list[str]]]:
     """Stream (line number, fields) for each non-blank line of text_lines(path).
 
     Fields are the line, minus its newline, split at ``sep``; ``sep=None``
     splits at any run of whitespace.  ``comment=True`` first drops
-    everything from the first ``#``.
+    everything from the first ``#``.  A record with fewer than ``lo`` or
+    more than ``hi`` fields (``fields=(lo, hi)``, ``hi=None``: no upper
+    bound) is a FormatError ``path:ln: expected <expect>``.
     """
+    lo, hi = fields
     for ln, line in text_lines(path):
         if comment:
             line = line.split("#", 1)[0]
         if line.strip():
-            yield ln, line.split() if sep is None else line.rstrip("\n").split(sep)
+            values = line.split() if sep is None else line.rstrip("\n").split(sep)
+            if len(values) < lo or (hi is not None and len(values) > hi):
+                raise FormatError(f"{path}:{ln}: expected {expect}")
+            yield ln, values
 
 
 @contextmanager
@@ -202,29 +208,32 @@ def _parse_sveb(path) -> EmbeddingSet:
         return EmbeddingSet(ids, vecs)
 
 
-def _parse_tsv(path) -> EmbeddingSet:
+def _numeric_rows(path, first: int, dtype) -> tuple[list[str], np.ndarray]:
+    """Field 0 of every record, and the floats from field ``first`` on as a
+    ``dtype`` matrix with every row as wide as the first: an id-prefixed
+    (first=1, each record an id and at least one value) or plain (first=0) TSV."""
     ids = []
     rows = []
-    dim = None
-    for ln, fields in records(path):
-        if len(fields) < 2:
-            raise FormatError(f"{path}:{ln}: expected id and at least one value")
+    for ln, fields in records(path, "id and at least one value", fields=(first + 1, None)):
         try:
-            row = [float(v) for v in fields[1:]]
+            row = [float(v) for v in fields[first:]]
         except ValueError:
             raise FormatError(f"{path}:{ln}: non-numeric value") from None
-        if dim is None:
-            dim = len(row)
-        elif len(row) != dim:
+        if rows and len(row) != len(rows[0]):
             raise FormatError(
-                f"{path}:{ln}: dimension {len(row)} != {dim} of first record"
+                f"{path}:{ln}: dimension {len(row)} != {len(rows[0])} of first record"
             )
         ids.append(fields[0])
         rows.append(row)
-    if dim is None:
+    if not rows:
         raise FormatError(f"{path}: no records")
+    return ids, np.asarray(rows, dtype=dtype)
+
+
+def _parse_tsv(path) -> EmbeddingSet:
+    ids, vectors = _numeric_rows(path, 1, np.float32)
     with record_errors(path):  # a bad or duplicate id, or a non-finite value, as in SVEB
-        return EmbeddingSet(ids, np.asarray(rows, dtype=np.float32))
+        return EmbeddingSet(ids, vectors)
 
 
 def read_embeddings(path) -> EmbeddingSet:
@@ -240,9 +249,7 @@ def write_labels(labels: Mapping[str, str], path) -> None:
 
 def read_labels(path) -> dict[str, str]:
     out: dict[str, str] = {}
-    for ln, fields in records(path):
-        if len(fields) != 2:
-            raise FormatError(f"{path}:{ln}: expected 'id<TAB>label'")
+    for ln, fields in records(path, "'id<TAB>label'", fields=(2, 2)):
         if fields[0] in out:
             raise FormatError(f"{path}:{ln}: duplicate id {fields[0]!r}")
         out[fields[0]] = fields[1]
@@ -270,23 +277,18 @@ def write_matrix_tsv(values: np.ndarray, path) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a matrix: SVEB, id-prefixed TSV, or plain numeric TSV."""
+    """Read a float64 matrix: SVEB, id-prefixed TSV (read as float32
+    embeddings), or plain numeric TSV when the first field of the first
+    record is a number."""
     if _is_sveb(path):
         return _parse_sveb(path).vectors.astype(np.float64)
-    rows = []
-    for ln, fields in records(path):
+    for _, fields in records(path, "a value", fields=(1, None)):
         try:
-            rows.append([float(v) for v in fields])
-        except ValueError:
-            if rows:  # the first record fixed the plain layout
-                raise FormatError(f"{path}:{ln}: non-numeric value") from None
-            # the first record starts with an id, not a number: id-prefixed layout
+            float(fields[0])
+        except ValueError:  # the first record starts with an id
             return _parse_tsv(path).vectors.astype(np.float64)
-        if len(rows[-1]) != len(rows[0]):
-            raise FormatError(f"{path}:{ln}: inconsistent row length")
-    if not rows:
-        raise FormatError(f"{path}: no rows")
-    m = np.asarray(rows, dtype=np.float64)
+        break  # the first record alone picks the layout
+    _, m = _numeric_rows(path, 0, np.float64)
     if not np.all(np.isfinite(m)):  # as the SVEB and id-prefixed layouts reject
         raise FormatError(f"{path}: non-finite matrix values")
     return m

@@ -10,19 +10,26 @@ oracle casts, normalises and dots a block of gathered row pairs together.
 The enrollment oracle is the dict-of-vectors path that enrollment took
 before it read an embedding set directly.  The text-writer oracles format
 one value per f-string, and the LDA oracle solves its generalized
-eigenproblem with scipy.linalg.eigh.
+eigenproblem with scipy.linalg.eigh.  The framing oracle gathers frames
+through an index array, the actual-DCF oracle counts errors by direct
+comparison, and the text-reader oracles are the package's earlier readers,
+each with its own field-count check, kept verbatim with the record reader
+they called.
 """
 
 import math
 import shlex
+from typing import Iterator
 
 import numpy as np
 import scipy.linalg
 
 from svkit.audio import AudioBuffer
-from svkit.augment import CHAIN_DOWN8K, CHAIN_KEEP16K
-from svkit.errors import ContractError
-from svkit.store import EmbeddingSet
+from svkit.augment import (CHAIN_DOWN8K, CHAIN_KEEP16K, AugmentPlan, PlanEntry, Utterance,
+                           UtteranceManifest)
+from svkit.errors import ContractError, FormatError
+from svkit.scoring import _LABELS, TrialList
+from svkit.store import EmbeddingSet, _is_sveb, _parse_sveb, record_errors, text_lines
 
 _RESAMPLE_CELLS = 1 << 22  # resample works on at most this many (output, tap) cells at once
 
@@ -314,3 +321,185 @@ def oracle_lda(s, k=None):
         if nz.size and col[nz[0]] < 0:
             proj[:, j] = -col
     return proj, vals
+
+
+def oracle_frame_signal(x: np.ndarray, flen: int, fshift: int) -> np.ndarray:
+    """svkit.audio._frame_signal as it was, gathering a copy of every frame
+    through an int64 (frames x frame length) index array."""
+    # snip-edges framing: T = 1 + floor((N - flen) / fshift)
+    if len(x) < flen:
+        raise ContractError(f"audio too short: {len(x)} samples < one {flen}-sample frame")
+    t = 1 + (len(x) - flen) // fshift
+    idx = fshift * np.arange(t)[:, None] + np.arange(flen)[None, :]
+    return x[idx]
+
+
+def oracle_act_dcf(scores, op, threshold: float) -> float:
+    """svkit.metrics.act_dcf as it was: error rates counted by comparing
+    every score with the threshold."""
+    p_miss = float(np.mean(scores.target < threshold))
+    p_fa = float(np.mean(scores.nontarget >= threshold))
+    norm = min(op.c_miss * op.p_target, op.c_fa * (1 - op.p_target))
+    return (op.c_miss * op.p_target * p_miss + op.c_fa * (1 - op.p_target) * p_fa) / norm
+
+
+def oracle_records(path, sep="\t", comment=False) -> Iterator[tuple[int, list[str]]]:
+    """Stream (line number, fields) for each non-blank line of text_lines(path).
+
+    Fields are the line, minus its newline, split at ``sep``; ``sep=None``
+    splits at any run of whitespace.  ``comment=True`` first drops
+    everything from the first ``#``.
+    """
+    for ln, line in text_lines(path):
+        if comment:
+            line = line.split("#", 1)[0]
+        if line.strip():
+            yield ln, line.split() if sep is None else line.rstrip("\n").split(sep)
+
+
+def oracle_parse_tsv(path) -> EmbeddingSet:
+    ids = []
+    rows = []
+    dim = None
+    for ln, fields in oracle_records(path):
+        if len(fields) < 2:
+            raise FormatError(f"{path}:{ln}: expected id and at least one value")
+        try:
+            row = [float(v) for v in fields[1:]]
+        except ValueError:
+            raise FormatError(f"{path}:{ln}: non-numeric value") from None
+        if dim is None:
+            dim = len(row)
+        elif len(row) != dim:
+            raise FormatError(
+                f"{path}:{ln}: dimension {len(row)} != {dim} of first record"
+            )
+        ids.append(fields[0])
+        rows.append(row)
+    if dim is None:
+        raise FormatError(f"{path}: no records")
+    with record_errors(path):  # a bad or duplicate id, or a non-finite value, as in SVEB
+        return EmbeddingSet(ids, np.asarray(rows, dtype=np.float32))
+
+
+def oracle_read_matrix(path) -> np.ndarray:
+    """Read a matrix: SVEB, id-prefixed TSV, or plain numeric TSV."""
+    if _is_sveb(path):
+        return _parse_sveb(path).vectors.astype(np.float64)
+    rows = []
+    for ln, fields in oracle_records(path):
+        try:
+            rows.append([float(v) for v in fields])
+        except ValueError:
+            if rows:  # the first record fixed the plain layout
+                raise FormatError(f"{path}:{ln}: non-numeric value") from None
+            # the first record starts with an id, not a number: id-prefixed layout
+            return oracle_parse_tsv(path).vectors.astype(np.float64)
+        if len(rows[-1]) != len(rows[0]):
+            raise FormatError(f"{path}:{ln}: inconsistent row length")
+    if not rows:
+        raise FormatError(f"{path}: no rows")
+    m = np.asarray(rows, dtype=np.float64)
+    if not np.all(np.isfinite(m)):  # as the SVEB and id-prefixed layouts reject
+        raise FormatError(f"{path}: non-finite matrix values")
+    return m
+
+
+def oracle_read_labels(path) -> dict[str, str]:
+    out: dict[str, str] = {}
+    for ln, fields in oracle_records(path):
+        if len(fields) != 2:
+            raise FormatError(f"{path}:{ln}: expected 'id<TAB>label'")
+        if fields[0] in out:
+            raise FormatError(f"{path}:{ln}: duplicate id {fields[0]!r}")
+        out[fields[0]] = fields[1]
+    return out
+
+
+def oracle_parse_trials(path) -> TrialList:
+    """Parse whitespace-separated `enroll test [label]` lines.
+
+    `#` starts a comment; labels are matched case-insensitively against
+    target/nontarget and must be present on all lines or none.
+    """
+    pairs: list[tuple[str, str]] = []
+    labels: list[bool] = []
+    seen: set[tuple[str, str]] = set()
+    labeled: bool | None = None
+    for ln, fields in oracle_records(path, sep=None, comment=True):
+        if len(fields) not in (2, 3):
+            raise FormatError(f"{path}:{ln}: expected 'enroll test [label]'")
+        pair = (fields[0], fields[1])
+        if pair in seen:
+            raise FormatError(f"{path}:{ln}: duplicate pair {pair[0]} {pair[1]}")
+        seen.add(pair)
+        has_label = len(fields) == 3
+        if labeled is None:
+            labeled = has_label
+        elif labeled != has_label:
+            raise FormatError(f"{path}:{ln}: mixed labeled and unlabeled lines")
+        if has_label:
+            key = fields[2].lower()
+            if key not in _LABELS:
+                raise FormatError(f"{path}:{ln}: unknown label {fields[2]!r}")
+            labels.append(_LABELS[key])
+        pairs.append(pair)
+    return TrialList(pairs, np.asarray(labels, dtype=bool) if labeled else None)
+
+
+def oracle_parse_enroll_map(path) -> dict[str, list[str]]:
+    """Parse `model seg1 seg2 ...` lines (one model per line)."""
+    out: dict[str, list[str]] = {}
+    for ln, fields in oracle_records(path, sep=None, comment=True):
+        if len(fields) < 2:
+            raise FormatError(f"{path}:{ln}: expected 'model seg1 [seg2 ...]'")
+        if fields[0] in out:
+            raise FormatError(f"{path}:{ln}: duplicate model {fields[0]!r}")
+        out[fields[0]] = fields[1:]
+    return out
+
+
+def oracle_read_scores(path) -> dict[tuple[str, str], float]:
+    out: dict[tuple[str, str], float] = {}
+    for ln, fields in oracle_records(path):
+        if len(fields) != 3:
+            raise FormatError(f"{path}:{ln}: expected 'enroll<TAB>test<TAB>score'")
+        try:
+            score = float(fields[2])
+        except ValueError:
+            raise FormatError(f"{path}:{ln}: bad score {fields[2]!r}") from None
+        key = (fields[0], fields[1])
+        if key in out:
+            raise FormatError(f"{path}:{ln}: duplicate pair {key[0]} {key[1]}")
+        out[key] = score
+    return out
+
+
+def oracle_read_manifest(path) -> UtteranceManifest:
+    """TSV manifest: `utt_id<TAB>path<TAB>duration_s<TAB>sample_rate`."""
+    utts = []
+    for ln, fields in oracle_records(path):
+        if len(fields) != 4:
+            raise FormatError(f"{path}:{ln}: expected 4 tab-separated fields")
+        try:
+            utts.append(
+                Utterance(fields[0], fields[1], float(fields[2]), int(fields[3]))
+            )
+        except ValueError:
+            raise FormatError(f"{path}:{ln}: bad duration or sample rate") from None
+    with record_errors(path):  # a duplicate id, or a bad duration or rate
+        return UtteranceManifest(utts)
+
+
+def oracle_read_plan(path, manifest: UtteranceManifest) -> AugmentPlan:
+    entries = []
+    for ln, fields in oracle_records(path):
+        if len(fields) != 4:
+            raise FormatError(f"{path}:{ln}: expected 4 tab-separated fields")
+        try:
+            speed = float(fields[3])
+        except ValueError:
+            raise FormatError(f"{path}:{ln}: bad speed factor") from None
+        entries.append(PlanEntry(fields[0], fields[1], fields[2], speed))
+    with record_errors(path):  # entries that do not match the manifest, or a bad field
+        return AugmentPlan(manifest, entries)

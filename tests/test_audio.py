@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_phase_table_resample, oracle_resample
+from oracles import oracle_frame_signal, oracle_phase_table_resample, oracle_resample
 
 from svkit import audio
 from svkit.errors import ContractError, FormatError
@@ -253,6 +253,36 @@ class TestResample:
         want = oracle_resample(x, 16000, target)
         assert out.samples.shape == want.shape
         assert np.max(np.abs(out.samples - want)) <= 1e-9
+
+
+class TestFraming:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(0, 4000), rate=st.sampled_from([8000, 11025, 16000, 22050]),
+           len_ms=st.floats(1.0, 40.0), shift_ms=st.floats(1.0, 40.0), seed=st.integers(0, 2**32 - 1))
+    def test_strided_frames_equal_gathered_frames(self, n, rate, len_ms, shift_ms, seed):
+        flen, fshift = audio._frame_params(rate, len_ms, shift_ms)
+        x = np.random.default_rng(seed).uniform(-1, 1, n)
+        if n < flen:
+            for frame in (audio._frame_signal, oracle_frame_signal):
+                with pytest.raises(ContractError, match="audio too short"):
+                    frame(x, flen, fshift)
+            return
+        frames = audio._frame_signal(x, flen, fshift)
+        np.testing.assert_array_equal(frames, oracle_frame_signal(x, flen, fshift))
+        assert not frames.flags.writeable  # a view of the signal, never written through
+        # every value computed from the frames is bitwise what the gathered frames gave
+        buf = audio.AudioBuffer(x.copy(), rate)
+        vad = audio.VadConfig(frame_len_ms=len_ms, frame_shift_ms=shift_ms)
+        fbank = audio.FbankConfig(n_mels=23, frame_len_ms=max(len_ms, shift_ms),
+                                  frame_shift_ms=min(len_ms, shift_ms))
+        if n < audio._frame_params(rate, fbank.frame_len_ms, fbank.frame_shift_ms)[0]:
+            return
+        got = audio.frame_log_energies(buf, vad), audio.log_mel_fbank(buf, fbank).values
+        with mock.patch.object(audio, "_frame_signal", oracle_frame_signal):
+            want = audio.frame_log_energies(buf, vad), audio.log_mel_fbank(buf, fbank).values
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        np.testing.assert_array_equal(buf.samples, x)  # pre-emphasis wrote to a copy
 
 
 class TestFbank:

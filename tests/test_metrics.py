@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_eer, oracle_min_dcf, oracle_points
+from oracles import oracle_act_dcf, oracle_eer, oracle_min_dcf, oracle_points
 
 from svkit import metrics
 from svkit.errors import ContractError
@@ -182,6 +182,27 @@ class TestActDcf:
         p_fa = np.mean(s.nontarget >= thr)
         want = (3.0 * 0.17 * p_miss + 0.8 * 0.83 * p_fa) / min(3.0 * 0.17, 0.8 * 0.83)
         assert abs(metrics.act_dcf(s, op, thr) - want) < 1e-12
+
+    def test_nan_threshold_rejected(self):
+        s = metrics.LabeledScores([0.5, 0.7], [0.2, 0.4])
+        with pytest.raises(ContractError, match="NaN"):
+            metrics.act_dcf(s, metrics.OperatingPoint(0.3), float("nan"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(tar=st.lists(st.integers(-5, 5), min_size=1, max_size=30),
+           non=st.lists(st.integers(-5, 5), min_size=1, max_size=30),
+           scale=st.sampled_from([1.0, 0.1, 1e-3, 1e300]),
+           threshold=st.one_of(st.integers(-6, 6).map(float), st.floats(allow_nan=False),
+                               st.sampled_from([np.inf, -np.inf, 1e300, -1e300])),
+           p_target=st.floats(0.01, 0.99), c_miss=st.floats(0.1, 10), c_fa=st.floats(0.1, 10))
+    def test_equals_direct_count(self, tar, non, scale, threshold, p_target, c_miss, c_fa):
+        """Read off the sweep, the cost is bitwise the one from counting each
+        score against the threshold, with tied scores and a threshold on a score."""
+        s = metrics.LabeledScores(np.array(tar) * scale, np.array(non) * scale)
+        op = metrics.OperatingPoint(p_target, c_miss, c_fa)
+        for t in (threshold, threshold * scale):
+            got = metrics.act_dcf(s, op, t)
+            assert type(got) is float and got == oracle_act_dcf(s, op, t)
 
 
 class TestCPrimary:

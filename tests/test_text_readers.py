@@ -1,11 +1,19 @@
 """Every line-oriented text reader against bad bytes: not UTF-8, records its
 constructor rejects, and arbitrary input.  Each may raise FormatError (or
-OSError) on bad input and nothing else."""
+OSError) on bad input and nothing else, and each returns or raises what the
+earlier readers in oracles.py did."""
 
+import ast
+import re
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from svkit import augment, cli, scoring, store
 from svkit.errors import FormatError
 
@@ -89,10 +97,22 @@ TOKENS = [b"a", b"b", b" ", b"\t", b"\n", b"\r", b"\x0c", b"#", b"1", b"-2.5", b
           b"down8k", b"[score]", b"[x]", b"workers", b"=", b":", b"\xc2\x85", b"\xff", b"\xc3"]
 
 
+# fields of whole records, which every reader gets past its field-count check
+FIELDS = [b"a", b"b", b"1", b"-2.5", b"0", b"3", b"nan", b"1e999", b"16000", b"target", b"none",
+          b"keep16k"]
+FUZZ_BYTES = st.one_of(
+    st.binary(max_size=48),
+    st.lists(st.sampled_from(TOKENS), max_size=24).map(b"".join),
+    # up to 5 records, each of 1 to 4 fields joined by one separator
+    st.lists(st.tuples(st.sampled_from([b"\t", b" "]),
+                       st.lists(st.sampled_from(FIELDS), min_size=1, max_size=4))
+             .map(lambda sep_fields: sep_fields[0].join(sep_fields[1]) + b"\n"),
+             max_size=5).map(b"".join))
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.one_of(st.binary(max_size=48),
-                      st.lists(st.sampled_from(TOKENS), max_size=24).map(b"".join)))
+@given(data=FUZZ_BYTES)
 def test_arbitrary_bytes_only_format_error(tmp_path, data):
     path = tmp_path / "fuzz.txt"
     path.write_bytes(data)
@@ -101,3 +121,115 @@ def test_arbitrary_bytes_only_format_error(tmp_path, data):
             read(path)
         except (FormatError, OSError):
             pass
+
+
+ORACLES = {
+    "trials": oracles.oracle_parse_trials,
+    "enroll-map": oracles.oracle_parse_enroll_map,
+    "scores": oracles.oracle_read_scores,
+    "labels": oracles.oracle_read_labels,
+    "manifest": oracles.oracle_read_manifest,
+    "plan": lambda path: oracles.oracle_read_plan(path, MANIFEST),
+    "embeddings": lambda path: (store._parse_sveb(path) if store._is_sveb(path)
+                                else oracles.oracle_parse_tsv(path)),
+    "matrix": oracles.oracle_read_matrix,
+}
+
+# the only messages that changed: a plain matrix now words a short row and an
+# empty file as id-prefixed TSV does
+REWORDED = {"matrix": {"inconsistent row length": r"dimension \d+ != \d+ of first record",
+                       "no rows": "no records"}}
+
+
+def _outcome(read, path):
+    """What read(path) returns, in a form that == compares (NaN included),
+    or the type and message of what it raises."""
+    try:
+        value = read(path)
+    except (FormatError, OSError) as e:
+        return "raises", type(e), str(e)
+    def array(a):
+        return None if a is None else (a.dtype.str, a.shape, a.tobytes())
+
+    if isinstance(value, store.EmbeddingSet):
+        value = (value.ids, array(value.vectors), value.labels)
+    elif isinstance(value, scoring.TrialList):
+        value = (value.pairs, array(value.labels))
+    elif isinstance(value, np.ndarray):
+        value = array(value)
+    return "returns", repr(value)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=FUZZ_BYTES)
+def test_readers_match_earlier_readers(tmp_path, data):
+    path = tmp_path / "fuzz.txt"
+    path.write_bytes(data)
+    for name, old_read in ORACLES.items():
+        want, got = _outcome(old_read, path), _outcome(READERS[name], path)
+        for old, new in REWORDED.get(name, {}).items():
+            if want[0] == "raises" and want[2].endswith(": " + old):
+                prefix = re.escape(want[2][: -len(old)])  # the path and line number
+                assert got[:2] == want[:2] and re.fullmatch(prefix + new, got[2]), (name, data)
+                break
+        else:
+            assert got == want, (name, data)
+
+
+@pytest.mark.parametrize("text, old, new", [
+    (b"1\t2\n3\n", "inconsistent row length", "dimension 1 != 2 of first record"),
+    (b"\n \n", "no rows", "no records")])
+def test_plain_matrix_rewordings(tmp_path, text, old, new):
+    path = tmp_path / "m.tsv"
+    path.write_bytes(text)
+    for read, message in ((oracles.oracle_read_matrix, old), (store.read_matrix, new)):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            read(path)
+
+
+def _callee(call: ast.Call) -> str | None:
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def _record_readers() -> dict[tuple[str, int], str]:
+    """(file, first line) -> name of every svkit function whose body
+    calls store.records or store.text_lines."""
+    found = {}
+    for path in sorted(Path(store.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            calls = {_callee(n) for n in ast.walk(node) if isinstance(n, ast.Call)}
+            if calls & {"records", "text_lines"}:
+                first = min([d.lineno for d in node.decorator_list] + [node.lineno])
+                found[(str(path), first)] = f"{path.stem}.{node.name}"
+    return found
+
+
+def test_every_record_reader_is_fuzzed(tmp_path):
+    """A function that reads text records must be reached by an entry of
+    READERS, so that the fuzz tests above cover it."""
+    readers = _record_readers()
+    assert {"scoring.parse_trials", "store.read_matrix", "cli._load_config"} <= set(readers.values())
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    path = tmp_path / "in.txt"
+    for text in (b"", b"a\tb\n", b"1\t2\n", b"a 1\n"):
+        path.write_bytes(text)
+        sys.setprofile(profile)
+        try:
+            for read in READERS.values():
+                try:
+                    read(path)
+                except (FormatError, OSError):
+                    pass
+        finally:
+            sys.setprofile(None)
+    missing = sorted(name for key, name in readers.items() if key not in reached)
+    assert not missing, f"not reached by test_text_readers.READERS: {missing}"
