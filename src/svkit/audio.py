@@ -174,6 +174,8 @@ class FbankConfig:
             )
         if self.log_floor <= 0:
             raise ContractError(f"log_floor must be positive, got {self.log_floor}")
+        if not self.dither >= 0:  # NaN fails too
+            raise ContractError(f"dither must be >= 0, got {self.dither}")
 
 
 @dataclass

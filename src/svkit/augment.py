@@ -14,13 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .chains import CHAIN_DOWN8K, CHAIN_DOWN8K_UP16K, CHAIN_KEEP16K, CHAINS
 from .errors import ContractError, FormatError
 from .store import record_errors, records
-
-CHAIN_KEEP16K = "keep16k"
-CHAIN_DOWN8K = "down8k"
-CHAIN_DOWN8K_UP16K = "down8k-up16k"
-CHAINS = (CHAIN_KEEP16K, CHAIN_DOWN8K, CHAIN_DOWN8K_UP16K)
 
 SPEED_FACTORS = (0.9, 1.0, 1.1)
 

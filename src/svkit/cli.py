@@ -5,19 +5,22 @@ dcf-curve, augment-plan, schedule.  Options may also come from a sectioned
 ``key = value`` config file (one section per subcommand); command-line
 flags take precedence and unknown config keys are errors.
 
+Start-up is the largest cost of a short command, so a command imports the
+svkit modules it runs only when it runs.
+
 Exit codes: 0 ok, 1 usage, 2 format, 3 contract, 4 I/O.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import audio, augment, backend, metrics, scoring, store
+from . import store
+from .chains import CHAIN_DOWN8K, CHAINS
 from .errors import ContractError, FormatError
 
 
@@ -48,6 +51,8 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _load_config(path) -> dict[str, dict[str, str]]:
+    import configparser
+
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     try:
@@ -179,7 +184,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--manifest", required=True, help="TSV utt_id<TAB>path<TAB>duration<TAB>rate")
     s.add_argument("--out-dir", required=True)
     s.add_argument("--fraction", type=float, default=0.5, help="fraction of utterances to codec-flag")
-    s.add_argument("--mode", default=augment.CHAIN_DOWN8K, choices=list(augment.CHAINS), help="rate chain")
+    s.add_argument("--mode", default=CHAIN_DOWN8K, choices=list(CHAINS), help="rate chain")
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--speed-perturb", action=flag, default=False)
     s.add_argument("--speed-seed", type=int, help="defaults to seed + 1")
@@ -212,6 +217,8 @@ def _collect_wavs(inputs) -> list[Path]:
 
 
 def cmd_features(args) -> int:
+    from . import audio
+
     wavs = _collect_wavs(args.inputs)
     if not wavs:
         raise UsageError("no input wav files")
@@ -264,7 +271,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_pool(args) -> int:
-    from . import pooling  # about 10 ms of imports that no other command needs
+    from . import pooling
 
     x = store.read_matrix(args.matrix)
     if args.method in ("asp", "mhfa") and args.seed is None:
@@ -292,15 +299,12 @@ def cmd_pool(args) -> int:
     return 0
 
 
-def _load_labeled(path, labels_path):
-    s = store.read_embeddings(path)
-    if labels_path is not None:
-        s.labels = store.read_labels(labels_path)
-    return s
-
-
 def cmd_fit_backend(args) -> int:
-    s = _load_labeled(args.embeddings, args.labels)
+    from . import backend
+
+    s = store.read_embeddings(args.embeddings)
+    if args.labels is not None:
+        s.labels = store.read_labels(args.labels)
     center = backend.fit_center(s) if args.center else None
     lda = None
     if args.lda:
@@ -320,6 +324,8 @@ def cmd_fit_backend(args) -> int:
 
 
 def cmd_apply_backend(args) -> int:
+    from . import backend
+
     pipe = backend.load_pipeline(args.pipeline)
     s = store.read_embeddings(args.embeddings)
     out = backend.apply_pipeline(pipe, s)
@@ -332,6 +338,8 @@ def cmd_apply_backend(args) -> int:
 
 
 def cmd_score(args) -> int:
+    from . import scoring
+
     enroll = store.read_embeddings(args.enroll)
     tests = store.read_embeddings(args.test)
     trials = scoring.parse_trials(args.trials)
@@ -346,6 +354,8 @@ def cmd_score(args) -> int:
 
 
 def _labeled_scores(scores_path, trials_path):
+    from . import metrics, scoring
+
     trials = scoring.parse_trials(trials_path)
     if trials.labels is None:
         raise ContractError(f"{trials_path}: trial list has no target/nontarget labels")
@@ -361,14 +371,14 @@ def _labeled_scores(scores_path, trials_path):
     return metrics.LabeledScores(values[trials.labels], values[~trials.labels])
 
 
-def _operating_points(args) -> tuple[list[metrics.OperatingPoint], bool]:
-    if args.p_target:
-        return [metrics.OperatingPoint(p, args.c_miss, args.c_fa) for p in args.p_target], False
-    return list(metrics.DEFAULT_OPERATING_POINTS), True
-
-
 def cmd_eval(args) -> int:
-    ops, is_default = _operating_points(args)  # a bad operating point fails before any read
+    from . import metrics
+
+    is_default = not args.p_target
+    if is_default:
+        ops = list(metrics.DEFAULT_OPERATING_POINTS)
+    else:  # a bad operating point fails here, before any read
+        ops = [metrics.OperatingPoint(p, args.c_miss, args.c_fa) for p in args.p_target]
     scores = _labeled_scores(args.scores, args.trials)
     tag = " [default]" if is_default else ""
     err = metrics.eer(scores)
@@ -396,6 +406,8 @@ def cmd_eval(args) -> int:
 
 
 def _parse_mark(spec: str) -> metrics.OperatingPoint:
+    from . import metrics
+
     try:
         values = [float(v) for v in spec.split(":")]
     except ValueError:
@@ -406,6 +418,8 @@ def _parse_mark(spec: str) -> metrics.OperatingPoint:
 
 
 def cmd_dcf_curve(args) -> int:
+    from . import metrics
+
     marked = [_parse_mark(m) for m in args.mark] if args.mark else []  # before any read, as in eval
     scores = _labeled_scores(args.scores, args.trials)
     curve = metrics.dcf_curve(scores, args.lo, args.hi, args.points, marked)
@@ -426,6 +440,8 @@ def cmd_dcf_curve(args) -> int:
 
 
 def cmd_augment_plan(args) -> int:
+    from . import augment
+
     manifest = augment.read_manifest(args.manifest)
     plan = augment.assign_codec(manifest, args.fraction, args.seed)
     plan = augment.plan_rate_chain(plan, args.mode)
@@ -441,7 +457,7 @@ def cmd_augment_plan(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    from . import objectives  # about 5 ms of imports that no other command needs
+    from . import objectives
 
     msched = objectives.MarginSchedule(
         start_epoch=args.margin_start, end_epoch=args.margin_end, final=args.margin_final,
@@ -487,6 +503,10 @@ _DISPATCH = {
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        for option in ("seed", "speed_seed"):  # numpy seeds no generator from a negative int
+            value = getattr(args, option, None)
+            if value is not None and value < 0:
+                raise UsageError(f"--{option.replace('_', '-')} must be >= 0, got {value}")
         return _DISPATCH[args.command](args)
     except UsageError as e:
         print(f"svkit: usage error: {e}", file=sys.stderr)

@@ -30,6 +30,13 @@ def _as_frames(frames) -> np.ndarray:
     return x
 
 
+def _check_sizes(**sizes) -> None:
+    """A parameter size below 1 (None: not given) is a ContractError that names it."""
+    for name, size in sizes.items():
+        if size is not None and size < 1:
+            raise ContractError(f"{name} must be >= 1, got {size}")
+
+
 def tstp(frames) -> np.ndarray:
     """Temporal statistics pooling: concat of per-channel mean and std (2D)."""
     x = _as_frames(frames)
@@ -58,6 +65,7 @@ class AspParams:
 
     @classmethod
     def random(cls, in_dim: int, hidden_dim: int, rng: np.random.Generator) -> "AspParams":
+        _check_sizes(in_dim=in_dim, hidden_dim=hidden_dim)
         scale = 1.0 / np.sqrt(in_dim)
         return cls(
             hidden=rng.normal(0.0, scale, size=(in_dim, hidden_dim)),
@@ -222,6 +230,8 @@ class MhfaParams:
         embed_dim: int = 256,
         head_dim: int | None = None,
     ) -> "MhfaParams":
+        _check_sizes(num_layers=num_layers, in_dim=in_dim, num_heads=num_heads, key_dim=key_dim,
+                     embed_dim=embed_dim, head_dim=head_dim)
         if head_dim is None:
             if embed_dim % num_heads:
                 raise ContractError(

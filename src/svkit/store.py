@@ -25,7 +25,7 @@ from .errors import ContractError, FormatError
 MAGIC = b"SVEB"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<HQI")  # version, count, dim
-TEXT_BLOCK = 1 << 14  # values per tolist() in the text writers: no whole-set list is held
+TEXT_BLOCK = 1 << 14  # values per tolist() or array block of text I/O: no whole-set list is held
 
 
 def row_blocks(n: int, width: int) -> Iterator[slice]:
@@ -213,21 +213,28 @@ def _numeric_rows(path, first: int, dtype) -> tuple[list[str], np.ndarray]:
     ``dtype`` matrix with every row as wide as the first: an id-prefixed
     (first=1, each record an id and at least one value) or plain (first=0) TSV."""
     ids = []
-    rows = []
+    blocks = []  # arrays of `step` rows, as in row_blocks; the last is filled to len(ids)
     for ln, fields in records(path, "id and at least one value", fields=(first + 1, None)):
         try:
             row = [float(v) for v in fields[first:]]
         except ValueError:
             raise FormatError(f"{path}:{ln}: non-numeric value") from None
-        if rows and len(row) != len(rows[0]):
+        if not blocks:
+            width = len(row)
+            step = max(1, TEXT_BLOCK // width)
+        elif len(row) != width:
             raise FormatError(
-                f"{path}:{ln}: dimension {len(row)} != {len(rows[0])} of first record"
+                f"{path}:{ln}: dimension {len(row)} != {width} of first record"
             )
+        k = len(ids) % step
+        if k == 0:
+            blocks.append(np.empty((step, width), dtype=dtype))
+        blocks[-1][k] = row
         ids.append(fields[0])
-        rows.append(row)
-    if not rows:
+    if not blocks:
         raise FormatError(f"{path}: no records")
-    return ids, np.asarray(rows, dtype=dtype)
+    blocks[-1] = blocks[-1][: len(ids) - (len(blocks) - 1) * step]
+    return ids, np.concatenate(blocks)
 
 
 def _parse_tsv(path) -> EmbeddingSet:

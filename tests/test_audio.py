@@ -331,6 +331,11 @@ class TestFbank:
         out = audio.log_mel_fbank(buf, cfg, np.random.default_rng(0))
         assert np.all(np.isfinite(out.values))
 
+    @pytest.mark.parametrize("dither", [-1.0, -1e-300, np.nan])
+    def test_negative_dither_rejected(self, dither):
+        with pytest.raises(ContractError, match="dither must be >= 0"):
+            audio.FbankConfig(dither=dither)
+
     def test_non_finite_frame_geometry_rejected(self):
         # unchecked, int(round(inf)) raises OverflowError and int(round(nan)) ValueError
         buf = audio.AudioBuffer(np.zeros(16000), 16000)

@@ -121,6 +121,22 @@ class TestPoolCommand:
         path.write_text("1\t2\n")
         assert main(["pool", "--method", "asp", str(path)]) == 1
 
+    # unchecked, these exit 0 with a meaningless vector or end in a ZeroDivisionError
+    # or ValueError traceback
+    @pytest.mark.parametrize("argv, message", [
+        (["asp", "--hidden-dim", "0"], "hidden_dim must be >= 1, got 0"),
+        (["asp", "--hidden-dim", "-1"], "hidden_dim must be >= 1, got -1"),
+        (["mhfa", "--heads", "0"], "num_heads must be >= 1, got 0"),
+        (["mhfa", "--heads", "-2"], "num_heads must be >= 1, got -2"),
+        (["mhfa", "--key-dim", "0"], "key_dim must be >= 1, got 0"),
+        (["mhfa", "--embed-dim", "0"], "embed_dim must be >= 1, got 0")])
+    def test_size_below_one_exit_3(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "m.tsv"
+        path.write_text("1\t2\n3\t4\n")
+        assert main(["pool", "--seed", "1", "--method", *argv, str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"svkit: error: {message}\n"
+
     def test_mhfa_output_dim(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         path = tmp_path / "m.feats"
@@ -592,6 +608,30 @@ class TestConfigAndExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err and ("not a finite sample count" in err or "1..768000 Hz" in err)
 
+    @pytest.mark.parametrize("dither", ["-1", "nan"])  # unchecked, both meant no dither
+    def test_negative_dither_exit_3(self, tmp_path, capsys, dither):
+        wavs = make_wavs(tmp_path)
+        rc = main(["features", "--dither", dither, "--out-dir", str(tmp_path / "f"), str(wavs["tone"])])
+        assert rc == 3
+        assert f"dither must be >= 0, got {float(dither)}" in capsys.readouterr().err
+        assert not (tmp_path / "f" / "tone.feats").exists()
+
+    # unchecked, each ends in numpy's "expected non-negative integer" traceback
+    @pytest.mark.parametrize("argv, option", [
+        (["features", "--seed", "-1", "--dither", "0.1", "--out-dir", "{t}/f", "{t}/tone.wav"], "--seed"),
+        (["pool", "--method", "asp", "--seed", "-1", "{t}/m.tsv"], "--seed"),
+        (["pool", "--method", "mhfa", "--seed", "-1", "{t}/m.tsv"], "--seed"),
+        (["augment-plan", "--manifest", "{t}/man.tsv", "--out-dir", "{t}/a", "--seed", "-1"], "--seed"),
+        (["augment-plan", "--manifest", "{t}/man.tsv", "--out-dir", "{t}/a", "--seed", "1",
+          "--speed-perturb", "--speed-seed", "-5"], "--speed-seed")])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, argv, option):
+        make_wavs(tmp_path)
+        (tmp_path / "m.tsv").write_text("1\t2\n3\t4\n")
+        (tmp_path / "man.tsv").write_text("u\t/p.wav\t1.0\t16000\n")
+        assert main([a.format(t=tmp_path) for a in argv]) == 1
+        value = argv[argv.index(option) + 1]
+        assert capsys.readouterr().err == f"svkit: usage error: {option} must be >= 0, got {value}\n"
+
     def test_wav_chunk_past_riff_exit_2(self, tmp_path, capsys):
         # a fmt chunk size of 0x55 makes the reader take noise samples for
         # the next chunk header, whose size runs past the RIFF chunk
@@ -727,8 +767,56 @@ def _fresh_python(code, *args):
 _SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
 
 
+_IMPORT_CLI = {"svkit", "svkit.chains", "svkit.cli", "svkit.errors", "svkit.store"}
+# the svkit modules each command loads beyond those `import svkit.cli` loads
+_COMMAND_LOADS = {
+    "features": {"svkit.audio"},
+    "pool": {"svkit.pooling", "svkit.objectives"},
+    "fit-backend": {"svkit.backend"},
+    "apply-backend": {"svkit.backend"},
+    "score": {"svkit.scoring"},
+    "eval": {"svkit.scoring", "svkit.metrics"},
+    "dcf-curve": {"svkit.scoring", "svkit.metrics"},
+    "augment-plan": {"svkit.augment"},
+    "schedule": {"svkit.objectives"},
+}
+
+
+def _command_runs(tmp_path) -> list[list[str]]:
+    """Command lines for all nine commands on tiny inputs, each reading what
+    the ones before it wrote."""
+    s = synthetic_speakers(np.random.default_rng(5), n_spk=3, per_spk=4, dim=6)
+    store.write_embeddings(s, tmp_path / "e.sveb")
+    store.write_labels(s.labels, tmp_path / "e.labels")
+    (tmp_path / "trials.txt").write_text("".join(
+        f"{a} {b} {'target' if s.labels[a] == s.labels[b] else 'nontarget'}\n"
+        for a in s.ids[:6] for b in s.ids[6:]))
+    wavs = make_wavs(tmp_path)
+    augment.write_manifest(augment.UtteranceManifest(
+        [augment.Utterance(f"u{k}", f"/d/u{k}.wav", 2.0, 16000) for k in range(4)]),
+        tmp_path / "man.tsv")
+    t = str(tmp_path)
+    return [
+        ["features", "--resample", "8000", "--out-dir", f"{t}/feats", str(wavs["tone"])],
+        ["pool", "--method", "asp", "--seed", "1", f"{t}/feats/tone.feats"],
+        ["pool", "--method", "xi", f"{t}/feats/tone.feats"],
+        ["fit-backend", "--embeddings", f"{t}/e.sveb", "--labels", f"{t}/e.labels",
+         "--lda", "--out", f"{t}/lda.svpl"],
+        ["apply-backend", "--pipeline", f"{t}/lda.svpl", "--embeddings", f"{t}/e.sveb",
+         "--out", f"{t}/e.proc.sveb"],
+        ["score", "--enroll", f"{t}/e.proc.sveb", "--test", f"{t}/e.proc.sveb",
+         "--trials", f"{t}/trials.txt", "--out", f"{t}/scores.tsv"],
+        ["eval", "--scores", f"{t}/scores.tsv", "--trials", f"{t}/trials.txt"],
+        ["dcf-curve", "--scores", f"{t}/scores.tsv", "--trials", f"{t}/trials.txt",
+         "--out", f"{t}/curve.csv"],
+        ["augment-plan", "--manifest", f"{t}/man.tsv", "--out-dir", f"{t}/aug", "--seed", "1"],
+        ["schedule", "--epochs", "10", "--out", f"{t}/schedule.csv"],
+    ]
+
+
 class TestStartup:
-    """No command loads scipy: numpy is the only runtime dependency."""
+    """No command loads scipy: numpy is the only runtime dependency.  A
+    command loads only the svkit modules it runs."""
 
     def test_import_cli_loads_no_scipy(self):
         proc = _fresh_python(f"import sys, svkit.cli; print({_SCIPY})")
@@ -736,33 +824,7 @@ class TestStartup:
         assert proc.stdout.strip() == "[]"
 
     def test_no_command_loads_scipy(self, tmp_path):
-        s = synthetic_speakers(np.random.default_rng(5), n_spk=3, per_spk=4, dim=6)
-        store.write_embeddings(s, tmp_path / "e.sveb")
-        store.write_labels(s.labels, tmp_path / "e.labels")
-        (tmp_path / "trials.txt").write_text("".join(
-            f"{a} {b} {'target' if s.labels[a] == s.labels[b] else 'nontarget'}\n"
-            for a in s.ids[:6] for b in s.ids[6:]))
-        wavs = make_wavs(tmp_path)
-        augment.write_manifest(augment.UtteranceManifest(
-            [augment.Utterance(f"u{k}", f"/d/u{k}.wav", 2.0, 16000) for k in range(4)]),
-            tmp_path / "man.tsv")
-        t = str(tmp_path)
-        runs = [
-            ["features", "--resample", "8000", "--out-dir", f"{t}/feats", str(wavs["tone"])],
-            ["pool", "--method", "asp", "--seed", "1", f"{t}/feats/tone.feats"],
-            ["pool", "--method", "xi", f"{t}/feats/tone.feats"],
-            ["fit-backend", "--embeddings", f"{t}/e.sveb", "--labels", f"{t}/e.labels",
-             "--lda", "--out", f"{t}/lda.svpl"],
-            ["apply-backend", "--pipeline", f"{t}/lda.svpl", "--embeddings", f"{t}/e.sveb",
-             "--out", f"{t}/e.proc.sveb"],
-            ["score", "--enroll", f"{t}/e.proc.sveb", "--test", f"{t}/e.proc.sveb",
-             "--trials", f"{t}/trials.txt", "--out", f"{t}/scores.tsv"],
-            ["eval", "--scores", f"{t}/scores.tsv", "--trials", f"{t}/trials.txt"],
-            ["dcf-curve", "--scores", f"{t}/scores.tsv", "--trials", f"{t}/trials.txt",
-             "--out", f"{t}/curve.csv"],
-            ["augment-plan", "--manifest", f"{t}/man.tsv", "--out-dir", f"{t}/aug", "--seed", "1"],
-            ["schedule", "--epochs", "10", "--out", f"{t}/schedule.csv"],
-        ]
+        runs = _command_runs(tmp_path)
         code = f"""
 import json, sys
 from svkit.cli import main
@@ -775,3 +837,26 @@ print(json.dumps({{"rc": [main(argv) for argv in runs], "scipy": {_SCIPY}}}))
         assert result["rc"] == [0] * len(runs), proc.stderr
         assert {argv[0] for argv in runs} == set(cli._DISPATCH)  # all nine commands
         assert result["scipy"] == []
+
+    def test_each_command_loads_only_its_modules(self, tmp_path):
+        code = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("svkit", "configparser"))
+import svkit.cli
+imported = loaded()
+rc = svkit.cli.main(json.loads(sys.argv[1]))
+print(json.dumps({"rc": rc, "import": imported, "run": loaded()}))
+"""
+        cfg = tmp_path / "svkit.cfg"
+        cfg.write_text("[schedule]\nepochs = 3\n")
+        runs = [(argv, _IMPORT_CLI | _COMMAND_LOADS[argv[0]]) for argv in _command_runs(tmp_path)]
+        runs.append((["--config", str(cfg), *runs[-1][0]], runs[-1][1] | {"configparser"}))
+        assert set(_COMMAND_LOADS) == set(cli._DISPATCH)
+        for argv, want in runs:  # in order: each command reads what the ones before it wrote
+            proc = _fresh_python(code, json.dumps(argv))
+            assert proc.returncode == 0, proc.stderr
+            result = json.loads(proc.stdout.strip().splitlines()[-1])
+            assert result["rc"] == 0, (argv, proc.stderr)
+            assert set(result["import"]) == _IMPORT_CLI
+            assert set(result["run"]) == want, argv

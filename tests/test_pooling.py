@@ -72,6 +72,11 @@ class TestAsp:
             pooling.asp(frames, params), pooling.asp(frames[perm], params), atol=1e-11
         )
 
+    @pytest.mark.parametrize("in_dim, hidden_dim", [(0, 4), (4, 0), (4, -1)])
+    def test_random_size_below_one_errors(self, in_dim, hidden_dim):
+        with pytest.raises(ContractError, match="_dim must be >= 1"):
+            pooling.AspParams.random(in_dim, hidden_dim, np.random.default_rng(0))
+
     def test_dim_mismatch(self):
         params = pooling.AspParams(np.ones((4, 3)), np.ones(3))
         with pytest.raises(ContractError):
@@ -204,6 +209,14 @@ class TestMhfa:
             params.out_proj,
         )
         np.testing.assert_allclose(out, pooling.mhfa(stack, other), atol=1e-12)
+
+    @pytest.mark.parametrize("size", ["num_layers", "in_dim", "num_heads", "key_dim", "embed_dim", "head_dim"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_random_size_below_one_errors(self, size, value):
+        sizes = {"num_layers": 2, "in_dim": 8, "num_heads": 4, "key_dim": 5, "embed_dim": 16, size: value}
+        with pytest.raises(ContractError, match=f"^{size} must be >= 1, got {value}$"):
+            pooling.MhfaParams.random(sizes.pop("num_layers"), sizes.pop("in_dim"),
+                                      np.random.default_rng(0), **sizes)
 
     def test_shape_mismatch_errors(self):
         rng = np.random.default_rng(14)

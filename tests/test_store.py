@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -279,6 +280,36 @@ class TestTsvWriters:
             write(obj, tmp_path / "got.tsv")
             oracle(obj, tmp_path / "want.tsv")
             assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+
+class TestTsvReaderBlocks:
+    """The TSV readers fill fixed-size array blocks, not a list of rows."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(s=writable_sets().filter(lambda s: s.vectors.size), block=st.integers(1, 12))
+    def test_any_block_size_reads_the_same(self, tmp_path, s, block):
+        store.write_embeddings_tsv(s, tmp_path / "e.tsv")
+        store.write_matrix_tsv(s.vectors, tmp_path / "m.tsv")
+        want = store.read_matrix(tmp_path / "m.tsv")
+        with mock.patch.object(store, "TEXT_BLOCK", block):
+            got, m = store.read_embeddings(tmp_path / "e.tsv"), store.read_matrix(tmp_path / "m.tsv")
+        assert got.ids == s.ids
+        assert got.vectors.tobytes() == s.vectors.tobytes()  # .9g roundtrips float32
+        assert m.tobytes() == want.tobytes()
+
+    def test_peak_memory_near_result_size(self, tmp_path):
+        # a list of Python floats per row took 9 times the result's bytes
+        s = random_set(np.random.default_rng(15), n=1000, d=256)
+        store.write_embeddings_tsv(s, tmp_path / "e.tsv")
+        tracemalloc.start()
+        try:
+            got = store.read_embeddings(tmp_path / "e.tsv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.vectors.tobytes() == s.vectors.tobytes()
+        assert peak < 3 * got.vectors.nbytes
 
 
 class TestLabels:
