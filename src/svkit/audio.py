@@ -321,8 +321,6 @@ def vad_from_energies(energies: np.ndarray, cfg: VadConfig = VadConfig()) -> np.
     threshold = cfg.energy_threshold + cfg.energy_mean_scale * energies.mean()
     raw = energies > threshold
     c = cfg.context_frames
-    if c == 0:
-        return raw
     csum = np.concatenate([[0], np.cumsum(raw)])
     lo = np.maximum(np.arange(t) - c, 0)
     hi = np.minimum(np.arange(t) + c, t - 1)

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .store import EmbeddingSet, record_errors
+from .store import ByteReader, EmbeddingSet, record_errors
 
 PIPELINE_MAGIC = b"SVPL"
 PIPELINE_VERSION = 1
@@ -154,39 +153,8 @@ def save_pipeline(p: Pipeline, path) -> None:
         f.write(struct.pack("<B", bool(p.length_norm)))
 
 
-class _Reader:
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.off = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
-            raise FormatError(f"{self.path}: truncated pipeline file")
-        out = self.data[self.off : self.off + n]
-        self.off += n
-        return out
-
-    def mat(self) -> np.ndarray:
-        rows, cols = struct.unpack("<II", self.take(8))
-        raw = self.take(4 * rows * cols)
-        return np.frombuffer(raw, dtype="<f4").reshape(rows, cols).copy()
-
-    def flag(self) -> bool:
-        (b,) = self.take(1)
-        if b > 1:
-            raise FormatError(f"{self.path}: flag byte {b} is neither 0 nor 1")
-        return bool(b)
-
-
 def load_pipeline(path) -> Pipeline:
-    data = Path(path).read_bytes()
-    r = _Reader(data, path)
-    if r.take(4) != PIPELINE_MAGIC:
-        raise FormatError(f"{path}: not a pipeline file")
-    (version,) = struct.unpack("<H", r.take(2))
-    if version != PIPELINE_VERSION:
-        raise FormatError(f"{path}: unsupported pipeline version {version}")
+    r = ByteReader(path, PIPELINE_MAGIC, PIPELINE_VERSION, "pipeline")
     with record_errors(path):  # a non-finite stage, or stages of different dims
         center = None
         if r.flag():
@@ -196,6 +164,5 @@ def load_pipeline(path) -> Pipeline:
             center = CenterStage(mean[0])
         lda = LdaStage(r.mat()) if r.flag() else None
         length_norm = r.flag()
-        if r.off != len(data):
-            raise FormatError(f"{path}: {len(data) - r.off} trailing bytes")
+        r.end()
         return Pipeline(center=center, lda=lda, length_norm=length_norm)

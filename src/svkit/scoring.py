@@ -8,6 +8,7 @@ for compatibility and ignored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -176,5 +177,7 @@ def read_scores(path) -> dict[tuple[str, str], float]:
         key = (fields[0], fields[1])
         if key in out:
             raise FormatError(f"{path}:{ln}: duplicate pair {key[0]} {key[1]}")
+        if not math.isfinite(score):
+            raise FormatError(f"{path}:{ln}: non-finite score {fields[2]!r}")
         out[key] = score
     return out

@@ -1,9 +1,9 @@
 """Id-indexed embedding sets and their on-disk formats.
 
 Two interchangeable formats:
-  * SVEB binary: magic ``SVEB``, version u16, count u64, dim u32, then per
-    record a u16 id length, the UTF-8 id bytes, and ``dim`` little-endian
-    float32 values.  Roundtrips bit-exactly.
+  * SVEB binary: magic ``SVEB``, version u16, count u64, dim u32 (at least
+    1), then per record a u16 id length, the UTF-8 id bytes, and ``dim``
+    little-endian float32 values.  Roundtrips bit-exactly.
   * TSV text: one record per line, ``id<TAB>v1<TAB>v2...`` with decimal
     floats (9 significant digits on write, which roundtrips float32).
 
@@ -24,7 +24,8 @@ from .errors import ContractError, FormatError
 
 MAGIC = b"SVEB"
 FORMAT_VERSION = 1
-_HEADER = struct.Struct("<HQI")  # version, count, dim
+_U16 = struct.Struct("<H")  # a format version or an SVEB id length
+_COUNT_DIM = struct.Struct("<QI")  # the SVEB header after its version
 TEXT_BLOCK = 1 << 14  # values per tolist() or array block of text I/O: no whole-set list is held
 
 
@@ -79,8 +80,10 @@ def record_errors(path):
 
 
 def _is_sveb(path) -> bool:
+    # the magic, then a u16 version below 256: a TSV id may start with the magic letters
     with open(path, "rb") as f:
-        return f.read(len(MAGIC)) == MAGIC
+        head = f.read(6)
+    return head[:4] == MAGIC and head[5:] == b"\x00"
 
 
 class EmbeddingSet:
@@ -152,17 +155,17 @@ class EmbeddingSet:
 
 
 def write_embeddings(s: EmbeddingSet, path) -> None:
-    """Write the SVEB binary format (bit-exact roundtrip)."""
+    """Write SVEB (bit-exact roundtrip); a set it cannot hold is refused before open."""
+    if s.dim == 0:
+        raise ContractError("SVEB records need at least one value, got dimension 0")
+    raws = [id_.encode("utf-8") for id_ in s.ids]
+    for id_, raw in zip(s.ids, raws):
+        if len(raw) > 0xFFFF:
+            raise ContractError(f"id longer than 65535 bytes: {id_[:32]!r}...")
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(_HEADER.pack(FORMAT_VERSION, len(s), s.dim))
-        for id_, vec in zip(s.ids, s.vectors):
-            raw = id_.encode("utf-8")
-            if len(raw) > 0xFFFF:
-                raise ContractError(f"id longer than 65535 bytes: {id_[:32]!r}...")
-            f.write(struct.pack("<H", len(raw)))
-            f.write(raw)
-            f.write(vec.astype("<f4", copy=False).tobytes())
+        f.write(MAGIC + _U16.pack(FORMAT_VERSION) + _COUNT_DIM.pack(len(s), s.dim))
+        for raw, vec in zip(raws, s.vectors):
+            f.write(_U16.pack(len(raw)) + raw + vec.astype("<f4", copy=False).tobytes())
 
 
 def write_embeddings_tsv(s: EmbeddingSet, path) -> None:
@@ -172,38 +175,65 @@ def write_embeddings_tsv(s: EmbeddingSet, path) -> None:
             f.writelines(fmt % (i, *r) for i, r in zip(s.ids[b], s.vectors[b].tolist()))
 
 
+class ByteReader:
+    """Bounded little-endian cursor over a whole SVEB or SVPL file: opening it checks the
+    magic and u16 version, and a read past the end or a byte left at end() is a FormatError."""
+
+    def __init__(self, path, magic: bytes, version: int, kind: str):
+        self.path, self.data, self.off = path, memoryview(Path(path).read_bytes()), 0
+        if self.take(len(magic)) != magic:
+            raise FormatError(f"{path}: not a {kind} file")
+        (v,) = self.unpack(_U16)
+        if v != version:
+            raise FormatError(f"{path}: unsupported {kind} version {v}")
+
+    def take(self, n: int) -> memoryview:
+        end = self.off + n
+        if end > len(self.data):
+            raise FormatError(f"{self.path}: truncated: {n} bytes needed at byte {self.off}")
+        self.off = end
+        return self.data[end - n : end]
+
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        return fmt.unpack(self.take(fmt.size))
+
+    def mat(self) -> np.ndarray:  # u32 rows, u32 cols, then rows x cols float32
+        rows, cols = struct.unpack("<II", self.take(8))
+        return np.frombuffer(self.take(4 * rows * cols), dtype="<f4").reshape(rows, cols).copy()
+
+    def flag(self) -> bool:
+        (b,) = self.take(1)
+        if b > 1:
+            raise FormatError(f"{self.path}: flag byte {b} is neither 0 nor 1")
+        return bool(b)
+
+    def end(self) -> None:
+        if self.off < len(self.data):
+            raise FormatError(f"{self.path}: {len(self.data) - self.off} trailing bytes")
+
+
 def _parse_sveb(path) -> EmbeddingSet:
-    data = Path(path).read_bytes()
-    off = len(MAGIC)
-    if len(data) < off + _HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    version, count, dim = _HEADER.unpack_from(data, off)
-    off += _HEADER.size
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+    r = ByteReader(path, MAGIC, FORMAT_VERSION, "SVEB")
+    count, dim = r.unpack(_COUNT_DIM)
+    if dim == 0:
+        raise FormatError(f"{path}: dimension 0: a record needs at least one value")
     vec_bytes = 4 * dim
+    left = len(r.data) - r.off
     # every record takes at least its id length and vector: check before allocating
-    if count * (2 + vec_bytes) > len(data) - off:
+    if count * (2 + vec_bytes) > left:
         raise FormatError(f"{path}: header claims {count} records of dim {dim}, "
-                          f"more than the {len(data) - off} bytes that follow")
+                          f"more than the {left} bytes that follow")
     ids = []
     vecs = np.empty((count, dim), dtype=np.float32)
     for k in range(count):
-        if off + 2 > len(data):
-            raise FormatError(f"{path}: truncated at record {k}")
-        (id_len,) = struct.unpack_from("<H", data, off)
-        off += 2
-        if off + id_len + vec_bytes > len(data):
-            raise FormatError(f"{path}: truncated at record {k}")
+        (id_len,) = r.unpack(_U16)
+        record = r.take(id_len + vec_bytes)
         try:
-            ids.append(data[off : off + id_len].decode("utf-8"))
+            ids.append(str(record[:id_len], "utf-8"))
         except UnicodeDecodeError:
             raise FormatError(f"{path}: record {k}: id is not UTF-8") from None
-        off += id_len
-        vecs[k] = np.frombuffer(data, dtype="<f4", count=dim, offset=off)
-        off += vec_bytes
-    if off != len(data):
-        raise FormatError(f"{path}: {len(data) - off} trailing bytes")
+        vecs[k] = np.frombuffer(record[id_len:], "<f4")
+    r.end()
     with record_errors(path):  # empty, blank or duplicate id, or a non-finite value
         return EmbeddingSet(ids, vecs)
 

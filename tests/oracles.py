@@ -14,11 +14,14 @@ eigenproblem with scipy.linalg.eigh.  The framing oracle gathers frames
 through an index array, the actual-DCF oracle counts errors by direct
 comparison, and the text-reader oracles are the package's earlier readers,
 each with its own field-count check, kept verbatim with the record reader
-they called.
+they called.  The SVEB and SVPL oracles are the package's earlier binary
+readers, each with its own hand-kept offset and bounds checks.
 """
 
 import math
 import shlex
+import struct
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -29,7 +32,8 @@ from svkit.augment import (CHAIN_DOWN8K, CHAIN_KEEP16K, AugmentPlan, PlanEntry, 
                            UtteranceManifest)
 from svkit.errors import ContractError, FormatError
 from svkit.scoring import _LABELS, TrialList
-from svkit.store import EmbeddingSet, _is_sveb, _parse_sveb, record_errors, text_lines
+from svkit.backend import PIPELINE_MAGIC, PIPELINE_VERSION, CenterStage, LdaStage, Pipeline
+from svkit.store import FORMAT_VERSION, MAGIC, EmbeddingSet, _is_sveb, record_errors, text_lines
 
 _RESAMPLE_CELLS = 1 << 22  # resample works on at most this many (output, tap) cells at once
 
@@ -385,7 +389,7 @@ def oracle_parse_tsv(path) -> EmbeddingSet:
 def oracle_read_matrix(path) -> np.ndarray:
     """Read a matrix: SVEB, id-prefixed TSV, or plain numeric TSV."""
     if _is_sveb(path):
-        return _parse_sveb(path).vectors.astype(np.float64)
+        return oracle_parse_sveb(path).vectors.astype(np.float64)
     rows = []
     for ln, fields in oracle_records(path):
         try:
@@ -503,3 +507,89 @@ def oracle_read_plan(path, manifest: UtteranceManifest) -> AugmentPlan:
         entries.append(PlanEntry(fields[0], fields[1], fields[2], speed))
     with record_errors(path):  # entries that do not match the manifest, or a bad field
         return AugmentPlan(manifest, entries)
+
+
+_HEADER = struct.Struct("<HQI")  # version, count, dim
+
+
+def oracle_parse_sveb(path) -> EmbeddingSet:
+    data = Path(path).read_bytes()
+    off = len(MAGIC)
+    if len(data) < off + _HEADER.size:
+        raise FormatError(f"{path}: truncated header")
+    version, count, dim = _HEADER.unpack_from(data, off)
+    off += _HEADER.size
+    if version != FORMAT_VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    vec_bytes = 4 * dim
+    # every record takes at least its id length and vector: check before allocating
+    if count * (2 + vec_bytes) > len(data) - off:
+        raise FormatError(f"{path}: header claims {count} records of dim {dim}, "
+                          f"more than the {len(data) - off} bytes that follow")
+    ids = []
+    vecs = np.empty((count, dim), dtype=np.float32)
+    for k in range(count):
+        if off + 2 > len(data):
+            raise FormatError(f"{path}: truncated at record {k}")
+        (id_len,) = struct.unpack_from("<H", data, off)
+        off += 2
+        if off + id_len + vec_bytes > len(data):
+            raise FormatError(f"{path}: truncated at record {k}")
+        try:
+            ids.append(data[off : off + id_len].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: record {k}: id is not UTF-8") from None
+        off += id_len
+        vecs[k] = np.frombuffer(data, dtype="<f4", count=dim, offset=off)
+        off += vec_bytes
+    if off != len(data):
+        raise FormatError(f"{path}: {len(data) - off} trailing bytes")
+    with record_errors(path):  # empty, blank or duplicate id, or a non-finite value
+        return EmbeddingSet(ids, vecs)
+
+
+class _Reader:
+    def __init__(self, data: bytes, path):
+        self.data = data
+        self.off = 0
+        self.path = path
+
+    def take(self, n: int) -> bytes:
+        if self.off + n > len(self.data):
+            raise FormatError(f"{self.path}: truncated pipeline file")
+        out = self.data[self.off : self.off + n]
+        self.off += n
+        return out
+
+    def mat(self) -> np.ndarray:
+        rows, cols = struct.unpack("<II", self.take(8))
+        raw = self.take(4 * rows * cols)
+        return np.frombuffer(raw, dtype="<f4").reshape(rows, cols).copy()
+
+    def flag(self) -> bool:
+        (b,) = self.take(1)
+        if b > 1:
+            raise FormatError(f"{self.path}: flag byte {b} is neither 0 nor 1")
+        return bool(b)
+
+
+def oracle_load_pipeline(path) -> Pipeline:
+    data = Path(path).read_bytes()
+    r = _Reader(data, path)
+    if r.take(4) != PIPELINE_MAGIC:
+        raise FormatError(f"{path}: not a pipeline file")
+    (version,) = struct.unpack("<H", r.take(2))
+    if version != PIPELINE_VERSION:
+        raise FormatError(f"{path}: unsupported pipeline version {version}")
+    with record_errors(path):  # a non-finite stage, or stages of different dims
+        center = None
+        if r.flag():
+            mean = r.mat()
+            if mean.shape[0] != 1:
+                raise FormatError(f"{path}: center mean has {mean.shape[0]} rows, not 1")
+            center = CenterStage(mean[0])
+        lda = LdaStage(r.mat()) if r.flag() else None
+        length_norm = r.flag()
+        if r.off != len(data):
+            raise FormatError(f"{path}: {len(data) - r.off} trailing bytes")
+        return Pipeline(center=center, lda=lda, length_norm=length_norm)

@@ -551,6 +551,33 @@ class TestConfigAndExitCodes:
             assert main(["pool", str(path), "--method", "tstp"]) == 2
         assert "format error" in capsys.readouterr().err
 
+    def test_dimension_zero_sveb_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "d0.sveb"
+        path.write_bytes(b"SVEB" + struct.pack("<HQI", 1, 1, 0) + b"\x01\x000")
+        assert main(["pool", str(path), "--method", "tstp"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"format error: {path}: dimension 0" in err
+
+    def test_unwritable_id_creates_no_file(self, tmp_path, capsys):
+        backend.save_pipeline(backend.Pipeline(), tmp_path / "p.svpl")
+        (tmp_path / "e.tsv").write_text(f"a\t1\n{'b' * 70000}\t2\n")
+        out = tmp_path / "out.sveb"
+        assert main(["apply-backend", "--pipeline", str(tmp_path / "p.svpl"),
+                     "--embeddings", str(tmp_path / "e.tsv"), "--out", str(out)]) == 3
+        assert "id longer than 65535 bytes" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "dcf-curve"])
+    def test_non_finite_score_exit_2(self, tmp_path, capsys, command):
+        (tmp_path / "trials.txt").write_text("e t1 target\ne t2 nontarget\n")
+        # the non-finite score is on a pair that the trial list does not name
+        (tmp_path / "s.tsv").write_text("e\tt1\t0.9\ne\tt2\t0.1\nx\ty\tnan\n")
+        argv = [command, "--scores", str(tmp_path / "s.tsv"), "--trials", str(tmp_path / "trials.txt")]
+        if command == "dcf-curve":
+            argv += ["--out", str(tmp_path / "curve.csv")]
+        assert main(argv) == 2
+        assert f"format error: {tmp_path / 's.tsv'}:3: non-finite score 'nan'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("record", ["a\t3\t4", "c\tnan\t1", "c\t1e400\t1", "c d\t1\t2"],
                              ids=["duplicate-id", "nan", "1e400", "space-in-id"])
     def test_bad_tsv_embedding_record_exit_2(self, tmp_path, capsys, record):

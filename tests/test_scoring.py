@@ -291,6 +291,13 @@ class TestScoreIO:
         with pytest.raises(ContractError, match=f"scores of shape {shape} for 1 trials"):
             scoring.write_scores(scoring.TrialList([("a", "b")]), scores, tmp_path / "s.tsv")
 
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "1e999", "-1e999"])
+    def test_non_finite_score_names_its_line(self, tmp_path, value):
+        path = tmp_path / "s.tsv"
+        path.write_text(f"a\tb\t0.5\n\nc\td\t{value}\n")
+        with pytest.raises(FormatError, match=f"s.tsv:3: non-finite score '{value}'$"):
+            scoring.read_scores(path)
+
     def test_enroll_map(self, tmp_path):
         path = tmp_path / "map.txt"
         path.write_text("m1 s1 s2\nm2 s3\n")

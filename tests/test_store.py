@@ -24,7 +24,8 @@ IDS = st.text(st.characters(exclude_categories=["Cs"]), min_size=1, max_size=6).
 
 @st.composite
 def embedding_sets(draw):
-    vecs = draw(arrays(np.float32, st.tuples(st.integers(0, 5), st.integers(0, 5)), elements=FLOAT32))
+    """Sets that SVEB can hold: 0-5 records of dimension 1-5."""
+    vecs = draw(arrays(np.float32, st.tuples(st.integers(0, 5), st.integers(1, 5)), elements=FLOAT32))
     ids = draw(st.lists(IDS, min_size=len(vecs), max_size=len(vecs), unique=True))
     return store.EmbeddingSet(ids, vecs)
 
@@ -158,6 +159,32 @@ class TestSvebFormat:
         with pytest.raises(FormatError, match="UTF-8"):
             store.read_embeddings(path)
 
+    def test_dimension_zero_is_format_error(self, tmp_path):
+        path = tmp_path / "d0.sveb"
+        path.write_bytes(b"SVEB" + struct.pack("<HQI", 1, 2, 0) + b"\x01\x00a\x01\x00b")
+        for read in (store.read_embeddings, store.read_matrix):
+            with pytest.raises(FormatError, match="d0.sveb: dimension 0"):
+                read(path)
+
+    @pytest.mark.parametrize("s, message", [
+        (store.EmbeddingSet(["a", "b" * 70000], np.ones((2, 1), np.float32)),
+         "id longer than 65535 bytes"),
+        (store.EmbeddingSet(["a", "b"], np.zeros((2, 0), np.float32)), "dimension 0"),
+    ], ids=["long-id", "dimension-0"])
+    def test_unwritable_set_creates_no_file(self, tmp_path, s, message):
+        path = tmp_path / "out.sveb"
+        with pytest.raises(ContractError, match=message):
+            store.write_embeddings(s, path)
+        assert not path.exists()
+
+    def test_bytes_as_documented(self, tmp_path):
+        path = tmp_path / "doc.sveb"
+        store.write_embeddings(store.EmbeddingSet(["a", "ä"], [[1.0, -0.0], [2.5, 1e-45]]), path)
+        assert path.read_bytes() == (
+            b"SVEB" + struct.pack("<HQI", 1, 2, 2) + struct.pack("<H", 1) + b"a"
+            + struct.pack("<2f", 1.0, -0.0) + struct.pack("<H", 2) + "ä".encode()
+            + struct.pack("<2f", 2.5, 1e-45))
+
     def test_invalid_record_is_format_error(self, tmp_path):
         path = tmp_path / "nan.sveb"
         path.write_bytes(b"SVEB" + struct.pack("<HQIH", 1, 1, 1, 1) + b"a"
@@ -220,6 +247,14 @@ class TestTsvFormat:
         back = store.read_embeddings(path)
         assert back.ids == s.ids
         np.testing.assert_allclose(back.vectors, s.vectors, rtol=1e-6, atol=0)
+
+    @pytest.mark.parametrize("first_id", ["SVEB", "SVEBx", "SVEB\x01\x02"])
+    def test_first_id_with_the_magic_letters_is_tsv(self, tmp_path, first_id):
+        s = store.EmbeddingSet([first_id, "b"], [[1.0, 2.0], [3.0, 4.0]])
+        path = tmp_path / "magic.tsv"
+        store.write_embeddings_tsv(s, path)
+        assert store.read_embeddings(path).ids == s.ids
+        assert store.read_matrix(path).tolist() == s.vectors.tolist()
 
     def test_non_numeric_value(self, tmp_path):
         path = tmp_path / "n.tsv"
