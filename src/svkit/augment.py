@@ -16,7 +16,7 @@ import numpy as np
 
 from .chains import CHAIN_DOWN8K, CHAIN_DOWN8K_UP16K, CHAIN_KEEP16K, CHAINS
 from .errors import ContractError, FormatError
-from .store import record_errors, records
+from .store import plain_number, record_errors, records, write_text
 
 SPEED_FACTORS = (0.9, 1.0, 1.1)
 
@@ -60,7 +60,8 @@ def read_manifest(path) -> UtteranceManifest:
     for ln, fields in records(path, "4 tab-separated fields", fields=(4, 4)):
         try:
             utts.append(
-                Utterance(fields[0], fields[1], float(fields[2]), int(fields[3]))
+                Utterance(fields[0], fields[1], float(plain_number(fields[2])),
+                          int(plain_number(fields[3])))
             )
         except ValueError:
             raise FormatError(f"{path}:{ln}: bad duration or sample rate") from None
@@ -69,9 +70,8 @@ def read_manifest(path) -> UtteranceManifest:
 
 
 def write_manifest(manifest: UtteranceManifest, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for u in manifest.utterances:
-            f.write(f"{u.utt_id}\t{u.path}\t{u.duration_s:g}\t{u.sample_rate}\n")
+    write_text(path, (f"{u.utt_id}\t{u.path}\t{u.duration_s:g}\t{u.sample_rate}\n"
+                      for u in manifest.utterances))
 
 
 @dataclass(frozen=True)
@@ -177,25 +177,21 @@ def emit_commands(plan: AugmentPlan, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "commands.txt"
-    lines = render_commands(plan, str(out))
-    with open(path, "w", encoding="utf-8") as f:
-        for line in lines:
-            f.write(line + "\n")
+    lines = render_commands(plan, str(out))  # a plan it cannot render creates no file
+    write_text(path, (line + "\n" for line in lines))
     return path
 
 
 def write_plan(plan: AugmentPlan, path) -> None:
     """Plan TSV: `utt_id<TAB>codec<TAB>chain<TAB>speed`."""
-    with open(path, "w", encoding="utf-8") as f:
-        for e in plan.entries:
-            f.write(f"{e.utt_id}\t{e.codec}\t{e.chain}\t{e.speed:g}\n")
+    write_text(path, (f"{e.utt_id}\t{e.codec}\t{e.chain}\t{e.speed:g}\n" for e in plan.entries))
 
 
 def read_plan(path, manifest: UtteranceManifest) -> AugmentPlan:
     entries = []
     for ln, fields in records(path, "4 tab-separated fields", fields=(4, 4)):
         try:
-            speed = float(fields[3])
+            speed = float(plain_number(fields[3]))
         except ValueError:
             raise FormatError(f"{path}:{ln}: bad speed factor") from None
         entries.append(PlanEntry(fields[0], fields[1], fields[2], speed))

@@ -42,12 +42,12 @@ def _exit_of(e: Exception) -> tuple[int, str]:
 
 
 def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise UsageError(f"cannot parse boolean config value {raw!r}")
+    from configparser import ConfigParser
+
+    try:
+        return ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise UsageError(f"cannot parse boolean config value {raw!r}") from None
 
 
 def _load_config(path) -> dict[str, dict[str, str]]:
@@ -395,13 +395,10 @@ def cmd_eval(args) -> int:
     lines.append(f"C_primary{tag}: {cprim:.3f}")
     print("\n".join(lines))
     if args.csv is not None:
-        with open(args.csv, "w", encoding="utf-8") as f:
-            f.write("metric,p_target,c_miss,c_fa,default_ops,value\n")
-            flag = "yes" if is_default else "no"
-            f.write(f"eer,,,,,{err:.9g}\n")
-            for op, v in zip(ops, dcfs):
-                f.write(f"min_dcf,{op.p_target:g},{op.c_miss:g},{op.c_fa:g},{flag},{v:.9g}\n")
-            f.write(f"c_primary,,,,{flag},{cprim:.9g}\n")
+        flag = "yes" if is_default else "no"
+        store.write_text(args.csv, ["metric,p_target,c_miss,c_fa,default_ops,value\n", f"eer,,,,,{err:.9g}\n",
+                                    *(f"min_dcf,{op.p_target:g},{op.c_miss:g},{op.c_fa:g},{flag},{v:.9g}\n"
+                                      for op, v in zip(ops, dcfs)), f"c_primary,,,,{flag},{cprim:.9g}\n"])
     return 0
 
 
@@ -423,19 +420,12 @@ def cmd_dcf_curve(args) -> int:
     marked = [_parse_mark(m) for m in args.mark] if args.mark else []  # before any read, as in eval
     scores = _labeled_scores(args.scores, args.trials)
     curve = metrics.dcf_curve(scores, args.lo, args.hi, args.points, marked)
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        out.write("logodds,min_dcf\n")
-        for x, v in zip(curve.logodds, curve.values):
-            out.write(f"{x:.9g},{v:.9g}\n")
-        if curve.marked:
-            out.write("# marked\n")
-            out.write("logodds,min_dcf,p_target,c_miss,c_fa\n")
-            for lam, v, op in curve.marked:
-                out.write(f"{lam:.9g},{v:.9g},{op.p_target:g},{op.c_miss:g},{op.c_fa:g}\n")
-    finally:
-        if args.out:
-            out.close()
+    lines = ["logodds,min_dcf\n", *(f"{x:.9g},{v:.9g}\n" for x, v in zip(curve.logodds, curve.values))]
+    if curve.marked:
+        lines += ["# marked\n", "logodds,min_dcf,p_target,c_miss,c_fa\n"]
+        lines += [f"{lam:.9g},{v:.9g},{op.p_target:g},{op.c_miss:g},{op.c_fa:g}\n"
+                  for lam, v, op in curve.marked]
+    store.write_text(args.out or None, lines)  # `--out ""` is stdout, as no --out is
     return 0
 
 
@@ -467,23 +457,19 @@ def cmd_schedule(args) -> int:
         warmup_epochs=args.warmup_epochs, peak=args.peak_lr, final=args.final_lr,
         total_epochs=args.epochs,
     )
-    rows = ["stage,epoch,segment_seconds,margin,lr"]
+    rows = ["stage,epoch,segment_seconds,margin,lr\n"]
     for e in range(args.epochs + 1):
         rows.append(
             f"1,{e},{args.segment_seconds:g},{objectives.margin_at(e, msched):.12g},"
-            f"{objectives.lr_at(e, lsched):.12g}"
+            f"{objectives.lr_at(e, lsched):.12g}\n"
         )
     # stage 2 holds the stage-1 final learning rate
     for e in range(1, args.lmf_epochs + 1):
         rows.append(
             f"2,{e},{args.lmf_segment_seconds:g},"
-            f"{objectives.margin_at(e, msched, lmf=True):.12g},{args.final_lr:.12g}"
+            f"{objectives.margin_at(e, msched, lmf=True):.12g},{args.final_lr:.12g}\n"
         )
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    store.write_text(args.out or None, rows)  # `--out ""` is stdout, as no --out is
     return 0
 
 

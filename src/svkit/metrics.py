@@ -67,6 +67,8 @@ class OperatingPoint:
             * self.c_miss
             / (self.p_target * self.c_miss + (1 - self.p_target) * self.c_fa)
         )
+        if not 0 < p_eff < 1:  # costs so uneven that the folded prior rounds off
+            raise ContractError(f"{self} has an effective prior of {p_eff:g}, not in (0, 1)")
         return float(np.log(p_eff / (1 - p_eff)))
 
 
@@ -185,6 +187,10 @@ def dcf_curve(
         raise ContractError("need logodds_lo < logodds_hi")
     if n_points < 2:
         raise ContractError("need at least two curve points")
+    for end in (logodds_lo, logodds_hi):  # the prior is monotone in the log odds
+        if not 0 < effective_prior(end) < 1:
+            raise ContractError(f"log odds {end:g} give an effective prior of "
+                                f"{effective_prior(end):g}, not in (0, 1)")
     grid = np.linspace(logodds_lo, logodds_hi, n_points)
     values = np.array(
         [min_dcf(scores, OperatingPoint(effective_prior(x)))[0] for x in grid]

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .store import EmbeddingSet, records, row_blocks
+from .store import EmbeddingSet, plain_number, records, row_blocks, write_text
 
 _LABELS = {"target": True, "nontarget": False}
 
@@ -161,17 +161,15 @@ def write_scores(trials: TrialList, scores: np.ndarray, path) -> None:
     scores = np.asarray(scores)
     if scores.shape != (len(trials),):
         raise ContractError(f"scores of shape {scores.shape} for {len(trials)} trials")
-    with open(path, "w", encoding="utf-8") as f:
-        for b in row_blocks(len(trials), 1):
-            rows = zip(trials.pairs[b], scores[b].tolist())
-            f.writelines("%s\t%s\t%.6f\n" % (e, t, s) for (e, t), s in rows)
+    write_text(path, ("%s\t%s\t%.6f\n" % (e, t, s) for b in row_blocks(len(trials), 1)
+                      for (e, t), s in zip(trials.pairs[b], scores[b].tolist())))
 
 
 def read_scores(path) -> dict[tuple[str, str], float]:
     out: dict[tuple[str, str], float] = {}
     for ln, fields in records(path, "'enroll<TAB>test<TAB>score'", fields=(3, 3)):
         try:
-            score = float(fields[2])
+            score = float(plain_number(fields[2]))
         except ValueError:
             raise FormatError(f"{path}:{ln}: bad score {fields[2]!r}") from None
         key = (fields[0], fields[1])

@@ -14,7 +14,8 @@ format label-agnostic.
 from __future__ import annotations
 
 import struct
-from contextlib import contextmanager
+import sys
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -67,6 +68,21 @@ def records(path, expect, *, fields, sep="\t", comment=False) -> Iterator[tuple[
             if len(values) < lo or (hi is not None and len(values) > hi):
                 raise FormatError(f"{path}:{ln}: expected {expect}")
             yield ln, values
+
+
+def plain_number(text: str) -> str:
+    """`text` if it is ASCII with no `_` or space, else ValueError: a number field is a plain
+    decimal, though float() and int() also read `1_0`, ` 1` and `١`."""
+    if text.isascii() and "_" not in text and " " not in text:
+        return text
+    raise ValueError(f"not a plain decimal: {text!r}")
+
+
+def write_text(path, lines: Iterable[str]) -> None:
+    """Write newline-terminated strings as UTF-8 to `path`, or to stdout when `path` is
+    None: every text output of svkit goes through here."""
+    with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as f:
+        f.writelines(lines)
 
 
 @contextmanager
@@ -170,9 +186,8 @@ def write_embeddings(s: EmbeddingSet, path) -> None:
 
 def write_embeddings_tsv(s: EmbeddingSet, path) -> None:
     fmt = "%s\t" + "\t".join(["%.9g"] * s.dim) + "\n"
-    with open(path, "w", encoding="utf-8") as f:
-        for b in row_blocks(len(s), s.dim):
-            f.writelines(fmt % (i, *r) for i, r in zip(s.ids[b], s.vectors[b].tolist()))
+    write_text(path, (fmt % (i, *r) for b in row_blocks(len(s), s.dim)
+                      for i, r in zip(s.ids[b], s.vectors[b].tolist())))
 
 
 class ByteReader:
@@ -246,6 +261,7 @@ def _numeric_rows(path, first: int, dtype) -> tuple[list[str], np.ndarray]:
     blocks = []  # arrays of `step` rows, as in row_blocks; the last is filled to len(ids)
     for ln, fields in records(path, "id and at least one value", fields=(first + 1, None)):
         try:
+            plain_number("\t".join(fields[first:]))  # one check per row, as no field holds a tab
             row = [float(v) for v in fields[first:]]
         except ValueError:
             raise FormatError(f"{path}:{ln}: non-numeric value") from None
@@ -279,9 +295,7 @@ def read_embeddings(path) -> EmbeddingSet:
 
 
 def write_labels(labels: Mapping[str, str], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for id_, lab in labels.items():
-            f.write(f"{id_}\t{lab}\n")
+    write_text(path, (f"{id_}\t{lab}\n" for id_, lab in labels.items()))
 
 
 def read_labels(path) -> dict[str, str]:
@@ -308,9 +322,8 @@ def write_matrix_tsv(values: np.ndarray, path) -> None:
     if values.ndim != 2:
         raise ContractError(f"matrix must be 2-D, got shape {values.shape}")
     fmt = "\t".join(["%.9g"] * values.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8") as f:
-        for b in row_blocks(len(values), values.shape[1]):
-            f.writelines(fmt % tuple(r) for r in values[b].tolist())
+    write_text(path, (fmt % tuple(r) for b in row_blocks(len(values), values.shape[1])
+                      for r in values[b].tolist()))
 
 
 def read_matrix(path) -> np.ndarray:
@@ -321,7 +334,7 @@ def read_matrix(path) -> np.ndarray:
         return _parse_sveb(path).vectors.astype(np.float64)
     for _, fields in records(path, "a value", fields=(1, None)):
         try:
-            float(fields[0])
+            float(plain_number(fields[0]))
         except ValueError:  # the first record starts with an id
             return _parse_tsv(path).vectors.astype(np.float64)
         break  # the first record alone picks the layout

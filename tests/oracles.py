@@ -9,27 +9,28 @@ earlier code, kept verbatim as byte-for-byte references.  The scoring
 oracle casts, normalises and dots a block of gathered row pairs together.
 The enrollment oracle is the dict-of-vectors path that enrollment took
 before it read an embedding set directly.  The text-writer oracles format
-one value per f-string, and the LDA oracle solves its generalized
-eigenproblem with scipy.linalg.eigh.  The framing oracle gathers frames
-through an index array, the actual-DCF oracle counts errors by direct
-comparison, and the text-reader oracles are the package's earlier readers,
-each with its own field-count check, kept verbatim with the record reader
-they called.  The SVEB and SVPL oracles are the package's earlier binary
-readers, each with its own hand-kept offset and bounds checks.
+one value per f-string; the label, manifest, plan and command writers are
+the package's earlier writers, each opening its own file.  The LDA oracle
+solves its generalized eigenproblem with scipy.linalg.eigh.  The framing
+oracle gathers frames through an index array, the actual-DCF oracle counts
+errors by direct comparison, and the text-reader oracles are the package's
+earlier readers, each with its own field-count check, kept verbatim with the
+record reader they called.  The SVEB and SVPL oracles are the package's
+earlier binary readers, each with its own hand-kept offset and bounds checks.
 """
 
 import math
 import shlex
 import struct
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Mapping
 
 import numpy as np
 import scipy.linalg
 
 from svkit.audio import AudioBuffer
 from svkit.augment import (CHAIN_DOWN8K, CHAIN_KEEP16K, AugmentPlan, PlanEntry, Utterance,
-                           UtteranceManifest)
+                           UtteranceManifest, render_commands)
 from svkit.errors import ContractError, FormatError
 from svkit.scoring import _LABELS, TrialList
 from svkit.backend import PIPELINE_MAGIC, PIPELINE_VERSION, CenterStage, LdaStage, Pipeline
@@ -292,6 +293,37 @@ def oracle_write_scores(trials, scores: np.ndarray, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for (e, t), s in zip(trials.pairs, scores):
             f.write(f"{e}\t{t}\t{s:.6f}\n")
+
+
+def oracle_write_labels(labels: Mapping[str, str], path) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        for id_, lab in labels.items():
+            f.write(f"{id_}\t{lab}\n")
+
+
+def oracle_write_manifest(manifest: UtteranceManifest, path) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        for u in manifest.utterances:
+            f.write(f"{u.utt_id}\t{u.path}\t{u.duration_s:g}\t{u.sample_rate}\n")
+
+
+def oracle_write_plan(plan: AugmentPlan, path) -> None:
+    """Plan TSV: `utt_id<TAB>codec<TAB>chain<TAB>speed`."""
+    with open(path, "w", encoding="utf-8") as f:
+        for e in plan.entries:
+            f.write(f"{e.utt_id}\t{e.codec}\t{e.chain}\t{e.speed:g}\n")
+
+
+def oracle_emit_commands(plan: AugmentPlan, out_dir) -> Path:
+    """Write the command manifest to `<out_dir>/commands.txt`."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / "commands.txt"
+    lines = render_commands(plan, str(out))
+    with open(path, "w", encoding="utf-8") as f:
+        for line in lines:
+            f.write(line + "\n")
+    return path
 
 
 def oracle_lda(s, k=None):

@@ -578,6 +578,24 @@ class TestConfigAndExitCodes:
         assert main(argv) == 2
         assert f"format error: {tmp_path / 's.tsv'}:3: non-finite score 'nan'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("score", ["0_5", "\u0661", " 0.9"])
+    def test_score_not_a_plain_decimal_exit_2(self, tmp_path, capsys, score):
+        (tmp_path / "trials.txt").write_text("e t1 target\ne t2 nontarget\n")
+        (tmp_path / "s.tsv").write_text(f"e\tt1\t0.9\ne\tt2\t{score}\n", encoding="utf-8")
+        assert main(["eval", "--scores", str(tmp_path / "s.tsv"), "--trials", str(tmp_path / "trials.txt")]) == 2
+        assert f"format error: {tmp_path / 's.tsv'}:2: bad score {score!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ends, named", [(["--hi", "40"], "log odds 40"), (["--lo", "-800"], "log odds -800"),
+                                             (["--mark", "0.5:1e300:1"], "c_miss=1e+300, c_fa=1.0)")])
+    def test_dcf_curve_names_the_log_odds_it_cannot_use(self, tmp_path, capsys, ends, named):
+        (tmp_path / "trials.txt").write_text("e t1 target\ne t2 nontarget\n")
+        (tmp_path / "s.tsv").write_text("e\tt1\t0.9\ne\tt2\t0.1\n")
+        argv = ["dcf-curve", "--scores", str(tmp_path / "s.tsv"), "--trials", str(tmp_path / "trials.txt"), *ends]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{named} give" in err or f"{named} has" in err
+        assert "effective prior of" in err and "must be in" not in err and "Traceback" not in err
+
     @pytest.mark.parametrize("record", ["a\t3\t4", "c\tnan\t1", "c\t1e400\t1", "c d\t1\t2"],
                              ids=["duplicate-id", "nan", "1e400", "space-in-id"])
     def test_bad_tsv_embedding_record_exit_2(self, tmp_path, capsys, record):

@@ -281,6 +281,21 @@ class TestDcfCurve:
         with pytest.raises(ContractError):
             metrics.dcf_curve(s, -1, 1, 1)
 
+    @pytest.mark.parametrize("lo, hi, named, prior", [(-8, 40, "40", "1"), (-800, 8, "-800", "0"),
+                                                     (float("-inf"), 0, "-inf", "0")])
+    def test_grid_end_whose_prior_rounds_to_0_or_1(self, lo, hi, named, prior):
+        s = metrics.LabeledScores([1.0], [0.0])
+        with pytest.raises(ContractError, match=f"^log odds {named} give an effective prior of {prior},"):
+            metrics.dcf_curve(s, lo, hi, 5)
+        assert len(metrics.dcf_curve(s, -36, 36, 5).values) == 5  # the prior is still inside (0, 1)
+
+    @pytest.mark.parametrize("c_miss, prior", [(1e300, "1"), (5e-324, "0")])
+    def test_marked_point_whose_prior_rounds_to_0_or_1(self, c_miss, prior):
+        s = metrics.LabeledScores([1.0], [0.0])
+        op = metrics.OperatingPoint(0.5, c_miss, 1.0)
+        with pytest.raises(ContractError, match=rf"^OperatingPoint\(p_target=0.5, .* effective prior of {prior},"):
+            metrics.dcf_curve(s, -1, 1, 3, [op])
+
 
 class TestInvariances:
     def test_monotone_transform_exact(self):

@@ -1,8 +1,8 @@
 """Every line-oriented text reader against bad bytes: not UTF-8, records its
 constructor rejects, and arbitrary input.  Each may raise FormatError (or
 OSError) on bad input and nothing else, and each returns or raises what the
-earlier readers in oracles.py did, except for the rewordings and the one new
-check listed below."""
+earlier readers in oracles.py did, except for the rewordings and the new
+checks listed below."""
 
 import ast
 import math
@@ -10,6 +10,7 @@ import re
 import sys
 from itertools import islice
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -98,12 +99,13 @@ def test_plan_record_error_is_format_error(tmp_path):
 # numbers, labels, codecs and config syntax, plus bytes that are not UTF-8
 TOKENS = [b"a", b"b", b" ", b"\t", b"\n", b"\r", b"\x0c", b"#", b"1", b"-2.5", b"0", b"nan",
           b"inf", b"1e999", b"16000", b"target", b"NonTarget", b"none", b"gsm", b"keep16k",
-          b"down8k", b"[score]", b"[x]", b"workers", b"=", b":", b"\xc2\x85", b"\xff", b"\xc3"]
+          b"down8k", b"[score]", b"[x]", b"workers", b"=", b":", b"\xc2\x85", b"\xff", b"\xc3",
+          b"_", b"0_5", "\u0661".encode(), b"\xc2\xa0"]
 
 
 # fields of whole records, which every reader gets past its field-count check
 FIELDS = [b"a", b"b", b"1", b"-2.5", b"0", b"3", b"nan", b"1e999", b"16000", b"target", b"none",
-          b"keep16k"]
+          b"keep16k", b"0_5", b"1_0", " 0.9".encode(), "\u0661".encode(), "1\u00a0".encode()]
 FUZZ_BYTES = st.one_of(
     st.binary(max_size=48),
     st.lists(st.sampled_from(TOKENS), max_size=24).map(b"".join),
@@ -164,6 +166,16 @@ def _outcome(read, path):
     return "returns", repr(value)
 
 
+def _plain(parse):
+    """`parse` (float or int) refusing text with `_`, a space or a character
+    past ASCII, which the readers no longer take for a number."""
+    def strict(text):
+        if re.search(r"[_ \x80-\U0010ffff]", text):
+            raise ValueError(f"not a plain decimal: {text!r}")
+        return parse(text)
+    return strict
+
+
 def _first_non_finite_score(path, got):
     """`got` when read_scores raised for a non-finite score at line L, once
     the earlier reader is seen to accept lines 1..L with that score last;
@@ -185,17 +197,26 @@ def _first_non_finite_score(path, got):
 @example(data=b"a\tb\t1\n\nc\td\tinf\n")
 @example(data=b"a\tb\tnan\na\tb\t1\n")  # the earlier reader's error came on the next line
 @example(data=b"a\tb\t1\na\tb\tnan\n")  # a duplicate pair is reported first, as before
+@example(data=b"a\tb\t1\nc\td\t0_5\n")
+@example(data="a\tb\t\u0661\n".encode())
+@example(data=b"a\tb\t 0.9\n")
+@example(data=b"1_0\t2\n")  # an id, no longer the number 10
+@example(data=b"a\t/d/a.wav\t1\t16_000\n")
 def test_readers_match_earlier_readers(tmp_path, data):
     path = tmp_path / "fuzz.txt"
     path.write_bytes(data)
     sveb = store._is_sveb(path)
     if sveb:  # with the SVEB rewordings and the dimension-0 check
         check_sveb(path, data)
-    for name, old_read in ORACLES.items():
+    # the one new number rule: the earlier readers, with float() and int() taking plain decimals only
+    with (mock.patch.object(oracles, "float", _plain(float), create=True),
+          mock.patch.object(oracles, "int", _plain(int), create=True)):
+        expected = {name: _outcome(old_read, path) for name, old_read in ORACLES.items()}
+    for name, want in expected.items():
         if sveb and name in ("embeddings", "matrix"):
             continue
-        want, got = _outcome(old_read, path), _outcome(READERS[name], path)
-        if name == "scores":  # the one new error: a non-finite score at its line
+        got = _outcome(READERS[name], path)
+        if name == "scores":  # the one new score error: a non-finite score at its line
             want = _first_non_finite_score(path, got) or want
         for old, new in REWORDED.get(name, {}).items():
             if want[0] == "raises" and want[2].endswith(": " + old):
@@ -204,6 +225,43 @@ def test_readers_match_earlier_readers(tmp_path, data):
                 break
         else:
             assert got == want, (name, data)
+
+
+# (reader, a valid first line, the second line around a number field, its error)
+NUMBER_FIELDS = {
+    "scores": ("e\tt\t0.5\n", "e\tu\t{}\n", "bad score"),
+    "embeddings": ("a\t1\t2\n", "b\t1\t{}\n", "non-numeric value"),
+    "matrix": ("1\t2\n", "1\t{}\n", "non-numeric value"),
+    "manifest": ("a\t/d/a.wav\t1\t16000\n", "b\t/d/b.wav\t{}\t16000\n", "bad duration or sample rate"),
+    "plan": ("a\tnone\tkeep16k\t1\n", "b\tnone\tkeep16k\t{}\n", "bad speed factor"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMBER_FIELDS))
+@pytest.mark.parametrize("field", ["0_5", "1_0", "\u0661", " 0.9", "0.9 ", "\u00a00.9", "0.\uff15"])
+def test_number_field_must_be_a_plain_decimal(tmp_path, name, field):
+    """float() reads each of these fields; a reader names its line instead."""
+    first, line, error = NUMBER_FIELDS[name]
+    path = tmp_path / "n.tsv"
+    path.write_text(first + line.format(field), encoding="utf-8")
+    with pytest.raises(FormatError, match=f"n.tsv:2: {error}"):
+        READERS[name](path)
+    path.write_bytes((first + line.format("1")).replace("\n", "\r\n").encode())
+    READERS[name](path)  # CRLF line ends still read
+
+
+@pytest.mark.parametrize("rate", ["16_000", " 16000", "\u0661\u0666000"])
+def test_sample_rate_must_be_a_plain_decimal(tmp_path, rate):
+    path = tmp_path / "m.tsv"
+    path.write_text(f"a\t/d/a.wav\t1\t{rate}\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="m.tsv:1: bad duration or sample rate"):
+        augment.read_manifest(path)
+
+
+def test_first_field_sniffs_a_number_only_in_plain_decimals(tmp_path):
+    path = tmp_path / "m.tsv"
+    path.write_text("1_0\t2\n3\t4\n")  # read as the plain matrix [[10, 2], [3, 4]] before
+    assert store.read_matrix(path).tolist() == [[2.0], [4.0]]
 
 
 @pytest.mark.parametrize("text, old, new", [
