@@ -41,6 +41,17 @@ def _exit_of(e: Exception) -> tuple[int, str]:
     return next(v for kind, v in _EXITS.items() if isinstance(e, kind))
 
 
+def _int(text: str) -> int:  # option values follow the number rule of files
+    return int(store.plain_number(text))
+
+
+def _float(text: str) -> float:
+    return float(store.plain_number(text))
+
+
+_int.__name__, _float.__name__ = "int", "float"  # argparse: "invalid int value: '1_0'"
+
+
 def _parse_bool(raw: str) -> bool:
     from configparser import ConfigParser
 
@@ -111,33 +122,33 @@ def _build_parser() -> _Parser:
     s = subs.add_parser("features", help="extract log-Mel features (optionally VAD-filtered)")
     s.add_argument("inputs", nargs="+", help="wav files or directories")
     s.add_argument("--out-dir", required=True, help="output directory for feature files")
-    s.add_argument("--resample", type=int, help="resample to this rate before extraction")
-    s.add_argument("--n-mels", type=int, default=80)
-    s.add_argument("--frame-len", type=float, default=25.0, help="frame length, ms")
-    s.add_argument("--frame-shift", type=float, default=10.0, help="frame shift, ms")
-    s.add_argument("--preemphasis", type=float, default=0.97)
-    s.add_argument("--low-freq", type=float, default=20.0)
-    s.add_argument("--high-freq", type=float, help="defaults to Nyquist")
-    s.add_argument("--log-floor", type=float, default=1e-10)
-    s.add_argument("--dither", type=float, default=0.0, help="dither stddev; requires --seed when > 0")
-    s.add_argument("--seed", type=int)
+    s.add_argument("--resample", type=_int, help="resample to this rate before extraction")
+    s.add_argument("--n-mels", type=_int, default=80)
+    s.add_argument("--frame-len", type=_float, default=25.0, help="frame length, ms")
+    s.add_argument("--frame-shift", type=_float, default=10.0, help="frame shift, ms")
+    s.add_argument("--preemphasis", type=_float, default=0.97)
+    s.add_argument("--low-freq", type=_float, default=20.0)
+    s.add_argument("--high-freq", type=_float, help="defaults to Nyquist")
+    s.add_argument("--log-floor", type=_float, default=1e-10)
+    s.add_argument("--dither", type=_float, default=0.0, help="dither stddev; requires --seed when > 0")
+    s.add_argument("--seed", type=_int)
     s.add_argument("--vad", action=flag, default=False, help="drop non-speech frames")
-    s.add_argument("--vad-energy-threshold", type=float, default=5.0)
-    s.add_argument("--vad-energy-mean-scale", type=float, default=0.5)
-    s.add_argument("--vad-context", type=int, default=5)
-    s.add_argument("--vad-proportion", type=float, default=0.6)
+    s.add_argument("--vad-energy-threshold", type=_float, default=5.0)
+    s.add_argument("--vad-energy-mean-scale", type=_float, default=0.5)
+    s.add_argument("--vad-context", type=_int, default=5)
+    s.add_argument("--vad-proportion", type=_float, default=0.6)
     s.add_argument("--text", action=flag, default=False, help="write TSV instead of binary matrices")
 
     s = subs.add_parser("pool", help="pool a frame matrix into a single vector")
     s.add_argument("matrix", help="feature/frame matrix file (binary or TSV)")
     s.add_argument("--method", required=True, choices=["tstp", "asp", "xi", "mhfa"], help="tstp | asp | xi | mhfa")
-    s.add_argument("--seed", type=int, help="seed for randomly drawn asp/mhfa parameters")
-    s.add_argument("--hidden-dim", type=int, default=128, help="asp attention hidden size")
-    s.add_argument("--heads", type=int, default=64, help="mhfa attention heads")
-    s.add_argument("--key-dim", type=int, default=64, help="mhfa key dimension")
-    s.add_argument("--embed-dim", type=int, default=256, help="mhfa output dimension")
+    s.add_argument("--seed", type=_int, help="seed for randomly drawn asp/mhfa parameters")
+    s.add_argument("--hidden-dim", type=_int, default=128, help="asp attention hidden size")
+    s.add_argument("--heads", type=_int, default=64, help="mhfa attention heads")
+    s.add_argument("--key-dim", type=_int, default=64, help="mhfa key dimension")
+    s.add_argument("--embed-dim", type=_int, default=256, help="mhfa output dimension")
     s.add_argument("--precisions", help="matrix of per-frame log precisions (xi)")
-    s.add_argument("--prior-log-precision", type=float, default=-60.0, help="flat prior log precision (xi)")
+    s.add_argument("--prior-log-precision", type=_float, default=-60.0, help="flat prior log precision (xi)")
 
     s = subs.add_parser("fit-backend", help="fit center/LDA/length-norm stages")
     s.add_argument("--embeddings", required=True, help="training embedding set (SVEB/TSV)")
@@ -145,7 +156,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--out", required=True, help="output pipeline file")
     s.add_argument("--center", action=flag, default=True)
     s.add_argument("--lda", action=flag, default=True)
-    s.add_argument("--lda-dim", type=int, help="defaults to min(dim, classes - 1)")
+    s.add_argument("--lda-dim", type=_int, help="defaults to min(dim, classes - 1)")
     s.add_argument("--length-norm", action=flag, default=True)
 
     s = subs.add_parser("apply-backend", help="apply a fitted pipeline to embeddings")
@@ -160,48 +171,47 @@ def _build_parser() -> _Parser:
     s.add_argument("--trials", required=True)
     s.add_argument("--out", required=True, help="output score TSV")
     s.add_argument("--enroll-map", help="multi-segment models: `model seg1 seg2 ...` lines")
-    s.add_argument("--workers", type=int, default=1)
-    s.add_argument("--block-size", type=int, default=4096)
+    s.add_argument("--workers", type=_int, default=1)
 
     s = subs.add_parser("eval", help="EER / minDCF / averaged-cost report")
     s.add_argument("--scores", required=True, help="score TSV from `score`")
     s.add_argument("--trials", required=True, help="labeled trial list")
-    s.add_argument("--p-target", action="append", type=float, help="operating-point prior (repeatable)")
-    s.add_argument("--c-miss", type=float, default=1.0)
-    s.add_argument("--c-fa", type=float, default=1.0)
+    s.add_argument("--p-target", action="append", type=_float, help="operating-point prior (repeatable)")
+    s.add_argument("--c-miss", type=_float, default=1.0)
+    s.add_argument("--c-fa", type=_float, default=1.0)
     s.add_argument("--csv", help="also write a CSV report here")
 
     s = subs.add_parser("dcf-curve", help="minDCF over a range of effective priors")
     s.add_argument("--scores", required=True)
     s.add_argument("--trials", required=True)
-    s.add_argument("--lo", type=float, default=-8.0, help="lowest effective-prior log odds")
-    s.add_argument("--hi", type=float, default=8.0, help="highest effective-prior log odds")
-    s.add_argument("--points", type=int, default=161)
+    s.add_argument("--lo", type=_float, default=-8.0, help="lowest effective-prior log odds")
+    s.add_argument("--hi", type=_float, default=8.0, help="highest effective-prior log odds")
+    s.add_argument("--points", type=_int, default=161)
     s.add_argument("--mark", action="append", help="operating point p[:c_miss:c_fa] (repeatable)", metavar="P[:CM:CF]")
     s.add_argument("--out", help="output CSV (default stdout)")
 
     s = subs.add_parser("augment-plan", help="plan codec/rate-chain/speed augmentation")
     s.add_argument("--manifest", required=True, help="TSV utt_id<TAB>path<TAB>duration<TAB>rate")
     s.add_argument("--out-dir", required=True)
-    s.add_argument("--fraction", type=float, default=0.5, help="fraction of utterances to codec-flag")
+    s.add_argument("--fraction", type=_float, default=0.5, help="fraction of utterances to codec-flag")
     s.add_argument("--mode", default=CHAIN_DOWN8K, choices=list(CHAINS), help="rate chain")
-    s.add_argument("--seed", type=int, required=True)
+    s.add_argument("--seed", type=_int, required=True)
     s.add_argument("--speed-perturb", action=flag, default=False)
-    s.add_argument("--speed-seed", type=int, help="defaults to seed + 1")
+    s.add_argument("--speed-seed", type=_int, help="defaults to seed + 1")
 
     s = subs.add_parser("schedule", help="dump the margin/learning-rate recipe as CSV")
     s.add_argument("--out", help="output CSV (default stdout)")
-    s.add_argument("--epochs", type=int, default=150, help="stage-1 epochs")
-    s.add_argument("--warmup-epochs", type=float, default=6.0)
-    s.add_argument("--peak-lr", type=float, default=0.1)
-    s.add_argument("--final-lr", type=float, default=5e-5)
-    s.add_argument("--margin-start", type=float, default=20.0)
-    s.add_argument("--margin-end", type=float, default=40.0)
-    s.add_argument("--margin-final", type=float, default=0.2)
-    s.add_argument("--segment-seconds", type=float, default=2.0)
-    s.add_argument("--lmf-epochs", type=int, default=10, help="stage-2 epochs")
-    s.add_argument("--lmf-margin", type=float, default=0.5)
-    s.add_argument("--lmf-segment-seconds", type=float, default=10.0)
+    s.add_argument("--epochs", type=_int, default=150, help="stage-1 epochs")
+    s.add_argument("--warmup-epochs", type=_float, default=6.0)
+    s.add_argument("--peak-lr", type=_float, default=0.1)
+    s.add_argument("--final-lr", type=_float, default=5e-5)
+    s.add_argument("--margin-start", type=_float, default=20.0)
+    s.add_argument("--margin-end", type=_float, default=40.0)
+    s.add_argument("--margin-final", type=_float, default=0.2)
+    s.add_argument("--segment-seconds", type=_float, default=2.0)
+    s.add_argument("--lmf-epochs", type=_int, default=10, help="stage-2 epochs")
+    s.add_argument("--lmf-margin", type=_float, default=0.5)
+    s.add_argument("--lmf-segment-seconds", type=_float, default=10.0)
     return p
 
 
@@ -345,9 +355,7 @@ def cmd_score(args) -> int:
     trials = scoring.parse_trials(args.trials)
     member_map = scoring.parse_enroll_map(args.enroll_map) if args.enroll_map is not None else None
     models = scoring.build_enrollment(enroll, member_map)
-    scores = scoring.score_trials(
-        models, tests, trials, workers=args.workers, block_size=args.block_size
-    )
+    scores = scoring.score_trials(models, tests, trials, workers=args.workers)
     scoring.write_scores(trials, scores, args.out)
     print(f"scored {len(trials)} trials -> {args.out}")
     return 0
@@ -406,7 +414,7 @@ def _parse_mark(spec: str) -> metrics.OperatingPoint:
     from . import metrics
 
     try:
-        values = [float(v) for v in spec.split(":")]
+        values = [_float(v) for v in spec.split(":")]
     except ValueError:
         values = []  # not a number: the same usage error as a wrong field count
     if len(values) not in (1, 3):

@@ -1,15 +1,16 @@
 """Trial parsing, enrollment models, and batched deterministic cosine scoring.
 
-Scoring runs on one thread over blocks of trials: each row's norm is
-computed once, and each trial's score is a pure function of its two rows,
-so block size never changes a single output bit.  ``workers`` is accepted
-for compatibility and ignored.
+Scoring runs on one thread over blocks of trials that cast at most
+SCORE_BLOCK values per operand to float64, so a block stays in cache.
+Each row's norm is computed once, and each score is a pure function of its
+two rows, so block size never changes an output bit.  ``workers`` is
+accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -18,6 +19,7 @@ from .errors import ContractError, FormatError
 from .store import EmbeddingSet, plain_number, records, row_blocks, write_text
 
 _LABELS = {"target": True, "nontarget": False}
+SCORE_BLOCK = 1 << 15  # float64 values per operand per scoring block: 128 rows at 256-d
 
 
 @dataclass
@@ -26,9 +28,10 @@ class TrialList:
 
     pairs: list[tuple[str, str]]
     labels: np.ndarray | None = None  # bool per pair, True = target
+    unique: InitVar[bool] = False  # True: the caller has checked that no pair repeats
 
-    def __post_init__(self):
-        if len(set(self.pairs)) != len(self.pairs):
+    def __post_init__(self, unique):
+        if not unique and len(set(self.pairs)) != len(self.pairs):
             raise ContractError("duplicate (enroll, test) pair")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=bool)
@@ -66,7 +69,7 @@ def parse_trials(path) -> TrialList:
                 raise FormatError(f"{path}:{ln}: unknown label {fields[2]!r}")
             labels.append(_LABELS[key])
         pairs.append(pair)
-    return TrialList(pairs, np.asarray(labels, dtype=bool) if labeled else None)
+    return TrialList(pairs, np.asarray(labels, dtype=bool) if labeled else None, unique=True)
 
 
 def build_enrollment(
@@ -127,16 +130,21 @@ def score_trials(
     tests: EmbeddingSet,
     trials: TrialList,
     workers: int = 1,
-    block_size: int = 4096,
+    block_size: int | None = None,
 ) -> np.ndarray:
     """Cosine score per trial, aligned with the trial list order.
 
     Deterministic: repeated runs and any block_size produce bitwise-identical
-    scores.  block_size bounds the rows cast to float64 at once; workers
-    must be >= 1 and does not change anything.
+    scores.  block_size bounds the rows cast to float64 at once; None, the
+    default, is ``max(1, SCORE_BLOCK // dim)``.  workers must be >= 1 and
+    does not change anything.
     """
+    if block_size is None:
+        block_size = max(1, SCORE_BLOCK // max(models.dim, 1))
     if workers < 1 or block_size < 1:
         raise ContractError("workers and block_size must be >= 1")
+    if models.dim != tests.dim:
+        raise ContractError(f"enrollment dimension {models.dim} != test dimension {tests.dim}")
     n = len(trials)
     scores = np.empty(n)
     if n == 0:
@@ -152,7 +160,6 @@ def score_trials(
             raise ContractError("cannot score a zero vector")
         a, b = models.vectors[e].astype(np.float64), tests.vectors[t].astype(np.float64)
         scores[lo : lo + block_size] = np.einsum("ij,ij->i", a, b) / norms
-        del a, b  # frees this block's cast rows before the next block casts its own
     return scores
 
 

@@ -70,10 +70,14 @@ def records(path, expect, *, fields, sep="\t", comment=False) -> Iterator[tuple[
             yield ln, values
 
 
+_GRAPHIC = bytes(c for c in range(0x21, 0x7F) if c != 0x5F)  # ASCII graphic characters but `_`
+
+
 def plain_number(text: str) -> str:
-    """`text` if it is ASCII with no `_` or space, else ValueError: a number field is a plain
-    decimal, though float() and int() also read `1_0`, ` 1` and `١`."""
-    if text.isascii() and "_" not in text and " " not in text:
+    """`text` if it holds only ASCII graphic characters other than `_`, else ValueError: a
+    number field is a plain decimal, though float() and int() also read `1_0`, `١`, and a
+    number inside spaces, form feeds or other ASCII whitespace."""
+    if text.isascii() and not text.encode().translate(None, _GRAPHIC):
         return text
     raise ValueError(f"not a plain decimal: {text!r}")
 
@@ -261,7 +265,7 @@ def _numeric_rows(path, first: int, dtype) -> tuple[list[str], np.ndarray]:
     blocks = []  # arrays of `step` rows, as in row_blocks; the last is filled to len(ids)
     for ln, fields in records(path, "id and at least one value", fields=(first + 1, None)):
         try:
-            plain_number("\t".join(fields[first:]))  # one check per row, as no field holds a tab
+            plain_number(",".join(fields[first:]))  # one check per row; "," passes, so only a bad field fails
             row = [float(v) for v in fields[first:]]
         except ValueError:
             raise FormatError(f"{path}:{ln}: non-numeric value") from None

@@ -242,14 +242,14 @@ class TestBackendScoreEvalFlow:
             "--out", str(tmp_path / "proc.sveb"),
         ])
         outs = []
-        for workers, block in ((1, 4096), (2, 17), (8, 3)):
-            out = tmp_path / f"s{workers}_{block}.tsv"
+        for workers in (1, 2, 8):
+            out = tmp_path / f"s{workers}.tsv"
             rc = main([
                 "score", "--enroll", str(tmp_path / "proc.sveb"),
                 "--test", str(tmp_path / "proc.sveb"),
                 "--trials", str(tmp_path / "trials.txt"),
                 "--enroll-map", str(tmp_path / "enroll.map"),
-                "--workers", str(workers), "--block-size", str(block),
+                "--workers", str(workers),
                 "--out", str(out),
             ])
             assert rc == 0
@@ -301,14 +301,36 @@ class TestBackendScoreEvalFlow:
         if plain == 0:
             assert (tmp_path / "plain.tsv").read_bytes() == (tmp_path / "mapped.tsv").read_bytes()
 
-    @pytest.mark.parametrize("option", ["--workers", "--block-size"])
-    def test_workers_or_block_size_below_one_exit_3(self, tmp_path, capsys, option):
+    def test_workers_below_one_exit_3(self, tmp_path, capsys):
         store.write_embeddings(store.EmbeddingSet(["a"], np.ones((1, 2), np.float32)), tmp_path / "e.sveb")
         (tmp_path / "t.txt").write_text("a a\n")
         rc = main(["score", "--enroll", str(tmp_path / "e.sveb"), "--test", str(tmp_path / "e.sveb"),
-                   "--trials", str(tmp_path / "t.txt"), "--out", str(tmp_path / "s.tsv"), option, "0"])
+                   "--trials", str(tmp_path / "t.txt"), "--out", str(tmp_path / "s.tsv"), "--workers", "0"])
         assert rc == 3
         assert "workers and block_size must be >= 1" in capsys.readouterr().err
+
+    def test_block_size_option_is_gone(self, tmp_path, capsys):
+        """Blocks are sized from the dimension (scoring.SCORE_BLOCK), so the option and
+        its config key are usage errors."""
+        store.write_embeddings(store.EmbeddingSet(["a"], np.ones((1, 2), np.float32)), tmp_path / "e.sveb")
+        (tmp_path / "t.txt").write_text("a a\n")
+        (tmp_path / "svkit.cfg").write_text("[score]\nblock-size = 256\n")
+        score = ["score", "--enroll", str(tmp_path / "e.sveb"), "--test", str(tmp_path / "e.sveb"),
+                 "--trials", str(tmp_path / "t.txt"), "--out", str(tmp_path / "s.tsv")]
+        assert main([*score, "--block-size", "256"]) == 1
+        assert "unrecognized arguments: --block-size 256" in capsys.readouterr().err
+        assert main(["--config", str(tmp_path / "svkit.cfg"), *score]) == 1
+        assert "unknown config key in [score]: block-size" in capsys.readouterr().err
+        assert not (tmp_path / "s.tsv").exists()
+
+    def test_mismatched_dimensions_exit_3(self, tmp_path, capsys):
+        store.write_embeddings(store.EmbeddingSet(["a"], np.ones((1, 2), np.float32)), tmp_path / "e.sveb")
+        store.write_embeddings(store.EmbeddingSet(["b"], np.ones((1, 3), np.float32)), tmp_path / "t.sveb")
+        (tmp_path / "t.txt").write_text("a b\n")
+        rc = main(["score", "--enroll", str(tmp_path / "e.sveb"), "--test", str(tmp_path / "t.sveb"),
+                   "--trials", str(tmp_path / "t.txt"), "--out", str(tmp_path / "s.tsv")])
+        assert rc == 3
+        assert "enrollment dimension 2 != test dimension 3" in capsys.readouterr().err
 
     def test_eval_perfect_separation(self, tmp_path, capsys):
         (tmp_path / "trials.txt").write_text(
@@ -441,7 +463,7 @@ class TestConfigAndExitCodes:
         ("[pool]\nseed = 1\nmethod = bogus", "bogus"),
         ("[augment-plan]\nmode = bogus", "bogus"),
         ("[eval]\np-target = 0.01, abc", "abc"),
-        ("[score]\nblock-size = x", "x"),
+        ("[score]\nworkers = x", "x"),
         ("[fit-backend]\nlda = maybe", "maybe"),
     ], ids=["choices", "choices-contract", "list-type", "type", "flag"])
     def test_config_value_checked_like_its_flag(self, tmp_path, capsys, section, bad):
@@ -495,7 +517,7 @@ class TestConfigAndExitCodes:
     def test_config_workers_accepted(self, tmp_path, capsys):
         store.write_embeddings(store.EmbeddingSet(["a", "b"], np.eye(2, dtype=np.float32)), tmp_path / "e.sveb")
         (tmp_path / "t.txt").write_text("a b\n")
-        (tmp_path / "svkit.cfg").write_text("[score]\nworkers = 2\nblock-size = 1\n")
+        (tmp_path / "svkit.cfg").write_text("[score]\nworkers = 2\n")
         score = ["score", "--enroll", str(tmp_path / "e.sveb"), "--test", str(tmp_path / "e.sveb"),
                  "--trials", str(tmp_path / "t.txt")]
         assert main(["--config", str(tmp_path / "svkit.cfg"), *score, "--out", str(tmp_path / "s1")]) == 0
@@ -527,6 +549,20 @@ class TestConfigAndExitCodes:
         missing = ["--scores", str(tmp_path / "missing"), "--trials", str(tmp_path / "missing")]
         assert main([*argv, *missing]) == code  # reading either file would exit 4
         assert "No such file" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,option", [
+        (["dcf-curve", "--lo", "1_0", "--hi", "\u0661\u0662"], "--lo"),  # a curve from 10 to 12 before
+        (["dcf-curve", "--hi", "\u0661\u0662"], "--hi"),
+        (["dcf-curve", "--points", "1\x0c"], "--points"),
+        (["eval", "--p-target", "0_01"], "--p-target"),  # exit 3, "got 1.0", before
+        (["dcf-curve", "--mark", "0.01:1_0:1"], "--mark"),
+        (["dcf-curve", "--mark", " 0.01"], "--mark"),
+    ])
+    def test_number_option_must_be_a_plain_decimal(self, tmp_path, capsys, argv, option):
+        missing = ["--scores", str(tmp_path / "missing"), "--trials", str(tmp_path / "missing")]
+        assert main([*argv, *missing]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("svkit: usage error: ") and option in err
 
     def test_usage_errors_exit_1(self, capsys):
         assert main(["score"]) == 1  # missing required options
@@ -732,7 +768,11 @@ def _valid_values(action):
     """Two command-line values that `action` accepts, neither its default."""
     if action.choices:
         return [c for c in action.choices if c != action.default][:2]
-    return {int: ["7", "8"], float: ["-0.5", "0.25"], None: ["x", "y"]}[action.type]
+    return {cli._int: ["7", "8"], cli._float: ["-0.5", "0.25"], None: ["x", "y"]}[action.type]
+
+
+# numbers that int() or float() read but that are not plain decimals
+NOT_PLAIN = ["1_0", "\u0661\u0662", " 7", "7\x0c"]
 
 
 @pytest.mark.parametrize("command,key", [
@@ -766,6 +806,15 @@ def test_config_value_parses_like_command_line(tmp_path, command, key):
         assert from_config == from_flags, raw
         seen.append(from_flags[action.dest])
     assert any(v != action.default for v in seen)
+    if action.type in (cli._int, cli._float):  # the number rule of files, from either source
+        for bad in NOT_PLAIN:
+            argvs = [[*base, f"--{key}={bad}"]]
+            if bad.strip() == bad:  # configparser strips the whitespace around a value
+                cfg.write_text(f"[{command}]\n{key} = {bad}\n")
+                argvs.append(["--config", str(cfg), *base])
+            for argv in argvs:
+                with pytest.raises(cli.UsageError, match=f"argument --{key}: invalid"):
+                    cli._build_parser().parse_args(argv)
 
 
 def test_benchmark_command_lines_parse():

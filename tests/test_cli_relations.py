@@ -1,7 +1,7 @@
 """Metamorphic relations of the CLI on small generated inputs: reordering a
 trial list reorders the `score` lines and changes no `eval` or `dcf-curve`
-byte, and storing the enroll and test sets as SVEB or TSV changes no `score`
-byte."""
+byte, and neither storing the enroll and test sets as SVEB or TSV nor scaling
+their vectors by powers of two changes a `score` byte."""
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from svkit import store
 from svkit.cli import main
+from test_scoring import scaled_sets
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -89,3 +90,16 @@ def test_set_format_changes_no_score_byte(tmp_path, inputs):
         for t_ext in ("sveb", "tsv"):
             outcomes.add(_score(tmp_path, tmp_path / f"e.{e_ext}", tmp_path / f"t.{t_ext}", trials))
     assert len(outcomes) == 1, outcomes
+
+
+@SETTINGS
+@given(inputs=scaled_sets())
+def test_power_of_two_scaling_changes_no_score_byte(tmp_path, inputs):
+    """Each vector scaled by its own 2**k, |k| <= 20, at dimensions on both sides of a
+    scoring block boundary; enrollment normalizes each segment first."""
+    *sets, pairs = inputs
+    for name, s in zip(("e", "t", "scaled-e", "scaled-t"), sets):
+        store.write_embeddings(s, tmp_path / f"{name}.sveb")
+    trials = [f"{e} {t}\n" for e, t in pairs]
+    want = _score(tmp_path, tmp_path / "e.sveb", tmp_path / "t.sveb", trials)
+    assert _score(tmp_path, tmp_path / "scaled-e.sveb", tmp_path / "scaled-t.sveb", trials) == want

@@ -66,6 +66,12 @@ class TestParseTrials:
         with pytest.raises(FormatError, match=":1"):
             scoring.parse_trials(path)
 
+    def test_direct_list_with_a_repeated_pair(self):
+        """parse_trials checks its pairs as it reads them; a list built directly is checked
+        when it is made."""
+        with pytest.raises(ContractError, match=r"duplicate \(enroll, test\) pair"):
+            scoring.TrialList([("e1", "t1"), ("e2", "t1"), ("e1", "t1")])
+
 
 def enroll_models(models):
     """build_enrollment over {model_id: member vectors}: each member is a row
@@ -87,6 +93,39 @@ def enrollments(draw):
     models = st.dictionaries(st.text("mn", min_size=1, max_size=3), members, min_size=1, max_size=4)
     member_map = draw(st.none() | models)
     return enroll, member_map
+
+
+# float32 values whose copies scaled by 2**k, |k| <= 20, are exact normal float32 numbers,
+# so each product and sum of a score is scaled exactly and no score bit may change
+MAGNITUDES = st.floats(2.0 ** -100, 2.0 ** 100, width=32)
+SCALABLE = st.one_of(st.just(0.0), MAGNITUDES, MAGNITUDES.map(lambda v: -v))
+# one side and the other of a block boundary (4 and 3 rows per block), one row per block
+SCALED_DIMS = [1, 3, scoring.SCORE_BLOCK // 4 - 1, scoring.SCORE_BLOCK // 4 + 1, scoring.SCORE_BLOCK + 1]
+
+
+@st.composite
+def scaled_sets(draw):
+    """Enroll and test sets, the same sets with every vector scaled by its own power
+    of two, and up to 16 (enroll, test) pairs over them."""
+    dim = draw(st.sampled_from(SCALED_DIMS))
+    sets = []
+    for prefix in ("e", "t"):
+        n = draw(st.integers(1, 4))
+        vecs = draw(arrays(np.float32, (n, dim), elements=SCALABLE, fill=SCALABLE))
+        k = draw(arrays(np.int32, n, elements=st.integers(-20, 20)))
+        sets += [embset(vecs, prefix), embset(np.ldexp(vecs, k[:, None]), prefix)]
+    enroll, scaled_enroll, test, scaled_test = sets
+    pairs = draw(st.lists(st.tuples(st.sampled_from(enroll.ids), st.sampled_from(test.ids)),
+                          min_size=1, max_size=16, unique=True))
+    return enroll, test, scaled_enroll, scaled_test, pairs
+
+
+def score_outcome(models, tests, trials):
+    """score_trials' bytes, or the message of the ContractError it raises."""
+    try:
+        return scoring.score_trials(models, tests, trials).tobytes()
+    except ContractError as e:
+        return str(e)
 
 
 class TestBuildEnrollment:
@@ -194,9 +233,9 @@ class TestScoreTrials:
         tests = embset(rng.normal(size=(50, 16)), "t")
         pairs = [(f"m{i % 40}", f"t{(i * 7) % 50}") for i in range(1000)]
         trials = scoring.TrialList(list(dict.fromkeys(pairs)))
-        base = scoring.score_trials(models, tests, trials, workers=1, block_size=4096)
+        base = scoring.score_trials(models, tests, trials)
         for workers in (1, 2, 8):
-            for block in (1, 17, 256, 100000):
+            for block in (None, 1, 17, 256, 4096, 100000):
                 got = scoring.score_trials(models, tests, trials, workers=workers, block_size=block)
                 assert got.tobytes() == base.tobytes()
 
@@ -211,9 +250,24 @@ class TestScoreTrials:
         trials = scoring.TrialList([(f"m{i}", f"t{j}") for i, j in rows])
         e, k = np.array(rows).T
         want = oracle_score_block(m[e], t[k])
-        for block in (1, 17, 1000):
+        for block in (None, 1, 17, 1000):
             got = scoring.score_trials(models, tests, trials, block_size=block)
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 256, scoring.SCORE_BLOCK - 1, scoring.SCORE_BLOCK + 1])
+    def test_default_block_is_bounded_in_values(self, dim):
+        models, tests = embset(np.ones((2, dim)), "m"), embset(np.ones((2, dim)), "t")
+        with mock.patch.object(scoring, "_row_norms", wraps=scoring._row_norms) as norms:
+            scoring.score_trials(models, tests, scoring.TrialList([("m0", "t0"), ("m1", "t1")]))
+        assert {c.args[1] for c in norms.call_args_list} == {max(1, scoring.SCORE_BLOCK // dim)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=scaled_sets())
+    def test_power_of_two_scaling_changes_no_bit(self, inputs):
+        models, tests, scaled_models, scaled_tests, trials = inputs
+        trials = scoring.TrialList(trials)
+        assert (score_outcome(scaled_models, scaled_tests, trials)
+                == score_outcome(models, tests, trials))
 
     def test_zero_vector_only_when_referenced(self):
         models = embset([[1.0, 0.0]], "m")

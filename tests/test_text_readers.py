@@ -56,7 +56,7 @@ def test_text_lines_splits_only_at_newlines(tmp_path):
 
 def test_tsv_embeddings_cite_text_line_numbers(tmp_path):
     path = tmp_path / "ff.tsv"
-    path.write_bytes(b"a\t1\t2\x0c\nb\t1\t2\n\x0cc\t1\n")  # form feeds are not line ends
+    path.write_bytes(b"a\x0c\t1\t2\nb\t1\t2\n\x0cc\t1\n")  # form feeds are not line ends
     for read in (store.read_embeddings, store.read_matrix):
         with pytest.raises(FormatError, match="ff.tsv:3: dimension 1 != 2"):
             read(path)
@@ -100,12 +100,13 @@ def test_plan_record_error_is_format_error(tmp_path):
 TOKENS = [b"a", b"b", b" ", b"\t", b"\n", b"\r", b"\x0c", b"#", b"1", b"-2.5", b"0", b"nan",
           b"inf", b"1e999", b"16000", b"target", b"NonTarget", b"none", b"gsm", b"keep16k",
           b"down8k", b"[score]", b"[x]", b"workers", b"=", b":", b"\xc2\x85", b"\xff", b"\xc3",
-          b"_", b"0_5", "\u0661".encode(), b"\xc2\xa0"]
+          b"_", b"0_5", "\u0661".encode(), b"\xc2\xa0", b"\x0b"]
 
 
 # fields of whole records, which every reader gets past its field-count check
 FIELDS = [b"a", b"b", b"1", b"-2.5", b"0", b"3", b"nan", b"1e999", b"16000", b"target", b"none",
-          b"keep16k", b"0_5", b"1_0", " 0.9".encode(), "\u0661".encode(), "1\u00a0".encode()]
+          b"keep16k", b"0_5", b"1_0", " 0.9".encode(), "\u0661".encode(), "1\u00a0".encode(),
+          b"2\x0c", b"\x0b4"]
 FUZZ_BYTES = st.one_of(
     st.binary(max_size=48),
     st.lists(st.sampled_from(TOKENS), max_size=24).map(b"".join),
@@ -167,10 +168,10 @@ def _outcome(read, path):
 
 
 def _plain(parse):
-    """`parse` (float or int) refusing text with `_`, a space or a character
-    past ASCII, which the readers no longer take for a number."""
+    """`parse` (float or int) refusing text with `_`, a space, an ASCII control
+    character or a character past ASCII, which the readers no longer take for a number."""
     def strict(text):
-        if re.search(r"[_ \x80-\U0010ffff]", text):
+        if re.search(r"[^!-^`-~]", text):
             raise ValueError(f"not a plain decimal: {text!r}")
         return parse(text)
     return strict
@@ -202,6 +203,7 @@ def _first_non_finite_score(path, got):
 @example(data=b"a\tb\t 0.9\n")
 @example(data=b"1_0\t2\n")  # an id, no longer the number 10
 @example(data=b"a\t/d/a.wav\t1\t16_000\n")
+@example(data=b"a\t1\t2\x0c\nb\t3\t\x0b4\n")  # read as [1, 2] and [3, 4] before
 def test_readers_match_earlier_readers(tmp_path, data):
     path = tmp_path / "fuzz.txt"
     path.write_bytes(data)
@@ -238,7 +240,8 @@ NUMBER_FIELDS = {
 
 
 @pytest.mark.parametrize("name", sorted(NUMBER_FIELDS))
-@pytest.mark.parametrize("field", ["0_5", "1_0", "\u0661", " 0.9", "0.9 ", "\u00a00.9", "0.\uff15"])
+@pytest.mark.parametrize("field", ["0_5", "1_0", "\u0661", " 0.9", "0.9 ", "\u00a00.9", "0.\uff15",
+                                   "2\x0c", "\x0b4"])
 def test_number_field_must_be_a_plain_decimal(tmp_path, name, field):
     """float() reads each of these fields; a reader names its line instead."""
     first, line, error = NUMBER_FIELDS[name]
