@@ -367,15 +367,7 @@ def _labeled_scores(scores_path, trials_path):
     trials = scoring.parse_trials(trials_path)
     if trials.labels is None:
         raise ContractError(f"{trials_path}: trial list has no target/nontarget labels")
-    by_pair = scoring.read_scores(scores_path)
-    if list(by_pair) == trials.pairs:  # `score` writes in trial order
-        values = np.fromiter(by_pair.values(), float, len(trials))
-    else:
-        values = np.empty(len(trials))
-        for k, pair in enumerate(trials.pairs):
-            if pair not in by_pair:
-                raise ContractError(f"no score for trial {pair[0]} {pair[1]}")
-            values[k] = by_pair[pair]
+    values = scoring.read_scores(scores_path, trials)
     return metrics.LabeledScores(values[trials.labels], values[~trials.labels])
 
 

@@ -1,15 +1,17 @@
-"""Trial parsing, enrollment models, and batched deterministic cosine scoring.
+"""Trial parsing, enrollment models, batched deterministic cosine scoring, and score files.
 
-Scoring runs on one thread over blocks of trials that cast at most
-SCORE_BLOCK values per operand to float64, so a block stays in cache.
-Each row's norm is computed once, and each score is a pure function of its
-two rows, so block size never changes an output bit.  ``workers`` is
-accepted for compatibility and ignored.
+Scoring runs on one thread over blocks of trials that cast at most SCORE_BLOCK values per
+operand to float64, so a block stays in cache.  Each row's norm is computed once, and each
+score is a pure function of its two rows, so block size never changes an output bit.
+``workers`` is accepted for compatibility and ignored.  A score file is read against the
+trial list: in one pass, with no per-pair table, when it holds the trials in order.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from contextlib import suppress
 from dataclasses import InitVar, dataclass
 from typing import Mapping, Sequence
 
@@ -172,17 +174,33 @@ def write_scores(trials: TrialList, scores: np.ndarray, path) -> None:
                       for (e, t), s in zip(trials.pairs[b], scores[b].tolist())))
 
 
-def read_scores(path) -> dict[tuple[str, str], float]:
-    out: dict[tuple[str, str], float] = {}
-    for ln, fields in records(path, "'enroll<TAB>test<TAB>score'", fields=(3, 3)):
+def read_scores(path, trials: TrialList) -> np.ndarray:
+    """float64 score of each trial, in trial order, from a score TSV whose lines may come in any
+    order and may hold other pairs, which are ignored; an error names the first bad line."""
+    expect, pairs, values = "'enroll<TAB>test<TAB>score'", trials.pairs, []
+    if os.path.isfile(path):  # the table below reads the file again, and a pipe reads only once
+        lines = records(path, expect, fields=(3, 3))
+        with suppress(ValueError):  # a FormatError from records, or a score that float() refuses
+            for (e, t), (_, (fe, ft, value)) in zip(pairs, lines):
+                if e != fe or t != ft:
+                    break
+                values.append(value)
+            if len(values) == len(pairs) and next(lines, None) is None:
+                plain_number(",".join(values))
+                out = np.fromiter(map(float, values), float, len(values))
+                if np.isfinite(out).all():
+                    return out
+    by_pair: dict[tuple[str, str], float] = {}
+    for ln, (e, t, value) in records(path, expect, fields=(3, 3)):
         try:
-            score = float(plain_number(fields[2]))
+            score = float(plain_number(value))
         except ValueError:
-            raise FormatError(f"{path}:{ln}: bad score {fields[2]!r}") from None
-        key = (fields[0], fields[1])
-        if key in out:
-            raise FormatError(f"{path}:{ln}: duplicate pair {key[0]} {key[1]}")
+            raise FormatError(f"{path}:{ln}: bad score {value!r}") from None
+        if (e, t) in by_pair:
+            raise FormatError(f"{path}:{ln}: duplicate pair {e} {t}")
         if not math.isfinite(score):
-            raise FormatError(f"{path}:{ln}: non-finite score {fields[2]!r}")
-        out[key] = score
-    return out
+            raise FormatError(f"{path}:{ln}: non-finite score {value!r}")
+        by_pair[e, t] = score
+    if missing := next((pair for pair in pairs if pair not in by_pair), None):
+        raise ContractError(f"no score for trial {missing[0]} {missing[1]}")
+    return np.fromiter((by_pair[pair] for pair in pairs), float, len(pairs))

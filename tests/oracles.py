@@ -15,8 +15,10 @@ solves its generalized eigenproblem with scipy.linalg.eigh.  The framing
 oracle gathers frames through an index array, the actual-DCF oracle counts
 errors by direct comparison, and the text-reader oracles are the package's
 earlier readers, each with its own field-count check, kept verbatim with the
-record reader they called.  The SVEB and SVPL oracles are the package's
-earlier binary readers, each with its own hand-kept offset and bounds checks.
+record reader they called; the labeled-scores oracle is the earlier score
+reader followed by the alignment loop that the CLI ran on its table.  The
+SVEB and SVPL oracles are the package's earlier binary readers, each with
+its own hand-kept offset and bounds checks.
 """
 
 import math
@@ -509,6 +511,20 @@ def oracle_read_scores(path) -> dict[tuple[str, str], float]:
             raise FormatError(f"{path}:{ln}: duplicate pair {key[0]} {key[1]}")
         out[key] = score
     return out
+
+
+def oracle_labeled_scores(path, trials: TrialList) -> np.ndarray:
+    """Score per trial in trial order: the earlier score table, then the
+    alignment loop that the CLI ran on it."""
+    by_pair = oracle_read_scores(path)
+    if list(by_pair) == trials.pairs:  # `score` writes in trial order
+        return np.fromiter(by_pair.values(), np.float64, len(trials))
+    values = np.empty(len(trials))
+    for k, pair in enumerate(trials.pairs):
+        if pair not in by_pair:
+            raise ContractError(f"no score for trial {pair[0]} {pair[1]}")
+        values[k] = by_pair[pair]
+    return values
 
 
 def oracle_read_manifest(path) -> UtteranceManifest:

@@ -2,6 +2,7 @@ import argparse
 import importlib.util
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -222,8 +223,7 @@ class TestBackendScoreEvalFlow:
             "--trials", str(tmp_path / "trials.txt"),
         ]) == 0
         out = capsys.readouterr().out
-        by_pair = scoring.read_scores(tmp_path / "scores_lib.tsv")
-        vals = np.array([by_pair[p] for p in trials.pairs])
+        vals = scoring.read_scores(tmp_path / "scores_lib.tsv", trials)
         ls = metrics.LabeledScores(vals[trials.labels], vals[~trials.labels])
         assert f"EER (%): {100 * metrics.eer(ls):.2f}" in out
         cprim = metrics.c_primary(ls, list(metrics.DEFAULT_OPERATING_POINTS))
@@ -280,6 +280,29 @@ class TestBackendScoreEvalFlow:
             assert main([command, "--scores", str(tmp_path / "missing.tsv"),
                          "--trials", str(tmp_path / "trials.txt")]) == 3
             assert "no score for trial model0 spk0-utt3" in capsys.readouterr().err
+
+    def test_score_lines_outside_the_trials_are_ignored(self, workspace, capsys):
+        """Extra lines after the trials in order, or mixed into a permuted file,
+        change no `eval` byte."""
+        tmp_path, _, _ = workspace
+        assert main(["score", "--enroll", str(tmp_path / "train.sveb"),
+                     "--test", str(tmp_path / "train.sveb"),
+                     "--trials", str(tmp_path / "trials.txt"),
+                     "--enroll-map", str(tmp_path / "enroll.map"),
+                     "--out", str(tmp_path / "scores.tsv")]) == 0
+        lines = (tmp_path / "scores.tsv").read_text().splitlines(keepends=True)
+        lines += ["model0\tspk0-utt0\t0.999999\n", "model9\tspk1-utt3\t-0.5\n"]  # not trials
+        (tmp_path / "tail.tsv").write_text("".join(lines))
+        perm = np.random.default_rng(5).permutation(len(lines))
+        (tmp_path / "mixed.tsv").write_text("".join(lines[k] for k in perm))
+        capsys.readouterr()
+        reports = []
+        for name in ("scores", "tail", "mixed"):
+            csv = tmp_path / f"{name}.csv"
+            assert main(["eval", "--scores", str(tmp_path / f"{name}.tsv"),
+                         "--trials", str(tmp_path / "trials.txt"), "--csv", str(csv)]) == 0
+            reports.append((capsys.readouterr(), csv.read_bytes()))
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
@@ -725,6 +748,27 @@ class TestConfigAndExitCodes:
         rc = main(["features", "--out-dir", str(tmp_path / "f"), str(path)])
         assert rc == 2
         assert "chunk.wav: chunk size runs past" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, code, message", [
+        ("wav", 4, r".*a\.wav: .*a\.wav: truncated file: \d+ bytes for \d+ frames"),
+        ("sveb", 2, r"format error: .*e\.sveb: header claims 2 records of dim 2, more than the \d+ bytes that follow"),
+        ("svpl", 2, r"format error: .*p\.svpl: truncated: \d+ bytes needed at byte \d+")],
+        ids=["wav", "sveb", "svpl"])
+    def test_truncated_input_exit_code(self, tmp_path, capsys, kind, code, message):
+        """A WAV cut short is an I/O error (an OSError, as any read that ends
+        early), while a cut SVEB or SVPL file is a format error."""
+        audio.write_wav(audio.AudioBuffer(np.zeros(1600), 16000), tmp_path / "a.wav")
+        store.write_embeddings(store.EmbeddingSet(["a", "b"], np.eye(2, dtype=np.float32)), tmp_path / "e.sveb")
+        backend.save_pipeline(backend.Pipeline(center=backend.CenterStage(np.zeros(2))), tmp_path / "p.svpl")
+        path = tmp_path / {"wav": "a.wav", "sveb": "e.sveb", "svpl": "p.svpl"}[kind]
+        path.write_bytes(path.read_bytes()[:-3])
+        argv = (["features", "--out-dir", str(tmp_path / "f"), str(tmp_path / "a.wav")] if kind == "wav" else
+                ["apply-backend", "--pipeline", str(tmp_path / "p.svpl"),
+                 "--embeddings", str(tmp_path / "e.sveb"), "--out", str(tmp_path / "o.sveb")])
+        capsys.readouterr()
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert re.fullmatch(f"svkit: {message}\n", err), err
 
     def test_contract_error_exit_3(self, tmp_path, capsys):
         s = store.EmbeddingSet(["a", "b"], np.eye(2, dtype=np.float32))

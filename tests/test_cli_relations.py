@@ -1,15 +1,19 @@
 """Metamorphic relations of the CLI on small generated inputs: reordering a
 trial list reorders the `score` lines and changes no `eval` or `dcf-curve`
 byte, and neither storing the enroll and test sets as SVEB or TSV nor scaling
-their vectors by powers of two changes a `score` byte."""
+their vectors by powers of two changes a `score` byte.  A strictly increasing
+map of the scores changes no `eval` or `dcf-curve` byte, and `apply-backend`
+on a subset of a set gives the rows it gives them in the whole set."""
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from svkit import store
 from svkit.cli import main
+from test_cli import synthetic_speakers
 from test_scoring import scaled_sets
 
 SETTINGS = settings(max_examples=40, deadline=None,
@@ -103,3 +107,65 @@ def test_power_of_two_scaling_changes_no_score_byte(tmp_path, inputs):
     trials = [f"{e} {t}\n" for e, t in pairs]
     want = _score(tmp_path, tmp_path / "e.sveb", tmp_path / "t.sveb", trials)
     assert _score(tmp_path, tmp_path / "scaled-e.sveb", tmp_path / "scaled-t.sveb", trials) == want
+
+
+def _six_decimals(micros: int) -> str:
+    """An integer count of millionths as a score field, e.g. -1500001 -> -1.500001."""
+    sign = "-" if micros < 0 else ""
+    return f"{sign}{abs(micros) // 10**6}.{abs(micros) % 10**6:06d}"
+
+
+@st.composite
+def ranked_scores(draw):
+    """Labels and scores of up to 30 trials, in millionths with many ties, and the
+    scores under a drawn strictly increasing map: equal scores stay equal and
+    distinct ones stay distinct at 6 decimals (and as float64, at 15 digits)."""
+    n = draw(st.integers(1, 30))
+    levels = draw(st.lists(st.integers(-2 * 10**6, 2 * 10**6), min_size=1, max_size=8, unique=True))
+    micros = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    labels = draw(st.lists(st.sampled_from(["target", "nontarget"]), min_size=n, max_size=n))
+    distinct = sorted(set(micros))
+    images = sorted(draw(st.lists(st.integers(-(10**15) + 1, 10**15 - 1), min_size=len(distinct),
+                                  max_size=len(distinct), unique=True)))
+    mapped = dict(zip(distinct, images))
+    return labels, micros, [mapped[m] for m in micros]
+
+
+@SETTINGS
+@given(inputs=ranked_scores())
+def test_increasing_map_of_scores_keeps_reports(tmp_path, capsys, inputs):
+    """Every metric is a rank statistic, so the reports read only the order of the scores."""
+    labels, micros, mapped = inputs
+    (tmp_path / "trials.txt").write_text("".join(f"e{k} t{k} {lab}\n" for k, lab in enumerate(labels)))
+    for name, values in (("scores", micros), ("mapped", mapped)):
+        (tmp_path / f"{name}.tsv").write_text(
+            "".join(f"e{k}\tt{k}\t{_six_decimals(v)}\n" for k, v in enumerate(values)))
+    assert _reports(tmp_path, capsys, tmp_path / "mapped.tsv") == _reports(tmp_path, capsys, tmp_path / "scores.tsv")
+
+
+@pytest.fixture(scope="module")
+def fitted(tmp_path_factory):
+    """A set of 400 x 24 embeddings of 8 speakers, a center + LDA + length-norm
+    pipeline fitted on it, and the whole set through `apply-backend`."""
+    d = tmp_path_factory.mktemp("backend")
+    s = synthetic_speakers(np.random.default_rng(17), n_spk=8, per_spk=50, dim=24)
+    store.write_embeddings(s, d / "set.sveb")
+    store.write_labels(s.labels, d / "set.labels")
+    assert main(["fit-backend", "--embeddings", str(d / "set.sveb"), "--labels", str(d / "set.labels"),
+                 "--out", str(d / "pipe.svpl")]) == 0
+    assert main(["apply-backend", "--pipeline", str(d / "pipe.svpl"), "--embeddings", str(d / "set.sveb"),
+                 "--out", str(d / "whole.sveb")]) == 0
+    return d, s, store.read_embeddings(d / "whole.sveb")
+
+
+@SETTINGS
+@given(data=st.data())
+def test_apply_backend_on_a_subset_gives_its_rows(tmp_path, fitted, data):
+    d, s, whole = fitted
+    rows = data.draw(st.lists(st.integers(0, len(s) - 1), min_size=1, max_size=len(s), unique=True))
+    store.write_embeddings(store.EmbeddingSet([s.ids[k] for k in rows], s.vectors[rows]), tmp_path / "sub.sveb")
+    assert main(["apply-backend", "--pipeline", str(d / "pipe.svpl"), "--embeddings", str(tmp_path / "sub.sveb"),
+                 "--out", str(tmp_path / "out.sveb")]) == 0
+    out = store.read_embeddings(tmp_path / "out.sveb")
+    assert out.ids == [s.ids[k] for k in rows]
+    assert out.vectors.tobytes() == whole.vectors[rows].tobytes()

@@ -1,3 +1,5 @@
+import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -306,9 +308,10 @@ class TestScoreIO:
         scores = np.array([0.123456789, -0.5])
         path = tmp_path / "s.tsv"
         scoring.write_scores(trials, scores, path)
-        back = scoring.read_scores(path)
-        assert back[("e1", "t1")] == pytest.approx(0.123457, abs=1e-9)
-        assert back[("e2", "t2")] == -0.5
+        back = scoring.read_scores(path, trials)
+        assert back.dtype == np.float64 and back.shape == (2,)
+        assert back[0] == pytest.approx(0.123457, abs=1e-9)
+        assert back[1] == -0.5
 
     def test_six_decimals(self, tmp_path):
         trials = scoring.TrialList([("a", "b")])
@@ -350,7 +353,56 @@ class TestScoreIO:
         path = tmp_path / "s.tsv"
         path.write_text(f"a\tb\t0.5\n\nc\td\t{value}\n")
         with pytest.raises(FormatError, match=f"s.tsv:3: non-finite score '{value}'$"):
-            scoring.read_scores(path)
+            scoring.read_scores(path, scoring.TrialList([("a", "b"), ("c", "d")]))
+
+    def test_file_in_trial_order_builds_no_table(self, tmp_path):
+        """The one pass checks the score column whole: no per-pair table, so
+        no per-line finiteness check, which only the table path makes."""
+        trials = scoring.TrialList([("a", "b"), ("c", "d"), ("a", "d")])
+        path = tmp_path / "s.tsv"
+        path.write_text("a\tb\t0.5\n\nc\td\t-1e-06\na\td\t2\n")
+        with mock.patch.object(scoring, "math", wraps=scoring.math) as spy:
+            np.testing.assert_array_equal(scoring.read_scores(path, trials), [0.5, -1e-06, 2])
+        assert not spy.isfinite.called
+        path.write_text("c\td\t-1e-06\na\tb\t0.5\na\td\t2\n")
+        with mock.patch.object(scoring, "math", wraps=scoring.math) as spy:
+            np.testing.assert_array_equal(scoring.read_scores(path, trials), [0.5, -1e-06, 2])
+        assert spy.isfinite.call_count == 3
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_read_once(self, tmp_path):
+        """A pipe cannot be read twice, so it goes to the per-pair table at once."""
+        fifo = tmp_path / "s.fifo"
+        os.mkfifo(fifo)
+        trials = scoring.TrialList([("a", "b"), ("c", "d")])
+        got = []
+        reader = threading.Thread(target=lambda: got.append(scoring.read_scores(fifo, trials)), daemon=True)
+        reader.start()
+        fifo.write_text("c\td\t1\na\tb\t0.5\n")
+        reader.join(timeout=10)
+        assert not reader.is_alive(), "still waiting to read the pipe again"
+        np.testing.assert_array_equal(got[0], [0.5, 1])
+
+    @pytest.mark.parametrize("text", [
+        "a\tb\t0.5\nc\td\t1\nx\ty\t9\nc\tb\t7\n",  # extra lines after the trials in order
+        "a\tb\t0.5\nx\ty\t9\nc\td\t1\n",  # an extra line inside them
+        "c\tb\t7\nc\td\t1\nx\ty\t9\na\tb\t0.5\n",  # permuted, with extra lines
+    ])
+    def test_lines_outside_the_trials_are_ignored(self, tmp_path, text):
+        path = tmp_path / "s.tsv"
+        path.write_text(text)
+        trials = scoring.TrialList([("a", "b"), ("c", "d")])
+        np.testing.assert_array_equal(scoring.read_scores(path, trials), [0.5, 1])
+
+    @pytest.mark.parametrize("extra, error", [
+        ("x\ty\tnan\n", "s.tsv:3: non-finite score 'nan'"),
+        ("a\tb\t2\n", "s.tsv:3: duplicate pair a b"),
+        ("x\ty\n", "s.tsv:3: expected 'enroll<TAB>test<TAB>score'")])
+    def test_lines_outside_the_trials_are_still_checked(self, tmp_path, extra, error):
+        path = tmp_path / "s.tsv"
+        path.write_text("a\tb\t0.5\nc\td\t1\n" + extra)
+        with pytest.raises(FormatError, match=f"{error}$"):
+            scoring.read_scores(path, scoring.TrialList([("a", "b"), ("c", "d")]))
 
     def test_enroll_map(self, tmp_path):
         path = tmp_path / "map.txt"

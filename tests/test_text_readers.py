@@ -2,7 +2,8 @@
 constructor rejects, and arbitrary input.  Each may raise FormatError (or
 OSError) on bad input and nothing else, and each returns or raises what the
 earlier readers in oracles.py did, except for the rewordings and the new
-checks listed below."""
+checks listed below.  The score reader is given the file's own pairs as its
+trial list, so that it reads a well-formed file in its one pass."""
 
 import ast
 import math
@@ -19,17 +20,26 @@ from hypothesis import strategies as st
 
 import oracles
 from svkit import augment, cli, scoring, store
-from svkit.errors import FormatError
+from svkit.errors import ContractError, FormatError
 from test_binary_readers import check_sveb
 
 MANIFEST = augment.UtteranceManifest(
     [augment.Utterance("a", "/d/a.wav", 1.0, 16000), augment.Utterance("b", "/d/b.wav", 2.0, 8000)]
 )
 
+
+def _file_trials(path) -> scoring.TrialList:
+    """The distinct pairs of a score file's 3-field lines, in file order, read
+    from any bytes; a file that read_scores accepts holds exactly these."""
+    with open(path, encoding="utf-8", errors="replace") as f:
+        rows = [line.rstrip("\n").split("\t") for line in f if line.strip()]
+    return scoring.TrialList(list(dict.fromkeys((r[0], r[1]) for r in rows if len(r) == 3)))
+
+
 READERS = {
     "trials": scoring.parse_trials,
     "enroll-map": scoring.parse_enroll_map,
-    "scores": scoring.read_scores,
+    "scores": lambda path: scoring.read_scores(path, _file_trials(path)),
     "labels": store.read_labels,
     "manifest": augment.read_manifest,
     "plan": lambda path: augment.read_plan(path, MANIFEST),
@@ -133,7 +143,7 @@ def test_arbitrary_bytes_only_format_error(tmp_path, data):
 ORACLES = {
     "trials": oracles.oracle_parse_trials,
     "enroll-map": oracles.oracle_parse_enroll_map,
-    "scores": oracles.oracle_read_scores,
+    "scores": lambda path: oracles.oracle_labeled_scores(path, _file_trials(path)),
     "labels": oracles.oracle_read_labels,
     "manifest": oracles.oracle_read_manifest,
     "plan": lambda path: oracles.oracle_read_plan(path, MANIFEST),
@@ -153,7 +163,7 @@ def _outcome(read, path):
     or the type and message of what it raises."""
     try:
         value = read(path)
-    except (FormatError, OSError) as e:
+    except (FormatError, ContractError, OSError) as e:
         return "raises", type(e), str(e)
     def array(a):
         return None if a is None else (a.dtype.str, a.shape, a.tobytes())
@@ -227,6 +237,60 @@ def test_readers_match_earlier_readers(tmp_path, data):
                 break
         else:
             assert got == want, (name, data)
+
+
+IDS = [b"a", b"b", b"c", b"d"]
+# score files of 3-field records over few pairs, most of them well formed, some with a
+# duplicate pair, a non-finite score or a score that is not a plain decimal
+SCORE_FILES = st.lists(st.tuples(st.sampled_from(IDS), st.sampled_from(IDS),
+                                 st.sampled_from([b"1", b"-2.5", b"0.125", b"-0", b"1e-06", b"7", b"nan",
+                                                  b"1e999", b"0_5", b" 0.9"]))
+                       .map(lambda fields: b"\t".join(fields) + b"\n"), max_size=6).map(b"".join)
+MISSING = ("no\nsuch", "pair")  # no line of a file holds a newline inside a field
+
+
+def _trials_for(path, order, key) -> scoring.TrialList:
+    """A trial list over the file's pairs: in file order, permuted, with one pair
+    the file lacks, with one of its pairs dropped, or a strict prefix, which
+    leaves the file extra trailing lines."""
+    pairs = _file_trials(path).pairs
+    rng = np.random.default_rng(key)
+    if order == "permuted":
+        pairs = [pairs[k] for k in rng.permutation(len(pairs))]
+    elif order == "missing":
+        pairs.insert(rng.integers(len(pairs) + 1), MISSING)
+    elif order == "dropped" and pairs:
+        del pairs[rng.integers(len(pairs))]
+    elif order == "prefix" and pairs:
+        pairs = pairs[: rng.integers(len(pairs))]
+    return scoring.TrialList(pairs)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(FUZZ_BYTES, SCORE_FILES),
+       order=st.sampled_from(["file", "permuted", "missing", "dropped", "prefix"]),
+       key=st.integers(0, 2**32 - 1))
+@example(data=b"a\tb\t1\nc\td\tx\ne\tf\n", order="file", key=0)  # bad score, then a 2-field line
+@example(data=b"a\tb\t1\nc\td\tnan\n", order="file", key=0)  # nan on the last line
+@example(data=b"a\tb\t1\nc\td\t2\n", order="permuted", key=3)
+@example(data=b"a\tb\t1\na\tc\t2\n", order="permuted", key=3)  # the same enroll ids in order
+@example(data=b"a\tb\t1\nc\td\t2\ne\tf\tnan\n", order="prefix", key=0)  # a bad extra line
+@example(data=b"a\tb\t1\nc\td\t2\n", order="missing", key=0)
+def test_read_scores_matches_earlier_reader_and_alignment(tmp_path, data, order, key):
+    """read_scores(path, trials) returns the values, or raises the error, of
+    the earlier per-pair table followed by the CLI's alignment loop."""
+    path = tmp_path / "fuzz.txt"
+    path.write_bytes(data)
+    trials = _trials_for(path, order, key)
+    with (mock.patch.object(oracles, "float", _plain(float), create=True),
+          mock.patch.object(oracles, "int", _plain(int), create=True)):
+        want = _outcome(lambda p: oracles.oracle_labeled_scores(p, trials), path)
+    with mock.patch.object(scoring, "math", wraps=math) as spy:
+        got = _outcome(lambda p: scoring.read_scores(p, trials), path)
+    if order == "file" and got[0] == "returns":
+        assert not spy.isfinite.called, data  # read in the one pass, without a per-pair table
+    assert got == (_first_non_finite_score(path, got) or want), (order, data)
 
 
 # (reader, a valid first line, the second line around a number field, its error)
