@@ -3,22 +3,26 @@
 Scoring runs on one thread over blocks of trials that cast at most SCORE_BLOCK values per
 operand to float64, so a block stays in cache.  Each row's norm is computed once, and each
 score is a pure function of its two rows, so block size never changes an output bit.
-``workers`` is accepted for compatibility and ignored.  A score file is read against the
-trial list: in one pass, with no per-pair table, when it holds the trials in order.
+``workers`` is accepted for compatibility and ignored.
+
+A trial list keeps its ids as codes.  A trial file, and a score file that holds the trials
+in order, is read whole as byte columns when ``store.byte_fields`` accepts it: a regular
+file of ASCII graphic ids and labels, no ``#``, no CR and the same field count on every
+line.  Any other file, and any pipe, is read line by line, which is also where every error
+message comes from.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from contextlib import suppress
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .store import EmbeddingSet, plain_number, records, row_blocks, write_text
+from .store import EmbeddingSet, byte_fields, plain_number, records, row_blocks, write_text
 
 _LABELS = {"target": True, "nontarget": False}
 SCORE_BLOCK = 1 << 15  # float64 values per operand per scoring block: 128 rows at 256-d
@@ -26,22 +30,77 @@ SCORE_BLOCK = 1 << 15  # float64 values per operand per scoring block: 128 rows 
 
 @dataclass
 class TrialList:
-    """Ordered (enroll, test) pairs, optionally labeled target/nontarget."""
+    """Ordered (enroll, test) pairs as codes: trial k pairs ``enroll_ids[enroll[k]]`` with
+    ``test_ids[test[k]]``, where both id lists are sorted and distinct; optionally labeled
+    target/nontarget."""
 
-    pairs: list[tuple[str, str]]
-    labels: np.ndarray | None = None  # bool per pair, True = target
-    unique: InitVar[bool] = False  # True: the caller has checked that no pair repeats
+    enroll_ids: list[str]
+    enroll: np.ndarray  # intp per trial
+    test_ids: list[str]
+    test: np.ndarray  # intp per trial
+    labels: np.ndarray | None = None  # bool per trial, True = target
 
-    def __post_init__(self, unique):
-        if not unique and len(set(self.pairs)) != len(self.pairs):
+    def __post_init__(self):
+        self.enroll, self.test = np.asarray(self.enroll, np.intp), np.asarray(self.test, np.intp)
+        n = len(self.enroll)
+        if self.enroll.shape != (n,) or self.test.shape != (n,) or n and (
+                min(self.enroll.min(), self.test.min()) < 0 or self.enroll.max() >= len(self.enroll_ids)
+                or self.test.max() >= len(self.test_ids)):
+            raise ContractError("trial codes must be two 1-D arrays of one length that index the id lists")
+        pair = np.sort(self.enroll * len(self.test_ids) + self.test)
+        if (pair[1:] == pair[:-1]).any():
             raise ContractError("duplicate (enroll, test) pair")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=bool)
-            if self.labels.shape != (len(self.pairs),):
+            if self.labels.shape != (n,):
                 raise ContractError("labels must align one-to-one with pairs")
 
+    @classmethod
+    def from_pairs(cls, pairs: Sequence[tuple[str, str]], labels=None) -> TrialList:
+        """The trial list of (enroll, test) id pairs, in order."""
+        return cls(*_encode([e for e, _ in pairs]), *_encode([t for _, t in pairs]), labels)
+
+    @property
+    def pairs(self) -> list[tuple[str, str]]:
+        """The (enroll, test) ids of every trial, built on each call."""
+        e_ids, t_ids = self.enroll_ids, self.test_ids
+        return [(e_ids[e], t_ids[t]) for e, t in zip(self.enroll.tolist(), self.test.tolist())]
+
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.enroll)
+
+
+def _encode(ids: list[str]) -> tuple[list[str], np.ndarray]:
+    distinct = sorted(set(ids))
+    index = {i: k for k, i in enumerate(distinct)}
+    return distinct, np.fromiter(map(index.__getitem__, ids), np.intp, len(ids))
+
+
+def _byte_codes(col: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """_encode of the ASCII ids in the rows of a byte_fields matrix."""
+    rows, width = col.shape
+    if width <= 8:  # as big-endian u64, which sort as the ids do and much faster than bytes
+        keys = np.zeros((rows, 8), np.uint8)
+        keys[:, :width] = col
+        distinct, codes = np.unique(keys.view(">u8").ravel().astype(np.uint64), return_inverse=True)
+        distinct = distinct.astype(">u8").view("S8")
+    else:
+        distinct, codes = np.unique(col.view(f"S{width}").ravel(), return_inverse=True)
+    return distinct.astype(str).tolist(), codes
+
+
+def _same_codes(col: np.ndarray, ids: list[str], codes: np.ndarray) -> bool:
+    col_ids, col_codes = _byte_codes(col)
+    return col_ids == ids and np.array_equal(col_codes, codes)
+
+
+def _byte_labels(col: np.ndarray) -> np.ndarray | None:
+    """True for `target` and False for `nontarget` in any case, per row of a byte_fields
+    matrix; None if a row holds another label."""
+    lower = np.where((col >= ord("A")) & (col <= ord("Z")), col | 0x20, col)
+    words = lower.view(f"S{col.shape[1]}").ravel()
+    target = words == b"target"
+    return target if (target | (words == b"nontarget")).all() else None
 
 
 def parse_trials(path) -> TrialList:
@@ -50,6 +109,12 @@ def parse_trials(path) -> TrialList:
     `#` starts a comment; labels are matched case-insensitively against
     target/nontarget and must be present on all lines or none.
     """
+    cols = byte_fields(path, (2, 3), None)
+    if cols:
+        target = _byte_labels(cols[2]) if len(cols) == 3 else None
+        if len(cols) == 2 or target is not None:
+            with suppress(ContractError):  # a repeated pair: the loop below names its line
+                return TrialList(*_byte_codes(cols[0]), *_byte_codes(cols[1]), target)
     pairs: list[tuple[str, str]] = []
     labels: list[bool] = []
     seen: set[tuple[str, str]] = set()
@@ -71,7 +136,7 @@ def parse_trials(path) -> TrialList:
                 raise FormatError(f"{path}:{ln}: unknown label {fields[2]!r}")
             labels.append(_LABELS[key])
         pairs.append(pair)
-    return TrialList(pairs, np.asarray(labels, dtype=bool) if labeled else None, unique=True)
+    return TrialList.from_pairs(pairs, np.asarray(labels, dtype=bool) if labeled else None)
 
 
 def build_enrollment(
@@ -127,6 +192,16 @@ def _row_norms(x: np.ndarray, block_size: int) -> np.ndarray:
     return out
 
 
+def _trial_rows(s: EmbeddingSet, ids: list[str], codes: np.ndarray, what: str) -> np.ndarray:
+    """Row in `s` of each trial's id, looking up each distinct id once; of the unknown ids,
+    the error names the one that comes first in trial order."""
+    try:
+        return s.rows(ids, what)[codes]
+    except ContractError:
+        s.rows((ids[c] for c in codes.tolist()), what)  # raises at the first unknown in trial order
+        raise
+
+
 def score_trials(
     models: EmbeddingSet,
     tests: EmbeddingSet,
@@ -151,8 +226,8 @@ def score_trials(
     scores = np.empty(n)
     if n == 0:
         return scores
-    e_rows = models.rows((e for e, _ in trials.pairs), "enrollment id")
-    t_rows = tests.rows((t for _, t in trials.pairs), "test id")
+    e_rows = _trial_rows(models, trials.enroll_ids, trials.enroll, "enrollment id")
+    t_rows = _trial_rows(tests, trials.test_ids, trials.test, "test id")
     na = _row_norms(models.vectors, block_size)
     nb = _row_norms(tests.vectors, block_size)
     for lo in range(0, n, block_size):
@@ -170,28 +245,24 @@ def write_scores(trials: TrialList, scores: np.ndarray, path) -> None:
     scores = np.asarray(scores)
     if scores.shape != (len(trials),):
         raise ContractError(f"scores of shape {scores.shape} for {len(trials)} trials")
-    write_text(path, ("%s\t%s\t%.6f\n" % (e, t, s) for b in row_blocks(len(trials), 1)
-                      for (e, t), s in zip(trials.pairs[b], scores[b].tolist())))
+    e_ids, t_ids = np.array(trials.enroll_ids, object), np.array(trials.test_ids, object)
+    write_text(path, ("%s\t%s\t%.6f\n" % line for b in row_blocks(len(trials), 1)
+                      for line in zip(e_ids[trials.enroll[b]].tolist(), t_ids[trials.test[b]].tolist(),
+                                      scores[b].tolist())))
 
 
 def read_scores(path, trials: TrialList) -> np.ndarray:
     """float64 score of each trial, in trial order, from a score TSV whose lines may come in any
     order and may hold other pairs, which are ignored; an error names the first bad line."""
-    expect, pairs, values = "'enroll<TAB>test<TAB>score'", trials.pairs, []
-    if os.path.isfile(path):  # the table below reads the file again, and a pipe reads only once
-        lines = records(path, expect, fields=(3, 3))
-        with suppress(ValueError):  # a FormatError from records, or a score that float() refuses
-            for (e, t), (_, (fe, ft, value)) in zip(pairs, lines):
-                if e != fe or t != ft:
-                    break
-                values.append(value)
-            if len(values) == len(pairs) and next(lines, None) is None:
-                plain_number(",".join(values))
-                out = np.fromiter(map(float, values), float, len(values))
-                if np.isfinite(out).all():
-                    return out
+    cols = byte_fields(path, (3, 3), "\t")
+    if (cols and len(cols[0]) == len(trials) and _same_codes(cols[0], trials.enroll_ids, trials.enroll)
+            and _same_codes(cols[1], trials.test_ids, trials.test) and not (cols[2] == ord("_")).any()):
+        with suppress(ValueError):  # not a number: the table below names its line
+            out = cols[2].view(f"S{cols[2].shape[1]}").ravel().astype(np.float64)  # as float() reads it
+            if np.isfinite(out).all():
+                return out
     by_pair: dict[tuple[str, str], float] = {}
-    for ln, (e, t, value) in records(path, expect, fields=(3, 3)):
+    for ln, (e, t, value) in records(path, "'enroll<TAB>test<TAB>score'", fields=(3, 3)):
         try:
             score = float(plain_number(value))
         except ValueError:
@@ -201,6 +272,7 @@ def read_scores(path, trials: TrialList) -> np.ndarray:
         if not math.isfinite(score):
             raise FormatError(f"{path}:{ln}: non-finite score {value!r}")
         by_pair[e, t] = score
+    pairs = trials.pairs
     if missing := next((pair for pair in pairs if pair not in by_pair), None):
         raise ContractError(f"no score for trial {missing[0]} {missing[1]}")
     return np.fromiter((by_pair[pair] for pair in pairs), float, len(pairs))

@@ -13,11 +13,13 @@ format label-agnostic.
 
 from __future__ import annotations
 
+import io
+import os
 import struct
 import sys
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -36,6 +38,26 @@ def row_blocks(n: int, width: int) -> Iterator[slice]:
     return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
+class _ReadOnce:
+    """A path that is not a regular file, such as a pipe, read once: _open_binary opens its
+    bytes in memory however often a reader asks.  It prints as the path."""
+
+    def __init__(self, path):
+        self.path, self.data = path, Path(path).read_bytes()
+
+    def __str__(self) -> str:
+        return str(self.path)
+
+
+def _read_once(path):
+    """`path` if it is a regular file, else a _ReadOnce of it, for a reader that opens it twice."""
+    return path if os.path.isfile(path) else _ReadOnce(path)
+
+
+def _open_binary(path) -> BinaryIO:
+    return io.BytesIO(path.data) if isinstance(path, _ReadOnce) else open(path, "rb")
+
+
 def text_lines(path) -> Iterator[tuple[int, str]]:
     """Stream (line number from 1, line) pairs from a UTF-8 text file.
 
@@ -43,7 +65,7 @@ def text_lines(path) -> Iterator[tuple[int, str]]:
     at no other control character), which keeps ``path:ln`` in error
     messages stable.  Bytes that are not UTF-8 raise FormatError.
     """
-    with open(path, "r", encoding="utf-8") as f:
+    with io.TextIOWrapper(_open_binary(path), encoding="utf-8") as f:
         try:
             yield from enumerate(f, start=1)
         except UnicodeDecodeError:
@@ -68,6 +90,53 @@ def records(path, expect, *, fields, sep="\t", comment=False) -> Iterator[tuple[
             if len(values) < lo or (hi is not None and len(values) > hi):
                 raise FormatError(f"{path}:{ln}: expected {expect}")
             yield ln, values
+
+
+def byte_fields(path, fields, sep) -> list[np.ndarray] | None:
+    """The records of a regular file as one zero-padded uint8 matrix per field, a row per
+    record, when a check over its bytes proves that ``records(path, ..., fields=fields,
+    sep=sep)`` yields the same fields: every byte is an ASCII graphic character other than
+    ``#``, a separator (``sep``, or space and tab for ``sep=None``) or ``\n``; every
+    non-blank line has the same field count, within ``fields``; a ``sep`` sits between two
+    field bytes; and no matrix is larger than the file.  None for any other file, and for
+    a path that is not a regular file (a pipe), which the caller then reads with ``records``.
+    """
+    if not os.path.isfile(path):
+        return None
+    data = np.fromfile(path, np.uint8)
+    in_field = np.zeros(len(data) + 2, bool)  # byte i is in_field[i + 1]
+    field = in_field[1:-1]
+    np.less(data - np.uint8(0x21), 0x7F - 0x21, out=field)  # ASCII graphic: 0x21 to 0x7E
+    field &= data != ord("#")
+    at_sep = data == ord(sep) if sep is not None else (data == ord(" ")) | (data == ord("\t"))
+    at_end = data == ord("\n")
+    if sum(map(np.count_nonzero, (field, at_sep, at_end))) != len(data):  # three disjoint sets
+        return None
+    edges = np.flatnonzero(in_field[1:] != in_field[:-1])
+    starts, lengths = edges[0::2], edges[1::2] - edges[0::2]
+    if sep is not None:
+        at = np.flatnonzero(at_sep)
+        if not (in_field[at] & in_field[at + 2]).all():
+            return None  # an empty field
+    per_line = np.diff(np.searchsorted(starts, np.append(np.flatnonzero(at_end), len(data))), prepend=0)
+    k = int(per_line.max(initial=0))
+    lo, hi = fields
+    if k == 0 or k < lo or (hi is not None and k > hi) or ((per_line != 0) & (per_line != k)).any():
+        return None
+    rows = len(starts) // k
+    widths = lengths.reshape(rows, k).max(axis=0).tolist()
+    if rows * max(widths) > len(data):
+        return None
+    cols = []
+    for j, width in enumerate(widths):
+        col = np.empty((rows, width), np.uint8)
+        at = starts[j::k].copy()
+        for p in range(width):  # one byte position at a time: no (rows, width) index matrix
+            col[:, p] = data.take(at, mode="clip")
+            at += 1
+        col[lengths[j::k, None] <= np.arange(width)] = 0
+        cols.append(col)
+    return cols
 
 
 _GRAPHIC = bytes(c for c in range(0x21, 0x7F) if c != 0x5F)  # ASCII graphic characters but `_`
@@ -101,7 +170,7 @@ def record_errors(path):
 
 def _is_sveb(path) -> bool:
     # the magic, then a u16 version below 256: a TSV id may start with the magic letters
-    with open(path, "rb") as f:
+    with _open_binary(path) as f:
         head = f.read(6)
     return head[:4] == MAGIC and head[5:] == b"\x00"
 
@@ -199,7 +268,8 @@ class ByteReader:
     magic and u16 version, and a read past the end or a byte left at end() is a FormatError."""
 
     def __init__(self, path, magic: bytes, version: int, kind: str):
-        self.path, self.data, self.off = path, memoryview(Path(path).read_bytes()), 0
+        with _open_binary(path) as f:
+            self.path, self.data, self.off = path, memoryview(f.read()), 0
         if self.take(len(magic)) != magic:
             raise FormatError(f"{path}: not a {kind} file")
         (v,) = self.unpack(_U16)
@@ -295,6 +365,7 @@ def _parse_tsv(path) -> EmbeddingSet:
 
 def read_embeddings(path) -> EmbeddingSet:
     """Read SVEB or TSV embeddings, auto-detected by the magic bytes."""
+    path = _read_once(path)
     return _parse_sveb(path) if _is_sveb(path) else _parse_tsv(path)
 
 
@@ -334,6 +405,7 @@ def read_matrix(path) -> np.ndarray:
     """Read a float64 matrix: SVEB, id-prefixed TSV (read as float32
     embeddings), or plain numeric TSV when the first field of the first
     record is a number."""
+    path = _read_once(path)
     if _is_sveb(path):
         return _parse_sveb(path).vectors.astype(np.float64)
     for _, fields in records(path, "a value", fields=(1, None)):

@@ -482,7 +482,7 @@ def oracle_parse_trials(path) -> TrialList:
                 raise FormatError(f"{path}:{ln}: unknown label {fields[2]!r}")
             labels.append(_LABELS[key])
         pairs.append(pair)
-    return TrialList(pairs, np.asarray(labels, dtype=bool) if labeled else None)
+    return TrialList.from_pairs(pairs, np.asarray(labels, dtype=bool) if labeled else None)
 
 
 def oracle_parse_enroll_map(path) -> dict[str, list[str]]:

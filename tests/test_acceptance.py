@@ -185,7 +185,7 @@ def _pairwise_trials(ids, labels_by_id, rng, n_trials=4000):
             continue
         pairs.add(key)
         items.append((key, labels_by_id[ids[a]] == labels_by_id[ids[b]]))
-    return scoring.TrialList([k for k, _ in items], np.array([t for _, t in items]))
+    return scoring.TrialList.from_pairs([k for k, _ in items], np.array([t for _, t in items]))
 
 
 def test_c06_backend_improves_eer():
@@ -229,7 +229,7 @@ def test_c07_scoring_determinism():
         [f"t{k}" for k in range(200)], rng.normal(size=(200, 64)).astype(np.float32)
     )
     pairs = [(f"m{i}", f"t{j}") for i in range(100) for j in range(100)]
-    trials = scoring.TrialList(pairs)
+    trials = scoring.TrialList.from_pairs(pairs)
     assert len(trials) == 10000
     blobs = set()
     for workers in (1, 2, 8):

@@ -998,3 +998,61 @@ print(json.dumps({"rc": rc, "import": imported, "run": loaded()}))
             assert result["rc"] == 0, (argv, proc.stderr)
             assert set(result["import"]) == _IMPORT_CLI
             assert set(result["run"]) == want, argv
+
+
+def _run_with_stdin(argv, data: bytes):
+    """svkit `argv` in a new interpreter, with `data` on a pipe as its standard input."""
+    env = dict(os.environ, PYTHONPATH=str(Path(svkit.__file__).resolve().parents[1]))
+    code = "import sys, svkit.cli; sys.exit(svkit.cli.main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *argv], input=data, env=env,
+                          capture_output=True, timeout=120)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+class TestPipedInputs:
+    """A pipe can be read only once: every input path reads from standard input
+    what it reads from a file with the same bytes."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        rng = np.random.default_rng(21)
+        for name in "et":
+            s = store.EmbeddingSet([f"{name}{k}" for k in range(4)], rng.normal(size=(4, 3)))
+            store.write_embeddings_tsv(s, tmp_path / f"{name}.tsv")
+            store.write_embeddings(s, tmp_path / f"{name}.sveb")
+        (tmp_path / "trials.txt").write_text("".join(
+            f"e{a} t{b} {'target' if a == b else 'nontarget'}\n" for a in range(4) for b in range(4)))
+        store.write_matrix_tsv(rng.normal(size=(5, 3)), tmp_path / "m.tsv")
+        store.write_matrix(rng.normal(size=(5, 3)), tmp_path / "m.sveb")
+        return tmp_path
+
+    @pytest.mark.parametrize("test_set", ["t.tsv", "t.sveb"])
+    def test_score_reads_the_test_set_from_stdin(self, files, test_set, capsys):
+        argv = ["score", "--enroll", str(files / "e.tsv"), "--trials", str(files / "trials.txt")]
+        assert main([*argv, "--test", str(files / test_set), "--out", str(files / "want.tsv")]) == 0
+        proc = _run_with_stdin([*argv, "--test", "/dev/stdin", "--out", str(files / "got.tsv")],
+                               (files / test_set).read_bytes())
+        assert proc.returncode == 0, proc.stderr
+        assert (files / "got.tsv").read_bytes() == (files / "want.tsv").read_bytes()
+
+    @pytest.mark.parametrize("piped", ["--scores", "--trials"])
+    def test_eval_reads_scores_or_trials_from_stdin(self, files, piped, capsys):
+        assert main(["score", "--enroll", str(files / "e.sveb"), "--test", str(files / "t.sveb"),
+                     "--trials", str(files / "trials.txt"), "--out", str(files / "scores.tsv")]) == 0
+        paths = {"--scores": files / "scores.tsv", "--trials": files / "trials.txt"}
+        capsys.readouterr()
+        assert main(["eval", *(str(v) for kv in paths.items() for v in kv)]) == 0
+        want = capsys.readouterr().out
+        argv = ["eval", *(v for k, p in paths.items() for v in (k, "/dev/stdin" if k == piped else str(p)))]
+        proc = _run_with_stdin(argv, paths[piped].read_bytes())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode() == want
+
+    @pytest.mark.parametrize("matrix", ["m.tsv", "m.sveb"])
+    def test_pool_reads_a_matrix_from_stdin(self, files, matrix, capsys):
+        capsys.readouterr()
+        assert main(["pool", "--method", "tstp", str(files / matrix)]) == 0
+        want = capsys.readouterr().out
+        proc = _run_with_stdin(["pool", "--method", "tstp", "/dev/stdin"], (files / matrix).read_bytes())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode() == want

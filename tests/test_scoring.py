@@ -72,7 +72,12 @@ class TestParseTrials:
         """parse_trials checks its pairs as it reads them; a list built directly is checked
         when it is made."""
         with pytest.raises(ContractError, match=r"duplicate \(enroll, test\) pair"):
-            scoring.TrialList([("e1", "t1"), ("e2", "t1"), ("e1", "t1")])
+            scoring.TrialList.from_pairs([("e1", "t1"), ("e2", "t1"), ("e1", "t1")])
+
+    @pytest.mark.parametrize("enroll, test", [([0, 1], [0]), ([1], [0]), ([0], [-1]), ([[0]], [[0]])])
+    def test_direct_codes_must_index_the_id_lists(self, enroll, test):
+        with pytest.raises(ContractError, match="trial codes must be two 1-D arrays"):
+            scoring.TrialList(["e1"], enroll, ["t1"], test)
 
 
 def enroll_models(models):
@@ -202,7 +207,7 @@ class TestScoreTrials:
     def test_identity_trial(self):
         models = embset([[1.0, 2.0, 3.0]], "m")
         tests = embset([[1.0, 2.0, 3.0]], "t")
-        trials = scoring.TrialList([("m0", "t0")])
+        trials = scoring.TrialList.from_pairs([("m0", "t0")])
         np.testing.assert_allclose(scoring.score_trials(models, tests, trials), [1.0])
 
     def test_alignment_follows_trial_order(self):
@@ -210,10 +215,10 @@ class TestScoreTrials:
         models = embset(rng.normal(size=(4, 5)), "m")
         tests = embset(rng.normal(size=(4, 5)), "t")
         pairs = [(f"m{i}", f"t{j}") for i in range(4) for j in range(4)]
-        trials = scoring.TrialList(pairs)
+        trials = scoring.TrialList.from_pairs(pairs)
         base = scoring.score_trials(models, tests, trials)
         perm = rng.permutation(len(pairs))
-        shuffled = scoring.TrialList([pairs[k] for k in perm])
+        shuffled = scoring.TrialList.from_pairs([pairs[k] for k in perm])
         got = scoring.score_trials(models, tests, shuffled)
         np.testing.assert_array_equal(got, base[perm])
 
@@ -222,7 +227,7 @@ class TestScoreTrials:
         models = embset(rng.normal(size=(6, 8)), "m")
         tests = embset(rng.normal(size=(7, 8)), "t")
         pairs = [(f"m{rng.integers(6)}", f"t{rng.integers(7)}") for _ in range(30)]
-        trials = scoring.TrialList(list(dict.fromkeys(pairs)))
+        trials = scoring.TrialList.from_pairs(list(dict.fromkeys(pairs)))
         got = scoring.score_trials(models, tests, trials)
         want = [
             cosine_score(models.vector(e), tests.vector(t)) for e, t in trials.pairs
@@ -234,7 +239,7 @@ class TestScoreTrials:
         models = embset(rng.normal(size=(40, 16)), "m")
         tests = embset(rng.normal(size=(50, 16)), "t")
         pairs = [(f"m{i % 40}", f"t{(i * 7) % 50}") for i in range(1000)]
-        trials = scoring.TrialList(list(dict.fromkeys(pairs)))
+        trials = scoring.TrialList.from_pairs(list(dict.fromkeys(pairs)))
         base = scoring.score_trials(models, tests, trials)
         for workers in (1, 2, 8):
             for block in (None, 1, 17, 256, 4096, 100000):
@@ -249,7 +254,7 @@ class TestScoreTrials:
         t = (rng.normal(size=(40, dim)) * scale[20:]).astype(np.float32)
         models, tests = embset(m, "m"), embset(t, "t")
         rows = list(dict.fromkeys(zip(rng.integers(20, size=500), rng.integers(40, size=500))))
-        trials = scoring.TrialList([(f"m{i}", f"t{j}") for i, j in rows])
+        trials = scoring.TrialList.from_pairs([(f"m{i}", f"t{j}") for i, j in rows])
         e, k = np.array(rows).T
         want = oracle_score_block(m[e], t[k])
         for block in (None, 1, 17, 1000):
@@ -260,27 +265,26 @@ class TestScoreTrials:
     def test_default_block_is_bounded_in_values(self, dim):
         models, tests = embset(np.ones((2, dim)), "m"), embset(np.ones((2, dim)), "t")
         with mock.patch.object(scoring, "_row_norms", wraps=scoring._row_norms) as norms:
-            scoring.score_trials(models, tests, scoring.TrialList([("m0", "t0"), ("m1", "t1")]))
+            scoring.score_trials(models, tests, scoring.TrialList.from_pairs([("m0", "t0"), ("m1", "t1")]))
         assert {c.args[1] for c in norms.call_args_list} == {max(1, scoring.SCORE_BLOCK // dim)}
 
     @settings(max_examples=60, deadline=None)
     @given(inputs=scaled_sets())
     def test_power_of_two_scaling_changes_no_bit(self, inputs):
         models, tests, scaled_models, scaled_tests, trials = inputs
-        trials = scoring.TrialList(trials)
+        trials = scoring.TrialList.from_pairs(trials)
         assert (score_outcome(scaled_models, scaled_tests, trials)
                 == score_outcome(models, tests, trials))
 
     def test_zero_vector_only_when_referenced(self):
         models = embset([[1.0, 0.0]], "m")
         tests = embset([[0.0, 1.0], [0.0, 0.0]], "t")
-        got = scoring.score_trials(models, tests, scoring.TrialList([("m0", "t0")]))
+        got = scoring.score_trials(models, tests, scoring.TrialList.from_pairs([("m0", "t0")]))
         np.testing.assert_array_equal(got, [0.0])
         for block in (1, 4096):
             with pytest.raises(ContractError, match="cannot score a zero vector"):
-                scoring.score_trials(
-                    models, tests, scoring.TrialList([("m0", "t0"), ("m0", "t1")]), block_size=block
-                )
+                scoring.score_trials(models, tests, scoring.TrialList.from_pairs([("m0", "t0"), ("m0", "t1")]),
+                                     block_size=block)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
@@ -288,7 +292,7 @@ class TestScoreTrials:
         models = embset(vecs, "m")
         scaled = embset(vecs * np.float32(4.0), "m")
         tests = embset(rng.normal(size=(5, 4)), "t")
-        trials = scoring.TrialList([(f"m{i}", f"t{i}") for i in range(5)])
+        trials = scoring.TrialList.from_pairs([(f"m{i}", f"t{i}") for i in range(5)])
         a = scoring.score_trials(models, tests, trials)
         b = scoring.score_trials(scaled, tests, trials)
         np.testing.assert_allclose(a, b, atol=1e-12)
@@ -297,14 +301,25 @@ class TestScoreTrials:
         models = embset(np.eye(2), "m")
         tests = embset(np.eye(2), "t")
         with pytest.raises(ContractError, match="unknown enrollment id 'm9'"):
-            scoring.score_trials(models, tests, scoring.TrialList([("m9", "t0")]))
+            scoring.score_trials(models, tests, scoring.TrialList.from_pairs([("m9", "t0")]))
         with pytest.raises(ContractError, match="unknown test id 't9'"):
-            scoring.score_trials(models, tests, scoring.TrialList([("m0", "t9")]))
+            scoring.score_trials(models, tests, scoring.TrialList.from_pairs([("m0", "t9")]))
+
+    def test_first_unknown_id_in_trial_order_is_named(self):
+        """Each distinct id is looked up once, in sorted order, but the error names
+        the unknown id that comes first in trial order, enrollment ids before test ids."""
+        models = embset(np.eye(2), "m")
+        tests = embset(np.eye(2), "t")
+        pairs = [("m0", "tz"), ("m1", "ta"), ("mz", "t0"), ("ma", "t1"), ("mz", "t1")]
+        with pytest.raises(ContractError, match="unknown enrollment id 'mz'$"):
+            scoring.score_trials(models, tests, scoring.TrialList.from_pairs(pairs))
+        with pytest.raises(ContractError, match="unknown test id 'tz'$"):
+            scoring.score_trials(models, tests, scoring.TrialList.from_pairs(pairs[:2]))
 
 
 class TestScoreIO:
     def test_roundtrip(self, tmp_path):
-        trials = scoring.TrialList([("e1", "t1"), ("e2", "t2")])
+        trials = scoring.TrialList.from_pairs([("e1", "t1"), ("e2", "t2")])
         scores = np.array([0.123456789, -0.5])
         path = tmp_path / "s.tsv"
         scoring.write_scores(trials, scores, path)
@@ -314,7 +329,7 @@ class TestScoreIO:
         assert back[1] == -0.5
 
     def test_six_decimals(self, tmp_path):
-        trials = scoring.TrialList([("a", "b")])
+        trials = scoring.TrialList.from_pairs([("a", "b")])
         path = tmp_path / "s.tsv"
         scoring.write_scores(trials, np.array([1 / 3]), path)
         assert path.read_text() == "a\tb\t0.333333\n"
@@ -326,7 +341,7 @@ class TestScoreIO:
     def test_byte_equal_to_per_value_writer(self, tmp_path, pairs, data, block):
         """At any block size, as oracles.py's f-string writer, on every
         float64 (NaN, infinities, -0.0 and subnormals included)."""
-        trials = scoring.TrialList(pairs)
+        trials = scoring.TrialList.from_pairs(pairs)
         scores = data.draw(arrays(np.float64, len(pairs), elements=st.one_of(
             st.sampled_from([-0.0, 5e-324, -1.7976931348623157e308, 4.9999995e-7]), st.floats())))
         with mock.patch.object(store, "TEXT_BLOCK", block):
@@ -336,7 +351,7 @@ class TestScoreIO:
 
     def test_more_rows_than_one_block(self, tmp_path):
         n = 2 * store.TEXT_BLOCK + 3
-        trials = scoring.TrialList([(f"e{k % 7}", f"t{k}") for k in range(n)])
+        trials = scoring.TrialList.from_pairs([(f"e{k % 7}", f"t{k}") for k in range(n)])
         scores = np.random.default_rng(13).normal(size=n)
         scoring.write_scores(trials, scores, tmp_path / "got.tsv")
         oracle_write_scores(trials, scores, tmp_path / "want.tsv")
@@ -346,19 +361,19 @@ class TestScoreIO:
                                                (np.array([[0.5]]), r"\(1, 1\)")])
     def test_wrong_shape_names_it(self, tmp_path, scores, shape):
         with pytest.raises(ContractError, match=f"scores of shape {shape} for 1 trials"):
-            scoring.write_scores(scoring.TrialList([("a", "b")]), scores, tmp_path / "s.tsv")
+            scoring.write_scores(scoring.TrialList.from_pairs([("a", "b")]), scores, tmp_path / "s.tsv")
 
     @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "1e999", "-1e999"])
     def test_non_finite_score_names_its_line(self, tmp_path, value):
         path = tmp_path / "s.tsv"
         path.write_text(f"a\tb\t0.5\n\nc\td\t{value}\n")
         with pytest.raises(FormatError, match=f"s.tsv:3: non-finite score '{value}'$"):
-            scoring.read_scores(path, scoring.TrialList([("a", "b"), ("c", "d")]))
+            scoring.read_scores(path, scoring.TrialList.from_pairs([("a", "b"), ("c", "d")]))
 
     def test_file_in_trial_order_builds_no_table(self, tmp_path):
-        """The one pass checks the score column whole: no per-pair table, so
+        """The byte path checks the score column whole: no per-pair table, so
         no per-line finiteness check, which only the table path makes."""
-        trials = scoring.TrialList([("a", "b"), ("c", "d"), ("a", "d")])
+        trials = scoring.TrialList.from_pairs([("a", "b"), ("c", "d"), ("a", "d")])
         path = tmp_path / "s.tsv"
         path.write_text("a\tb\t0.5\n\nc\td\t-1e-06\na\td\t2\n")
         with mock.patch.object(scoring, "math", wraps=scoring.math) as spy:
@@ -374,7 +389,7 @@ class TestScoreIO:
         """A pipe cannot be read twice, so it goes to the per-pair table at once."""
         fifo = tmp_path / "s.fifo"
         os.mkfifo(fifo)
-        trials = scoring.TrialList([("a", "b"), ("c", "d")])
+        trials = scoring.TrialList.from_pairs([("a", "b"), ("c", "d")])
         got = []
         reader = threading.Thread(target=lambda: got.append(scoring.read_scores(fifo, trials)), daemon=True)
         reader.start()
@@ -391,7 +406,7 @@ class TestScoreIO:
     def test_lines_outside_the_trials_are_ignored(self, tmp_path, text):
         path = tmp_path / "s.tsv"
         path.write_text(text)
-        trials = scoring.TrialList([("a", "b"), ("c", "d")])
+        trials = scoring.TrialList.from_pairs([("a", "b"), ("c", "d")])
         np.testing.assert_array_equal(scoring.read_scores(path, trials), [0.5, 1])
 
     @pytest.mark.parametrize("extra, error", [
@@ -402,7 +417,7 @@ class TestScoreIO:
         path = tmp_path / "s.tsv"
         path.write_text("a\tb\t0.5\nc\td\t1\n" + extra)
         with pytest.raises(FormatError, match=f"{error}$"):
-            scoring.read_scores(path, scoring.TrialList([("a", "b"), ("c", "d")]))
+            scoring.read_scores(path, scoring.TrialList.from_pairs([("a", "b"), ("c", "d")]))
 
     def test_enroll_map(self, tmp_path):
         path = tmp_path / "map.txt"

@@ -3,12 +3,13 @@ constructor rejects, and arbitrary input.  Each may raise FormatError (or
 OSError) on bad input and nothing else, and each returns or raises what the
 earlier readers in oracles.py did, except for the rewordings and the new
 checks listed below.  The score reader is given the file's own pairs as its
-trial list, so that it reads a well-formed file in its one pass."""
+trial list, so that it reads a well-formed file as byte columns."""
 
 import ast
 import math
 import re
 import sys
+import tracemalloc
 from itertools import islice
 from pathlib import Path
 from unittest import mock
@@ -33,7 +34,7 @@ def _file_trials(path) -> scoring.TrialList:
     from any bytes; a file that read_scores accepts holds exactly these."""
     with open(path, encoding="utf-8", errors="replace") as f:
         rows = [line.rstrip("\n").split("\t") for line in f if line.strip()]
-    return scoring.TrialList(list(dict.fromkeys((r[0], r[1]) for r in rows if len(r) == 3)))
+    return scoring.TrialList.from_pairs(list(dict.fromkeys((r[0], r[1]) for r in rows if len(r) == 3)))
 
 
 READERS = {
@@ -171,7 +172,8 @@ def _outcome(read, path):
     if isinstance(value, store.EmbeddingSet):
         value = (value.ids, array(value.vectors), value.labels)
     elif isinstance(value, scoring.TrialList):
-        value = (value.pairs, array(value.labels))
+        value = (value.enroll_ids, array(value.enroll), value.test_ids, array(value.test),
+                 array(value.labels))
     elif isinstance(value, np.ndarray):
         value = array(value)
     return "returns", repr(value)
@@ -263,7 +265,7 @@ def _trials_for(path, order, key) -> scoring.TrialList:
         del pairs[rng.integers(len(pairs))]
     elif order == "prefix" and pairs:
         pairs = pairs[: rng.integers(len(pairs))]
-    return scoring.TrialList(pairs)
+    return scoring.TrialList.from_pairs(pairs)
 
 
 @settings(max_examples=300, deadline=None,
@@ -286,11 +288,119 @@ def test_read_scores_matches_earlier_reader_and_alignment(tmp_path, data, order,
     with (mock.patch.object(oracles, "float", _plain(float), create=True),
           mock.patch.object(oracles, "int", _plain(int), create=True)):
         want = _outcome(lambda p: oracles.oracle_labeled_scores(p, trials), path)
-    with mock.patch.object(scoring, "math", wraps=math) as spy:
+    with mock.patch.object(scoring, "records", wraps=store.records) as spy:
         got = _outcome(lambda p: scoring.read_scores(p, trials), path)
-    if order == "file" and got[0] == "returns":
-        assert not spy.isfinite.called, data  # read in the one pass, without a per-pair table
+    if order == "file" and got[0] == "returns" and store.byte_fields(path, (3, 3), "\t") is not None:
+        assert not spy.called, data  # read as byte columns, without a per-pair table
     assert got == (_first_non_finite_score(path, got) or want), (order, data)
+
+
+# ids of 1 to 12 bytes, wider than the 8 that _byte_codes packs into one integer
+ID_TEXT = st.text(st.sampled_from("ab0Z-.:~"), min_size=1, max_size=12)
+RUNS = st.sampled_from([" ", "  ", "\t", " \t", "\t\t "])
+LABEL_TEXT = st.sampled_from(["target", "nontarget", "Target", "NonTarget", "TARGET", "nonTARGET"])
+SCORE_TEXT = st.one_of(st.floats(-1e3, 1e3).map("{:.6f}".format),
+                       st.sampled_from(["1e-3", "-0", "7", "+0.5", "1E5", ".5", "-2.", "1" * 20]))
+
+
+@st.composite
+def well_formed(draw, kind):
+    """The lines of a trial or score file that the byte path reads: distinct pairs,
+    blank lines, and for trials runs of spaces and tabs around the fields and labels
+    in any case (or none).  The second value says whether to end with a newline."""
+    ids = draw(st.lists(ID_TEXT, min_size=1, max_size=4, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                          min_size=1, max_size=8, unique=True))
+    labeled = draw(st.booleans())
+    lines = []
+    for e, t in pairs:
+        if kind == "scores":
+            lines.append(f"{e}\t{t}\t{draw(SCORE_TEXT)}")
+        else:
+            fields = [e, t, draw(LABEL_TEXT)] if labeled else [e, t]
+            runs = [draw(RUNS | st.just("")), *(draw(RUNS) for _ in fields[1:]), draw(RUNS | st.just(""))]
+            lines.append(runs[0] + "".join(f + r for f, r in zip(fields, runs[1:])))
+        if draw(st.integers(0, 3)) == 0:
+            lines.append("" if kind == "scores" else draw(RUNS | st.just("")))
+    return lines, draw(st.booleans())
+
+
+# each turns a well-formed file into one that the byte path refuses or that fails to read
+CORRUPT = {
+    "crlf": lambda lines: [line + "\r" for line in lines],
+    "comment": lambda lines: ["# trials", lines[0].rstrip(" \t") + "#c", *lines[1:]],
+    "tab-only line": lambda lines: [*lines, "\t"],
+    "spaces": lambda lines: [line.replace("\t", " ") for line in lines],
+    "empty field": lambda lines: [lines[0].replace("\t", "\t\t", 1), "\t" + lines[-1], *lines[1:]],
+    "repeat": lambda lines: [*lines, lines[0]],
+    "bad label": lambda lines: [re.sub("(?i)target", "bogus", lines[0]), *lines[1:]],
+    "score": lambda lines: [*lines[:-1], re.sub(r"[^\t]*$", "0_5", lines[-1])],
+    "extra field": lambda lines: [lines[0] + "\tx", *lines[1:]],
+}
+
+
+# by reader: the corruptions whose files the byte path refuses, and the reader's fields and sep
+REFUSED = {"trials": ({"crlf", "comment"}, (2, 3), None),
+           "scores": ({"crlf", "comment", "tab-only line", "spaces", "empty field"}, (3, 3), "\t")}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(["trials", "scores"]), data=st.data(),
+       corrupt=st.none() | st.sampled_from(sorted(CORRUPT)),
+       order=st.sampled_from(["file", "file", "permuted", "missing", "dropped", "prefix"]),  # file: byte path
+       key=st.integers(0, 2**32 - 1))
+def test_well_formed_files_take_the_byte_path(tmp_path, kind, data, corrupt, order, key):
+    """parse_trials and read_scores read a well-formed file as byte columns, without
+    records, and return what the earlier readers return; a corrupted one returns or
+    raises what they do."""
+    lines, final_newline = data.draw(well_formed(kind))
+    if corrupt is not None:
+        lines = CORRUPT[corrupt](lines)
+    path = tmp_path / "wf.txt"
+    path.write_text("\n".join(lines) + ("\n" if final_newline else ""))
+    if kind == "trials":
+        read, old_read = scoring.parse_trials, oracles.oracle_parse_trials
+    else:
+        trials = _trials_for(path, order, key)
+        read = lambda p: scoring.read_scores(p, trials)
+        old_read = lambda p: oracles.oracle_labeled_scores(p, trials)
+    with (mock.patch.object(oracles, "float", _plain(float), create=True),
+          mock.patch.object(oracles, "int", _plain(int), create=True)):
+        want = _outcome(old_read, path)
+    with mock.patch.object(scoring, "records", wraps=store.records) as spy:
+        got = _outcome(read, path)
+    assert got == (_first_non_finite_score(path, got) or want), (kind, corrupt, lines)
+    if corrupt is None and (kind == "trials" or order == "file"):
+        assert got[0] == "returns" and not spy.called, (kind, lines)
+    refused, fields, sep = REFUSED[kind]
+    if corrupt in refused:
+        assert store.byte_fields(path, fields, sep) is None, (kind, corrupt)
+
+
+@pytest.mark.parametrize("kind", ["trials", "scores"])
+def test_a_wide_field_is_read_line_by_line_in_linear_memory(tmp_path, kind):
+    """One 1 MB id would pad every row of its byte column to 1 MB: such a file goes to
+    records, and the reader's peak grows with the file's size, not faster."""
+    path, peaks = tmp_path / "wide.txt", []
+    for size in (1 << 20, 1 << 21):
+        pairs = [(f"e{k}", f"t{k}") for k in range(2000)] + [("x" * size, "t0")]
+        if kind == "trials":
+            path.write_text("".join(f"{e} {t} target\n" for e, t in pairs))
+            read = scoring.parse_trials
+        else:
+            path.write_text("".join(f"{e}\t{t}\t0.5\n" for e, t in pairs))
+            trials = scoring.TrialList.from_pairs(pairs)
+            read = lambda p: scoring.read_scores(p, trials)
+        with mock.patch.object(scoring, "records", wraps=store.records) as spy:
+            tracemalloc.start()
+            try:
+                assert len(read(path)) == len(pairs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert spy.called
+    assert peaks[1] < 2.5 * peaks[0], peaks
 
 
 # (reader, a valid first line, the second line around a number field, its error)
@@ -329,6 +439,47 @@ def test_first_field_sniffs_a_number_only_in_plain_decimals(tmp_path):
     path = tmp_path / "m.tsv"
     path.write_text("1_0\t2\n3\t4\n")  # read as the plain matrix [[10, 2], [3, 4]] before
     assert store.read_matrix(path).tolist() == [[2.0], [4.0]]
+
+
+# score tokens: signs, -0, exponents, more than 17 digits, 1e400, the words float() knows
+# and near misses, and any short run of ASCII graphic characters
+NUMBER_TEXT = st.one_of(
+    st.text(st.sampled_from("0123456789+-.eE"), max_size=24),
+    st.floats().map(repr),
+    st.decimals(allow_nan=False, allow_infinity=False).map(str),
+    st.integers(-10**25, 10**25).map(str),
+    st.sampled_from(["-0", "+0", "-0.0", "1e400", "-1e400", "1e-400", "4.9e-324", "inf", "-Infinity",
+                     "nan", "-nan", "NaN(1)", "0x10", "1d5", "1_0", "١"]),
+    st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E), max_size=8))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=NUMBER_TEXT)
+def test_byte_path_reads_a_score_as_float_does(tmp_path, text):
+    """read_scores converts a score column with numpy's bytes-to-float cast.  On every
+    token that plain_number accepts, the cast refuses what float() refuses and gives
+    float()'s bits otherwise, and read_scores returns those bits or names the line.
+    The cast also reads `1_0` as float() does, so read_scores refuses a `_` itself."""
+    assert np.array([b"1_0"]).astype(np.float64)[0] == float("1_0") == 10
+    try:
+        want = float(store.plain_number(text))
+    except ValueError:
+        want = None
+    if re.fullmatch(r"[!-^`-~]*", text):  # a token that plain_number accepts
+        try:
+            got = np.array([text.encode()]).astype(np.float64)[0]
+        except ValueError:
+            got = None
+        assert (got is None) == (want is None), text
+        assert want is None or np.float64(want).tobytes() == got.tobytes(), text
+    path = tmp_path / "s.tsv"
+    path.write_text(f"a\tb\t{text}\n", encoding="utf-8")
+    got = _outcome(lambda p: scoring.read_scores(p, scoring.TrialList.from_pairs([("a", "b")])), path)
+    if want is not None and math.isfinite(want):
+        assert got == ("returns", repr(("<f8", (1,), np.float64(want).tobytes()))), text
+    else:
+        assert got[:2] == ("raises", FormatError), text
 
 
 @pytest.mark.parametrize("text, old, new", [
