@@ -6,10 +6,10 @@ score is a pure function of its two rows, so block size never changes an output 
 ``workers`` is accepted for compatibility and ignored.
 
 A trial list keeps its ids as codes.  A trial file, and a score file that holds the trials
-in order, is read whole as byte columns when ``store.byte_fields`` accepts it: a regular
-file of ASCII graphic ids and labels, no ``#``, no CR and the same field count on every
-line.  Any other file, and any pipe, is read line by line, which is also where every error
-message comes from.
+in order, is read whole as byte columns when ``store.byte_fields`` accepts it: a file of
+ASCII graphic ids and labels, no ``#``, no CR and the same field count on every line.  Any
+other file is read line by line, which is also where every error message comes from.  A
+pipe is read once into memory and then takes the same path as a file.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .store import EmbeddingSet, byte_fields, plain_number, records, row_blocks, write_text
+from .store import EmbeddingSet, byte_fields, plain_number, read_once, records, write_text
 
 _LABELS = {"target": True, "nontarget": False}
 SCORE_BLOCK = 1 << 15  # float64 values per operand per scoring block: 128 rows at 256-d
+WRITE_BLOCK = 1 << 14  # trials per id gather in write_scores, which beats one trial at a time
 
 
 @dataclass
@@ -109,6 +110,7 @@ def parse_trials(path) -> TrialList:
     `#` starts a comment; labels are matched case-insensitively against
     target/nontarget and must be present on all lines or none.
     """
+    path = read_once(path)
     cols = byte_fields(path, (2, 3), None)
     if cols:
         target = _byte_labels(cols[2]) if len(cols) == 3 else None
@@ -246,7 +248,8 @@ def write_scores(trials: TrialList, scores: np.ndarray, path) -> None:
     if scores.shape != (len(trials),):
         raise ContractError(f"scores of shape {scores.shape} for {len(trials)} trials")
     e_ids, t_ids = np.array(trials.enroll_ids, object), np.array(trials.test_ids, object)
-    write_text(path, ("%s\t%s\t%.6f\n" % line for b in row_blocks(len(trials), 1)
+    blocks = (slice(lo, lo + WRITE_BLOCK) for lo in range(0, len(trials), WRITE_BLOCK))
+    write_text(path, ("%s\t%s\t%.6f\n" % line for b in blocks
                       for line in zip(e_ids[trials.enroll[b]].tolist(), t_ids[trials.test[b]].tolist(),
                                       scores[b].tolist())))
 
@@ -254,6 +257,7 @@ def write_scores(trials: TrialList, scores: np.ndarray, path) -> None:
 def read_scores(path, trials: TrialList) -> np.ndarray:
     """float64 score of each trial, in trial order, from a score TSV whose lines may come in any
     order and may hold other pairs, which are ignored; an error names the first bad line."""
+    path = read_once(path)
     cols = byte_fields(path, (3, 3), "\t")
     if (cols and len(cols[0]) == len(trials) and _same_codes(cols[0], trials.enroll_ids, trials.enroll)
             and _same_codes(cols[1], trials.test_ids, trials.test) and not (cols[2] == ord("_")).any()):

@@ -14,6 +14,7 @@ format label-agnostic.
 from __future__ import annotations
 
 import io
+import itertools
 import os
 import struct
 import sys
@@ -29,13 +30,6 @@ MAGIC = b"SVEB"
 FORMAT_VERSION = 1
 _U16 = struct.Struct("<H")  # a format version or an SVEB id length
 _COUNT_DIM = struct.Struct("<QI")  # the SVEB header after its version
-TEXT_BLOCK = 1 << 14  # values per tolist() or array block of text I/O: no whole-set list is held
-
-
-def row_blocks(n: int, width: int) -> Iterator[slice]:
-    """Slices of range(n) that each hold at most TEXT_BLOCK values, or one row."""
-    step = max(1, TEXT_BLOCK // max(width, 1))
-    return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
 class _ReadOnce:
@@ -49,7 +43,7 @@ class _ReadOnce:
         return str(self.path)
 
 
-def _read_once(path):
+def read_once(path):
     """`path` if it is a regular file, else a _ReadOnce of it, for a reader that opens it twice."""
     return path if os.path.isfile(path) else _ReadOnce(path)
 
@@ -93,17 +87,16 @@ def records(path, expect, *, fields, sep="\t", comment=False) -> Iterator[tuple[
 
 
 def byte_fields(path, fields, sep) -> list[np.ndarray] | None:
-    """The records of a regular file as one zero-padded uint8 matrix per field, a row per
-    record, when a check over its bytes proves that ``records(path, ..., fields=fields,
-    sep=sep)`` yields the same fields: every byte is an ASCII graphic character other than
-    ``#``, a separator (``sep``, or space and tab for ``sep=None``) or ``\n``; every
-    non-blank line has the same field count, within ``fields``; a ``sep`` sits between two
-    field bytes; and no matrix is larger than the file.  None for any other file, and for
-    a path that is not a regular file (a pipe), which the caller then reads with ``records``.
+    """The records of a file as one zero-padded uint8 matrix per field, a row per record,
+    when a check over its bytes proves that ``records(path, ..., fields=fields, sep=sep)``
+    yields the same fields: every byte is an ASCII graphic character other than ``#``, a
+    separator (``sep``, or space and tab for ``sep=None``) or ``\n``; every non-blank line
+    has the same field count, within ``fields``; a ``sep`` sits between two field bytes; and
+    no matrix is larger than the file.  None for any other file, which the caller then reads
+    with ``records``: so pass a pipe as ``read_once(path)``.
     """
-    if not os.path.isfile(path):
-        return None
-    data = np.fromfile(path, np.uint8)
+    with _open_binary(path) as f:
+        data = np.frombuffer(f.read(), np.uint8)
     in_field = np.zeros(len(data) + 2, bool)  # byte i is in_field[i + 1]
     field = in_field[1:-1]
     np.less(data - np.uint8(0x21), 0x7F - 0x21, out=field)  # ASCII graphic: 0x21 to 0x7E
@@ -259,8 +252,7 @@ def write_embeddings(s: EmbeddingSet, path) -> None:
 
 def write_embeddings_tsv(s: EmbeddingSet, path) -> None:
     fmt = "%s\t" + "\t".join(["%.9g"] * s.dim) + "\n"
-    write_text(path, (fmt % (i, *r) for b in row_blocks(len(s), s.dim)
-                      for i, r in zip(s.ids[b], s.vectors[b].tolist())))
+    write_text(path, (fmt % (i, *r) for i, r in zip(s.ids, map(np.ndarray.tolist, s.vectors))))
 
 
 class ByteReader:
@@ -330,31 +322,31 @@ def _parse_sveb(path) -> EmbeddingSet:
 def _numeric_rows(path, first: int, dtype) -> tuple[list[str], np.ndarray]:
     """Field 0 of every record, and the floats from field ``first`` on as a
     ``dtype`` matrix with every row as wide as the first: an id-prefixed
-    (first=1, each record an id and at least one value) or plain (first=0) TSV."""
+    (first=1, each record an id and at least one value) or plain (first=0) TSV.
+    A value beyond the range of ``dtype`` reads as an infinity."""
     ids = []
-    blocks = []  # arrays of `step` rows, as in row_blocks; the last is filled to len(ids)
-    for ln, fields in records(path, "id and at least one value", fields=(first + 1, None)):
-        try:
-            plain_number(",".join(fields[first:]))  # one check per row; "," passes, so only a bad field fails
-            row = [float(v) for v in fields[first:]]
-        except ValueError:
-            raise FormatError(f"{path}:{ln}: non-numeric value") from None
-        if not blocks:
-            width = len(row)
-            step = max(1, TEXT_BLOCK // width)
-        elif len(row) != width:
-            raise FormatError(
-                f"{path}:{ln}: dimension {len(row)} != {width} of first record"
-            )
-        k = len(ids) % step
-        if k == 0:
-            blocks.append(np.empty((step, width), dtype=dtype))
-        blocks[-1][k] = row
-        ids.append(fields[0])
-    if not blocks:
+
+    def rows():
+        for ln, fields in records(path, "id and at least one value", fields=(first + 1, None)):
+            try:
+                plain_number(",".join(fields[first:]))  # one check per row; "," passes, so only a bad field fails
+                row = [float(v) for v in fields[first:]]
+            except ValueError:
+                raise FormatError(f"{path}:{ln}: non-numeric value") from None
+            if ids and len(row) != width:  # width: the first row's, set below
+                raise FormatError(
+                    f"{path}:{ln}: dimension {len(row)} != {width} of first record"
+                )
+            ids.append(fields[0])
+            yield row
+
+    checked = rows()
+    row = next(checked, None)
+    if row is None:
         raise FormatError(f"{path}: no records")
-    blocks[-1] = blocks[-1][: len(ids) - (len(blocks) - 1) * step]
-    return ids, np.concatenate(blocks)
+    width = len(row)
+    with np.errstate(over="ignore"):  # past float32 is inf, which the callers reject: no warning
+        return ids, np.fromiter(itertools.chain([row], checked), np.dtype((dtype, width)))
 
 
 def _parse_tsv(path) -> EmbeddingSet:
@@ -365,7 +357,7 @@ def _parse_tsv(path) -> EmbeddingSet:
 
 def read_embeddings(path) -> EmbeddingSet:
     """Read SVEB or TSV embeddings, auto-detected by the magic bytes."""
-    path = _read_once(path)
+    path = read_once(path)
     return _parse_sveb(path) if _is_sveb(path) else _parse_tsv(path)
 
 
@@ -397,15 +389,14 @@ def write_matrix_tsv(values: np.ndarray, path) -> None:
     if values.ndim != 2:
         raise ContractError(f"matrix must be 2-D, got shape {values.shape}")
     fmt = "\t".join(["%.9g"] * values.shape[1]) + "\n"
-    write_text(path, (fmt % tuple(r) for b in row_blocks(len(values), values.shape[1])
-                      for r in values[b].tolist()))
+    write_text(path, (fmt % tuple(r) for r in map(np.ndarray.tolist, values)))
 
 
 def read_matrix(path) -> np.ndarray:
     """Read a float64 matrix: SVEB, id-prefixed TSV (read as float32
     embeddings), or plain numeric TSV when the first field of the first
     record is a number."""
-    path = _read_once(path)
+    path = read_once(path)
     if _is_sveb(path):
         return _parse_sveb(path).vectors.astype(np.float64)
     for _, fields in records(path, "a value", fields=(1, None)):

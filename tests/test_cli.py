@@ -610,6 +610,18 @@ class TestConfigAndExitCodes:
             assert main(["pool", str(path), "--method", "tstp"]) == 2
         assert "format error" in capsys.readouterr().err
 
+    def test_float32_overflow_is_one_message(self, tmp_path, capsys):
+        """A value past float32's range reads as inf, which the set rejects: one svkit
+        line on stderr and no numpy warning, even when numpy raises on overflow."""
+        path = tmp_path / "big.tsv"
+        path.write_text("a\t1e39\t0\nb\t0\t1\n")
+        proc = _run_with_stdin(["pool", "--method", "tstp", str(path)], b"")
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == f"svkit: format error: {path}: non-finite embedding values\n"
+        with np.errstate(over="raise"):
+            assert main(["pool", "--method", "tstp", str(path)]) == 2
+        assert "non-finite embedding values" in capsys.readouterr().err
+
     def test_dimension_zero_sveb_exit_2(self, tmp_path, capsys):
         path = tmp_path / "d0.sveb"
         path.write_bytes(b"SVEB" + struct.pack("<HQI", 1, 1, 0) + b"\x01\x000")

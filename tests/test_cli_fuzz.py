@@ -1,0 +1,125 @@
+"""Whole-command mutation fuzz: each command runs in process on small valid
+inputs with one input file mutated (a flipped bit, a cut, a deleted or
+repeated span, an inserted byte string, or a field replaced by one).  Under
+numpy errors raised on overflow, invalid values and division by zero, the
+command must return an exit code in 0-4 and let nothing escape, and every
+line it writes to stderr must be an ``svkit: ...`` message, one at least
+when it fails."""
+
+import re
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from svkit import augment, store
+from svkit.cli import main
+from test_cli import make_wavs, synthetic_speakers
+
+TOKENS = [b"\t", b" ", b"\n", b"#", b"nan", b"inf", b"1e39", b"-1e400", b"\x0c", b"\xff", b"0", b"_"]
+KINDS = ["flip", "truncate", "delete", "repeat", "insert", "field"]
+# a cut or moved span could make a WAV header claim a rate of a few Hz, which --resample
+# would then stretch a thousandfold; a flipped bit leaves the rate above 7800 Hz
+WAV_KINDS = ["flip", "truncate"]
+
+# argv by command, with {input} placeholders
+COMMANDS = {
+    "score": ["score", "--enroll", "{e.tsv}", "--test", "{t.tsv}", "--trials", "{trials.txt}",
+              "--enroll-map", "{map.txt}", "--out", "{out}"],
+    "eval": ["eval", "--scores", "{scores.tsv}", "--trials", "{trials.txt}"],
+    "dcf-curve": ["dcf-curve", "--scores", "{scores.tsv}", "--trials", "{trials.txt}", "--points", "9",
+                  "--mark", "0.01", "--out", "{out}"],
+    "fit-backend": ["fit-backend", "--embeddings", "{e.tsv}", "--labels", "{e.labels}", "--out", "{out}"],
+    "apply-backend": ["apply-backend", "--pipeline", "{p.svpl}", "--embeddings", "{e.tsv}", "--out", "{out}",
+                      "--text"],
+    "pool-xi": ["pool", "--method", "xi", "{m.tsv}"],
+    "pool-asp": ["pool", "--method", "asp", "--seed", "1", "--hidden-dim", "8", "{m.feats}"],
+    "features": ["features", "--vad", "--resample", "8000", "--out-dir", "{out}", "{burst.wav}"],
+    "augment-plan": ["augment-plan", "--manifest", "{man.tsv}", "--out-dir", "{out}", "--seed", "1",
+                     "--speed-perturb"],
+}
+# command/the input it reads that gets mutated
+CASES = ["score/e.tsv", "score/t.tsv", "score/trials.txt", "score/map.txt", "eval/scores.tsv", "eval/trials.txt",
+         "dcf-curve/scores.tsv", "fit-backend/e.tsv", "fit-backend/e.labels", "apply-backend/e.tsv",
+         "apply-backend/p.svpl", "pool-xi/m.tsv", "pool-asp/m.feats", "features/burst.wav",
+         "augment-plan/man.tsv"]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A valid file of each kind that the cases read, by name."""
+    d = tmp_path_factory.mktemp("inputs")
+    s = synthetic_speakers(np.random.default_rng(31), n_spk=3, per_spk=4, dim=5)
+    store.write_embeddings_tsv(s.select(s.ids[:6]), d / "e.tsv")
+    store.write_embeddings_tsv(s.select(s.ids[6:]), d / "t.tsv")
+    store.write_labels({i: s.labels[i] for i in s.ids[:6]}, d / "e.labels")
+    (d / "map.txt").write_text("m0 spk0-utt0 spk0-utt1\nm1 spk0-utt2 spk0-utt3 # two\nm2 spk1-utt0\n")
+    (d / "trials.txt").write_text("".join(
+        f"{m} {t} {'target' if m == 'm2' and t.startswith('spk1-') else 'nontarget'}\n"
+        for m in ("m0", "m1", "m2") for t in s.ids[6:]))
+    store.write_matrix_tsv(np.random.default_rng(32).normal(size=(12, 4)), d / "m.tsv")
+    store.write_matrix(np.random.default_rng(33).normal(size=(12, 4)), d / "m.feats")
+    make_wavs(d)
+    augment.write_manifest(augment.UtteranceManifest(
+        [augment.Utterance(f"u{k}", f"/d/u{k}.wav", 1.0 + k, 8000 * (1 + k % 2)) for k in range(4)]),
+        d / "man.tsv")
+    assert main(["score", "--enroll", str(d / "e.tsv"), "--test", str(d / "t.tsv"), "--trials",
+                 str(d / "trials.txt"), "--enroll-map", str(d / "map.txt"), "--out", str(d / "scores.tsv")]) == 0
+    assert main(["fit-backend", "--embeddings", str(d / "e.tsv"), "--labels", str(d / "e.labels"),
+                 "--out", str(d / "p.svpl")]) == 0
+    return {p.name: p for p in d.iterdir()}
+
+
+def mutate(data: bytes, kind: str, a: int, b: int, token: bytes) -> bytes:
+    """`data` with one mutation; `a` and `b` pick where."""
+    i, j = sorted((a % (len(data) + 1), b % (len(data) + 1)))
+    if kind == "flip":
+        return data[:i] + bytes([data[i] ^ (1 << b % 8)]) + data[i + 1:] if i < len(data) else data
+    if kind == "truncate":
+        return data[:i]
+    if kind == "delete":
+        return data[:i] + data[j:]
+    if kind == "repeat":
+        return data[:j] + data[i:j] + data[j:]
+    if kind == "insert":
+        return data[:i] + token + data[i:]
+    fields = list(re.finditer(rb"[^\t\n ]+", data))  # "field": replace one whole field
+    if not fields:
+        return token
+    f = fields[a % len(fields)]
+    return data[:f.start()] + token + data[f.end():]
+
+
+def run(inputs, tmp_path, case, mutated: bytes):
+    command, target = case.split("/")
+    (tmp_path / "mutated").write_bytes(mutated)
+    paths = {**{name: str(p) for name, p in inputs.items()}, target: str(tmp_path / "mutated"),
+             "out": str(tmp_path / command)}  # features makes a directory there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print to stderr beside the message
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return main([paths[arg[1:-1]] if arg.startswith("{") else arg for arg in COMMANDS[command]])
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_unmutated_inputs_exit_0(inputs, tmp_path, capsys, case):
+    assert run(inputs, tmp_path, case, inputs[case.split("/")[1]].read_bytes()) == 0
+    assert capsys.readouterr().err == ""
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(case=st.sampled_from(CASES), kind=st.sampled_from(KINDS),
+       a=st.integers(0, 2**16), b=st.integers(0, 2**16), token=st.sampled_from(TOKENS))
+@example(case="apply-backend/e.tsv", kind="field", a=1, b=0, token=b"1e39")  # past float32: inf
+def test_a_mutated_input_exits_with_a_code_and_a_message(inputs, tmp_path, capsys, case, kind, a, b, token):
+    target = case.split("/")[1]
+    if target.endswith(".wav") and kind not in WAV_KINDS:
+        kind = WAV_KINDS[a % len(WAV_KINDS)]
+    rc = run(inputs, tmp_path, case, mutate(inputs[target].read_bytes(), kind, a, b, token))
+    err = capsys.readouterr().err
+    assert 0 <= rc <= 4
+    assert bool(err) == (rc != 0), (rc, err)
+    assert all(line.startswith("svkit: ") for line in err.splitlines()), err

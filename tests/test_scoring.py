@@ -344,13 +344,13 @@ class TestScoreIO:
         trials = scoring.TrialList.from_pairs(pairs)
         scores = data.draw(arrays(np.float64, len(pairs), elements=st.one_of(
             st.sampled_from([-0.0, 5e-324, -1.7976931348623157e308, 4.9999995e-7]), st.floats())))
-        with mock.patch.object(store, "TEXT_BLOCK", block):
+        with mock.patch.object(scoring, "WRITE_BLOCK", block):
             scoring.write_scores(trials, scores, tmp_path / "got.tsv")
         oracle_write_scores(trials, scores, tmp_path / "want.tsv")
         assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
 
     def test_more_rows_than_one_block(self, tmp_path):
-        n = 2 * store.TEXT_BLOCK + 3
+        n = 2 * scoring.WRITE_BLOCK + 3
         trials = scoring.TrialList.from_pairs([(f"e{k % 7}", f"t{k}") for k in range(n)])
         scores = np.random.default_rng(13).normal(size=n)
         scoring.write_scores(trials, scores, tmp_path / "got.tsv")
@@ -386,7 +386,7 @@ class TestScoreIO:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_pipe_is_read_once(self, tmp_path):
-        """A pipe cannot be read twice, so it goes to the per-pair table at once."""
+        """A pipe cannot be opened twice, so it is read once into memory."""
         fifo = tmp_path / "s.fifo"
         os.mkfifo(fifo)
         trials = scoring.TrialList.from_pairs([("a", "b"), ("c", "d")])
@@ -397,6 +397,25 @@ class TestScoreIO:
         reader.join(timeout=10)
         assert not reader.is_alive(), "still waiting to read the pipe again"
         np.testing.assert_array_equal(got[0], [0.5, 1])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_piped_well_formed_files_skip_records(self, tmp_path):
+        """A pipe is read once into memory, then as byte columns, as a file with its bytes is."""
+        trials = scoring.TrialList.from_pairs([("a", "b"), ("c", "d")], [True, False])
+        for name, text, read in (("trials", "a b target\nc d nontarget\n", scoring.parse_trials),
+                                 ("scores", "a\tb\t0.5\nc\td\t1\n", lambda p: scoring.read_scores(p, trials))):
+            fifo = tmp_path / name
+            os.mkfifo(fifo)
+            writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+            writer.start()
+            with mock.patch.object(scoring, "records", wraps=store.records) as spy:
+                got = read(fifo)
+            writer.join(timeout=10)
+            assert not writer.is_alive() and not spy.called, name
+            if name == "trials":
+                assert (got.pairs, got.labels.tolist()) == (trials.pairs, trials.labels.tolist())
+            else:
+                np.testing.assert_array_equal(got, [0.5, 1])
 
     @pytest.mark.parametrize("text", [
         "a\tb\t0.5\nc\td\t1\nx\ty\t9\nc\tb\t7\n",  # extra lines after the trials in order
