@@ -15,7 +15,10 @@ import numpy as np
 from .errors import ContractError, FormatError
 
 _ENERGY_EPS = np.finfo(np.float64).tiny
+MIN_WAV_RATE = 1000  # lowest sample rate read_wav accepts, Hz, so resampling to 8 kHz grows a file at most 8-fold
 MAX_WAV_RATE = 768_000  # highest sample rate read_wav accepts, Hz
+RESAMPLE_TAPS = 64  # resample's kernel taps per phase, counted at the lower rate
+KAISER_BETA = 5.0  # resample's Kaiser window shape
 _RESAMPLE_CELLS = 1 << 22  # resample works on at most this many (output, tap) cells at once
 
 
@@ -40,7 +43,7 @@ class AudioBuffer:
 def read_wav(path) -> AudioBuffer:
     """Read a RIFF/WAVE PCM 16-bit mono file, scaling samples by 1/32768.
 
-    A header rate outside 1..MAX_WAV_RATE Hz is a FormatError."""
+    A header rate outside MIN_WAV_RATE..MAX_WAV_RATE Hz is a FormatError."""
     try:
         with wave.open(str(path), "rb") as w:
             if w.getcomptype() != "NONE":
@@ -50,8 +53,8 @@ def read_wav(path) -> AudioBuffer:
             if w.getsampwidth() != 2:
                 raise FormatError(f"{path}: expected 16-bit PCM, got {8 * w.getsampwidth()}-bit")
             rate = w.getframerate()
-            if not 0 < rate <= MAX_WAV_RATE:
-                raise FormatError(f"{path}: sample rate {rate} Hz outside 1..{MAX_WAV_RATE}")
+            if not MIN_WAV_RATE <= rate <= MAX_WAV_RATE:
+                raise FormatError(f"{path}: sample rate {rate} Hz outside {MIN_WAV_RATE}..{MAX_WAV_RATE}")
             n = w.getnframes()
             data = w.readframes(n)
     except wave.Error as e:
@@ -76,17 +79,13 @@ def write_wav(buf: AudioBuffer, path) -> None:
         w.writeframes(pcm.tobytes())
 
 
-def resample(
-    buf: AudioBuffer,
-    target_rate: int,
-    taps: int = 64,
-    kaiser_beta: float = 5.0,
-) -> AudioBuffer:
+def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     """Windowed-sinc band-limited resampling to target_rate.
 
     Kaiser-windowed sinc with cutoff at 0.95 * min(source, target) / 2 Hz
-    and `taps` taps per phase counted at the lower of the two rates (the
-    kernel stretches when downsampling, as an anti-aliasing filter must).
+    and RESAMPLE_TAPS taps per phase counted at the lower of the two rates
+    (the kernel stretches when downsampling, as an anti-aliasing filter
+    must); the window's shape is KAISER_BETA.
     Per-output tap weights are normalized to unit sum so DC is preserved
     exactly; edges use reflection padding.  Output length is
     round(len * target / source).
@@ -117,11 +116,11 @@ def resample(
 
     min_rate = min(src, target_rate)
     cutoff_hz = 0.95 * min_rate / 2.0
-    n_taps = max(2, int(round(taps * src / min_rate)))  # tap grid is the input grid
+    n_taps = max(2, int(round(RESAMPLE_TAPS * src / min_rate)))  # tap grid is the input grid
     if n_taps > _RESAMPLE_CELLS:
         raise ContractError(f"{src} -> {target_rate} Hz needs {n_taps} taps, more than {_RESAMPLE_CELLS}")
     half_span = n_taps / 2.0  # kernel half-width, input samples
-    i0_beta = np.i0(kaiser_beta)
+    i0_beta = np.i0(KAISER_BETA)
     g = math.gcd(src, target_rate)
     up, down = target_rate // g, src // g
     lead = n_taps // 2 - 1  # taps before the floor of the output position
@@ -133,7 +132,7 @@ def resample(
         d = ((phase * down) % up / up)[:, None] + (lead - offs)[None, :]
         w = np.sinc(2.0 * cutoff_hz * (d / src))
         u = d / half_span  # in (-1, 1]
-        w *= np.i0(kaiser_beta * np.sqrt(np.maximum(0.0, 1.0 - u * u))) / i0_beta
+        w *= np.i0(KAISER_BETA * np.sqrt(np.maximum(0.0, 1.0 - u * u))) / i0_beta
         w /= w.sum(axis=1, keepdims=True)
         return w
 
@@ -172,19 +171,19 @@ class FbankConfig:
             raise ContractError(
                 f"need 0 < frame_shift <= frame_len, got {self.frame_shift_ms}/{self.frame_len_ms} ms"
             )
+        if not math.isfinite(self.preemphasis):
+            raise ContractError(f"preemphasis must be finite, got {self.preemphasis}")
         if self.log_floor <= 0:
             raise ContractError(f"log_floor must be positive, got {self.log_floor}")
-        if not self.dither >= 0:  # NaN fails too
-            raise ContractError(f"dither must be >= 0, got {self.dither}")
+        if not 0 <= self.dither < math.inf:  # NaN fails too
+            raise ContractError(f"dither must be finite and >= 0, got {self.dither}")
 
 
 @dataclass
 class FeatureMatrix:
-    """T x F frame features with frame-shift and sample-rate provenance."""
+    """T x F frame features."""
 
     values: np.ndarray
-    frame_shift_ms: float
-    source_rate: int
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -278,7 +277,7 @@ def log_mel_fbank(
     bank, _ = mel_filterbank(cfg.n_mels, n_fft, buf.sample_rate, cfg.low_freq, high)
     energies = power @ bank.T
     values = np.log(np.maximum(energies, cfg.log_floor))
-    return FeatureMatrix(values, cfg.frame_shift_ms, buf.sample_rate)
+    return FeatureMatrix(values)
 
 
 @dataclass(frozen=True)
@@ -287,10 +286,11 @@ class VadConfig:
     energy_threshold: float = 5.0
     context_frames: int = 5
     proportion_threshold: float = 0.6
-    frame_len_ms: float = 25.0
-    frame_shift_ms: float = 10.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.energy_threshold, self.energy_mean_scale))):
+            raise ContractError(f"energy_threshold and energy_mean_scale must be finite, "
+                                f"got {self.energy_threshold}/{self.energy_mean_scale}")
         if self.context_frames < 0:
             raise ContractError(f"context_frames must be >= 0, got {self.context_frames}")
         if not 0 < self.proportion_threshold <= 1:
@@ -299,9 +299,10 @@ class VadConfig:
             )
 
 
-def frame_log_energies(buf: AudioBuffer, cfg: VadConfig = VadConfig()) -> np.ndarray:
-    """Raw per-frame log energy ln(sum x^2), floored away from -inf."""
-    flen, fshift = _frame_params(buf.sample_rate, cfg.frame_len_ms, cfg.frame_shift_ms)
+def frame_log_energies(buf: AudioBuffer, fbank: FbankConfig = FbankConfig()) -> np.ndarray:
+    """Raw log energy ln(sum x^2), floored away from -inf, of each of the
+    frames log_mel_fbank(buf, fbank) computes."""
+    flen, fshift = _frame_params(buf.sample_rate, fbank.frame_len_ms, fbank.frame_shift_ms)
     frames = _frame_signal(buf.samples, flen, fshift)
     return np.log(np.maximum((frames * frames).sum(axis=1), _ENERGY_EPS))
 
@@ -328,9 +329,10 @@ def vad_from_energies(energies: np.ndarray, cfg: VadConfig = VadConfig()) -> np.
     return frac >= cfg.proportion_threshold
 
 
-def energy_vad(buf: AudioBuffer, cfg: VadConfig = VadConfig()) -> np.ndarray:
-    """Kaldi-style energy VAD: per-frame boolean speech mask."""
-    return vad_from_energies(frame_log_energies(buf, cfg), cfg)
+def energy_vad(buf: AudioBuffer, cfg: VadConfig = VadConfig(), fbank: FbankConfig = FbankConfig()) -> np.ndarray:
+    """Kaldi-style energy VAD: a boolean speech mask over the frames of
+    log_mel_fbank(buf, fbank)."""
+    return vad_from_energies(frame_log_energies(buf, fbank), cfg)
 
 
 def apply_vad(feats: FeatureMatrix, mask: np.ndarray) -> FeatureMatrix:
@@ -340,4 +342,4 @@ def apply_vad(feats: FeatureMatrix, mask: np.ndarray) -> FeatureMatrix:
         raise ContractError(
             f"mask length {mask.shape} does not match {feats.num_frames} frames"
         )
-    return FeatureMatrix(feats.values[mask], feats.frame_shift_ms, feats.source_rate)
+    return FeatureMatrix(feats.values[mask])

@@ -249,8 +249,6 @@ def cmd_features(args) -> int:
         energy_threshold=args.vad_energy_threshold,
         context_frames=args.vad_context,
         proportion_threshold=args.vad_proportion,
-        frame_len_ms=args.frame_len,
-        frame_shift_ms=args.frame_shift,
     )
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     if args.dither > 0 and rng is None:
@@ -268,7 +266,7 @@ def cmd_features(args) -> int:
                 buf = audio.resample(buf, args.resample)
             feats = audio.log_mel_fbank(buf, fcfg, rng)
             if args.vad:
-                feats = audio.apply_vad(feats, audio.energy_vad(buf, vcfg))
+                feats = audio.apply_vad(feats, audio.energy_vad(buf, vcfg, fcfg))
             if args.text:
                 store.write_matrix_tsv(feats.values, out_dir / f"{name}.tsv")
             else:
@@ -350,12 +348,14 @@ def cmd_apply_backend(args) -> int:
 def cmd_score(args) -> int:
     from . import scoring
 
+    if args.workers < 1:  # the option does nothing else; scoring is single-threaded
+        raise ContractError(f"--workers must be >= 1, got {args.workers}")
     enroll = store.read_embeddings(args.enroll)
     tests = store.read_embeddings(args.test)
     trials = scoring.parse_trials(args.trials)
     member_map = scoring.parse_enroll_map(args.enroll_map) if args.enroll_map is not None else None
     models = scoring.build_enrollment(enroll, member_map)
-    scores = scoring.score_trials(models, tests, trials, workers=args.workers)
+    scores = scoring.score_trials(models, tests, trials)
     scoring.write_scores(trials, scores, args.out)
     print(f"scored {len(trials)} trials -> {args.out}")
     return 0
@@ -457,6 +457,8 @@ def cmd_schedule(args) -> int:
         warmup_epochs=args.warmup_epochs, peak=args.peak_lr, final=args.final_lr,
         total_epochs=args.epochs,
     )
+    for seconds in (args.segment_seconds, args.lmf_segment_seconds):
+        objectives.CropSpec(seconds)  # a segment length the cropper would accept
     rows = ["stage,epoch,segment_seconds,margin,lr\n"]
     for e in range(args.epochs + 1):
         rows.append(

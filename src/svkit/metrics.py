@@ -16,6 +16,7 @@ operating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -56,8 +57,8 @@ class OperatingPoint:
     def __post_init__(self):
         if not 0 < self.p_target < 1:
             raise ContractError(f"p_target must be in (0, 1), got {self.p_target}")
-        if self.c_miss <= 0 or self.c_fa <= 0:
-            raise ContractError("costs must be positive")
+        if not (0 < self.c_miss < math.inf and 0 < self.c_fa < math.inf):  # NaN fails too
+            raise ContractError(f"costs must be finite and positive, got {self.c_miss}/{self.c_fa}")
 
     @property
     def effective_logodds(self) -> float:

@@ -141,6 +141,8 @@ class MarginSchedule:
     lmf_margin: float = 0.5
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.start_epoch, self.end_epoch, self.final, self.lmf_margin))):
+            raise ContractError(f"margin epochs and margins must be finite, got {self}")
         if self.start_epoch >= self.end_epoch:
             raise ContractError("start_epoch must precede end_epoch")
         if not 0 <= self.initial <= self.final:
@@ -171,8 +173,8 @@ class LrSchedule:
     def __post_init__(self):
         if not 0 < self.warmup_epochs < self.total_epochs:
             raise ContractError("need 0 < warmup_epochs < total_epochs")
-        if not 0 < self.final < self.peak:
-            raise ContractError("need 0 < final < peak")
+        if not 0 < self.final < self.peak < math.inf:
+            raise ContractError("need 0 < final < peak < inf")
 
 
 def lr_at(epoch: float, sched: LrSchedule = LrSchedule()) -> float:
@@ -196,8 +198,8 @@ class CropSpec:
     target_len_s: float
 
     def __post_init__(self):
-        if self.target_len_s <= 0:
-            raise ContractError(f"target_len_s must be positive, got {self.target_len_s}")
+        if not 0 < self.target_len_s < math.inf:
+            raise ContractError(f"target_len_s must be finite and positive, got {self.target_len_s}")
 
     def target_frames(self, frame_shift_ms: float) -> int:
         return max(1, int(round(self.target_len_s * 1000.0 / frame_shift_ms)))

@@ -3,7 +3,6 @@
 Scoring runs on one thread over blocks of trials that cast at most SCORE_BLOCK values per
 operand to float64, so a block stays in cache.  Each row's norm is computed once, and each
 score is a pure function of its two rows, so block size never changes an output bit.
-``workers`` is accepted for compatibility and ignored.
 
 A trial list keeps its ids as codes.  A trial file, and a score file that holds the trials
 in order, is read whole as byte columns when ``store.byte_fields`` accepts it: a file of
@@ -204,24 +203,13 @@ def _trial_rows(s: EmbeddingSet, ids: list[str], codes: np.ndarray, what: str) -
         raise
 
 
-def score_trials(
-    models: EmbeddingSet,
-    tests: EmbeddingSet,
-    trials: TrialList,
-    workers: int = 1,
-    block_size: int | None = None,
-) -> np.ndarray:
+def score_trials(models: EmbeddingSet, tests: EmbeddingSet, trials: TrialList) -> np.ndarray:
     """Cosine score per trial, aligned with the trial list order.
 
-    Deterministic: repeated runs and any block_size produce bitwise-identical
-    scores.  block_size bounds the rows cast to float64 at once; None, the
-    default, is ``max(1, SCORE_BLOCK // dim)``.  workers must be >= 1 and
-    does not change anything.
+    Deterministic: repeated runs and any block size produce bitwise-identical
+    scores.  A block holds ``max(1, SCORE_BLOCK // dim)`` rows.
     """
-    if block_size is None:
-        block_size = max(1, SCORE_BLOCK // max(models.dim, 1))
-    if workers < 1 or block_size < 1:
-        raise ContractError("workers and block_size must be >= 1")
+    block_size = max(1, SCORE_BLOCK // max(models.dim, 1))
     if models.dim != tests.dim:
         raise ContractError(f"enrollment dimension {models.dim} != test dimension {tests.dim}")
     n = len(trials)

@@ -100,7 +100,7 @@ class TestWavIO:
         with pytest.raises(FormatError):
             audio.read_wav(path)
 
-    @pytest.mark.parametrize("rate", [0, audio.MAX_WAV_RATE + 1, 2_000_000_000])
+    @pytest.mark.parametrize("rate", [0, 2, audio.MIN_WAV_RATE - 1, audio.MAX_WAV_RATE + 1, 2_000_000_000])
     def test_header_rate_out_of_range(self, tmp_path, rate):
         path = tmp_path / "rate.wav"
         audio.write_wav(audio.AudioBuffer(np.zeros(64), 16000), path)
@@ -109,6 +109,11 @@ class TestWavIO:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="sample rate"):
             audio.read_wav(path)
+
+    @pytest.mark.parametrize("rate", [audio.MIN_WAV_RATE, audio.MAX_WAV_RATE])
+    def test_header_rate_bounds_read(self, tmp_path, rate):
+        audio.write_wav(audio.AudioBuffer(np.zeros(64), rate), tmp_path / "rate.wav")
+        assert audio.read_wav(tmp_path / "rate.wav").sample_rate == rate
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -272,16 +277,16 @@ class TestFraming:
         assert not frames.flags.writeable  # a view of the signal, never written through
         # every value computed from the frames is bitwise what the gathered frames gave
         buf = audio.AudioBuffer(x.copy(), rate)
-        vad = audio.VadConfig(frame_len_ms=len_ms, frame_shift_ms=shift_ms)
         fbank = audio.FbankConfig(n_mels=23, frame_len_ms=max(len_ms, shift_ms),
                                   frame_shift_ms=min(len_ms, shift_ms))
         if n < audio._frame_params(rate, fbank.frame_len_ms, fbank.frame_shift_ms)[0]:
             return
-        got = audio.frame_log_energies(buf, vad), audio.log_mel_fbank(buf, fbank).values
+        got = audio.frame_log_energies(buf, fbank), audio.log_mel_fbank(buf, fbank).values
         with mock.patch.object(audio, "_frame_signal", oracle_frame_signal):
-            want = audio.frame_log_energies(buf, vad), audio.log_mel_fbank(buf, fbank).values
+            want = audio.frame_log_energies(buf, fbank), audio.log_mel_fbank(buf, fbank).values
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
+        assert len(got[0]) == len(got[1])  # one energy, so one VAD decision, per fbank frame
         np.testing.assert_array_equal(buf.samples, x)  # pre-emphasis wrote to a copy
 
 
@@ -291,8 +296,6 @@ class TestFbank:
         feats = audio.log_mel_fbank(buf)
         # 1 + (16000 - 400) // 160
         assert feats.values.shape == (98, 80)
-        assert feats.frame_shift_ms == 10.0
-        assert feats.source_rate == 16000
 
     def test_all_zero_audio_hits_floor(self):
         cfg = audio.FbankConfig(log_floor=1e-10)
@@ -331,9 +334,9 @@ class TestFbank:
         out = audio.log_mel_fbank(buf, cfg, np.random.default_rng(0))
         assert np.all(np.isfinite(out.values))
 
-    @pytest.mark.parametrize("dither", [-1.0, -1e-300, np.nan])
+    @pytest.mark.parametrize("dither", [-1.0, -1e-300, np.nan, np.inf])
     def test_negative_dither_rejected(self, dither):
-        with pytest.raises(ContractError, match="dither must be >= 0"):
+        with pytest.raises(ContractError, match="dither must be finite and >= 0"):
             audio.FbankConfig(dither=dither)
 
     def test_non_finite_frame_geometry_rejected(self):
@@ -342,9 +345,11 @@ class TestFbank:
         for ms in (np.inf, 1e307):  # 1e307 ms is an infinite count of samples
             with pytest.raises(ContractError, match="not a finite sample count"):
                 audio.log_mel_fbank(buf, audio.FbankConfig(frame_len_ms=ms))
+        with pytest.raises(ContractError, match="not a finite sample count"):
+            audio.energy_vad(buf, audio.VadConfig(), audio.FbankConfig(frame_len_ms=1e307))
         for geometry in ({"frame_len_ms": np.nan}, {"frame_shift_ms": np.inf}):
-            with pytest.raises(ContractError, match="not a finite sample count"):
-                audio.energy_vad(buf, audio.VadConfig(**geometry))
+            with pytest.raises(ContractError, match="need 0 < frame_shift <= frame_len"):
+                audio.FbankConfig(**geometry)
 
     def test_bad_band_edges(self):
         buf = audio.AudioBuffer(np.zeros(16000), 16000)
@@ -360,7 +365,7 @@ class TestVad:
         amp = np.sqrt(np.exp(8.0) / 400)
         buf = audio.AudioBuffer(np.full(16000, amp), 16000)
         cfg = audio.VadConfig(energy_mean_scale=0.5, energy_threshold=5.0)
-        energies = audio.frame_log_energies(buf, cfg)
+        energies = audio.frame_log_energies(buf)
         np.testing.assert_allclose(energies, 8.0, atol=1e-9)
         mask = audio.energy_vad(buf, cfg)
         assert not mask.any()
@@ -370,7 +375,7 @@ class TestVad:
         x = np.concatenate([np.zeros(8000), rng.uniform(-0.9, 0.9, 8000)])
         buf = audio.AudioBuffer(x, 16000)
         mask = audio.energy_vad(buf, audio.VadConfig())
-        energies = audio.frame_log_energies(buf, audio.VadConfig())
+        energies = audio.frame_log_energies(buf)
         t = len(energies)
         # interior of each half, clear of the boundary and smoothing context
         assert not mask[: t // 2 - 8].any()
@@ -380,7 +385,7 @@ class TestVad:
         rng = np.random.default_rng(11)
         buf = audio.AudioBuffer(rng.uniform(-1, 1, 16000) * rng.uniform(0, 1, 16000), 16000)
         cfg = audio.VadConfig(context_frames=0)
-        energies = audio.frame_log_energies(buf, cfg)
+        energies = audio.frame_log_energies(buf)
         raw = energies > cfg.energy_threshold + cfg.energy_mean_scale * energies.mean()
         np.testing.assert_array_equal(audio.energy_vad(buf, cfg), raw)
 
@@ -405,11 +410,17 @@ class TestVad:
         b = audio.energy_vad(audio.AudioBuffer(x * 7.3, 16000), cfg)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("field", ["energy_threshold", "energy_mean_scale"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_thresholds_rejected(self, field, value):
+        # unchecked, NaN drops every frame and an infinity keeps all or none
+        with pytest.raises(ContractError, match="energy_threshold and energy_mean_scale must be finite"):
+            audio.VadConfig(**{field: value})
+
 
 class TestApplyVad:
     def _feats(self, t=5, f=3):
-        vals = np.arange(t * f, dtype=float).reshape(t, f)
-        return audio.FeatureMatrix(vals, 10.0, 16000)
+        return audio.FeatureMatrix(np.arange(t * f, dtype=float).reshape(t, f))
 
     def test_all_true_identity(self):
         feats = self._feats()
@@ -431,7 +442,7 @@ class TestApplyVad:
 
     def test_composed_masks(self):
         rng = np.random.default_rng(23)
-        feats = audio.FeatureMatrix(rng.normal(size=(40, 4)), 10.0, 16000)
+        feats = audio.FeatureMatrix(rng.normal(size=(40, 4)))
         m1 = rng.random(40) < 0.6
         m2 = rng.random(40) < 0.6
         combined = audio.apply_vad(feats, m1 & m2)

@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,20 @@ class TestFeaturesCommand:
         mask = audio.energy_vad(buf)
         got = store.read_matrix(out_dir / "burst.feats")
         assert got.shape[0] == int(mask.sum()) < feats.num_frames
+
+    def test_vad_masks_the_fbank_frames_of_any_geometry(self, tmp_path):
+        """--frame-len/--frame-shift set the frames of both the features and the VAD mask."""
+        wavs = make_wavs(tmp_path)
+        out_dir = tmp_path / "f6"
+        rc = main(["features", "--vad", "--frame-len", "20", "--frame-shift", "8", "--out-dir", str(out_dir),
+                   str(wavs["burst"])])
+        assert rc == 0
+        buf = audio.read_wav(wavs["burst"])
+        fbank = audio.FbankConfig(frame_len_ms=20.0, frame_shift_ms=8.0)
+        feats = audio.apply_vad(audio.log_mel_fbank(buf, fbank), audio.energy_vad(buf, audio.VadConfig(), fbank))
+        assert 0 < feats.num_frames < audio.log_mel_fbank(buf, fbank).num_frames
+        store.write_matrix(feats.values, tmp_path / "want.feats")
+        assert (out_dir / "burst.feats").read_bytes() == (tmp_path / "want.feats").read_bytes()
 
     def test_directory_input_and_text(self, tmp_path):
         wavs = make_wavs(tmp_path)
@@ -330,7 +345,12 @@ class TestBackendScoreEvalFlow:
         rc = main(["score", "--enroll", str(tmp_path / "e.sveb"), "--test", str(tmp_path / "e.sveb"),
                    "--trials", str(tmp_path / "t.txt"), "--out", str(tmp_path / "s.tsv"), "--workers", "0"])
         assert rc == 3
-        assert "workers and block_size must be >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "svkit: error: --workers must be >= 1, got 0\n"
+        # checked before any file is read, so a missing input does not change the exit
+        rc = main(["score", "--enroll", str(tmp_path / "none"), "--test", str(tmp_path / "none"),
+                   "--trials", str(tmp_path / "none"), "--out", str(tmp_path / "s.tsv"), "--workers", "-1"])
+        assert rc == 3
+        assert capsys.readouterr().err == "svkit: error: --workers must be >= 1, got -1\n"
 
     def test_block_size_option_is_gone(self, tmp_path, capsys):
         """Blocks are sized from the dimension (scoring.SCORE_BLOCK), so the option and
@@ -422,6 +442,14 @@ class TestScheduleCommand:
         assert len(stage1) == 131
         assert stage1[10].split(",")[2] == "3"
         assert len([r for r in rows if r.startswith("2,")]) == 5
+
+    @pytest.mark.parametrize("option", ["--segment-seconds", "--lmf-segment-seconds"])
+    def test_segment_length_the_cropper_refuses_exit_3(self, tmp_path, capsys, option):
+        for seconds in ("0", "-2"):
+            assert main(["schedule", f"{option}={seconds}", "--out", str(tmp_path / "s.csv")]) == 3
+            assert capsys.readouterr().err == (f"svkit: error: target_len_s must be finite and positive, "
+                                               f"got {float(seconds)}\n")
+            assert not (tmp_path / "s.csv").exists()
 
 
 class TestAugmentPlanCommand:
@@ -702,16 +730,19 @@ class TestConfigAndExitCodes:
         assert capsys.readouterr().err.count("not UTF-8 text") == 3
 
     def test_hostile_wav_rate_exit_2(self, tmp_path, capsys):
-        # the header claims 2 GHz: at 8 kHz, a file long enough for one
-        # output sample would need a 16M-tap resampling kernel
-        path = tmp_path / "fast.wav"
-        audio.write_wav(audio.AudioBuffer(np.zeros(1000), 16000), path)
-        raw = bytearray(path.read_bytes())
-        raw[24:32] = struct.pack("<II", 2_000_000_000, 4_000_000_000)  # sample rate, byte rate
-        path.write_bytes(bytes(raw))
-        rc = main(["features", "--resample", "8000", "--out-dir", str(tmp_path / "f"), str(path)])
-        assert rc == 2
-        assert "sample rate 2000000000 Hz" in capsys.readouterr().err
+        # 2 GHz: at 8 kHz, a file long enough for one output sample would need a 16M-tap
+        # resampling kernel; 2 Hz: this 844-byte file would become 1.6M samples at 8 kHz
+        # and a 6.5 MB feature file
+        for rate, samples in ((2_000_000_000, 1000), (2, 400)):
+            path = tmp_path / "hostile.wav"
+            audio.write_wav(audio.AudioBuffer(np.zeros(samples), 16000), path)
+            raw = bytearray(path.read_bytes())
+            raw[24:32] = struct.pack("<II", rate, 2 * rate)  # sample rate, byte rate
+            path.write_bytes(bytes(raw))
+            rc = main(["features", "--resample", "8000", "--out-dir", str(tmp_path / "f"), str(path)])
+            assert rc == 2
+            assert f"sample rate {rate} Hz outside 1000..768000" in capsys.readouterr().err
+            assert not (tmp_path / "f" / "hostile.feats").exists()
 
     # unchecked, these end in an OverflowError, a 21.8 TiB allocation, and a
     # 2.4 GB output array that takes minutes to fill
@@ -729,7 +760,7 @@ class TestConfigAndExitCodes:
         wavs = make_wavs(tmp_path)
         rc = main(["features", "--dither", dither, "--out-dir", str(tmp_path / "f"), str(wavs["tone"])])
         assert rc == 3
-        assert f"dither must be >= 0, got {float(dither)}" in capsys.readouterr().err
+        assert f"dither must be finite and >= 0, got {float(dither)}" in capsys.readouterr().err
         assert not (tmp_path / "f" / "tone.feats").exists()
 
     # unchecked, each ends in numpy's "expected non-negative integer" traceback
@@ -962,6 +993,46 @@ def _command_runs(tmp_path) -> list[list[str]]:
         ["augment-plan", "--manifest", f"{t}/man.tsv", "--out-dir", f"{t}/aug", "--seed", "1"],
         ["schedule", "--epochs", "10", "--out", f"{t}/schedule.csv"],
     ]
+
+
+@pytest.fixture(scope="module")
+def float_option_runs(tmp_path_factory):
+    """A valid run, by command, of each command with a float option, after the runs
+    that write its inputs; features filters by VAD and has a seed for its dither, eval
+    names a prior and schedule runs all 150 epochs, past the margin ramp, so that
+    every float option is used."""
+    runs = _command_runs(tmp_path_factory.mktemp("float_options"))
+    for argv in runs:
+        assert main(argv) == 0
+    runs = {argv[0]: argv for argv in runs}  # the xi run, which reads --prior-log-precision, for pool
+    runs["features"] = [*runs["features"], "--vad", "--seed", "1"]
+    runs["eval"] = [*runs["eval"], "--p-target", "0.01", "--csv", "eval.csv"]
+    runs["schedule"] = ["schedule", "--out", "schedule.csv"]
+    return runs
+
+
+@pytest.mark.parametrize("command,key", [
+    (command, action.option_strings[0]) for command, sub in _subcommands().items()
+    for action in sub._actions if action.type is cli._float])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_option(float_option_runs, tmp_path, capsys, command, key, value):
+    """nan in any float option exits non-zero, and an infinity either does too or writes
+    no nan or inf; a failure prints only svkit messages, and nothing warns."""
+    argv = list(float_option_runs[command])
+    for k, arg in enumerate(argv[:-1]):
+        if arg in ("--out", "--csv", "--out-dir"):  # this run's outputs, in a directory of its own
+            argv[k + 1] = str(tmp_path / Path(argv[k + 1]).name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            rc = main([*argv, f"{key}={value}"])
+    out, err = capsys.readouterr()
+    assert bool(err) == (rc != 0) and all(line.startswith("svkit: ") for line in err.splitlines()), err
+    if value == "nan":
+        assert rc != 0, out
+    elif rc == 0:
+        csvs = [p.read_text() for p in tmp_path.glob("*.csv")]
+        assert not re.search(r"\b(nan|inf)\b", "".join([out, *csvs]), re.IGNORECASE), (out, csvs)
 
 
 class TestStartup:

@@ -20,9 +20,6 @@ from test_cli import make_wavs, synthetic_speakers
 
 TOKENS = [b"\t", b" ", b"\n", b"#", b"nan", b"inf", b"1e39", b"-1e400", b"\x0c", b"\xff", b"0", b"_"]
 KINDS = ["flip", "truncate", "delete", "repeat", "insert", "field"]
-# a cut or moved span could make a WAV header claim a rate of a few Hz, which --resample
-# would then stretch a thousandfold; a flipped bit leaves the rate above 7800 Hz
-WAV_KINDS = ["flip", "truncate"]
 
 # argv by command, with {input} placeholders
 COMMANDS = {
@@ -116,8 +113,6 @@ def test_unmutated_inputs_exit_0(inputs, tmp_path, capsys, case):
 @example(case="apply-backend/e.tsv", kind="field", a=1, b=0, token=b"1e39")  # past float32: inf
 def test_a_mutated_input_exits_with_a_code_and_a_message(inputs, tmp_path, capsys, case, kind, a, b, token):
     target = case.split("/")[1]
-    if target.endswith(".wav") and kind not in WAV_KINDS:
-        kind = WAV_KINDS[a % len(WAV_KINDS)]
     rc = run(inputs, tmp_path, case, mutate(inputs[target].read_bytes(), kind, a, b, token))
     err = capsys.readouterr().err
     assert 0 <= rc <= 4

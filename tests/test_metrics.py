@@ -231,6 +231,13 @@ class TestCPrimary:
         with pytest.raises(ContractError):
             metrics.c_primary(metrics.LabeledScores([1.0], [0.0]), [])
 
+    # unchecked, NaN costs report a NaN minDCF and an infinite one a NaN with a numpy warning
+    @pytest.mark.parametrize("costs", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf), (0.0, 1.0),
+                                       (1.0, -2.0)])
+    def test_costs_must_be_finite_and_positive(self, costs):
+        with pytest.raises(ContractError, match="costs must be finite and positive"):
+            metrics.OperatingPoint(0.01, *costs)
+
 
 class TestDcfCurve:
     def test_perfect_separation_all_zero(self):

@@ -219,6 +219,14 @@ class TestMarginSchedule:
         with pytest.raises(ContractError):
             objectives.margin_at(-1, objectives.MarginSchedule())
 
+    # unchecked, a NaN or infinite epoch passes the ordering check and a NaN or
+    # infinite margin is written out as the recipe's margin
+    @pytest.mark.parametrize("field", ["start_epoch", "end_epoch", "final", "lmf_margin"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ContractError, match="margin epochs and margins must be finite"):
+            objectives.MarginSchedule(**{field: value})
+
 
 class TestLrSchedule:
     def test_recipe_anchor_points(self):
@@ -248,6 +256,10 @@ class TestLrSchedule:
         with pytest.raises(ContractError):
             objectives.lr_at(-0.5, objectives.LrSchedule())
 
+    def test_infinite_peak_rejected(self):
+        with pytest.raises(ContractError, match="need 0 < final < peak < inf"):
+            objectives.LrSchedule(peak=np.inf)
+
 
 class TestCrop:
     def test_long_utterance_bounds(self):
@@ -274,5 +286,6 @@ class TestCrop:
     def test_crop_spec_frames(self):
         spec = objectives.CropSpec(10.0)
         assert spec.target_frames(10.0) == 1000
-        with pytest.raises(ContractError):
-            objectives.CropSpec(0.0)
+        for seconds in (0.0, -1.0, np.nan, np.inf, -np.inf):  # NaN raised a bare ValueError in target_frames
+            with pytest.raises(ContractError, match="target_len_s must be finite and positive"):
+                objectives.CropSpec(seconds)

@@ -234,17 +234,17 @@ class TestScoreTrials:
         ]
         np.testing.assert_allclose(got, want, atol=1e-12)
 
-    def test_workers_and_blocks_bitwise_identical(self):
+    def test_blocks_bitwise_identical(self):
         rng = np.random.default_rng(2)
         models = embset(rng.normal(size=(40, 16)), "m")
         tests = embset(rng.normal(size=(50, 16)), "t")
         pairs = [(f"m{i % 40}", f"t{(i * 7) % 50}") for i in range(1000)]
         trials = scoring.TrialList.from_pairs(list(dict.fromkeys(pairs)))
         base = scoring.score_trials(models, tests, trials)
-        for workers in (1, 2, 8):
-            for block in (None, 1, 17, 256, 4096, 100000):
-                got = scoring.score_trials(models, tests, trials, workers=workers, block_size=block)
-                assert got.tobytes() == base.tobytes()
+        for block in (1, 17, 256, 4096, 100000):
+            with mock.patch.object(scoring, "SCORE_BLOCK", block * 16):
+                got = scoring.score_trials(models, tests, trials)
+            assert got.tobytes() == base.tobytes()
 
     @pytest.mark.parametrize("dim", [1, 5, 13, 257])
     def test_bitwise_equal_to_block_oracle(self, dim):
@@ -257,8 +257,10 @@ class TestScoreTrials:
         trials = scoring.TrialList.from_pairs([(f"m{i}", f"t{j}") for i, j in rows])
         e, k = np.array(rows).T
         want = oracle_score_block(m[e], t[k])
-        for block in (None, 1, 17, 1000):
-            got = scoring.score_trials(models, tests, trials, block_size=block)
+        assert scoring.score_trials(models, tests, trials).tobytes() == want.tobytes()
+        for block in (1, 5, 13, 17, 257, 1000):  # rows per block
+            with mock.patch.object(scoring, "SCORE_BLOCK", block * dim):
+                got = scoring.score_trials(models, tests, trials)
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dim", [1, 256, scoring.SCORE_BLOCK - 1, scoring.SCORE_BLOCK + 1])
@@ -282,9 +284,9 @@ class TestScoreTrials:
         got = scoring.score_trials(models, tests, scoring.TrialList.from_pairs([("m0", "t0")]))
         np.testing.assert_array_equal(got, [0.0])
         for block in (1, 4096):
-            with pytest.raises(ContractError, match="cannot score a zero vector"):
-                scoring.score_trials(models, tests, scoring.TrialList.from_pairs([("m0", "t0"), ("m0", "t1")]),
-                                     block_size=block)
+            with mock.patch.object(scoring, "SCORE_BLOCK", block * 2), \
+                    pytest.raises(ContractError, match="cannot score a zero vector"):
+                scoring.score_trials(models, tests, scoring.TrialList.from_pairs([("m0", "t0"), ("m0", "t1")]))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
