@@ -258,25 +258,27 @@ def log_mel_fbank(
     """
     flen, fshift = _frame_params(buf.sample_rate, cfg.frame_len_ms, cfg.frame_shift_ms)
     frames = _frame_signal(buf.samples, flen, fshift).copy()
-    if cfg.dither > 0:
-        if rng is None:
-            raise ContractError("dither > 0 requires an explicit rng")
-        frames += cfg.dither * rng.standard_normal(frames.shape)
-    # frame-local pre-emphasis keeps frames independent of their neighbours
-    if cfg.preemphasis != 0.0:
-        frames[:, 1:] -= cfg.preemphasis * frames[:, :-1]
-        frames[:, 0] *= 1.0 - cfg.preemphasis
-    frames *= np.hamming(flen)
+    if cfg.dither > 0 and rng is None:
+        raise ContractError("dither > 0 requires an explicit rng")
+    # a huge dither or pre-emphasis overflows to a non-finite value, which FeatureMatrix rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.dither > 0:
+            frames += cfg.dither * rng.standard_normal(frames.shape)
+        # frame-local pre-emphasis keeps frames independent of their neighbours
+        if cfg.preemphasis != 0.0:
+            frames[:, 1:] -= cfg.preemphasis * frames[:, :-1]
+            frames[:, 0] *= 1.0 - cfg.preemphasis
+        frames *= np.hamming(flen)
 
-    n_fft = 1
-    while n_fft < flen:
-        n_fft *= 2
-    power = np.abs(np.fft.rfft(frames, n_fft)) ** 2
+        n_fft = 1
+        while n_fft < flen:
+            n_fft *= 2
+        power = np.abs(np.fft.rfft(frames, n_fft)) ** 2
 
-    high = cfg.high_freq if cfg.high_freq is not None else buf.sample_rate / 2.0
-    bank, _ = mel_filterbank(cfg.n_mels, n_fft, buf.sample_rate, cfg.low_freq, high)
-    energies = power @ bank.T
-    values = np.log(np.maximum(energies, cfg.log_floor))
+        high = cfg.high_freq if cfg.high_freq is not None else buf.sample_rate / 2.0
+        bank, _ = mel_filterbank(cfg.n_mels, n_fft, buf.sample_rate, cfg.low_freq, high)
+        energies = power @ bank.T
+        values = np.log(np.maximum(energies, cfg.log_floor))
     return FeatureMatrix(values)
 
 
@@ -319,7 +321,8 @@ def vad_from_energies(energies: np.ndarray, cfg: VadConfig = VadConfig()) -> np.
     t = len(energies)
     if t == 0:
         return np.zeros(0, dtype=bool)
-    threshold = cfg.energy_threshold + cfg.energy_mean_scale * energies.mean()
+    with np.errstate(over="ignore"):  # a threshold past the float range compares as its infinity
+        threshold = cfg.energy_threshold + cfg.energy_mean_scale * energies.mean()
     raw = energies > threshold
     c = cfg.context_frames
     csum = np.concatenate([[0], np.cumsum(raw)])

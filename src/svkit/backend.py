@@ -3,6 +3,10 @@
 Each stage is optional; the apply order is fixed center -> LDA ->
 length-norm.  Fitted stage parameters are stored as float32 so that a
 saved and reloaded pipeline applies bitwise identically.
+
+No stage casts a whole set to float64: apply_pipeline works on row blocks of
+APPLY_BLOCK float64 values, which change no output bit as rows are
+independent, and fit_lda casts one class's rows at a time.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from .store import ByteReader, EmbeddingSet, record_errors
 
 PIPELINE_MAGIC = b"SVPL"
 PIPELINE_VERSION = 1
+APPLY_BLOCK = 1 << 18  # float64 values per block of rows in apply_pipeline: 1024 rows at 256-d
 
 
 @dataclass(frozen=True)
@@ -60,7 +65,7 @@ def fit_center(s: EmbeddingSet) -> CenterStage:
     """Arithmetic mean of the set's vectors."""
     if len(s) == 0:
         raise ContractError("cannot fit centering on an empty set")
-    return CenterStage(s.vectors.astype(np.float64).mean(axis=0))
+    return CenterStage(s.vectors.mean(axis=0, dtype=np.float64))
 
 
 def fit_lda(s: EmbeddingSet, k: int | None = None) -> LdaStage:
@@ -73,8 +78,7 @@ def fit_lda(s: EmbeddingSet, k: int | None = None) -> LdaStage:
     """
     if len(s) == 0:
         raise ContractError("cannot fit LDA on an empty set")
-    labels = np.asarray(s.label_array())
-    classes = np.unique(labels)
+    classes, codes = np.unique(np.asarray(s.label_array()), return_inverse=True)
     if len(classes) < 2:
         raise ContractError(f"LDA needs at least 2 classes, got {len(classes)}")
     d = s.dim
@@ -84,17 +88,17 @@ def fit_lda(s: EmbeddingSet, k: int | None = None) -> LdaStage:
     if not 1 <= k <= max_k:
         raise ContractError(f"k must be in [1, {max_k}], got {k}")
 
-    x = s.vectors.astype(np.float64)
-    mean = x.mean(axis=0)
+    mean = s.vectors.mean(axis=0, dtype=np.float64)
     sw = np.zeros((d, d))
     sb = np.zeros((d, d))
-    for c in classes:
-        xc = x[labels == c]
-        mc = xc.mean(axis=0)
-        diff = xc - mc
+    # each class's rows in ascending order, as a boolean mask would pick them
+    for rows in np.split(np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1]):
+        diff = s.vectors[rows].astype(np.float64)
+        mc = diff.mean(axis=0)
+        diff -= mc
         sw += diff.T @ diff
         gap = mc - mean
-        sb += len(xc) * np.outer(gap, gap)
+        sb += len(rows) * np.outer(gap, gap)
 
     eps = 1e-6 * np.trace(sw) / d
     if eps <= 0:
@@ -113,26 +117,29 @@ def fit_lda(s: EmbeddingSet, k: int | None = None) -> LdaStage:
 
 
 def apply_pipeline(p: Pipeline, s: EmbeddingSet) -> EmbeddingSet:
-    """Apply present stages in order center -> LDA -> length-norm."""
-    x = s.vectors.astype(np.float64)
-    if p.center is not None:
-        if p.center.mean.shape[0] != x.shape[1]:
-            raise ContractError(
-                f"center dim {p.center.mean.shape[0]} != embedding dim {x.shape[1]}"
-            )
-        x = x - p.center.mean.astype(np.float64)
-    if p.lda is not None:
-        if p.lda.projection.shape[0] != x.shape[1]:
-            raise ContractError(
-                f"LDA input dim {p.lda.projection.shape[0]} != embedding dim {x.shape[1]}"
-            )
-        x = x @ p.lda.projection.astype(np.float64)
-    if p.length_norm:
-        norms = np.linalg.norm(x, axis=1)
-        if np.any(norms == 0):
-            raise ContractError("cannot length-normalize a zero vector")
-        x = x / norms[:, None]
-    return EmbeddingSet(s.ids, x.astype(np.float32), s.labels)
+    """Apply present stages in order center -> LDA -> length-norm, a block of rows at a time."""
+    d = s.dim
+    if p.center is not None and p.center.mean.shape[0] != d:
+        raise ContractError(f"center dim {p.center.mean.shape[0]} != embedding dim {d}")
+    if p.lda is not None and p.lda.projection.shape[0] != d:
+        raise ContractError(f"LDA input dim {p.lda.projection.shape[0]} != embedding dim {d}")
+    mean = None if p.center is None else p.center.mean.astype(np.float64)
+    proj = None if p.lda is None else p.lda.projection.astype(np.float64)
+    out = np.empty((len(s), d if proj is None else proj.shape[1]), np.float32)
+    step = max(1, APPLY_BLOCK // max(d, 1))  # LDA keeps at most d dims
+    for lo in range(0, len(s), step):
+        x = s.vectors[lo : lo + step].astype(np.float64)
+        if mean is not None:
+            x -= mean
+        if proj is not None:
+            x = x @ proj
+        if p.length_norm:
+            norms = np.linalg.norm(x, axis=1)
+            if np.any(norms == 0):
+                raise ContractError("cannot length-normalize a zero vector")
+            x /= norms[:, None]
+        out[lo : lo + step] = x
+    return EmbeddingSet(s.ids, out, s.labels)
 
 
 def _write_mat(f, m: np.ndarray) -> None:

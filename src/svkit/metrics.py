@@ -125,7 +125,8 @@ def min_dcf(scores: LabeledScores, op: OperatingPoint) -> tuple[float, float]:
     """
     p_fa, p_miss, thresholds = roc_points(scores)
     norm = min(op.c_miss * op.p_target, op.c_fa * (1 - op.p_target))
-    dcf = (op.c_miss * op.p_target * p_miss + op.c_fa * (1 - op.p_target) * p_fa) / norm
+    with np.errstate(over="ignore"):  # an overflow is no minimum: one end of the sweep costs 1
+        dcf = (op.c_miss * op.p_target * p_miss + op.c_fa * (1 - op.p_target) * p_fa) / norm
     i = int(np.argmin(dcf))  # first minimum = smallest threshold
     return float(dcf[i]), float(thresholds[i])
 

@@ -3,7 +3,9 @@
 Two interchangeable formats:
   * SVEB binary: magic ``SVEB``, version u16, count u64, dim u32 (at least
     1), then per record a u16 id length, the UTF-8 id bytes, and ``dim``
-    little-endian float32 values.  Roundtrips bit-exactly.
+    little-endian float32 values.  Roundtrips bit-exactly.  A set or file whose
+    ids share one byte length is written or read whole as one record array; any
+    other goes one record at a time, which is where every read error comes from.
   * TSV text: one record per line, ``id<TAB>v1<TAB>v2...`` with decimal
     floats (9 significant digits on write, which roundtrips float32).
 
@@ -18,7 +20,7 @@ import itertools
 import os
 import struct
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
@@ -30,6 +32,10 @@ MAGIC = b"SVEB"
 FORMAT_VERSION = 1
 _U16 = struct.Struct("<H")  # a format version or an SVEB id length
 _COUNT_DIM = struct.Struct("<QI")  # the SVEB header after its version
+
+
+def _sveb_record(id_len: int, dim: int) -> np.dtype:  # ids as bytes: an S dtype drops a trailing NUL
+    return np.dtype([("n", "<u2"), ("id", "u1", (id_len,)), ("vec", "<f4", (dim,))])
 
 
 class _ReadOnce:
@@ -246,8 +252,14 @@ def write_embeddings(s: EmbeddingSet, path) -> None:
             raise ContractError(f"id longer than 65535 bytes: {id_[:32]!r}...")
     with open(path, "wb") as f:
         f.write(MAGIC + _U16.pack(FORMAT_VERSION) + _COUNT_DIM.pack(len(s), s.dim))
-        for raw, vec in zip(raws, s.vectors):
-            f.write(_U16.pack(len(raw)) + raw + vec.astype("<f4", copy=False).tobytes())
+        if len(set(map(len, raws))) == 1:
+            recs = np.empty(len(s), _sveb_record(len(raws[0]), s.dim))
+            id_bytes = np.frombuffer(b"".join(raws), np.uint8).reshape(len(s), -1)
+            recs["n"], recs["id"], recs["vec"] = len(raws[0]), id_bytes, s.vectors
+            f.write(recs)
+        else:
+            for raw, vec in zip(raws, s.vectors):
+                f.write(_U16.pack(len(raw)) + raw + vec.astype("<f4", copy=False).tobytes())
 
 
 def write_embeddings_tsv(s: EmbeddingSet, path) -> None:
@@ -304,6 +316,17 @@ def _parse_sveb(path) -> EmbeddingSet:
     if count * (2 + vec_bytes) > left:
         raise FormatError(f"{path}: header claims {count} records of dim {dim}, "
                           f"more than the {left} bytes that follow")
+    # when the records fill the rest of the file at one stride, and every id has the first
+    # one's byte length and is UTF-8, one record array holds what the loop below would read
+    id_len = int.from_bytes(r.data[r.off : r.off + 2], "little")
+    size = 2 + id_len + vec_bytes
+    if count * size == left and size < 1 << 31:  # numpy has no larger record dtype
+        recs = np.frombuffer(r.data[r.off :], _sveb_record(id_len, dim))
+        with suppress(UnicodeDecodeError):  # the loop names the record
+            if (recs["n"] == id_len).all():
+                ids = [str(r.data[at : at + id_len], "utf-8") for at in range(r.off + 2, len(r.data), size)]
+                with record_errors(path):
+                    return EmbeddingSet(ids, recs["vec"].copy())
     ids = []
     vecs = np.empty((count, dim), dtype=np.float32)
     for k in range(count):

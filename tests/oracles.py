@@ -9,9 +9,11 @@ earlier code, kept verbatim as byte-for-byte references.  The scoring
 oracle casts, normalises and dots a block of gathered row pairs together.
 The enrollment oracle is the dict-of-vectors path that enrollment took
 before it read an embedding set directly.  The text-writer oracles format
-one value per f-string; the label, manifest, plan and command writers are
-the package's earlier writers, each opening its own file.  The LDA oracle
-solves its generalized eigenproblem with scipy.linalg.eigh.  The framing
+one value per f-string; the SVEB writer writes one record at a time; the
+label, manifest, plan and command writers are the package's earlier
+writers, each opening its own file.  The LDA oracle solves its generalized
+eigenproblem with scipy.linalg.eigh; the fit_lda oracle is the earlier
+fit_lda, which cast the whole set to float64 and masked each class.  The framing
 oracle gathers frames through an index array, the actual-DCF oracle counts
 errors by direct comparison, and the text-reader oracles are the package's
 earlier readers, each with its own field-count check, kept verbatim with the
@@ -271,6 +273,15 @@ def oracle_build_enrollment(segments) -> EmbeddingSet:
     )
 
 
+def oracle_write_embeddings(s, path) -> None:
+    """SVEB, one record at a time."""
+    with open(path, "wb") as f:
+        f.write(MAGIC + struct.pack("<HQI", FORMAT_VERSION, len(s), s.dim))
+        for id_, vec in zip(s.ids, s.vectors):
+            raw = id_.encode("utf-8")
+            f.write(struct.pack("<H", len(raw)) + raw + vec.astype("<f4").tobytes())
+
+
 def oracle_write_embeddings_tsv(s, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for id_, vec in zip(s.ids, s.vectors):
@@ -328,14 +339,13 @@ def oracle_emit_commands(plan: AugmentPlan, out_dir) -> Path:
     return path
 
 
-def oracle_lda(s, k=None):
-    """svkit.backend.fit_lda's float64 projection, before the float32 cast,
-    with the generalized eigenproblem solved by scipy.linalg.eigh(sb, sw +
-    eps I).  Returns (projection, every eigenvalue in ascending order)."""
+def _lda_scatter(s):
+    """The earlier fit_lda's class count, within-class scatter and ridge-free
+    between-class scatter: one float64 copy of the set, and a boolean mask per
+    class."""
     labels = np.asarray(s.label_array())
     classes = np.unique(labels)
     d = s.dim
-    k = min(d, len(classes) - 1) if k is None else k
     x = s.vectors.astype(np.float64)
     mean = x.mean(axis=0)
     sw = np.zeros((d, d))
@@ -350,15 +360,37 @@ def oracle_lda(s, k=None):
     eps = 1e-6 * np.trace(sw) / d
     if eps <= 0:
         eps = 1e-12
-    vals, vecs = scipy.linalg.eigh(sb, sw + eps * np.eye(d))
-    proj = vecs[:, np.argsort(vals)[::-1][:k]]
+    return len(classes), sw + eps * np.eye(d), sb
+
+
+def _fix_signs(proj):
     proj /= np.linalg.norm(proj, axis=0, keepdims=True)
     for j in range(proj.shape[1]):
         col = proj[:, j]
         nz = np.flatnonzero(np.abs(col) > 1e-12)
         if nz.size and col[nz[0]] < 0:
             proj[:, j] = -col
-    return proj, vals
+    return proj
+
+
+def oracle_lda(s, k=None):
+    """svkit.backend.fit_lda's float64 projection, before the float32 cast,
+    with the generalized eigenproblem solved by scipy.linalg.eigh(sb, sw +
+    eps I).  Returns (projection, every eigenvalue in ascending order)."""
+    n_classes, sw, sb = _lda_scatter(s)
+    k = min(s.dim, n_classes - 1) if k is None else k
+    vals, vecs = scipy.linalg.eigh(sb, sw)
+    return _fix_signs(vecs[:, np.argsort(vals)[::-1][:k]]), vals
+
+
+def oracle_fit_lda(s, k=None) -> np.ndarray:
+    """svkit.backend.fit_lda as it was, on a float64 copy of the whole set: its
+    float64 projection, before the float32 cast."""
+    n_classes, sw, sb = _lda_scatter(s)
+    k = min(s.dim, n_classes - 1) if k is None else k
+    inv = np.linalg.inv(np.linalg.cholesky(sw))
+    vals, y = np.linalg.eigh(inv @ sb @ inv.T)
+    return _fix_signs((inv.T @ y)[:, np.argsort(vals)[::-1][:k]])
 
 
 def oracle_frame_signal(x: np.ndarray, flen: int, fshift: int) -> np.ndarray:

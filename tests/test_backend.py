@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import oracle_lda
+from oracles import oracle_fit_lda, oracle_lda
 from svkit import backend, store
 from svkit.errors import ContractError, FormatError
 
@@ -41,6 +42,23 @@ def pipelines(draw):
     lda = draw(st.none() | arrays(np.float32, st.tuples(st.just(d), st.integers(1, 5)),
                                   elements=FLOAT32).map(backend.LdaStage))
     return backend.Pipeline(center=center, lda=lda, length_norm=draw(st.booleans()))
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory that tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def labelled_set(seed, n, d, classes):
+    """n rows of d dims around `classes` speaker means, the speakers in shuffled row order."""
+    rng = np.random.default_rng(seed)
+    codes = rng.permutation(np.arange(n) % classes)
+    x = rng.normal(size=(classes, d))[codes] * 3 + rng.normal(size=(n, d))
+    return make_set(x, [f"s{c}" for c in codes])
 
 
 def brute_force_lda(x, labels, k, ridge_scale=1e-6):
@@ -90,6 +108,12 @@ class TestFitCenter:
     def test_empty_errors(self):
         with pytest.raises(ContractError):
             backend.fit_center(store.EmbeddingSet([], np.zeros((0, 3), np.float32)))
+
+    def test_no_float64_copy_of_the_set(self):
+        s = labelled_set(0, 4000, 256, 40)
+        stage, peak = traced_peak(backend.fit_center, s)
+        assert stage.mean.tobytes() == np.float32(s.vectors.astype(np.float64).mean(axis=0)).tobytes()
+        assert peak < s.vectors.size * 8, peak
 
 
 class TestFitLda:
@@ -150,6 +174,27 @@ class TestFitLda:
             backend.fit_lda(make_set(x, ["a"] * 5 + ["b"] * 5), k=2)  # k > C - 1
         with pytest.raises(ContractError):
             backend.fit_lda(make_set(x))  # no labels at all
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bytes_equal_the_earlier_fit(self, tmp_path, monkeypatch, seed):
+        """One stable sort groups each class's rows in ascending order, as the earlier
+        boolean masks did, so the float64 projection keeps every bit and the saved
+        pipeline every byte."""
+        rng = np.random.default_rng(seed)
+        c = int(rng.integers(2, 151))
+        s = labelled_set(seed, c * int(rng.integers(2, 6)), int(rng.integers(c // 2 + 1, 129)), c)
+        want = oracle_fit_lda(s)
+        backend.save_pipeline(backend.Pipeline(lda=backend.fit_lda(s)), tmp_path / "new.svpl")
+        backend.save_pipeline(backend.Pipeline(lda=backend.LdaStage(want)), tmp_path / "old.svpl")
+        assert (tmp_path / "new.svpl").read_bytes() == (tmp_path / "old.svpl").read_bytes()
+        monkeypatch.setattr(backend, "LdaStage", lambda projection: projection)  # before the cast
+        assert backend.fit_lda(s).tobytes() == want.tobytes()
+
+    def test_no_float64_copy_of_the_set(self):
+        s = labelled_set(1, 4000, 256, 40)
+        stage, peak = traced_peak(backend.fit_lda, s)
+        assert stage.projection.tobytes() == np.float32(oracle_fit_lda(s)).tobytes()
+        assert peak < s.vectors.size * 8, peak
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_scipy_generalized_eigh(self, seed):
@@ -237,6 +282,37 @@ class TestApplyPipeline:
         a = backend.apply_pipeline(pipe, make_set(vecs)).vectors.astype(np.float64)
         b = backend.apply_pipeline(pipe, make_set(vecs * scales)).vectors.astype(np.float64)
         np.testing.assert_allclose(a @ a.T, b @ b.T, atol=1e-5)
+
+    @staticmethod
+    def full_pipeline(s):
+        centered = backend.apply_pipeline(backend.Pipeline(center=backend.fit_center(s)), s)
+        return backend.Pipeline(center=backend.fit_center(s), lda=backend.fit_lda(centered),
+                                length_norm=True)
+
+    def test_any_block_gives_the_same_bytes(self, monkeypatch):
+        """Blocks of 3 rows: 333 whole blocks and a last one of 1 row, and a 1-row set."""
+        s = labelled_set(2, 1000, 256, 20)
+        pipes = [self.full_pipeline(s), backend.Pipeline(center=backend.fit_center(s)),
+                 backend.Pipeline(length_norm=True)]
+        whole = [backend.apply_pipeline(p, t).vectors.tobytes() for p in pipes for t in (s, s.select(["u7"]))]
+        monkeypatch.setattr(backend, "APPLY_BLOCK", 3 * s.dim)
+        blocks = [backend.apply_pipeline(p, t).vectors.tobytes() for p in pipes for t in (s, s.select(["u7"]))]
+        assert blocks == whole
+
+    def test_zero_vector_in_a_later_block(self, monkeypatch):
+        vecs = np.random.default_rng(3).normal(size=(1000, 4))
+        vecs[700] = 0
+        monkeypatch.setattr(backend, "APPLY_BLOCK", 3 * 4)
+        with pytest.raises(ContractError, match="cannot length-normalize a zero vector"):
+            backend.apply_pipeline(backend.Pipeline(length_norm=True), make_set(vecs))
+
+    def test_transient_peak_is_a_few_blocks(self):
+        s = labelled_set(4, 4000, 256, 40)
+        pipe = backend.Pipeline(center=backend.fit_center(s),
+                                lda=backend.LdaStage(np.eye(256, 200)), length_norm=True)
+        out, peak = traced_peak(backend.apply_pipeline, pipe, s)
+        assert out.dim == 200
+        assert peak < out.vectors.nbytes + 4 * 8 * backend.APPLY_BLOCK, peak
 
     def test_dimension_mismatch(self):
         s = make_set(np.ones((3, 4), np.float32))

@@ -3,12 +3,16 @@ oracles.py, on arbitrary bytes after each magic and on single-byte
 mutations and truncations of valid files.  Both must return the same ids,
 vector bytes and stages, or both raise FormatError; messages may differ
 only as REWORDED lists.  The one deliberate difference: an SVEB
-header of dimension 0, which the earlier reader accepted, is a FormatError."""
+header of dimension 0, which the earlier reader accepted, is a FormatError.
+The SVEB writer must write the bytes of the earlier one-record-at-a-time
+writer.  Both read and write a set whose ids share one byte length as one
+record array, so the drawn files often have such ids."""
 
 import re
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -36,7 +40,7 @@ REWORDED = [
 
 FLOAT32 = st.one_of(st.sampled_from([0.0, -0.0, 1e-45, 3.4028235e38, float("nan")]),
                     st.floats(width=32))
-ID_BYTES = st.sampled_from([b"", b"a", b"b", b"a b", b"\xff\xfe", "ä".encode(), b"\x85"])
+ID_BYTES = st.sampled_from([b"", b"a", b"b", b"a b", b"\xff\xfe", "ä".encode(), b"\x85", b"c\x00"])
 
 
 def _u16(n: int) -> bytes:
@@ -89,10 +93,17 @@ SVPL_BODIES = st.one_of(
 FINITE = st.floats(width=32, allow_nan=False, allow_infinity=False)
 
 
+ID_POOLS = [
+    ["a", "b", "ä", "id7", "x" * 9],  # ids of 1, 2, 3 and 9 bytes: one record at a time
+    ["ab", "cd", "ä", "é", "e\x00", "\x00f"],  # 2 bytes each, ASCII, UTF-8 or NUL-ended: one record array
+    ["id1", "€", "g\x00\x00"],  # 3 bytes each
+]
+
+
 @st.composite
 def sveb_files(draw):
     vecs = draw(arrays(np.float32, st.tuples(st.integers(0, 3), st.integers(1, 3)), elements=FINITE))
-    ids = draw(st.lists(st.sampled_from(["a", "b", "ä", "id7", "x" * 9]),
+    ids = draw(st.lists(st.sampled_from(draw(st.sampled_from(ID_POOLS))),
                         min_size=len(vecs), max_size=len(vecs), unique=True))
     return store.EmbeddingSet(ids, vecs)
 
@@ -187,6 +198,35 @@ def test_sveb_mutations_match_earlier_reader(tmp_path, s, data):
 
 
 @SETTINGS
+@given(s=sveb_files())
+def test_sveb_writer_matches_earlier_writer(tmp_path, s):
+    store.write_embeddings(s, tmp_path / "new.sveb")
+    oracles.oracle_write_embeddings(s, tmp_path / "old.sveb")
+    assert (tmp_path / "new.sveb").read_bytes() == (tmp_path / "old.sveb").read_bytes()
+    got = store.read_embeddings(tmp_path / "new.sveb")
+    assert (got.ids, got.vectors.tobytes()) == (s.ids, s.vectors.tobytes())
+
+
+@pytest.mark.parametrize("ids, looped", [
+    (["ab", "ä", "c\x00"], 0),  # one byte length: one record array
+    (["a", "ä", "c\x00"], 3),  # 1, 2 and 2 bytes: the record loop
+])
+def test_uniform_ids_skip_the_record_loop(tmp_path, monkeypatch, ids, looped):
+    """The magic, the version and the header are the reads of a whole file; the record
+    loop adds two a record."""
+    s = store.EmbeddingSet(ids, np.arange(6, dtype=np.float32).reshape(3, 2))
+    store.write_embeddings(s, tmp_path / "new.sveb")
+    oracles.oracle_write_embeddings(s, tmp_path / "old.sveb")
+    assert (tmp_path / "new.sveb").read_bytes() == (tmp_path / "old.sveb").read_bytes()
+    reads = []
+    take = store.ByteReader.take
+    monkeypatch.setattr(store.ByteReader, "take", lambda r, n: reads.append(n) or take(r, n))
+    got = store.read_embeddings(tmp_path / "new.sveb")
+    assert (got.ids, got.vectors.tobytes()) == (ids, s.vectors.tobytes())
+    assert len(reads) == 3 + 2 * looped
+
+
+@SETTINGS
 @given(body=SVPL_BODIES)
 def test_svpl_arbitrary_bytes_match_earlier_reader(tmp_path, body):
     _check_svpl(tmp_path / "fuzz.svpl",
@@ -199,6 +239,14 @@ def test_svpl_mutations_match_earlier_reader(tmp_path, pipe, data):
     path = tmp_path / "m.svpl"
     backend.save_pipeline(pipe, path)
     _check_svpl(path, _mutate(data.draw, path.read_bytes()))
+
+
+@pytest.mark.parametrize("dim", [1, 2**29, 2**31, 2**32 - 1])
+def test_no_records_of_any_dim(tmp_path, dim):
+    """A header of 0 records reads as the empty set of its dimension, though numpy
+    has no record dtype of 2**31 bytes or more."""
+    check_sveb(tmp_path / "e.sveb", store.MAGIC + struct.pack("<HQI", 1, 0, dim))
+    assert store.read_embeddings(tmp_path / "e.sveb").vectors.shape == (0, dim)
 
 
 def test_every_rewording_is_reached(tmp_path):

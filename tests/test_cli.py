@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import svkit
+from oracles import oracle_min_dcf
 from svkit import audio, augment, backend, cli, metrics, scoring, store
 from svkit.cli import main
 
@@ -1033,6 +1034,39 @@ def test_non_finite_float_option(float_option_runs, tmp_path, capsys, command, k
     elif rc == 0:
         csvs = [p.read_text() for p in tmp_path.glob("*.csv")]
         assert not re.search(r"\b(nan|inf)\b", "".join([out, *csvs]), re.IGNORECASE), (out, csvs)
+
+
+@pytest.mark.parametrize("command,options", [
+    ("features", ["--dither=1e300"]),
+    ("features", ["--preemphasis=1e300"]),
+    ("features", ["--vad-energy-threshold=1e308", "--vad-energy-mean-scale=1e308"]),
+    ("eval", ["--c-fa=1e-320"]),
+], ids=["dither", "preemphasis", "vad-threshold", "c-fa"])
+def test_huge_finite_float_option(float_option_runs, tmp_path, capsys, command, options):
+    """A finite option that overflows numpy's float range warns nothing: a huge dither or
+    pre-emphasis fails with one svkit message; a VAD threshold past every energy drops
+    every frame; and a tiny false-alarm cost still gives the oracle's minDCF."""
+    argv = list(float_option_runs[command])
+    for k, arg in enumerate(argv[:-1]):
+        if arg in ("--csv", "--out-dir"):
+            argv[k + 1] = str(tmp_path / Path(argv[k + 1]).name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            rc = main([*argv, *options])
+    out, err = capsys.readouterr()
+    if "--dither=1e300" in options or "--preemphasis=1e300" in options:
+        wav = next(a for a in argv if a.endswith(".wav"))
+        assert (rc, err) == (3, f"svkit: {wav}: non-finite feature values\n")
+    elif command == "features":
+        assert (rc, err) == (0, "")
+        assert store.read_matrix(tmp_path / "feats" / "tone.feats").shape == (0, 80)
+    else:
+        assert (rc, err) == (0, "")
+        scores = cli._labeled_scores(argv[argv.index("--scores") + 1], argv[argv.index("--trials") + 1])
+        with np.errstate(over="ignore"):
+            want, _ = oracle_min_dcf(scores.target, scores.nontarget, 0.01, 1.0, 1e-320)
+        assert f"c_fa=9.99989e-321): {want:.3f}\n" in out
 
 
 class TestStartup:
