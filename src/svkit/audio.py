@@ -43,11 +43,10 @@ class AudioBuffer:
 def read_wav(path) -> AudioBuffer:
     """Read a RIFF/WAVE PCM 16-bit mono file, scaling samples by 1/32768.
 
-    A header rate outside MIN_WAV_RATE..MAX_WAV_RATE Hz is a FormatError."""
+    A non-PCM format tag (wave's "unknown format") or a header rate outside
+    MIN_WAV_RATE..MAX_WAV_RATE Hz is a FormatError."""
     try:
         with wave.open(str(path), "rb") as w:
-            if w.getcomptype() != "NONE":
-                raise FormatError(f"{path}: compressed WAV not supported")
             if w.getnchannels() != 1:
                 raise FormatError(f"{path}: expected mono, got {w.getnchannels()} channels")
             if w.getsampwidth() != 2:

@@ -316,10 +316,9 @@ def cmd_fit_backend(args) -> int:
     center = backend.fit_center(s) if args.center else None
     lda = None
     if args.lda:
-        sc = s
-        if center is not None:
-            sc = backend.apply_pipeline(backend.Pipeline(center=center), s)
-        lda = backend.fit_lda(sc, args.lda_dim)
+        if center is not None:  # rebinding s frees the raw set before fit_lda
+            s = backend.apply_pipeline(backend.Pipeline(center=center), s)
+        lda = backend.fit_lda(s, args.lda_dim)
     pipe = backend.Pipeline(center=center, lda=lda, length_norm=args.length_norm)
     backend.save_pipeline(pipe, args.out)
     stages = [
@@ -335,8 +334,7 @@ def cmd_apply_backend(args) -> int:
     from . import backend
 
     pipe = backend.load_pipeline(args.pipeline)
-    s = store.read_embeddings(args.embeddings)
-    out = backend.apply_pipeline(pipe, s)
+    out = backend.apply_pipeline(pipe, store.read_embeddings(args.embeddings))  # input freed before the write
     if args.text:
         store.write_embeddings_tsv(out, args.out)
     else:
@@ -459,6 +457,8 @@ def cmd_schedule(args) -> int:
     )
     for seconds in (args.segment_seconds, args.lmf_segment_seconds):
         objectives.CropSpec(seconds)  # a segment length the cropper would accept
+    if args.lmf_epochs < 0:  # 0 is no stage 2
+        raise ContractError(f"--lmf-epochs must be >= 0, got {args.lmf_epochs}")
     rows = ["stage,epoch,segment_seconds,margin,lr\n"]
     for e in range(args.epochs + 1):
         rows.append(

@@ -37,7 +37,6 @@ def log_softmax(x, axis=None) -> np.ndarray:
 class AamConfig:
     scale: float = 32.0
     margin: float = 0.0
-    easy_margin: bool = False
 
     def __post_init__(self):
         if self.scale <= 0:
@@ -76,13 +75,8 @@ def _aam_pieces(embeddings, class_weights, labels, cfg: AamConfig):
     cos_m, sin_m = math.cos(cfg.margin), math.sin(cfg.margin)
     sine = np.sqrt(np.maximum(1.0 - target_cos * target_cos, 0.0))
     shifted = target_cos * cos_m - sine * sin_m  # cos(theta + m)
-    if cfg.easy_margin:
-        ok = target_cos > 0
-        fallback = target_cos
-    else:
-        ok = target_cos > math.cos(math.pi - cfg.margin)
-        fallback = target_cos - cfg.margin * sin_m
-    phi = np.where(ok, shifted, fallback)
+    ok = target_cos > math.cos(math.pi - cfg.margin)
+    phi = np.where(ok, shifted, target_cos - cfg.margin * sin_m)
 
     logits = cos.copy()
     logits[rows, y] = phi
@@ -136,7 +130,6 @@ def aam_grad(embeddings, class_weights, labels, cfg: AamConfig) -> tuple[np.ndar
 class MarginSchedule:
     start_epoch: float = 20.0
     end_epoch: float = 40.0
-    initial: float = 0.0
     final: float = 0.2
     lmf_margin: float = 0.5
 
@@ -145,22 +138,22 @@ class MarginSchedule:
             raise ContractError(f"margin epochs and margins must be finite, got {self}")
         if self.start_epoch >= self.end_epoch:
             raise ContractError("start_epoch must precede end_epoch")
-        if not 0 <= self.initial <= self.final:
-            raise ContractError("need 0 <= initial <= final margin")
+        if self.final < 0:
+            raise ContractError(f"final margin must be >= 0, got {self.final}")
 
 
 def margin_at(epoch: float, sched: MarginSchedule = MarginSchedule(), lmf: bool = False) -> float:
-    """Margin for a training epoch: flat, linear ramp, flat; lmf overrides."""
+    """Margin for a training epoch: 0, linear ramp, final; lmf overrides."""
     if epoch < 0:
         raise ContractError(f"epoch must be >= 0, got {epoch}")
     if lmf:
         return sched.lmf_margin
     if epoch <= sched.start_epoch:
-        return sched.initial
+        return 0.0
     if epoch >= sched.end_epoch:
         return sched.final
     frac = (epoch - sched.start_epoch) / (sched.end_epoch - sched.start_epoch)
-    return sched.initial + frac * (sched.final - sched.initial)
+    return frac * sched.final
 
 
 @dataclass(frozen=True)

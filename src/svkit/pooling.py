@@ -31,9 +31,9 @@ def _as_frames(frames) -> np.ndarray:
 
 
 def _check_sizes(**sizes) -> None:
-    """A parameter size below 1 (None: not given) is a ContractError that names it."""
+    """A parameter size below 1 is a ContractError that names it."""
     for name, size in sizes.items():
-        if size is not None and size < 1:
+        if size < 1:
             raise ContractError(f"{name} must be >= 1, got {size}")
 
 
@@ -228,26 +228,20 @@ class MhfaParams:
         num_heads: int = 64,
         key_dim: int = 64,
         embed_dim: int = 256,
-        head_dim: int | None = None,
     ) -> "MhfaParams":
+        """Random parameters whose heads split embed_dim evenly."""
         _check_sizes(num_layers=num_layers, in_dim=in_dim, num_heads=num_heads, key_dim=key_dim,
-                     embed_dim=embed_dim, head_dim=head_dim)
-        if head_dim is None:
-            if embed_dim % num_heads:
-                raise ContractError(
-                    f"embed_dim {embed_dim} not divisible by {num_heads} heads; pass head_dim"
-                )
-            head_dim = embed_dim // num_heads
+                     embed_dim=embed_dim)
+        if embed_dim % num_heads:
+            raise ContractError(f"embed_dim {embed_dim} not divisible by {num_heads} heads")
         s = 1.0 / np.sqrt(in_dim)
         return cls(
             layer_weights_k=rng.normal(size=num_layers),
             layer_weights_v=rng.normal(size=num_layers),
             key_proj=rng.normal(0.0, s, size=(in_dim, key_dim)),
-            value_proj=rng.normal(0.0, s, size=(in_dim, num_heads * head_dim)),
+            value_proj=rng.normal(0.0, s, size=(in_dim, embed_dim)),
             queries=rng.normal(0.0, 1.0 / np.sqrt(key_dim), size=(num_heads, key_dim)),
-            out_proj=rng.normal(
-                0.0, 1.0 / np.sqrt(num_heads * head_dim), size=(num_heads * head_dim, embed_dim)
-            ),
+            out_proj=rng.normal(0.0, 1.0 / np.sqrt(embed_dim), size=(embed_dim, embed_dim)),
         )
 
 

@@ -100,6 +100,16 @@ class TestWavIO:
         with pytest.raises(FormatError):
             audio.read_wav(path)
 
+    @pytest.mark.parametrize("tag", [2, 3, 6, 7])  # ADPCM, IEEE float, A-law, mu-law
+    def test_non_pcm_format_tag(self, tmp_path, tag):
+        path = tmp_path / "tag.wav"
+        audio.write_wav(audio.AudioBuffer(np.zeros(64), 16000), path)
+        raw = bytearray(path.read_bytes())
+        raw[20:22] = struct.pack("<H", tag)  # the fmt chunk's format tag
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=f"unknown format: {tag}$"):
+            audio.read_wav(path)
+
     @pytest.mark.parametrize("rate", [0, 2, audio.MIN_WAV_RATE - 1, audio.MAX_WAV_RATE + 1, 2_000_000_000])
     def test_header_rate_out_of_range(self, tmp_path, rate):
         path = tmp_path / "rate.wav"

@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 import svkit
 from oracles import oracle_min_dcf
-from svkit import audio, augment, backend, cli, metrics, scoring, store
+from svkit import audio, augment, backend, cli, metrics, pooling, scoring, store
 from svkit.cli import main
 
 
@@ -113,6 +113,42 @@ class TestFeaturesCommand:
         rc = main(["features", "--out-dir", str(tmp_path / "o"), str(empty)])
         assert rc == 1
 
+    def test_dither_without_seed_exit_1(self, tmp_path, capsys):
+        wavs = make_wavs(tmp_path)
+        assert main(["features", "--dither", "0.5", "--out-dir", str(tmp_path / "f"), str(wavs["tone"])]) == 1
+        assert capsys.readouterr().err == "svkit: usage error: --dither > 0 requires --seed\n"
+        assert not (tmp_path / "f" / "tone.feats").exists()
+
+    def test_duplicate_stem_exit_3_first_written(self, tmp_path, capsys):
+        wavs = make_wavs(tmp_path)
+        (tmp_path / "other").mkdir()
+        twin = tmp_path / "other" / "tone.wav"
+        twin.write_bytes(wavs["noise"].read_bytes())
+        out_dir = tmp_path / "f"
+        assert main(["features", "--out-dir", str(out_dir), str(wavs["tone"]), str(twin)]) == 3
+        assert capsys.readouterr().err == f"svkit: {twin}: duplicate output name 'tone'\n"
+        store.write_matrix(audio.log_mel_fbank(audio.read_wav(wavs["tone"])).values, tmp_path / "want.feats")
+        assert (out_dir / "tone.feats").read_bytes() == (tmp_path / "want.feats").read_bytes()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n-mels", "0"], "n_mels must be >= 1, got 0"),
+        (["--vad", "--vad-context", "-1"], "context_frames must be >= 0, got -1")], ids=["n-mels", "vad-context"])
+    def test_bad_feature_size_exit_3(self, tmp_path, capsys, argv, message):
+        wavs = make_wavs(tmp_path)
+        assert main(["features", *argv, "--out-dir", str(tmp_path / "f"), str(wavs["tone"])]) == 3
+        assert capsys.readouterr().err == f"svkit: error: {message}\n"
+        assert not (tmp_path / "f" / "tone.feats").exists()
+
+    @pytest.mark.parametrize("tag", [3, 6])  # IEEE float, A-law
+    def test_non_pcm_format_tag_exit_2(self, tmp_path, capsys, tag):
+        path = tmp_path / "x.wav"
+        audio.write_wav(audio.AudioBuffer(np.zeros(800), 16000), path)
+        raw = bytearray(path.read_bytes())
+        raw[20:22] = struct.pack("<H", tag)  # the fmt chunk's format tag
+        path.write_bytes(bytes(raw))
+        assert main(["features", "--out-dir", str(tmp_path / "f"), str(path)]) == 2
+        assert capsys.readouterr().err == f"svkit: {path}: {path}: unknown format: {tag}\n"
+
     def test_bad_file_reported_but_others_written(self, tmp_path, capsys):
         wavs = make_wavs(tmp_path)
         bad = tmp_path / "bad.wav"
@@ -162,6 +198,25 @@ class TestPoolCommand:
                    "--embed-dim", "32", str(path)])
         assert rc == 0
         assert len(capsys.readouterr().out.strip().split("\t")) == 32
+
+    def test_mhfa_embed_dim_not_a_multiple_of_heads_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "m.tsv"
+        path.write_text("1\t2\n3\t4\n")
+        assert main(["pool", "--method", "mhfa", "--seed", "1", "--embed-dim", "250", "--heads", "64",
+                     str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "svkit: error: embed_dim 250 not divisible by 64 heads\n"
+
+    def test_xi_with_precisions_matches_library(self, tmp_path, capsys):
+        rng = np.random.default_rng(2)
+        store.write_matrix(rng.normal(size=(9, 5)), tmp_path / "m.feats")
+        store.write_matrix(rng.normal(size=(9, 5)), tmp_path / "p.feats")
+        assert main(["pool", "--method", "xi", "--precisions", str(tmp_path / "p.feats"),
+                     str(tmp_path / "m.feats")]) == 0
+        x = store.read_matrix(tmp_path / "m.feats")
+        stats = pooling.XiFrameStats(x, store.read_matrix(tmp_path / "p.feats"))
+        vec, _ = pooling.xi_pool(stats, pooling.XiPrior.flat(5, -60.0))
+        assert capsys.readouterr().out == "\t".join(f"{v:.9g}" for v in vec) + "\n"
 
     def test_xi_defaults_to_frame_mean(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
@@ -226,6 +281,10 @@ class TestBackendScoreEvalFlow:
         lda = backend.fit_lda(centered)
         pipe = backend.Pipeline(center=center, lda=lda, length_norm=True)
         proc = backend.apply_pipeline(pipe, train)
+        backend.save_pipeline(pipe, tmp_path / "pipe_lib.svpl")
+        store.write_embeddings(proc, tmp_path / "proc_lib.sveb")
+        assert (tmp_path / "pipe.svpl").read_bytes() == (tmp_path / "pipe_lib.svpl").read_bytes()
+        assert (tmp_path / "proc.sveb").read_bytes() == (tmp_path / "proc_lib.sveb").read_bytes()
         member_map = scoring.parse_enroll_map(tmp_path / "enroll.map")
         models = scoring.build_enrollment(proc, member_map)
         trials = scoring.parse_trials(tmp_path / "trials.txt")
@@ -443,6 +502,15 @@ class TestScheduleCommand:
         assert len(stage1) == 131
         assert stage1[10].split(",")[2] == "3"
         assert len([r for r in rows if r.startswith("2,")]) == 5
+
+    def test_lmf_epochs(self, tmp_path, capsys):
+        """0 stage-2 epochs writes no stage-2 row; a negative count exits 3 and writes nothing."""
+        assert main(["schedule", "--lmf-epochs", "0"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 152 and not [r for r in rows if r.startswith("2,")]
+        assert main(["schedule", "--lmf-epochs", "-3", "--out", str(tmp_path / "s.csv")]) == 3
+        assert capsys.readouterr().err == "svkit: error: --lmf-epochs must be >= 0, got -3\n"
+        assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("option", ["--segment-seconds", "--lmf-segment-seconds"])
     def test_segment_length_the_cropper_refuses_exit_3(self, tmp_path, capsys, option):
@@ -677,6 +745,15 @@ class TestConfigAndExitCodes:
             argv += ["--out", str(tmp_path / "curve.csv")]
         assert main(argv) == 2
         assert f"format error: {tmp_path / 's.tsv'}:3: non-finite score 'nan'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "dcf-curve"])
+    def test_unlabeled_trials_exit_3(self, tmp_path, capsys, command):
+        (tmp_path / "trials.txt").write_text("e t1\ne t2\n")
+        (tmp_path / "s.tsv").write_text("e\tt1\t0.9\ne\tt2\t0.1\n")
+        assert main([command, "--scores", str(tmp_path / "s.tsv"), "--trials", str(tmp_path / "trials.txt")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"svkit: error: {tmp_path / 'trials.txt'}: trial list has no target/nontarget labels\n"
 
     @pytest.mark.parametrize("score", ["0_5", "\u0661", " 0.9"])
     def test_score_not_a_plain_decimal_exit_2(self, tmp_path, capsys, score):
@@ -1012,6 +1089,15 @@ def float_option_runs(tmp_path_factory):
     return runs
 
 
+def _outputs_in(argv, tmp_path):
+    """`argv` with its outputs moved into `tmp_path`, a directory of this run's own."""
+    argv = list(argv)
+    for k, arg in enumerate(argv[:-1]):
+        if arg in ("--out", "--csv", "--out-dir"):
+            argv[k + 1] = str(tmp_path / Path(argv[k + 1]).name)
+    return argv
+
+
 @pytest.mark.parametrize("command,key", [
     (command, action.option_strings[0]) for command, sub in _subcommands().items()
     for action in sub._actions if action.type is cli._float])
@@ -1019,10 +1105,7 @@ def float_option_runs(tmp_path_factory):
 def test_non_finite_float_option(float_option_runs, tmp_path, capsys, command, key, value):
     """nan in any float option exits non-zero, and an infinity either does too or writes
     no nan or inf; a failure prints only svkit messages, and nothing warns."""
-    argv = list(float_option_runs[command])
-    for k, arg in enumerate(argv[:-1]):
-        if arg in ("--out", "--csv", "--out-dir"):  # this run's outputs, in a directory of its own
-            argv[k + 1] = str(tmp_path / Path(argv[k + 1]).name)
+    argv = _outputs_in(float_option_runs[command], tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -1034,6 +1117,20 @@ def test_non_finite_float_option(float_option_runs, tmp_path, capsys, command, k
     elif rc == 0:
         csvs = [p.read_text() for p in tmp_path.glob("*.csv")]
         assert not re.search(r"\b(nan|inf)\b", "".join([out, *csvs]), re.IGNORECASE), (out, csvs)
+
+
+@pytest.mark.parametrize("command,key", [
+    (command, action.option_strings[0]) for command, sub in _subcommands().items()
+    for action in sub._actions if action.type is cli._int])
+def test_negative_int_option(float_option_runs, tmp_path, capsys, command, key):
+    """-1 in any integer option exits non-zero: 1 for a seed, 3 for a count or size."""
+    argv = _outputs_in(float_option_runs[command], tmp_path)
+    if command == "pool":  # a method that reads the option
+        argv[argv.index("xi")] = "asp" if key in ("--seed", "--hidden-dim") else "mhfa"
+        argv += ["--seed", "1"]
+    assert main([*argv, f"{key}=-1"]) == (1 if key in ("--seed", "--speed-seed") else 3)
+    err = capsys.readouterr().err
+    assert err and all(line.startswith("svkit: ") for line in err.splitlines()), err
 
 
 @pytest.mark.parametrize("command,options", [

@@ -227,6 +227,10 @@ class TestMarginSchedule:
         with pytest.raises(ContractError, match="margin epochs and margins must be finite"):
             objectives.MarginSchedule(**{field: value})
 
+    def test_negative_final_margin_rejected(self):
+        with pytest.raises(ContractError, match=r"^final margin must be >= 0, got -0\.1$"):
+            objectives.MarginSchedule(final=-0.1)
+
 
 class TestLrSchedule:
     def test_recipe_anchor_points(self):

@@ -210,7 +210,7 @@ class TestMhfa:
         )
         np.testing.assert_allclose(out, pooling.mhfa(stack, other), atol=1e-12)
 
-    @pytest.mark.parametrize("size", ["num_layers", "in_dim", "num_heads", "key_dim", "embed_dim", "head_dim"])
+    @pytest.mark.parametrize("size", ["num_layers", "in_dim", "num_heads", "key_dim", "embed_dim"])
     @pytest.mark.parametrize("value", [0, -2])
     def test_random_size_below_one_errors(self, size, value):
         sizes = {"num_layers": 2, "in_dim": 8, "num_heads": 4, "key_dim": 5, "embed_dim": 16, size: value}
