@@ -74,7 +74,8 @@ def fit_lda(s: EmbeddingSet, k: int | None = None) -> LdaStage:
     Solves the generalized eigenproblem of between-class scatter against
     ridge-regularized pooled within-class scatter (ridge 1e-6 * trace / D)
     and keeps the top-k eigenvectors, unit-normalized, with the sign fixed
-    so each column's first nonzero component is positive.
+    so each column's first nonzero component is positive.  The scatters are
+    invariant under a shift of the set, so no centered copy is needed.
     """
     if len(s) == 0:
         raise ContractError("cannot fit LDA on an empty set")

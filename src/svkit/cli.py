@@ -281,13 +281,19 @@ def cmd_features(args) -> int:
 def cmd_pool(args) -> int:
     from . import pooling
 
-    x = store.read_matrix(args.matrix)
     if args.method in ("asp", "mhfa") and args.seed is None:
         raise UsageError(f"--method {args.method} requires --seed")
+    draw = {  # drawn once for a 1-dim input first, so a bad size fails before the read
+        "asp": lambda d, rng: pooling.AspParams.random(d, args.hidden_dim, rng),
+        "mhfa": lambda d, rng: pooling.MhfaParams.random(
+            1, d, rng, num_heads=args.heads, key_dim=args.key_dim, embed_dim=args.embed_dim),
+    }.get(args.method, lambda d, rng: None)
+    draw(1, np.random.default_rng(0))
+    x = store.read_matrix(args.matrix)
+    params = draw(x.shape[1], np.random.default_rng(args.seed))
     if args.method == "tstp":
         vec = pooling.tstp(x)
     elif args.method == "asp":
-        params = pooling.AspParams.random(x.shape[1], args.hidden_dim, np.random.default_rng(args.seed))
         vec = pooling.asp(x, params)
     elif args.method == "xi":
         if args.precisions is not None:
@@ -298,10 +304,6 @@ def cmd_pool(args) -> int:
         prior = pooling.XiPrior.flat(x.shape[1], args.prior_log_precision)
         vec, _ = pooling.xi_pool(stats, prior)
     else:  # mhfa over a single-layer stack
-        params = pooling.MhfaParams.random(
-            1, x.shape[1], np.random.default_rng(args.seed),
-            num_heads=args.heads, key_dim=args.key_dim, embed_dim=args.embed_dim,
-        )
         vec = pooling.mhfa(x[None, :, :], params)
     print("\t".join(f"{v:.9g}" for v in vec))
     return 0
@@ -314,11 +316,7 @@ def cmd_fit_backend(args) -> int:
     if args.labels is not None:
         s.labels = store.read_labels(args.labels)
     center = backend.fit_center(s) if args.center else None
-    lda = None
-    if args.lda:
-        if center is not None:  # rebinding s frees the raw set before fit_lda
-            s = backend.apply_pipeline(backend.Pipeline(center=center), s)
-        lda = backend.fit_lda(s, args.lda_dim)
+    lda = backend.fit_lda(s, args.lda_dim) if args.lda else None
     pipe = backend.Pipeline(center=center, lda=lda, length_norm=args.length_norm)
     backend.save_pipeline(pipe, args.out)
     stages = [

@@ -7,6 +7,7 @@ line it writes to stderr must be an ``svkit: ...`` message, one at least
 when it fails."""
 
 import re
+import struct
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from svkit import augment, store
 from svkit.cli import main
+from test_backend import traced_peak
 from test_cli import make_wavs, synthetic_speakers
 
 TOKENS = [b"\t", b" ", b"\n", b"#", b"nan", b"inf", b"1e39", b"-1e400", b"\x0c", b"\xff", b"0", b"_"]
@@ -118,3 +120,42 @@ def test_a_mutated_input_exits_with_a_code_and_a_message(inputs, tmp_path, capsy
     assert 0 <= rc <= 4
     assert bool(err) == (rc != 0), (rc, err)
     assert all(line.startswith("svkit: ") for line in err.splitlines()), err
+
+
+# A run's tracemalloc peak is at most PEAK_C + PEAK_K x the bytes of its inputs: PEAK_C covers
+# the CLI's own allocations (about 0.1 MB), PEAK_K the few whole-file arrays of a text read.
+PEAK_C, PEAK_K = 1 << 18, 8
+BIG_ID = "a" * (1 << 20)
+
+
+def bounded_run(argv, inputs):
+    """main(argv), once untraced so that lazy imports and caches are not counted, then traced:
+    its exit code, after asserting the peak bound."""
+    main(argv)
+    rc, peak = traced_peak(main, argv)
+    bound = PEAK_C + PEAK_K * sum(p.stat().st_size for p in inputs)
+    assert peak <= bound, (peak, bound)
+    return rc
+
+
+@pytest.mark.parametrize("trials, scores", [
+    (f"e1 t1 target\ne1 t2 nontarget\n{BIG_ID} t1 nontarget\n", "e1\tt1\t0.9\ne1\tt2\t0.1\n"),
+    ("e1 t1 target\ne1 t2 nontarget\n", f"e1\tt1\t0.9\n{BIG_ID}\tt2\t0.1\n")])
+def test_a_1_mib_id_stays_within_the_peak_bound(tmp_path, capsys, trials, scores):
+    (tmp_path / "trials.txt").write_text(trials)
+    (tmp_path / "scores.tsv").write_text(scores)
+    rc = bounded_run(["eval", "--scores", str(tmp_path / "scores.tsv"), "--trials", str(tmp_path / "trials.txt")],
+                     [tmp_path / "trials.txt", tmp_path / "scores.tsv"])
+    assert rc == 3
+    assert "svkit: error: no score for trial " in capsys.readouterr().err
+
+
+def test_an_sveb_header_of_2_to_the_60_records_stays_within_the_peak_bound(tmp_path, capsys):
+    sveb = store.MAGIC + struct.pack("<HQI", store.FORMAT_VERSION, 1 << 60, 4) + b"\x01\x00a" + bytes(16)
+    (tmp_path / "e.sveb").write_bytes(sveb)
+    (tmp_path / "trials.txt").write_text("a a\n")
+    rc = bounded_run(["score", "--enroll", str(tmp_path / "e.sveb"), "--test", str(tmp_path / "e.sveb"),
+                      "--trials", str(tmp_path / "trials.txt"), "--out", str(tmp_path / "s.tsv")],
+                     [tmp_path / "e.sveb", tmp_path / "trials.txt"])
+    assert rc == 2
+    assert f"header claims {1 << 60} records of dim 4" in capsys.readouterr().err
