@@ -9,7 +9,7 @@ delegated to sox; only the planning and command templates live here.
 from __future__ import annotations
 
 import shlex
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +34,11 @@ class UtteranceManifest:
     utterances: list[Utterance]
 
     def __post_init__(self):
-        ids = [u.utt_id for u in self.utterances]
+        ids = self.ids
         if len(set(ids)) != len(ids):
-            raise ContractError("duplicate utterance id in manifest")
+            seen = set()
+            dup = next(i for i in ids if i in seen or seen.add(i))
+            raise ContractError(f"duplicate utterance id {dup!r}")
         for u in self.utterances:
             # render_commands writes <out_dir>/<id>.wav: an id must not leave out_dir
             if u.utt_id in ("", ".", "..") or "/" in u.utt_id or "\0" in u.utt_id:
@@ -97,6 +99,8 @@ class AugmentPlan:
                 raise ContractError(f"{e.utt_id}: unknown codec {e.codec!r}")
             if e.chain not in CHAINS:
                 raise ContractError(f"{e.utt_id}: unknown chain {e.chain!r}")
+            if e.codec == "gsm" and e.chain == CHAIN_KEEP16K:  # the codec runs at 8 kHz
+                raise ContractError(f"{e.utt_id}: codec requires an 8 kHz chain, not {CHAIN_KEEP16K}")
             if not 0 < e.speed < np.inf:  # NaN fails both
                 raise ContractError(f"{e.utt_id}: speed factor must be finite and positive")
 
@@ -106,48 +110,46 @@ def exact_fraction_count(fraction: float, n: int) -> int:
     return int(np.floor(fraction * n + 0.5))
 
 
-def assign_codec(manifest: UtteranceManifest, fraction: float, seed: int) -> AugmentPlan:
-    """Flag exactly round(fraction * N) utterances for the codec.
-
-    Selection is a seeded shuffle of the manifest ids with the first
-    round(fraction * N) taken, so the count is exact for every N and seed.
-    """
+def assign_codec(n: int, fraction: float, seed: int) -> np.ndarray:
+    """Codec mask: the first round(fraction * n) positions of a seeded
+    permutation, so the count is exact for every n and seed."""
     if not 0 <= fraction <= 1:
         raise ContractError(f"fraction must be in [0, 1], got {fraction}")
-    n = len(manifest)
-    k = exact_fraction_count(fraction, n)
-    order = np.random.default_rng(seed).permutation(n)
-    ids = manifest.ids  # a property that builds a new list on every access
-    flagged = {ids[i] for i in order[:k]}
-    entries = [PlanEntry(u, codec="gsm" if u in flagged else "none") for u in ids]
-    return AugmentPlan(manifest, entries)
+    flagged = np.zeros(n, dtype=bool)
+    flagged[np.random.default_rng(seed).permutation(n)[:exact_fraction_count(fraction, n)]] = True
+    return flagged
 
 
-def plan_rate_chain(plan: AugmentPlan, mode: str) -> AugmentPlan:
-    """Record the sampling-rate chain for every utterance."""
+def plan_rate_chain(mode: str) -> str:
+    """The sampling-rate chain of every utterance, checked."""
     if mode not in CHAINS:
         raise ContractError(f"unknown chain mode {mode!r}")
-    return AugmentPlan(plan.manifest, [replace(e, chain=mode) for e in plan.entries])
+    return mode
 
 
-def assign_speed(plan: AugmentPlan, perturb: bool, seed: int) -> AugmentPlan:
-    """Assign speed factors: all 1.0 when off, else seeded uniform choice."""
+def assign_speed(n: int, perturb: bool, seed: int) -> list[float]:
+    """Speed factors: all 1.0 when off, else seeded uniform choice."""
     if not perturb:
-        entries = [replace(e, speed=1.0) for e in plan.entries]
-    else:
-        rng = np.random.default_rng(seed)
-        picks = rng.integers(0, len(SPEED_FACTORS), size=len(plan.entries))
-        entries = [
-            replace(e, speed=SPEED_FACTORS[p]) for e, p in zip(plan.entries, picks)
-        ]
-    return AugmentPlan(plan.manifest, entries)
+        return [1.0] * n
+    picks = np.random.default_rng(seed).integers(0, len(SPEED_FACTORS), size=n)
+    return [SPEED_FACTORS[p] for p in picks.tolist()]
+
+
+def plan_augmentation(manifest: UtteranceManifest, fraction: float, mode: str, seed: int,
+                      speed_perturb: bool = False, speed_seed: int | None = None) -> AugmentPlan:
+    """Codec flag, rate chain and speed of every utterance; speed_seed defaults to seed + 1."""
+    flagged = assign_codec(len(manifest), fraction, seed)
+    chain = plan_rate_chain(mode)
+    speeds = assign_speed(len(manifest), speed_perturb, seed + 1 if speed_seed is None else speed_seed)
+    entries = [PlanEntry(u.utt_id, "gsm" if gsm else "none", chain, speed)
+               for u, gsm, speed in zip(manifest.utterances, flagged.tolist(), speeds)]
+    return AugmentPlan(manifest, entries)
 
 
 def render_commands(plan: AugmentPlan, out_dir: str) -> list[str]:
     """One shell line per utterance implementing its planned transformation.
 
-    Every chain but keep16k goes to 8 kHz first, into GSM when flagged, so
-    flagging the codec on a keep16k chain is a contract error.
+    Every chain but keep16k goes to 8 kHz first, into GSM when flagged.
     """
     lines = []
     for utt, entry in zip(plan.manifest.utterances, plan.entries):
@@ -156,19 +158,17 @@ def render_commands(plan: AugmentPlan, out_dir: str) -> list[str]:
         speed = "" if entry.speed == 1.0 else f" speed {entry.speed:g}"
         gsm = entry.codec == "gsm"
         if entry.chain == CHAIN_KEEP16K:
-            if gsm:
-                raise ContractError(
-                    f"{entry.utt_id}: codec requires an 8 kHz chain, not {CHAIN_KEEP16K}"
-                )
             lines.append(f"sox {src} {dst}{speed}" if speed else f"cp {src} {dst}")
             continue
         decode = " -t wav -e signed -b 16" if gsm else ""
         upsample = " -r 16000" if entry.chain == CHAIN_DOWN8K_UP16K else ""
-        tmp, second = dst, ""
-        if decode or upsample:  # decode and/or upsample the 8 kHz file in a second step
-            tmp = shlex.quote(f"{out_dir}/{entry.utt_id}.{'gsm' if gsm else '8k.wav'}")
-            second = f" && sox {tmp}{decode}{upsample} {dst}"
-        lines.append(f"sox {src} -r 8000{' -t gsm' if gsm else ''} {tmp}{speed}{second}")
+        if not (decode or upsample):
+            lines.append(f"sox {src} -r 8000 {dst}{speed}")
+            continue
+        # decode and/or upsample the 8 kHz file in a second step, in one string: no partial copies
+        tmp = shlex.quote(f"{out_dir}/{entry.utt_id}.{'gsm' if gsm else '8k.wav'}")
+        lines.append(f"sox {src} -r 8000{' -t gsm' if gsm else ''} {tmp}{speed} "
+                     f"&& sox {tmp}{decode}{upsample} {dst}")
     return lines
 
 
@@ -177,8 +177,8 @@ def emit_commands(plan: AugmentPlan, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "commands.txt"
-    lines = render_commands(plan, str(out))  # a plan it cannot render creates no file
-    write_text(path, (line + "\n" for line in lines))
+    # each line, then its newline: a long line is not copied to append one
+    write_text(path, (s for line in render_commands(plan, str(out)) for s in (line, "\n")))
     return path
 
 

@@ -429,14 +429,10 @@ def cmd_augment_plan(args) -> int:
     from . import augment
 
     manifest = augment.read_manifest(args.manifest)
-    plan = augment.assign_codec(manifest, args.fraction, args.seed)
-    plan = augment.plan_rate_chain(plan, args.mode)
-    speed_seed = args.speed_seed if args.speed_seed is not None else args.seed + 1
-    plan = augment.assign_speed(plan, args.speed_perturb, speed_seed)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    augment.write_plan(plan, out_dir / "plan.tsv")
-    cmd_path = augment.emit_commands(plan, out_dir)
+    plan = augment.plan_augmentation(manifest, args.fraction, args.mode, args.seed,
+                                     args.speed_perturb, args.speed_seed)
+    cmd_path = augment.emit_commands(plan, args.out_dir)
+    augment.write_plan(plan, cmd_path.parent / "plan.tsv")
     flagged = sum(1 for e in plan.entries if e.codec == "gsm")
     print(f"planned {len(manifest)} utterances ({flagged} codec-flagged) -> {cmd_path}")
     return 0

@@ -4,8 +4,9 @@ The metric oracles recompute error rates by direct comparison at every
 candidate threshold, deliberately sharing no code with the package's
 searchsorted-based sweep.  The resampler oracle evaluates the windowed
 sinc afresh for every output sample at its float position; the
-phase-table resampler and the hand-written sox templates are the package's
-earlier code, kept verbatim as byte-for-byte references.  The scoring
+phase-table resampler, the hand-written sox templates and the three
+augmentation-planning stages are the package's earlier code, kept verbatim
+as references.  The scoring
 oracle casts, normalises and dots a block of gathered row pairs together.
 The enrollment oracle is the dict-of-vectors path that enrollment took
 before it read an embedding set directly.  The text-writer oracles format
@@ -26,6 +27,7 @@ its own hand-kept offset and bounds checks.
 import math
 import shlex
 import struct
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -33,7 +35,7 @@ import numpy as np
 import scipy.linalg
 
 from svkit.audio import AudioBuffer
-from svkit.augment import (CHAIN_DOWN8K, CHAIN_KEEP16K, AugmentPlan, PlanEntry, Utterance,
+from svkit.augment import (CHAIN_DOWN8K, CHAIN_KEEP16K, CHAINS, AugmentPlan, PlanEntry, Utterance,
                            UtteranceManifest, render_commands)
 from svkit.errors import ContractError, FormatError
 from svkit.scoring import _LABELS, TrialList
@@ -217,6 +219,45 @@ def oracle_render_commands(plan, out_dir: str) -> list[str]:
                     f"sox {src} -r 8000 {tmp_8k}{sp} && sox {tmp_8k} -r 16000 {dst}"
                 )
     return lines
+
+
+def oracle_plan(manifest, fraction, mode, seed, speed_perturb=False, speed_seed=None) -> list[PlanEntry]:
+    """The entries of svkit.augment's earlier three planning stages, run in
+    turn with the CLI's default speed seed.  Each stage body is kept verbatim
+    but passes an entry list on, not an AugmentPlan: the first stage leaves
+    every entry on the keep16k default, where a gsm entry is no plan."""
+    entries = _oracle_assign_codec(manifest, fraction, seed)
+    entries = _oracle_plan_rate_chain(entries, mode)
+    speed_seed = speed_seed if speed_seed is not None else seed + 1
+    return _oracle_assign_speed(entries, speed_perturb, speed_seed)
+
+
+def _oracle_assign_codec(manifest, fraction: float, seed: int) -> list[PlanEntry]:
+    if not 0 <= fraction <= 1:
+        raise ContractError(f"fraction must be in [0, 1], got {fraction}")
+    n = len(manifest)
+    k = int(np.floor(fraction * n + 0.5))
+    order = np.random.default_rng(seed).permutation(n)
+    ids = manifest.ids  # a property that builds a new list on every access
+    flagged = {ids[i] for i in order[:k]}
+    return [PlanEntry(u, codec="gsm" if u in flagged else "none") for u in ids]
+
+
+def _oracle_plan_rate_chain(entries, mode: str) -> list[PlanEntry]:
+    if mode not in CHAINS:
+        raise ContractError(f"unknown chain mode {mode!r}")
+    return [replace(e, chain=mode) for e in entries]
+
+
+_SPEED_FACTORS = (0.9, 1.0, 1.1)
+
+
+def _oracle_assign_speed(entries, perturb: bool, seed: int) -> list[PlanEntry]:
+    if not perturb:
+        return [replace(e, speed=1.0) for e in entries]
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(0, len(_SPEED_FACTORS), size=len(entries))
+    return [replace(e, speed=_SPEED_FACTORS[p]) for e, p in zip(entries, picks)]
 
 
 def oracle_score_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -292,7 +292,7 @@ def test_c09_augment_planning():
         manifest = augment.UtteranceManifest(
             [augment.Utterance(f"u{k}", f"/d/u{k}.wav", 2.0, 16000) for k in range(n)]
         )
-        plan = augment.assign_codec(manifest, 0.5, seed=n * 7)
+        plan = augment.plan_augmentation(manifest, 0.5, "down8k", seed=n * 7)
         flagged = sum(e.codec == "gsm" for e in plan.entries)
         assert flagged == int(np.floor(0.5 * n + 0.5))
 

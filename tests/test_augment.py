@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_render_commands
+from oracles import oracle_plan, oracle_render_commands
 
 from svkit import augment
 from svkit.errors import ContractError, FormatError
@@ -15,68 +17,93 @@ def manifest(n=4, rate=16000):
     )
 
 
+def plan(man, fraction, seed, mode="down8k", **speed):
+    return augment.plan_augmentation(man, fraction, mode, seed, **speed)
+
+
 class TestAssignCodec:
     def test_exact_half_for_all_n(self):
         for n in range(1, 51):
-            plan = augment.assign_codec(manifest(n), 0.5, seed=n)
-            flagged = sum(e.codec == "gsm" for e in plan.entries)
+            p = plan(manifest(n), 0.5, seed=n)
+            flagged = sum(e.codec == "gsm" for e in p.entries)
             assert flagged == int(np.floor(0.5 * n + 0.5))
+            mask = augment.assign_codec(n, 0.5, seed=n)
+            assert mask.dtype == bool and [e.codec == "gsm" for e in p.entries] == mask.tolist()
 
     def test_zero_fraction(self):
-        plan = augment.assign_codec(manifest(10), 0.0, seed=1)
-        assert all(e.codec == "none" for e in plan.entries)
+        p = plan(manifest(10), 0.0, seed=1)
+        assert all(e.codec == "none" for e in p.entries)
 
     def test_full_fraction(self):
-        plan = augment.assign_codec(manifest(10), 1.0, seed=1)
-        assert all(e.codec == "gsm" for e in plan.entries)
+        p = plan(manifest(10), 1.0, seed=1)
+        assert all(e.codec == "gsm" for e in p.entries)
 
     def test_deterministic_per_seed(self):
-        a = augment.assign_codec(manifest(20), 0.5, seed=9)
-        b = augment.assign_codec(manifest(20), 0.5, seed=9)
+        a = plan(manifest(20), 0.5, seed=9)
+        b = plan(manifest(20), 0.5, seed=9)
         assert [e.codec for e in a.entries] == [e.codec for e in b.entries]
-        c = augment.assign_codec(manifest(20), 0.5, seed=10)
+        c = plan(manifest(20), 0.5, seed=10)
         assert sum(e.codec == "gsm" for e in c.entries) == 10
 
     def test_entries_follow_manifest_order(self):
         man = manifest(7)
-        plan = augment.assign_codec(man, 0.4, seed=2)
-        assert [e.utt_id for e in plan.entries] == man.ids
+        p = plan(man, 0.4, seed=2)
+        assert [e.utt_id for e in p.entries] == man.ids
 
     def test_bad_fraction(self):
-        with pytest.raises(ContractError):
-            augment.assign_codec(manifest(3), 1.5, seed=0)
+        with pytest.raises(ContractError, match=r"fraction must be in \[0, 1\], got 1.5"):
+            plan(manifest(3), 1.5, seed=0)
 
 
 class TestRateChainAndSpeed:
     def test_chain_recorded(self):
-        plan = augment.assign_codec(manifest(5), 0.5, seed=0)
         for mode in augment.CHAINS:
-            out = augment.plan_rate_chain(plan, mode)
-            assert all(e.chain == mode for e in out.entries)
+            p = plan(manifest(5), 0.0 if mode == "keep16k" else 0.5, seed=0, mode=mode)
+            assert all(e.chain == mode for e in p.entries)
 
     def test_unknown_mode(self):
-        plan = augment.assign_codec(manifest(2), 0.0, seed=0)
-        with pytest.raises(ContractError):
-            augment.plan_rate_chain(plan, "down4k")
+        for n in (2, 0):  # the mode check is the one check that an empty manifest reaches
+            with pytest.raises(ContractError, match="unknown chain mode 'down4k'"):
+                plan(manifest(n), 0.0, seed=0, mode="down4k")
 
     def test_speed_off_all_unity(self):
-        plan = augment.assign_speed(augment.assign_codec(manifest(6), 0.5, 0), False, seed=5)
-        assert all(e.speed == 1.0 for e in plan.entries)
+        p = plan(manifest(6), 0.5, seed=0, speed_perturb=False, speed_seed=5)
+        assert all(e.speed == 1.0 for e in p.entries)
 
     def test_speed_reproducible(self):
-        base = augment.assign_codec(manifest(30), 0.0, 0)
-        a = augment.assign_speed(base, True, seed=11)
-        b = augment.assign_speed(base, True, seed=11)
+        a = plan(manifest(30), 0.0, 0, speed_perturb=True, speed_seed=11)
+        b = plan(manifest(30), 0.0, 0, speed_perturb=True, speed_seed=11)
         assert [e.speed for e in a.entries] == [e.speed for e in b.entries]
         assert set(e.speed for e in a.entries) <= set(augment.SPEED_FACTORS)
+        assert [e.speed for e in a.entries] == augment.assign_speed(30, True, seed=11)
 
     def test_speed_histogram_roughly_uniform(self):
-        man = manifest(3000)
-        plan = augment.assign_speed(augment.assign_codec(man, 0.0, 0), True, seed=42)
-        speeds = np.array([e.speed for e in plan.entries])
+        p = plan(manifest(3000), 0.0, 0, speed_perturb=True, speed_seed=42)
+        speeds = np.array([e.speed for e in p.entries])
         for f in augment.SPEED_FACTORS:
             frac = np.mean(speeds == f)
             assert abs(frac - 1 / 3) < 0.03
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(0, 60),
+           fraction=st.one_of(st.floats(0, 1), st.floats(), st.sampled_from([0.0, 0.5, 1.0])),
+           mode=st.one_of(st.sampled_from(augment.CHAINS), st.text(max_size=8)),
+           seed=st.integers(min_value=0), speed_perturb=st.booleans(),
+           speed_seed=st.one_of(st.none(), st.integers(min_value=0)))
+    def test_equals_the_three_stages(self, n, fraction, mode, seed, speed_perturb, speed_seed):
+        """The entries of the earlier three stages, or their error; a gsm entry
+        on keep16k is the error that rendering those entries gave."""
+        man = manifest(n)
+        try:
+            want = oracle_plan(man, fraction, mode, seed, speed_perturb, speed_seed)
+            oracle_render_commands(SimpleNamespace(manifest=man, entries=want), "/o")
+        except ContractError as e:
+            want = str(e)
+        try:
+            got = augment.plan_augmentation(man, fraction, mode, seed, speed_perturb, speed_seed).entries
+        except ContractError as e:
+            got = str(e)
+        assert got == want
 
 
 class TestPlanInvariants:
@@ -92,10 +119,8 @@ class TestPlanInvariants:
             augment.AugmentPlan(man, [augment.PlanEntry(i) for i in man.ids[:2]])
 
     def test_manifest_duplicate_ids(self):
-        with pytest.raises(ContractError):
-            augment.UtteranceManifest(
-                [augment.Utterance("a", "p", 1.0, 16000), augment.Utterance("a", "q", 2.0, 16000)]
-            )
+        with pytest.raises(ContractError, match="^duplicate utterance id 'b'$"):
+            augment.UtteranceManifest([augment.Utterance(i, "p", 1.0, 16000) for i in "abcb"])
 
 
 GOLDEN = {
@@ -144,9 +169,9 @@ class TestCommandTemplates:
         assert augment.render_commands(plan, "/out") == GOLDEN["keep16k"]
 
     def test_codec_on_keep16k_rejected(self):
-        plan = self._plan("keep16k", codec_first=True)
-        with pytest.raises(ContractError, match="8 kHz"):
-            augment.render_commands(plan, "/out")
+        # a plan that cannot be rendered cannot be built
+        with pytest.raises(ContractError, match="^utt1: codec requires an 8 kHz chain, not keep16k$"):
+            self._plan("keep16k", codec_first=True)
 
     def test_speed_appends_effect(self):
         man = self._manifest()
@@ -176,21 +201,20 @@ class TestCommandTemplates:
             utts.append(augment.Utterance(utt_id, data.draw(shell.map(lambda p: f"/d/{p}.wav")), 1.0, 16000))
             entries.append(augment.PlanEntry(utt_id, data.draw(st.sampled_from(["gsm", "none"])),
                                              data.draw(st.sampled_from(augment.CHAINS)), data.draw(speeds)))
-        plan = augment.AugmentPlan(augment.UtteranceManifest(utts), entries)
+        man = augment.UtteranceManifest(utts)
         out_dir = data.draw(shell.map(lambda d: f"/o/{d}"))
-
-        def render(fn):
-            try:
-                return fn(plan, out_dir)
-            except ContractError as e:  # gsm on keep16k
-                return str(e)
-
-        assert render(augment.render_commands) == render(oracle_render_commands)
+        try:
+            want = oracle_render_commands(SimpleNamespace(manifest=man, entries=entries), out_dir)
+        except ContractError as e:  # gsm on keep16k: the plan cannot be built
+            with pytest.raises(ContractError) as built:
+                augment.AugmentPlan(man, entries)
+            assert str(built.value) == str(e)
+        else:
+            assert augment.render_commands(augment.AugmentPlan(man, entries), out_dir) == want
 
     def test_emit_writes_every_id_once(self, tmp_path):
         man = manifest(10)
-        plan = augment.plan_rate_chain(augment.assign_codec(man, 0.5, 3), "down8k")
-        path = augment.emit_commands(plan, tmp_path)
+        path = augment.emit_commands(plan(man, 0.5, 3), tmp_path)
         lines = path.read_text().splitlines()
         assert len(lines) == 10
         for utt_id in man.ids:
@@ -208,15 +232,17 @@ class TestPlanIO:
 
     def test_plan_roundtrip(self, tmp_path):
         man = manifest(8)
-        plan = augment.assign_speed(
-            augment.plan_rate_chain(augment.assign_codec(man, 0.5, 1), "down8k-up16k"),
-            True,
-            seed=2,
-        )
+        p = plan(man, 0.5, 1, mode="down8k-up16k", speed_perturb=True, speed_seed=2)
         path = tmp_path / "plan.tsv"
-        augment.write_plan(plan, path)
+        augment.write_plan(p, path)
         back = augment.read_plan(path, man)
-        assert back.entries == plan.entries
+        assert back.entries == p.entries
+
+    def test_plan_with_gsm_on_keep16k_rejected(self, tmp_path):
+        path = tmp_path / "plan.tsv"
+        path.write_text("utt0\tnone\tkeep16k\t1\nutt1\tgsm\tkeep16k\t1\n")
+        with pytest.raises(FormatError, match="utt1: codec requires an 8 kHz chain, not keep16k"):
+            augment.read_plan(path, manifest(2))
 
     def test_malformed_manifest(self, tmp_path):
         path = tmp_path / "bad.tsv"

@@ -634,6 +634,29 @@ class TestAugmentPlanCommand:
         assert "'../../tmp/evil' is not a plain file name" in capsys.readouterr().err
         assert not (tmp_path / "aug" / "commands.txt").exists()
 
+    def test_codec_on_keep16k_exit_3_writes_nothing(self, tmp_path, capsys):
+        lines = [f"utt{k}\t/data/utt{k}.wav\t4.0\t16000" for k in range(4)]
+        (tmp_path / "man.tsv").write_text("\n".join(lines) + "\n")
+        argv = ["augment-plan", "--manifest", str(tmp_path / "man.tsv"), "--mode", "keep16k", "--seed", "1"]
+        assert main([*argv, "--out-dir", str(tmp_path / "a")]) == 3
+        assert re.fullmatch(r"svkit: error: utt\d: codec requires an 8 kHz chain, not keep16k\n",
+                            capsys.readouterr().err)
+        assert not (tmp_path / "a" / "plan.tsv").exists()
+        assert not (tmp_path / "a" / "commands.txt").exists()
+        assert main([*argv, "--out-dir", str(tmp_path / "b"), "--fraction", "0"]) == 0
+        plan = (tmp_path / "b" / "plan.tsv").read_text()
+        assert plan == "".join(f"utt{k}\tnone\tkeep16k\t1\n" for k in range(4))
+        assert (tmp_path / "b" / "commands.txt").read_text() == "".join(
+            f"cp /data/utt{k}.wav {tmp_path / 'b'}/utt{k}.wav\n" for k in range(4))
+
+    def test_duplicate_id_named_exit_2(self, tmp_path, capsys):
+        (tmp_path / "man.tsv").write_text("".join(f"{i}\t/d/{k}.wav\t1.0\t16000\n" for k, i in enumerate("abb")))
+        rc = main(["augment-plan", "--manifest", str(tmp_path / "man.tsv"), "--out-dir", str(tmp_path / "a"),
+                   "--seed", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"svkit: format error: {tmp_path / 'man.tsv'}: duplicate utterance id 'b'\n"
+        assert not (tmp_path / "a").exists()
+
     def test_seed_required(self, tmp_path):
         (tmp_path / "man.tsv").write_text("u\t/p.wav\t1.0\t16000\n")
         rc = main(["augment-plan", "--manifest", str(tmp_path / "man.tsv"),

@@ -159,3 +159,16 @@ def test_an_sveb_header_of_2_to_the_60_records_stays_within_the_peak_bound(tmp_p
                      [tmp_path / "e.sveb", tmp_path / "trials.txt"])
     assert rc == 2
     assert f"header claims {1 << 60} records of dim 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", ["/d/b.wav", f"/d/{BIG_ID}.wav"], ids=["id", "id-and-path"])
+def test_a_1_mib_utterance_id_stays_within_the_peak_bound(tmp_path, capsys, path):
+    """Each command line holds the id three times: down8k with the codec
+    goes through <id>.gsm to <id>.wav."""
+    (tmp_path / "man.tsv").write_text(f"u0\t/d/u0.wav\t1.0\t16000\n{BIG_ID}\t{path}\t2.0\t16000\n")
+    rc = bounded_run(["augment-plan", "--manifest", str(tmp_path / "man.tsv"), "--out-dir", str(tmp_path / "a"),
+                      "--mode", "down8k", "--fraction", "1", "--seed", "1", "--speed-perturb"],
+                     [tmp_path / "man.tsv"])
+    assert rc == 0
+    assert capsys.readouterr().out.count("2 codec-flagged") == 2
+    assert (tmp_path / "a" / "commands.txt").read_text().count(BIG_ID) == 3 + path.count(BIG_ID)
