@@ -19,7 +19,8 @@ MIN_WAV_RATE = 1000  # lowest sample rate read_wav accepts, Hz, so resampling to
 MAX_WAV_RATE = 768_000  # highest sample rate read_wav accepts, Hz
 RESAMPLE_TAPS = 64  # resample's kernel taps per phase, counted at the lower rate
 KAISER_BETA = 5.0  # resample's Kaiser window shape
-_RESAMPLE_CELLS = 1 << 22  # resample works on at most this many (output, tap) cells at once
+_RESAMPLE_CELLS = 1 << 18  # resample's block budget: (output, tap) cells per block, at least one output
+_RESAMPLE_MAX_TAPS = 1 << 22  # longest kernel resample accepts
 
 
 @dataclass
@@ -91,16 +92,18 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
 
     With L = target / gcd(source, target) and M = source / gcd, output
     k = q*L + p sits at input position q*M + p*M/L, so its weights depend
-    only on the phase p: each block builds them once per phase present,
-    and tap positions come from exact integer arithmetic.  For integer
-    ratios (L = 1 or M = 1) the result is bitwise equal to evaluating the
-    kernel at every output's float position k * source / target.  For
-    other ratios it differs from that only by the rounding of the float
-    position, which grows with k: at most 1e-9 on 3 s of noise in [-1, 1].
+    only on the phase p: one row per phase, built once, or per block when
+    the L phases outnumber a block's outputs.  Tap positions come from exact
+    integer arithmetic.  For integer ratios (L = 1 or M = 1) the result is
+    bitwise equal to evaluating the kernel at every output's float position
+    k * source / target.  For other ratios it differs from that only by the
+    rounding of the float position, which grows with k: at most 1e-9 on 3 s
+    of noise in [-1, 1].
 
-    Outputs are computed in blocks of at most 2**22 (output, tap) cells,
-    so memory stays bounded at any ratio; a kernel of more taps than that
-    is a ContractError, and so is a target rate outside 1..MAX_WAV_RATE.
+    Block budget: outputs are computed in blocks of at most 2**18 (output,
+    tap) cells, or of one output if its kernel has more taps, so memory is
+    bounded at any ratio.  Tap limit, apart from that: a kernel of more than
+    2**22 taps is a ContractError, as is a target rate outside 1..MAX_WAV_RATE.
     """
     if not 0 < target_rate <= MAX_WAV_RATE:
         raise ContractError(f"target_rate must be in 1..{MAX_WAV_RATE} Hz, got {target_rate}")
@@ -116,39 +119,37 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     min_rate = min(src, target_rate)
     cutoff_hz = 0.95 * min_rate / 2.0
     n_taps = max(2, int(round(RESAMPLE_TAPS * src / min_rate)))  # tap grid is the input grid
-    if n_taps > _RESAMPLE_CELLS:
-        raise ContractError(f"{src} -> {target_rate} Hz needs {n_taps} taps, more than {_RESAMPLE_CELLS}")
+    if n_taps > _RESAMPLE_MAX_TAPS:
+        raise ContractError(f"{src} -> {target_rate} Hz needs {n_taps} taps, more than {_RESAMPLE_MAX_TAPS}")
     half_span = n_taps / 2.0  # kernel half-width, input samples
     i0_beta = np.i0(KAISER_BETA)
     g = math.gcd(src, target_rate)
     up, down = target_rate // g, src // g
     lead = n_taps // 2 - 1  # taps before the floor of the output position
-    offs = np.arange(n_taps)
 
     def phase_weights(phase: np.ndarray) -> np.ndarray:
         # output position minus tap index: the phase's fractional position
         # (phase * down mod up) / up, plus lead - tap
-        d = ((phase * down) % up / up)[:, None] + (lead - offs)[None, :]
+        d = ((phase * down) % up / up)[:, None] + (lead - np.arange(n_taps))[None, :]
         w = np.sinc(2.0 * cutoff_hz * (d / src))
         u = d / half_span  # in (-1, 1]
         w *= np.i0(KAISER_BETA * np.sqrt(np.maximum(0.0, 1.0 - u * u))) / i0_beta
         w /= w.sum(axis=1, keepdims=True)
         return w
 
-    # outputs per block: 32768 up to 128 taps, fewer for longer kernels
-    block = min(1 << 15, _RESAMPLE_CELLS // n_taps)
+    block = max(1, _RESAMPLE_CELLS // n_taps)  # outputs per block: 2048 at 128 taps
+    table = phase_weights(np.arange(up)) if up <= block else None  # 1 row at 16k -> 8k, 441 at 16k -> 44.1k
     out = np.empty(n_out)
     for lo in range(0, n_out, block):
         k = np.arange(lo, min(lo + block, n_out))
         phase = k % up
         first = (k // up) * down + (phase * down) // up - lead
-        # one weight row per phase present: one in all at 16k -> 8k, one per output at 16k -> 44101
-        phases, row = np.unique(phase, return_inverse=True)
         # reflect the block's span of input indices back into the signal once
         m = np.mod(np.arange(first[0], first[-1] + n_taps), 2 * n)
         seg = x[np.where(m >= n, 2 * n - 1 - m, m)]
-        taps_x = seg[(first - first[0])[:, None] + offs[None, :]]
-        out[lo : lo + len(k)] = (phase_weights(phases)[row] * taps_x).sum(axis=1)
+        taps_x = np.lib.stride_tricks.sliding_window_view(seg, n_taps)[first - first[0]]
+        taps_x *= table[phase] if table is not None else phase_weights(phase)
+        out[lo : lo + len(k)] = taps_x.sum(axis=1)
     return AudioBuffer(out, target_rate)
 
 

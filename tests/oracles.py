@@ -42,7 +42,8 @@ from svkit.scoring import _LABELS, TrialList
 from svkit.backend import PIPELINE_MAGIC, PIPELINE_VERSION, CenterStage, LdaStage, Pipeline
 from svkit.store import FORMAT_VERSION, MAGIC, EmbeddingSet, _is_sveb, record_errors, text_lines
 
-_RESAMPLE_CELLS = 1 << 22  # resample works on at most this many (output, tap) cells at once
+_RESAMPLE_CELLS = 1 << 18  # resample's block budget: (output, tap) cells per block, at least one output
+_RESAMPLE_MAX_TAPS = 1 << 22  # longest kernel resample accepts
 
 
 def oracle_points(tar, non):
@@ -139,8 +140,8 @@ def oracle_phase_table_resample(
     min_rate = min(src, target_rate)
     cutoff_hz = 0.95 * min_rate / 2.0
     n_taps = max(2, int(round(taps * src / min_rate)))  # tap grid is the input grid
-    if n_taps > _RESAMPLE_CELLS:
-        raise ContractError(f"{src} -> {target_rate} Hz needs {n_taps} taps, more than {_RESAMPLE_CELLS}")
+    if n_taps > _RESAMPLE_MAX_TAPS:
+        raise ContractError(f"{src} -> {target_rate} Hz needs {n_taps} taps, more than {_RESAMPLE_MAX_TAPS}")
     half_span = n_taps / 2.0  # kernel half-width, input samples
     i0_beta = np.i0(kaiser_beta)
     g = math.gcd(src, target_rate)
@@ -158,8 +159,7 @@ def oracle_phase_table_resample(
         w /= w.sum(axis=1, keepdims=True)
         return w
 
-    # outputs per block: 32768 up to 128 taps, fewer for longer kernels
-    block = min(1 << 15, _RESAMPLE_CELLS // n_taps)
+    block = max(1, _RESAMPLE_CELLS // n_taps)  # outputs per block: 2048 at 128 taps
     # one row per phase; with more phases than a block has outputs, no
     # phase repeats within a block, so each block builds its own rows
     table = phase_weights(np.arange(up)) if up <= block else None

@@ -223,10 +223,11 @@ class TestResample:
 
     @settings(max_examples=300, deadline=None)
     @given(rates=st.sampled_from(RATE_PAIRS), n=st.integers(1, 600),
-           cells=st.sampled_from([1 << 9, 1 << 11, 1 << 22]), seed=st.integers(0, 2**32 - 1))
+           cells=st.sampled_from([1 << 6, 1 << 9, 1 << 11, audio._RESAMPLE_CELLS]), seed=st.integers(0, 2**32 - 1))
     def test_bitwise_equals_phase_table_resampler(self, rates, n, cells, seed):
-        # the earlier phase-table resampler, at its own block size; small cell
-        # bounds split even these short signals into many blocks here
+        # the earlier phase-table resampler, at its own block size; small budgets
+        # split even these short signals into many blocks here, and 64 cells is
+        # below every kernel's taps, so each block holds one output
         src, target = rates
         buf = audio.AudioBuffer(np.random.default_rng(seed).uniform(-1, 1, n), src)
         with mock.patch.object(audio, "_RESAMPLE_CELLS", cells):
@@ -243,7 +244,7 @@ class TestResample:
         np.testing.assert_array_equal(out.samples, oracle_resample(x, src, target))
 
     def test_block_memory_bounded_by_cells(self, monkeypatch):
-        # 48000 -> 8000 has 384 taps: 42 outputs per block at this bound
+        # 48000 -> 8000 has 384 taps: 42 outputs per block at this budget, 16 times below the default
         cells = 1 << 14
         monkeypatch.setattr(audio, "_RESAMPLE_CELLS", cells)
         x = np.random.default_rng(3).uniform(-1, 1, 24000)  # 4000 outputs x 384 taps at 48k -> 8k
@@ -253,11 +254,36 @@ class TestResample:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * cells * 8  # one unbounded (outputs, taps) array alone is 12 MB
+        assert peak <= 3 * 8 * cells + out.samples.nbytes  # one unbounded (outputs, taps) array alone is 12 MB
         np.testing.assert_array_equal(out.samples, oracle_resample(x, 48000, 8000))
 
+    def test_default_budget_bounds_memory(self):
+        # 3 s at 16 -> 8 kHz: 24000 outputs of 128 taps, 2048 per block; one block for all would be 24.6 MB
+        x = np.random.default_rng(4).uniform(-1, 1, 48000)
+        tracemalloc.start()
+        try:
+            out = audio.resample(audio.AudioBuffer(x, 16000), 8000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * audio._RESAMPLE_CELLS + out.samples.nbytes
+        np.testing.assert_array_equal(out.samples, oracle_resample(x, 16000, 8000))
+
+    def test_kernel_longer_than_the_block_budget_accepted(self):
+        # 768 kHz -> 100 Hz needs 491520 taps, more than a block's cells but within the tap limit:
+        # each block holds one output, its taps a window of as many input samples
+        n_taps = 64 * 768000 // 100
+        assert audio._RESAMPLE_CELLS < n_taps <= audio._RESAMPLE_MAX_TAPS
+        x = np.random.default_rng(6).uniform(-1, 1, 23040)  # 3 outputs
+        windows = np.lib.stride_tricks.sliding_window_view
+        with mock.patch.object(np.lib.stride_tricks, "sliding_window_view", wraps=windows) as spy:
+            out = audio.resample(audio.AudioBuffer(x, 768000), 100)
+        assert [(len(c.args[0]), c.args[1]) for c in spy.call_args_list] == [(n_taps, n_taps)] * 3
+        np.testing.assert_array_equal(out.samples, oracle_resample(x, 768000, 100))
+
     def test_kernel_longer_than_cell_bound_rejected(self):
-        with pytest.raises(ContractError, match="taps"):
+        # 768 kHz -> 1 Hz needs 49152000 taps, past the tap limit
+        with pytest.raises(ContractError, match="needs 49152000 taps, more than 4194304"):
             audio.resample(audio.AudioBuffer(np.zeros(audio.MAX_WAV_RATE), audio.MAX_WAV_RATE), 1)
 
     # 16000 -> 44101 has 44101 phases, more than one block of outputs

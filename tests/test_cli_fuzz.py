@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from svkit import augment, store
+from svkit import audio, augment, store
 from svkit.cli import main
 from test_backend import traced_peak
 from test_cli import make_wavs, synthetic_speakers
@@ -128,12 +128,13 @@ PEAK_C, PEAK_K = 1 << 18, 8
 BIG_ID = "a" * (1 << 20)
 
 
-def bounded_run(argv, inputs):
+def bounded_run(argv, inputs, blocks=0):
     """main(argv), once untraced so that lazy imports and caches are not counted, then traced:
-    its exit code, after asserting the peak bound."""
+    its exit code, after asserting the peak bound, raised by `blocks` bytes for a command that
+    works in fixed blocks."""
     main(argv)
     rc, peak = traced_peak(main, argv)
-    bound = PEAK_C + PEAK_K * sum(p.stat().st_size for p in inputs)
+    bound = PEAK_C + blocks + PEAK_K * sum(p.stat().st_size for p in inputs)
     assert peak <= bound, (peak, bound)
     return rc
 
@@ -172,3 +173,17 @@ def test_a_1_mib_utterance_id_stays_within_the_peak_bound(tmp_path, capsys, path
     assert rc == 0
     assert capsys.readouterr().out.count("2 codec-flagged") == 2
     assert (tmp_path / "a" / "commands.txt").read_text().count(BIG_ID) == 3 + path.count(BIG_ID)
+
+
+def test_a_768_khz_wav_stays_within_the_peak_bound(tmp_path, capsys):
+    """6144 taps per 8 kHz output: blocks of 2^18 cells hold 42 outputs, where
+    one block of every output would be 51 MB an array."""
+    x = np.concatenate([np.zeros(50000), np.random.default_rng(7).uniform(-0.8, 0.8, 50000)])
+    audio.write_wav(audio.AudioBuffer(x, 768000), tmp_path / "hi.wav")  # 195 kB
+    # PEAK_C: the CLI's own allocations; 3 x 8 x 2^18: resample's gathered taps, the weights
+    # gathered for them and its phase table, each at most 2^18 float64 (output, tap) cells;
+    # PEAK_K x 195 kB: read_wav's PCM bytes and the float64 samples, 4 bytes per file byte
+    rc = bounded_run(["features", "--vad", "--resample", "8000", "--out-dir", str(tmp_path / "f"),
+                      str(tmp_path / "hi.wav")], [tmp_path / "hi.wav"], blocks=3 * 8 * (1 << 18))
+    assert rc == 0
+    assert store.read_matrix(tmp_path / "f" / "hi.feats").shape[0] > 0
