@@ -21,6 +21,7 @@ RESAMPLE_TAPS = 64  # resample's kernel taps per phase, counted at the lower rat
 KAISER_BETA = 5.0  # resample's Kaiser window shape
 _RESAMPLE_CELLS = 1 << 18  # resample's block budget: (output, tap) cells per block, at least one output
 _RESAMPLE_MAX_TAPS = 1 << 22  # longest kernel resample accepts
+_FBANK_CELLS = 1 << 16  # frame-block budget of log_mel_fbank and frame_log_energies: (frame, FFT-bin) cells
 
 
 @dataclass
@@ -65,7 +66,8 @@ def read_wav(path) -> AudioBuffer:
         raise OSError(f"{path}: truncated file") from None
     if len(data) < 2 * n:
         raise OSError(f"{path}: truncated file: {len(data)} bytes for {n} frames")
-    samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
+    samples = np.frombuffer(data, dtype="<i2").astype(np.float64)
+    samples /= 32768.0  # in place: one float64 copy of the signal
     return AudioBuffer(samples, rate)
 
 
@@ -214,6 +216,21 @@ def _frame_signal(x: np.ndarray, flen: int, fshift: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(x, flen)[::fshift]
 
 
+def _frame_blocks(buf: AudioBuffer, cfg: FbankConfig) -> tuple[np.ndarray, int, list[tuple[int, int, int]]]:
+    """The frames of buf under cfg (a read-only view), their FFT size and their blocks.
+
+    A block holds _FBANK_CELLS // n_fft frames, at least one.  The last block
+    ends at the last frame and overlaps the one before it, so every block of a
+    signal longer than one block has the same row count.  A block is
+    (lo, new, hi): frames lo..hi, of which new..hi no earlier block held."""
+    flen, fshift = _frame_params(buf.sample_rate, cfg.frame_len_ms, cfg.frame_shift_ms)
+    frames = _frame_signal(buf.samples, flen, fshift)
+    n_fft = 1 << (flen - 1).bit_length()  # the power of two at or above flen
+    t, size = len(frames), max(1, _FBANK_CELLS // n_fft)  # 128 frames at n_fft 512
+    blocks = [(max(0, min(new, t - size)), new, min(new + size, t)) for new in range(0, t, size)]
+    return frames, n_fft, blocks
+
+
 def mel_filterbank(
     n_mels: int, n_fft: int, sample_rate: int, low_freq: float, high_freq: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -255,30 +272,33 @@ def log_mel_fbank(
     Pre-emphasis, Hamming window, power spectrum on a zero-padded
     power-of-two FFT, triangular mel integration, then
     ln(max(energy, log_floor)).
+
+    Frames go through in the blocks of _frame_blocks, so beyond the signal
+    and the result one block's frames, spectra and powers are held.  With
+    dither, each block draws normals for its new frames only: the stream of
+    one whole-array draw.  The default 80-mel bank gives bitwise the
+    whole-array result at 8-96 kHz; other banks may differ by an ulp, within 1e-12.
     """
-    flen, fshift = _frame_params(buf.sample_rate, cfg.frame_len_ms, cfg.frame_shift_ms)
-    frames = _frame_signal(buf.samples, flen, fshift).copy()
+    frames, n_fft, blocks = _frame_blocks(buf, cfg)
     if cfg.dither > 0 and rng is None:
         raise ContractError("dither > 0 requires an explicit rng")
+    window = np.hamming(frames.shape[1])
     # a huge dither or pre-emphasis overflows to a non-finite value, which FeatureMatrix rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        if cfg.dither > 0:
-            frames += cfg.dither * rng.standard_normal(frames.shape)
-        # frame-local pre-emphasis keeps frames independent of their neighbours
-        if cfg.preemphasis != 0.0:
-            frames[:, 1:] -= cfg.preemphasis * frames[:, :-1]
-            frames[:, 0] *= 1.0 - cfg.preemphasis
-        frames *= np.hamming(flen)
-
-        n_fft = 1
-        while n_fft < flen:
-            n_fft *= 2
-        power = np.abs(np.fft.rfft(frames, n_fft)) ** 2
-
         high = cfg.high_freq if cfg.high_freq is not None else buf.sample_rate / 2.0
         bank, _ = mel_filterbank(cfg.n_mels, n_fft, buf.sample_rate, cfg.low_freq, high)
-        energies = power @ bank.T
-        values = np.log(np.maximum(energies, cfg.log_floor))
+        values = np.empty((len(frames), cfg.n_mels))
+        for lo, new, hi in blocks:
+            block = frames[lo:hi].copy()
+            if cfg.dither > 0:  # frames lo..new were dithered and kept by the block before
+                block[new - lo :] += cfg.dither * rng.standard_normal((hi - new, block.shape[1]))
+            # frame-local pre-emphasis keeps frames independent of their neighbours
+            if cfg.preemphasis != 0.0:
+                block[:, 1:] -= cfg.preemphasis * block[:, :-1]
+                block[:, 0] *= 1.0 - cfg.preemphasis
+            block *= window
+            power = np.abs(np.fft.rfft(block, n_fft)) ** 2
+            values[new:hi] = np.log(np.maximum((power @ bank.T)[new - lo :], cfg.log_floor))
     return FeatureMatrix(values)
 
 
@@ -303,10 +323,13 @@ class VadConfig:
 
 def frame_log_energies(buf: AudioBuffer, fbank: FbankConfig = FbankConfig()) -> np.ndarray:
     """Raw log energy ln(sum x^2), floored away from -inf, of each of the
-    frames log_mel_fbank(buf, fbank) computes."""
-    flen, fshift = _frame_params(buf.sample_rate, fbank.frame_len_ms, fbank.frame_shift_ms)
-    frames = _frame_signal(buf.samples, flen, fshift)
-    return np.log(np.maximum((frames * frames).sum(axis=1), _ENERGY_EPS))
+    frames log_mel_fbank(buf, fbank) computes, in the same frame blocks."""
+    frames, _, blocks = _frame_blocks(buf, fbank)
+    energies = np.empty(len(frames))
+    for _, new, hi in blocks:
+        block = frames[new:hi]
+        energies[new:hi] = np.log(np.maximum((block * block).sum(axis=1), _ENERGY_EPS))
+    return energies
 
 
 def vad_from_energies(energies: np.ndarray, cfg: VadConfig = VadConfig()) -> np.ndarray:

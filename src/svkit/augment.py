@@ -11,6 +11,7 @@ from __future__ import annotations
 import shlex
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .store import plain_number, record_errors, records, write_text
 SPEED_FACTORS = (0.9, 1.0, 1.1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Utterance:
     utt_id: str
     path: str
@@ -76,7 +77,7 @@ def write_manifest(manifest: UtteranceManifest, path) -> None:
                       for u in manifest.utterances))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanEntry:
     utt_id: str
     codec: str = "none"  # "gsm" | "none"
@@ -146,30 +147,30 @@ def plan_augmentation(manifest: UtteranceManifest, fraction: float, mode: str, s
     return AugmentPlan(manifest, entries)
 
 
-def render_commands(plan: AugmentPlan, out_dir: str) -> list[str]:
-    """One shell line per utterance implementing its planned transformation.
+def render_commands(plan: AugmentPlan, out_dir: str) -> Iterator[str]:
+    """One shell line per utterance implementing its planned transformation,
+    each rendered as it is asked for.
 
     Every chain but keep16k goes to 8 kHz first, into GSM when flagged.
     """
-    lines = []
-    for utt, entry in zip(plan.manifest.utterances, plan.entries):
-        src = shlex.quote(utt.path)
-        dst = shlex.quote(f"{out_dir}/{entry.utt_id}.wav")
-        speed = "" if entry.speed == 1.0 else f" speed {entry.speed:g}"
-        gsm = entry.codec == "gsm"
-        if entry.chain == CHAIN_KEEP16K:
-            lines.append(f"sox {src} {dst}{speed}" if speed else f"cp {src} {dst}")
-            continue
-        decode = " -t wav -e signed -b 16" if gsm else ""
-        upsample = " -r 16000" if entry.chain == CHAIN_DOWN8K_UP16K else ""
-        if not (decode or upsample):
-            lines.append(f"sox {src} -r 8000 {dst}{speed}")
-            continue
-        # decode and/or upsample the 8 kHz file in a second step, in one string: no partial copies
-        tmp = shlex.quote(f"{out_dir}/{entry.utt_id}.{'gsm' if gsm else '8k.wav'}")
-        lines.append(f"sox {src} -r 8000{' -t gsm' if gsm else ''} {tmp}{speed} "
-                     f"&& sox {tmp}{decode}{upsample} {dst}")
-    return lines
+    return (_command(utt, entry, out_dir) for utt, entry in zip(plan.manifest.utterances, plan.entries))
+
+
+def _command(utt: Utterance, entry: PlanEntry, out_dir: str) -> str:
+    src = shlex.quote(utt.path)
+    dst = shlex.quote(f"{out_dir}/{entry.utt_id}.wav")
+    speed = "" if entry.speed == 1.0 else f" speed {entry.speed:g}"
+    gsm = entry.codec == "gsm"
+    if entry.chain == CHAIN_KEEP16K:
+        return f"sox {src} {dst}{speed}" if speed else f"cp {src} {dst}"
+    decode = " -t wav -e signed -b 16" if gsm else ""
+    upsample = " -r 16000" if entry.chain == CHAIN_DOWN8K_UP16K else ""
+    if not (decode or upsample):
+        return f"sox {src} -r 8000 {dst}{speed}"
+    # decode and/or upsample the 8 kHz file in a second step, in one string: no partial copies
+    tmp = shlex.quote(f"{out_dir}/{entry.utt_id}.{'gsm' if gsm else '8k.wav'}")
+    return (f"sox {src} -r 8000{' -t gsm' if gsm else ''} {tmp}{speed} "
+            f"&& sox {tmp}{decode}{upsample} {dst}")
 
 
 def emit_commands(plan: AugmentPlan, out_dir) -> Path:
@@ -177,7 +178,7 @@ def emit_commands(plan: AugmentPlan, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "commands.txt"
-    # each line, then its newline: a long line is not copied to append one
+    # each line as it is rendered, then its newline: no list of lines, and no copy of a long line
     write_text(path, (s for line in render_commands(plan, str(out)) for s in (line, "\n")))
     return path
 

@@ -15,7 +15,9 @@ label, manifest, plan and command writers are the package's earlier
 writers, each opening its own file.  The LDA oracle solves its generalized
 eigenproblem with scipy.linalg.eigh; the fit_lda oracle is the earlier
 fit_lda, which cast the whole set to float64 and masked each class.  The framing
-oracle gathers frames through an index array, the actual-DCF oracle counts
+oracle gathers frames through an index array; the filterbank and frame-energy
+oracles are the package's earlier functions, which held every frame at once;
+the actual-DCF oracle counts
 errors by direct comparison, and the text-reader oracles are the package's
 earlier readers, each with its own field-count check, kept verbatim with the
 record reader they called; the labeled-scores oracle is the earlier score
@@ -34,7 +36,8 @@ from typing import Iterator, Mapping
 import numpy as np
 import scipy.linalg
 
-from svkit.audio import AudioBuffer
+from svkit.audio import (_ENERGY_EPS, AudioBuffer, FbankConfig, FeatureMatrix, _frame_params, _frame_signal,
+                         mel_filterbank)
 from svkit.augment import (CHAIN_DOWN8K, CHAIN_KEEP16K, CHAINS, AugmentPlan, PlanEntry, Utterance,
                            UtteranceManifest, render_commands)
 from svkit.errors import ContractError, FormatError
@@ -443,6 +446,42 @@ def oracle_frame_signal(x: np.ndarray, flen: int, fshift: int) -> np.ndarray:
     t = 1 + (len(x) - flen) // fshift
     idx = fshift * np.arange(t)[:, None] + np.arange(flen)[None, :]
     return x[idx]
+
+
+def oracle_log_mel_fbank(buf: AudioBuffer, cfg: FbankConfig = FbankConfig(), rng=None) -> FeatureMatrix:
+    """svkit.audio.log_mel_fbank as it was, holding every frame, its spectrum
+    and its power at once."""
+    flen, fshift = _frame_params(buf.sample_rate, cfg.frame_len_ms, cfg.frame_shift_ms)
+    frames = _frame_signal(buf.samples, flen, fshift).copy()
+    if cfg.dither > 0 and rng is None:
+        raise ContractError("dither > 0 requires an explicit rng")
+    # a huge dither or pre-emphasis overflows to a non-finite value, which FeatureMatrix rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.dither > 0:
+            frames += cfg.dither * rng.standard_normal(frames.shape)
+        # frame-local pre-emphasis keeps frames independent of their neighbours
+        if cfg.preemphasis != 0.0:
+            frames[:, 1:] -= cfg.preemphasis * frames[:, :-1]
+            frames[:, 0] *= 1.0 - cfg.preemphasis
+        frames *= np.hamming(flen)
+
+        n_fft = 1
+        while n_fft < flen:
+            n_fft *= 2
+        power = np.abs(np.fft.rfft(frames, n_fft)) ** 2
+
+        high = cfg.high_freq if cfg.high_freq is not None else buf.sample_rate / 2.0
+        bank, _ = mel_filterbank(cfg.n_mels, n_fft, buf.sample_rate, cfg.low_freq, high)
+        energies = power @ bank.T
+        values = np.log(np.maximum(energies, cfg.log_floor))
+    return FeatureMatrix(values)
+
+
+def oracle_frame_log_energies(buf: AudioBuffer, fbank: FbankConfig = FbankConfig()) -> np.ndarray:
+    """svkit.audio.frame_log_energies as it was, squaring every frame at once."""
+    flen, fshift = _frame_params(buf.sample_rate, fbank.frame_len_ms, fbank.frame_shift_ms)
+    frames = _frame_signal(buf.samples, flen, fshift)
+    return np.log(np.maximum((frames * frames).sum(axis=1), _ENERGY_EPS))
 
 
 def oracle_act_dcf(scores, op, threshold: float) -> float:

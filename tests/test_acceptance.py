@@ -308,7 +308,7 @@ def test_c09_augment_planning():
             augment.PlanEntry("utt1", codec, mode, 1.0),
             augment.PlanEntry("utt2", "none", mode, 1.0),
         ]
-        got = augment.render_commands(augment.AugmentPlan(manifest, entries), "/out")
+        got = list(augment.render_commands(augment.AugmentPlan(manifest, entries), "/out"))
         assert got == want
     _report(9, "exact codec fractions for N in 1..50; golden command templates byte-exact")
 

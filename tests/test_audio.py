@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_frame_signal, oracle_phase_table_resample, oracle_resample
+from oracles import (oracle_frame_log_energies, oracle_frame_signal, oracle_log_mel_fbank,
+                     oracle_phase_table_resample, oracle_resample)
 
 from svkit import audio
 from svkit.errors import ContractError, FormatError
@@ -139,6 +140,19 @@ class TestWavIO:
             audio.read_wav(path)
         except (FormatError, OSError):
             pass
+
+    def test_read_holds_one_float_copy(self, tmp_path):
+        n = 240000
+        audio.write_wav(audio.AudioBuffer(np.random.default_rng(2).uniform(-1, 1, n), 16000), tmp_path / "a.wav")
+        tracemalloc.start()
+        try:
+            buf = audio.read_wav(tmp_path / "a.wav")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the PCM bytes (2 a sample), one float64 copy (8) and AudioBuffer's finiteness mask (1)
+        assert peak <= 11 * n + (1 << 16)
+        assert buf.samples.nbytes == 8 * n
 
     def test_write_read_roundtrip_one_lsb(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -393,6 +407,82 @@ class TestFbank:
             audio.log_mel_fbank(buf, audio.FbankConfig(low_freq=50.0, high_freq=40.0))
         with pytest.raises(ContractError):
             audio.log_mel_fbank(buf, audio.FbankConfig(high_freq=9000.0))
+
+
+def fbank_block(rate, cfg=audio.FbankConfig()):
+    """Frames per block of log_mel_fbank at this rate, and the framing."""
+    flen, fshift = audio._frame_params(rate, cfg.frame_len_ms, cfg.frame_shift_ms)
+    n_fft = 1 << (flen - 1).bit_length()
+    return max(1, audio._FBANK_CELLS // n_fft), flen, fshift
+
+
+class TestFbankBlocks:
+    RATES = [8000, 11025, 16000, 22050, 32000, 44100, 48000, 96000]
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(rate=st.sampled_from(RATES), frames=st.sampled_from(["1", "block-1", "block", "block+1", "2block+1"]),
+           n_mels=st.one_of(st.just(80), st.integers(1, 128)), preemphasis=st.sampled_from([0.97, 0.0]),
+           dither=st.sampled_from([0.0, 0.0, 1e-3, 0.5]), seed=st.integers(0, 2**32 - 1))
+    def test_equals_whole_array_fbank(self, rate, frames, n_mels, preemphasis, dither, seed):
+        # the default bank is bitwise the whole-array result; other banks may
+        # sum a row an ulp apart in BLAS, and a dithered run leaves rng where
+        # one draw for every frame would
+        block, flen, fshift = fbank_block(rate)
+        t = {"1": 1, "block-1": max(1, block - 1), "block": block, "block+1": block + 1,
+             "2block+1": 2 * block + 1}[frames]
+        x = np.random.default_rng(seed).uniform(-1, 1, flen + (t - 1) * fshift + seed % fshift)
+        buf = audio.AudioBuffer(x, rate)
+        cfg = audio.FbankConfig(n_mels=n_mels, preemphasis=preemphasis, dither=dither)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = audio.log_mel_fbank(buf, cfg, got_rng).values
+        want = oracle_log_mel_fbank(buf, cfg, want_rng).values
+        assert got.shape == want.shape == (t, n_mels)
+        if cfg == audio.FbankConfig():
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert audio.frame_log_energies(buf, cfg).tobytes() == oracle_frame_log_energies(buf, cfg).tobytes()
+
+    def test_last_block_ends_at_the_last_frame(self):
+        block, flen, fshift = fbank_block(16000)
+        assert block == 128  # n_fft 512
+        buf = audio.AudioBuffer(np.zeros(flen + 2 * block * fshift), 16000)
+        frames, n_fft, blocks = audio._frame_blocks(buf, audio.FbankConfig())
+        assert (len(frames), n_fft) == (2 * block + 1, 512)
+        assert blocks == [(0, 0, block), (block, block, 2 * block), (block + 1, 2 * block, 2 * block + 1)]
+        lone = audio.AudioBuffer(np.zeros(flen + 5 * fshift), 16000)
+        assert audio._frame_blocks(lone, audio.FbankConfig())[2] == [(0, 0, 6)]
+
+    @pytest.mark.parametrize("cells", [1, 1 << 12])
+    def test_patched_budget_within_tolerance(self, monkeypatch, cells):
+        # one frame a block, then 8: blocks of few rows may take another BLAS path
+        monkeypatch.setattr(audio, "_FBANK_CELLS", cells)
+        buf = audio.AudioBuffer(np.random.default_rng(8).uniform(-1, 1, 8000), 16000)
+        cfg = audio.FbankConfig(dither=1e-3)
+        got_rng, want_rng = np.random.default_rng(2), np.random.default_rng(2)
+        got = audio.log_mel_fbank(buf, cfg, got_rng).values
+        assert np.max(np.abs(got - oracle_log_mel_fbank(buf, cfg, want_rng).values)) <= 1e-12
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert audio.frame_log_energies(buf).tobytes() == oracle_frame_log_energies(buf).tobytes()
+
+    def test_default_budget_bounds_memory(self):
+        # 15 s at 16 kHz: 1498 frames in 12 blocks of 128; all frames at once
+        # held 13.4 MiB.  A block holds its frames (at most n_fft float64 a
+        # frame), their rfft (n_fft / 2 + 1 complex a frame) and its power
+        # (n_fft / 2 + 1 float64): 2.5 x 8 x _FBANK_CELLS bytes, 3 x with slack.
+        buf = audio.AudioBuffer(np.random.default_rng(9).uniform(-1, 1, 15 * 16000), 16000)
+        bank = audio.mel_filterbank(80, 512, 16000, 20.0, 8000.0)[0]
+        for fn in (audio.log_mel_fbank, audio.frame_log_energies):
+            tracemalloc.start()
+            try:
+                out = fn(buf)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            values = getattr(out, "values", out)
+            # the result, FeatureMatrix's finiteness mask over it, the mel bank and the blocks
+            assert peak <= values.nbytes * 9 // 8 + bank.nbytes + 3 * 8 * audio._FBANK_CELLS
 
 
 class TestVad:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_plan, oracle_render_commands
+from oracles import oracle_emit_commands, oracle_plan, oracle_render_commands, oracle_write_plan
 
 from svkit import augment
 from svkit.errors import ContractError, FormatError
@@ -162,11 +162,11 @@ class TestCommandTemplates:
     @pytest.mark.parametrize("mode", ["down8k", "down8k-up16k"])
     def test_codec_modes_match_golden(self, mode):
         plan = self._plan(mode, codec_first=True)
-        assert augment.render_commands(plan, "/out") == GOLDEN[mode]
+        assert list(augment.render_commands(plan, "/out")) == GOLDEN[mode]
 
     def test_keep16k_matches_golden(self):
         plan = self._plan("keep16k", codec_first=False)
-        assert augment.render_commands(plan, "/out") == GOLDEN["keep16k"]
+        assert list(augment.render_commands(plan, "/out")) == GOLDEN["keep16k"]
 
     def test_codec_on_keep16k_rejected(self):
         # a plan that cannot be rendered cannot be built
@@ -179,7 +179,7 @@ class TestCommandTemplates:
             augment.PlanEntry("utt1", "gsm", "down8k", 0.9),
             augment.PlanEntry("utt2", "none", "keep16k", 1.1),
         ]
-        got = augment.render_commands(augment.AugmentPlan(man, entries), "/out")
+        got = list(augment.render_commands(augment.AugmentPlan(man, entries), "/out"))
         assert got == [
             "sox /data/audio/utt1.wav -r 8000 -t gsm /out/utt1.gsm speed 0.9 && "
             "sox /out/utt1.gsm -t wav -e signed -b 16 /out/utt1.wav",
@@ -210,7 +210,7 @@ class TestCommandTemplates:
                 augment.AugmentPlan(man, entries)
             assert str(built.value) == str(e)
         else:
-            assert augment.render_commands(augment.AugmentPlan(man, entries), out_dir) == want
+            assert list(augment.render_commands(augment.AugmentPlan(man, entries), out_dir)) == want
 
     def test_emit_writes_every_id_once(self, tmp_path):
         man = manifest(10)
@@ -219,6 +219,23 @@ class TestCommandTemplates:
         assert len(lines) == 10
         for utt_id in man.ids:
             assert sum(f"/{utt_id}.wav" in ln for ln in lines) == 1
+
+    def test_render_streams_lines(self):
+        lines = augment.render_commands(plan(manifest(3), 0.5, 3), "/out")
+        assert iter(lines) is lines  # a generator, not a list of every line
+        assert len(list(lines)) == 3
+
+    @pytest.mark.parametrize("speed_perturb", [False, True])
+    @pytest.mark.parametrize("mode", augment.CHAINS)
+    def test_streamed_files_equal_the_oracle_writers(self, tmp_path, mode, speed_perturb):
+        p = plan(manifest(300), 0 if mode == "keep16k" else 0.37, 7, mode, speed_perturb=speed_perturb)
+        for root, emit, write in [("got", augment.emit_commands, augment.write_plan),
+                                  ("want", oracle_emit_commands, oracle_write_plan)]:
+            write(p, emit(p, tmp_path / root).parent / "plan.tsv")
+        for name in ("commands.txt", "plan.tsv"):
+            got, want = (tmp_path / root / name for root in ("got", "want"))
+            # out_dir is in every line, so the two roots differ only there
+            assert got.read_bytes().replace(b"/got/", b"/want/") == want.read_bytes()
 
 
 class TestPlanIO:

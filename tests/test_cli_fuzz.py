@@ -187,3 +187,22 @@ def test_a_768_khz_wav_stays_within_the_peak_bound(tmp_path, capsys):
                       str(tmp_path / "hi.wav")], [tmp_path / "hi.wav"], blocks=3 * 8 * (1 << 18))
     assert rc == 0
     assert store.read_matrix(tmp_path / "f" / "hi.feats").shape[0] > 0
+
+
+@pytest.mark.parametrize("rate, seconds", [(16000, 15), (48000, 5)])
+def test_a_480_kb_wav_stays_within_the_peak_bound(tmp_path, capsys, rate, seconds):
+    """log_mel_fbank in frame blocks: all 1498 frames of 15 s at 16 kHz at once
+    held their copy, rfft and power, 15.3 MiB traced in all."""
+    half = rate * seconds // 2
+    x = np.concatenate([np.zeros(half), np.random.default_rng(3).uniform(-0.8, 0.8, half)])  # silence, then noise
+    audio.write_wav(audio.AudioBuffer(x, rate), tmp_path / "n.wav")  # 480 kB
+    # PEAK_C: the CLI's own allocations; PEAK_K x 480 kB: read_wav's PCM bytes, its float64
+    # samples and their finiteness mask (5.5 bytes per file byte), and 80 float64 mels per
+    # 10 ms frame with their mask (2.25 per file byte at 16 kHz); 3 x 8 x 2^16: one fbank
+    # block's frames, rfft and power, at most 2.5 float64 per 2^16 (frame, FFT-bin) cells,
+    # with the rest for the mel bank (164 kB at 16 kHz)
+    rc = bounded_run(["features", "--vad", "--text", "--out-dir", str(tmp_path / "f"), str(tmp_path / "n.wav")],
+                     [tmp_path / "n.wav"], blocks=3 * 8 * (1 << 16))
+    assert rc == 0
+    kept = store.read_matrix(tmp_path / "f" / "n.tsv")
+    assert kept.shape[1] == 80 and 0 < len(kept) < 100 * seconds
