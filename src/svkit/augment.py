@@ -44,6 +44,11 @@ class UtteranceManifest:
             # render_commands writes <out_dir>/<id>.wav: an id must not leave out_dir
             if u.utt_id in ("", ".", "..") or "/" in u.utt_id or "\0" in u.utt_id:
                 raise ContractError(f"utterance id {u.utt_id!r} is not a plain file name")
+            # its longest name, <id>.8k.wav, must fit the 255 bytes of every common file system
+            if len(u.utt_id.encode()) > 248:
+                raise ContractError(f"utterance id {u.utt_id[:16]!r}... is longer than 248 UTF-8 bytes")
+            if len(u.path.encode()) >= 4096:  # Linux opens no path of PATH_MAX bytes or more
+                raise ContractError(f"{u.utt_id}: path is longer than 4095 UTF-8 bytes")
             if not 0 < u.duration_s < np.inf:  # NaN fails both
                 raise ContractError(f"{u.utt_id}: duration must be finite and positive")
             if u.sample_rate <= 0:

@@ -123,20 +123,20 @@ def _build_parser() -> _Parser:
     s.add_argument("inputs", nargs="+", help="wav files or directories")
     s.add_argument("--out-dir", required=True, help="output directory for feature files")
     s.add_argument("--resample", type=_int, help="resample to this rate before extraction")
-    s.add_argument("--n-mels", type=_int, default=80)
-    s.add_argument("--frame-len", type=_float, default=25.0, help="frame length, ms")
-    s.add_argument("--frame-shift", type=_float, default=10.0, help="frame shift, ms")
-    s.add_argument("--preemphasis", type=_float, default=0.97)
-    s.add_argument("--low-freq", type=_float, default=20.0)
+    s.add_argument("--n-mels", type=_int)
+    s.add_argument("--frame-len", type=_float, help="frame length, ms")
+    s.add_argument("--frame-shift", type=_float, help="frame shift, ms")
+    s.add_argument("--preemphasis", type=_float)
+    s.add_argument("--low-freq", type=_float)
     s.add_argument("--high-freq", type=_float, help="defaults to Nyquist")
-    s.add_argument("--log-floor", type=_float, default=1e-10)
-    s.add_argument("--dither", type=_float, default=0.0, help="dither stddev; requires --seed when > 0")
+    s.add_argument("--log-floor", type=_float)
+    s.add_argument("--dither", type=_float, help="dither stddev; requires --seed when > 0")
     s.add_argument("--seed", type=_int)
     s.add_argument("--vad", action=flag, default=False, help="drop non-speech frames")
-    s.add_argument("--vad-energy-threshold", type=_float, default=5.0)
-    s.add_argument("--vad-energy-mean-scale", type=_float, default=0.5)
-    s.add_argument("--vad-context", type=_int, default=5)
-    s.add_argument("--vad-proportion", type=_float, default=0.6)
+    s.add_argument("--vad-energy-threshold", type=_float)
+    s.add_argument("--vad-energy-mean-scale", type=_float)
+    s.add_argument("--vad-context", type=_int)
+    s.add_argument("--vad-proportion", type=_float)
     s.add_argument("--text", action=flag, default=False, help="write TSV instead of binary matrices")
 
     s = subs.add_parser("pool", help="pool a frame matrix into a single vector")
@@ -144,11 +144,11 @@ def _build_parser() -> _Parser:
     s.add_argument("--method", required=True, choices=["tstp", "asp", "xi", "mhfa"], help="tstp | asp | xi | mhfa")
     s.add_argument("--seed", type=_int, help="seed for randomly drawn asp/mhfa parameters")
     s.add_argument("--hidden-dim", type=_int, default=128, help="asp attention hidden size")
-    s.add_argument("--heads", type=_int, default=64, help="mhfa attention heads")
-    s.add_argument("--key-dim", type=_int, default=64, help="mhfa key dimension")
-    s.add_argument("--embed-dim", type=_int, default=256, help="mhfa output dimension")
+    s.add_argument("--heads", type=_int, help="mhfa attention heads")
+    s.add_argument("--key-dim", type=_int, help="mhfa key dimension")
+    s.add_argument("--embed-dim", type=_int, help="mhfa output dimension")
     s.add_argument("--precisions", help="matrix of per-frame log precisions (xi)")
-    s.add_argument("--prior-log-precision", type=_float, default=-60.0, help="flat prior log precision (xi)")
+    s.add_argument("--prior-log-precision", type=_float, help="flat prior log precision (xi)")
 
     s = subs.add_parser("fit-backend", help="fit center/LDA/length-norm stages")
     s.add_argument("--embeddings", required=True, help="training embedding set (SVEB/TSV)")
@@ -177,8 +177,8 @@ def _build_parser() -> _Parser:
     s.add_argument("--scores", required=True, help="score TSV from `score`")
     s.add_argument("--trials", required=True, help="labeled trial list")
     s.add_argument("--p-target", action="append", type=_float, help="operating-point prior (repeatable)")
-    s.add_argument("--c-miss", type=_float, default=1.0)
-    s.add_argument("--c-fa", type=_float, default=1.0)
+    s.add_argument("--c-miss", type=_float)
+    s.add_argument("--c-fa", type=_float)
     s.add_argument("--csv", help="also write a CSV report here")
 
     s = subs.add_parser("dcf-curve", help="minDCF over a range of effective priors")
@@ -201,18 +201,24 @@ def _build_parser() -> _Parser:
 
     s = subs.add_parser("schedule", help="dump the margin/learning-rate recipe as CSV")
     s.add_argument("--out", help="output CSV (default stdout)")
-    s.add_argument("--epochs", type=_int, default=150, help="stage-1 epochs")
-    s.add_argument("--warmup-epochs", type=_float, default=6.0)
-    s.add_argument("--peak-lr", type=_float, default=0.1)
-    s.add_argument("--final-lr", type=_float, default=5e-5)
-    s.add_argument("--margin-start", type=_float, default=20.0)
-    s.add_argument("--margin-end", type=_float, default=40.0)
-    s.add_argument("--margin-final", type=_float, default=0.2)
+    s.add_argument("--epochs", type=_int, help="stage-1 epochs")
+    s.add_argument("--warmup-epochs", type=_float)
+    s.add_argument("--peak-lr", type=_float)
+    s.add_argument("--final-lr", type=_float)
+    s.add_argument("--margin-start", type=_float)
+    s.add_argument("--margin-end", type=_float)
+    s.add_argument("--margin-final", type=_float)
     s.add_argument("--segment-seconds", type=_float, default=2.0)
     s.add_argument("--lmf-epochs", type=_int, default=10, help="stage-2 epochs")
-    s.add_argument("--lmf-margin", type=_float, default=0.5)
+    s.add_argument("--lmf-margin", type=_float)
     s.add_argument("--lmf-segment-seconds", type=_float, default=10.0)
     return p
+
+
+def _given(args, **dests) -> dict:
+    """{keyword: value} of each option `dests` names by keyword that the command line or
+    config file set: an option left unset takes the default of the library type it goes to."""
+    return {key: getattr(args, dest) for key, dest in dests.items() if getattr(args, dest) is not None}
 
 
 def _collect_wavs(inputs) -> list[Path]:
@@ -234,24 +240,14 @@ def cmd_features(args) -> int:
         raise UsageError("no input wav files")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fcfg = audio.FbankConfig(
-        n_mels=args.n_mels,
-        frame_len_ms=args.frame_len,
-        frame_shift_ms=args.frame_shift,
-        preemphasis=args.preemphasis,
-        low_freq=args.low_freq,
-        high_freq=args.high_freq,
-        log_floor=args.log_floor,
-        dither=args.dither,
-    )
-    vcfg = audio.VadConfig(
-        energy_mean_scale=args.vad_energy_mean_scale,
-        energy_threshold=args.vad_energy_threshold,
-        context_frames=args.vad_context,
-        proportion_threshold=args.vad_proportion,
-    )
+    fcfg = audio.FbankConfig(**_given(
+        args, n_mels="n_mels", frame_len_ms="frame_len", frame_shift_ms="frame_shift", preemphasis="preemphasis",
+        low_freq="low_freq", high_freq="high_freq", log_floor="log_floor", dither="dither"))
+    vcfg = audio.VadConfig(**_given(
+        args, energy_mean_scale="vad_energy_mean_scale", energy_threshold="vad_energy_threshold",
+        context_frames="vad_context", proportion_threshold="vad_proportion"))
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
-    if args.dither > 0 and rng is None:
+    if fcfg.dither > 0 and rng is None:
         raise UsageError("--dither > 0 requires --seed")
     first_fail = 0
     seen_names: set[str] = set()
@@ -286,7 +282,7 @@ def cmd_pool(args) -> int:
     draw = {  # drawn once for a 1-dim input first, so a bad size fails before the read
         "asp": lambda d, rng: pooling.AspParams.random(d, args.hidden_dim, rng),
         "mhfa": lambda d, rng: pooling.MhfaParams.random(
-            1, d, rng, num_heads=args.heads, key_dim=args.key_dim, embed_dim=args.embed_dim),
+            1, d, rng, **_given(args, num_heads="heads", key_dim="key_dim", embed_dim="embed_dim")),
     }.get(args.method, lambda d, rng: None)
     draw(1, np.random.default_rng(0))
     x = store.read_matrix(args.matrix)
@@ -301,7 +297,7 @@ def cmd_pool(args) -> int:
         else:
             log_prec = np.zeros_like(x)
         stats = pooling.XiFrameStats(x, log_prec)
-        prior = pooling.XiPrior.flat(x.shape[1], args.prior_log_precision)
+        prior = pooling.XiPrior.flat(x.shape[1], **_given(args, log_precision="prior_log_precision"))
         vec, _ = pooling.xi_pool(stats, prior)
     else:  # mhfa over a single-layer stack
         vec = pooling.mhfa(x[None, :, :], params)
@@ -374,7 +370,7 @@ def cmd_eval(args) -> int:
     if is_default:
         ops = list(metrics.DEFAULT_OPERATING_POINTS)
     else:  # a bad operating point fails here, before any read
-        ops = [metrics.OperatingPoint(p, args.c_miss, args.c_fa) for p in args.p_target]
+        ops = [metrics.OperatingPoint(p, **_given(args, c_miss="c_miss", c_fa="c_fa")) for p in args.p_target]
     scores = _labeled_scores(args.scores, args.trials)
     tag = " [default]" if is_default else ""
     err = metrics.eer(scores)
@@ -441,20 +437,16 @@ def cmd_augment_plan(args) -> int:
 def cmd_schedule(args) -> int:
     from . import objectives
 
-    msched = objectives.MarginSchedule(
-        start_epoch=args.margin_start, end_epoch=args.margin_end, final=args.margin_final,
-        lmf_margin=args.lmf_margin,
-    )
-    lsched = objectives.LrSchedule(
-        warmup_epochs=args.warmup_epochs, peak=args.peak_lr, final=args.final_lr,
-        total_epochs=args.epochs,
-    )
+    msched = objectives.MarginSchedule(**_given(
+        args, start_epoch="margin_start", end_epoch="margin_end", final="margin_final", lmf_margin="lmf_margin"))
+    lsched = objectives.LrSchedule(**_given(
+        args, warmup_epochs="warmup_epochs", peak="peak_lr", final="final_lr", total_epochs="epochs"))
     for seconds in (args.segment_seconds, args.lmf_segment_seconds):
         objectives.CropSpec(seconds)  # a segment length the cropper would accept
     if args.lmf_epochs < 0:  # 0 is no stage 2
         raise ContractError(f"--lmf-epochs must be >= 0, got {args.lmf_epochs}")
     rows = ["stage,epoch,segment_seconds,margin,lr\n"]
-    for e in range(args.epochs + 1):
+    for e in range(int(lsched.total_epochs) + 1):
         rows.append(
             f"1,{e},{args.segment_seconds:g},{objectives.margin_at(e, msched):.12g},"
             f"{objectives.lr_at(e, lsched):.12g}\n"
@@ -463,7 +455,7 @@ def cmd_schedule(args) -> int:
     for e in range(1, args.lmf_epochs + 1):
         rows.append(
             f"2,{e},{args.lmf_segment_seconds:g},"
-            f"{objectives.margin_at(e, msched, lmf=True):.12g},{args.final_lr:.12g}\n"
+            f"{objectives.margin_at(e, msched, lmf=True):.12g},{lsched.final:.12g}\n"
         )
     store.write_text(args.out or None, rows)  # `--out ""` is stdout, as no --out is
     return 0

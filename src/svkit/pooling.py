@@ -37,6 +37,18 @@ def _check_sizes(**sizes) -> None:
             raise ContractError(f"{name} must be >= 1, got {size}")
 
 
+def _set_arrays(params, **ranks) -> None:
+    """Store each named field of the frozen `params` as a float64 array of the stated
+    rank; a wrong rank or a non-finite value is a ContractError that names the field."""
+    for name, ndim in ranks.items():
+        a = np.asarray(getattr(params, name), dtype=np.float64)
+        if a.ndim != ndim:
+            raise ContractError(f"{name} must be {ndim}-D, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ContractError(f"non-finite values in {name}")
+        object.__setattr__(params, name, a)
+
+
 def tstp(frames) -> np.ndarray:
     """Temporal statistics pooling: concat of per-channel mean and std (2D)."""
     x = _as_frames(frames)
@@ -54,14 +66,10 @@ class AspParams:
     score: np.ndarray  # (H,)
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", np.asarray(self.hidden, dtype=np.float64))
-        object.__setattr__(self, "score", np.asarray(self.score, dtype=np.float64).reshape(-1))
-        if self.hidden.ndim != 2 or self.hidden.shape[1] != self.score.shape[0]:
-            raise ContractError(
-                f"hidden {self.hidden.shape} incompatible with score {self.score.shape}"
-            )
-        if not (np.all(np.isfinite(self.hidden)) and np.all(np.isfinite(self.score))):
-            raise ContractError("non-finite attention parameters")
+        object.__setattr__(self, "score", np.ravel(self.score))
+        _set_arrays(self, hidden=2, score=1)
+        if self.hidden.shape[1] != self.score.shape[0]:
+            raise ContractError(f"hidden {self.hidden.shape} incompatible with score {self.score.shape}")
 
     @classmethod
     def random(cls, in_dim: int, hidden_dim: int, rng: np.random.Generator) -> "AspParams":
@@ -100,16 +108,9 @@ class XiPrior:
     prior_log_precision: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "prior_mean", np.asarray(self.prior_mean, dtype=np.float64))
-        object.__setattr__(
-            self, "prior_log_precision", np.asarray(self.prior_log_precision, dtype=np.float64)
-        )
-        if self.prior_mean.shape != self.prior_log_precision.shape or self.prior_mean.ndim != 1:
+        _set_arrays(self, prior_mean=1, prior_log_precision=1)
+        if self.prior_mean.shape != self.prior_log_precision.shape:
             raise ContractError("prior mean and log precision must be matching D-vectors")
-        if not (
-            np.all(np.isfinite(self.prior_mean)) and np.all(np.isfinite(self.prior_log_precision))
-        ):
-            raise ContractError("non-finite prior parameters")
 
     @classmethod
     def flat(cls, dim: int, log_precision: float = -60.0) -> "XiPrior":
@@ -125,26 +126,14 @@ class XiFrameStats:
     log_precisions: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "point_estimates", np.asarray(self.point_estimates, dtype=np.float64)
-        )
-        object.__setattr__(
-            self, "log_precisions", np.asarray(self.log_precisions, dtype=np.float64)
-        )
-        if (
-            self.point_estimates.ndim != 2
-            or self.point_estimates.shape != self.log_precisions.shape
-        ):
+        _set_arrays(self, point_estimates=2, log_precisions=2)
+        if self.point_estimates.shape != self.log_precisions.shape:
             raise ContractError(
                 f"point estimates {self.point_estimates.shape} and log precisions "
                 f"{self.log_precisions.shape} must be matching T x D"
             )
         if self.point_estimates.shape[0] < 1:
             raise ContractError("need at least one frame")
-        if not (
-            np.all(np.isfinite(self.point_estimates)) and np.all(np.isfinite(self.log_precisions))
-        ):
-            raise ContractError("non-finite frame statistics")
 
 
 def xi_pool(stats: XiFrameStats, prior: XiPrior) -> tuple[np.ndarray, np.ndarray]:
@@ -185,11 +174,8 @@ class MhfaParams:
     out_proj: np.ndarray  # (H * Dv, E)
 
     def __post_init__(self):
-        for name in ("layer_weights_k", "layer_weights_v", "key_proj", "value_proj", "queries", "out_proj"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ContractError(f"non-finite values in {name}")
-        if self.layer_weights_k.shape != self.layer_weights_v.shape or self.layer_weights_k.ndim != 1:
+        _set_arrays(self, layer_weights_k=1, layer_weights_v=1, key_proj=2, value_proj=2, queries=2, out_proj=2)
+        if self.layer_weights_k.shape != self.layer_weights_v.shape:
             raise ContractError("layer weights must be matching L-vectors")
         h, dk = self.queries.shape
         if h < 1:
@@ -214,10 +200,6 @@ class MhfaParams:
     @property
     def num_heads(self) -> int:
         return self.queries.shape[0]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.out_proj.shape[1]
 
     @classmethod
     def random(

@@ -1277,6 +1277,62 @@ def test_huge_finite_float_option(float_option_runs, tmp_path, capsys, command, 
         assert f"c_fa=9.99989e-321): {want:.3f}\n" in out
 
 
+# The options whose default is the one of the library type they go to (FbankConfig, VadConfig,
+# MhfaParams.random, XiPrior.flat, OperatingPoint, MarginSchedule, LrSchedule), by command, with
+# the value each had as its parser default before the types became its only home.
+LIBRARY_DEFAULTS = {
+    "features": {"--n-mels": "80", "--frame-len": "25", "--frame-shift": "10", "--preemphasis": "0.97",
+                 "--low-freq": "20", "--log-floor": "1e-10", "--dither": "0", "--vad-energy-threshold": "5",
+                 "--vad-energy-mean-scale": "0.5", "--vad-context": "5", "--vad-proportion": "0.6"},
+    "pool": {"--heads": "64", "--key-dim": "64", "--embed-dim": "256", "--prior-log-precision": "-60"},
+    "eval": {"--c-miss": "1", "--c-fa": "1"},
+    "schedule": {"--epochs": "150", "--warmup-epochs": "6", "--peak-lr": "0.1", "--final-lr": "5e-5",
+                 "--margin-start": "20", "--margin-end": "40", "--margin-final": "0.2", "--lmf-margin": "0.5"},
+}
+
+
+@pytest.mark.parametrize("command,key", [(c, k) for c, options in LIBRARY_DEFAULTS.items() for k in options])
+def test_a_library_owned_option_has_no_parser_default(command, key):
+    """The library type states the default, so the parser states none: an option left
+    unset reaches the command as None and is not passed on."""
+    assert _subcommands()[command]._option_string_actions[key].default is None
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("features", []), ("features", ["--text"]), ("pool", []), ("pool", ["--method", "mhfa", "--seed", "1"]),
+    ("eval", []), ("schedule", [])], ids=["features", "features-text", "pool-xi", "pool-mhfa", "eval", "schedule"])
+def test_library_defaults_equal_the_old_parser_defaults(float_option_runs, tmp_path, capsys, command, extra):
+    """A run that leaves every library-owned option unset prints and writes the same bytes
+    as one that sets each to its old parser default."""
+    argv = [a.replace("tone.wav", "burst.wav") for a in float_option_runs[command]]  # VAD keeps no tone frame
+    runs = []
+    for name, options in (("unset", []), ("set", [f"{k}={v}" for k, v in LIBRARY_DEFAULTS[command].items()])):
+        (tmp_path / name).mkdir()
+        assert main([*_outputs_in(argv, tmp_path / name), *extra, *options]) == 0
+        files = {p.relative_to(tmp_path / name): p.read_bytes() for p in (tmp_path / name).rglob("*") if p.is_file()}
+        runs.append((capsys.readouterr(), files))
+    assert runs[0] == runs[1]
+    assert runs[0][0].out or min(map(len, runs[0][1].values())) > 1000
+
+
+@pytest.mark.parametrize("command,options,message", [
+    ("features", ["--frame-shift=30"], "need 0 < frame_shift <= frame_len, got 30.0/25.0 ms"),
+    ("features", ["--vad-energy-threshold=inf"],
+     "energy_threshold and energy_mean_scale must be finite, got inf/0.5"),
+    ("pool", ["--method", "mhfa", "--seed", "1", "--heads=3"], "embed_dim 256 not divisible by 3 heads"),
+    ("pool", ["--prior-log-precision=nan"], "non-finite values in prior_log_precision"),
+    ("eval", ["--c-fa=0"], "costs must be finite and positive, got 1.0/0.0"),
+    ("schedule", ["--lmf-margin=inf"], "margin epochs and margins must be finite, got "
+     "MarginSchedule(start_epoch=20.0, end_epoch=40.0, final=0.2, lmf_margin=inf)"),
+    ("schedule", ["--epochs=6"], "need 0 < warmup_epochs < total_epochs")])
+def test_a_bad_library_owned_option_exits_3_with_its_message(float_option_runs, tmp_path, capsys,
+                                                             command, options, message):
+    """The message names the library defaults of the options left unset."""
+    assert main([*_outputs_in(float_option_runs[command], tmp_path), *options]) == 3
+    assert capsys.readouterr() == ("", f"svkit: error: {message}\n")
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
 class TestStartup:
     """No command loads scipy: numpy is the only runtime dependency.  A
     command loads only the svkit modules it runs."""

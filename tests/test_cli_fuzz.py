@@ -7,8 +7,10 @@ line it writes to stderr must be an ``svkit: ...`` message, one at least
 when it fails."""
 
 import re
+import shlex
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,15 +93,24 @@ def mutate(data: bytes, kind: str, a: int, b: int, token: bytes) -> bytes:
     return data[:f.start()] + token + data[f.end():]
 
 
-def run(inputs, tmp_path, case, mutated: bytes):
+def run(inputs, tmp_path, case, mutated: bytes, traced=False):
+    """main() on `case` with its input replaced by `mutated`: the exit code.  When `traced`, a
+    second call, warmed by the first, is traced and held to the peak bound."""
     command, target = case.split("/")
     (tmp_path / "mutated").write_bytes(mutated)
     paths = {**{name: str(p) for name, p in inputs.items()}, target: str(tmp_path / "mutated"),
              "out": str(tmp_path / command)}  # features makes a directory there
+    argv = [paths[arg[1:-1]] if arg.startswith("{") else arg for arg in COMMANDS[command]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning would print to stderr beside the message
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return main([paths[arg[1:-1]] if arg.startswith("{") else arg for arg in COMMANDS[command]])
+            rc = main(argv)
+            if traced:
+                again, peak = traced_peak(main, argv)
+                read = [Path(paths[arg[1:-1]]) for arg in COMMANDS[command] if arg.startswith("{") and arg != "{out}"]
+                bound = peak_bound(read, BLOCKS.get(command, 0))
+                assert again == rc and peak <= bound, (again, rc, peak, bound)
+    return rc
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -115,7 +126,8 @@ def test_unmutated_inputs_exit_0(inputs, tmp_path, capsys, case):
 @example(case="apply-backend/e.tsv", kind="field", a=1, b=0, token=b"1e39")  # past float32: inf
 def test_a_mutated_input_exits_with_a_code_and_a_message(inputs, tmp_path, capsys, case, kind, a, b, token):
     target = case.split("/")[1]
-    rc = run(inputs, tmp_path, case, mutate(inputs[target].read_bytes(), kind, a, b, token))
+    # a traced call doubles the time of an example, so a quarter of them, picked by the drawn values
+    rc = run(inputs, tmp_path, case, mutate(inputs[target].read_bytes(), kind, a, b, token), traced=(a + b) % 4 == 0)
     err = capsys.readouterr().err
     assert 0 <= rc <= 4
     assert bool(err) == (rc != 0), (rc, err)
@@ -126,15 +138,23 @@ def test_a_mutated_input_exits_with_a_code_and_a_message(inputs, tmp_path, capsy
 # the CLI's own allocations (about 0.1 MB), PEAK_K the few whole-file arrays of a text read.
 PEAK_C, PEAK_K = 1 << 18, 8
 BIG_ID = "a" * (1 << 20)
+# the bytes of fixed blocks by command: features' resample and filterbank blocks (see the
+# 768 kHz and 480 kB cases below)
+BLOCKS = {"features": 3 * 8 * (1 << 18) + 3 * 8 * (1 << 16)}
+
+
+def peak_bound(inputs, blocks=0):
+    """The peak bound of a run that reads `inputs`, raised by `blocks` bytes for a command that
+    works in fixed blocks."""
+    return PEAK_C + blocks + PEAK_K * sum(p.stat().st_size for p in inputs)
 
 
 def bounded_run(argv, inputs, blocks=0):
     """main(argv), once untraced so that lazy imports and caches are not counted, then traced:
-    its exit code, after asserting the peak bound, raised by `blocks` bytes for a command that
-    works in fixed blocks."""
+    its exit code, after asserting the peak bound."""
     main(argv)
     rc, peak = traced_peak(main, argv)
-    bound = PEAK_C + blocks + PEAK_K * sum(p.stat().st_size for p in inputs)
+    bound = peak_bound(inputs, blocks)
     assert peak <= bound, (peak, bound)
     return rc
 
@@ -162,17 +182,28 @@ def test_an_sveb_header_of_2_to_the_60_records_stays_within_the_peak_bound(tmp_p
     assert f"header claims {1 << 60} records of dim 4" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("path", ["/d/b.wav", f"/d/{BIG_ID}.wav"], ids=["id", "id-and-path"])
-def test_a_1_mib_utterance_id_stays_within_the_peak_bound(tmp_path, capsys, path):
-    """Each command line holds the id three times: down8k with the codec
-    goes through <id>.gsm to <id>.wav."""
-    (tmp_path / "man.tsv").write_text(f"u0\t/d/u0.wav\t1.0\t16000\n{BIG_ID}\t{path}\t2.0\t16000\n")
-    rc = bounded_run(["augment-plan", "--manifest", str(tmp_path / "man.tsv"), "--out-dir", str(tmp_path / "a"),
-                      "--mode", "down8k", "--fraction", "1", "--seed", "1", "--speed-perturb"],
-                     [tmp_path / "man.tsv"])
-    assert rc == 0
-    assert capsys.readouterr().out.count("2 codec-flagged") == 2
-    assert (tmp_path / "a" / "commands.txt").read_text().count(BIG_ID) == 3 + path.count(BIG_ID)
+@pytest.mark.parametrize("utt_id, path, rc", [
+    (BIG_ID, "/d/b.wav", 2), ("b", "'" * (1 << 20), 2), ("'" * 248, "/" + "'" * 4094, 0)],
+    ids=["id", "path", "longest-id-and-path"])
+def test_a_1_mib_utterance_id_stays_within_the_peak_bound(tmp_path, capsys, utt_id, path, rc):
+    """A line holds the id three times (down8k with the codec goes through <id>.gsm to
+    <id>.wav) and the path once, and shell quoting makes each `'` five characters.  An id
+    whose <id>.8k.wav is over 255 bytes names no file, and Linux opens no path of 4096 bytes
+    or more: either exits 2 before any file is written (a 1 MiB path of `'` characters, as
+    the longest line, peaked at 11.1 MiB)."""
+    (tmp_path / "man.tsv").write_text(f"u0\t/d/u0.wav\t1.0\t16000\n{utt_id}\t{path}\t2.0\t16000\n")
+    assert bounded_run(["augment-plan", "--manifest", str(tmp_path / "man.tsv"), "--out-dir", str(tmp_path / "a"),
+                        "--mode", "down8k", "--fraction", "1", "--seed", "1", "--speed-perturb"],
+                       [tmp_path / "man.tsv"]) == rc
+    out, err = capsys.readouterr()
+    if rc:
+        assert out == "" and err.count(f"svkit: format error: {tmp_path / 'man.tsv'}: ") == 2
+        assert not (tmp_path / "a").exists()
+    else:
+        assert out.count("2 codec-flagged") == 2
+        commands = (tmp_path / "a" / "commands.txt").read_text()
+        assert commands.count(shlex.quote(f"{tmp_path / 'a'}/{utt_id}.gsm")) == 2
+        assert commands.count(shlex.quote(path)) == 1
 
 
 def test_a_768_khz_wav_stays_within_the_peak_bound(tmp_path, capsys):

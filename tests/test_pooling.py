@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,26 @@ class TestMhfa:
             pooling.mhfa(rng.normal(size=(2, 5, 8)), params)
         with pytest.raises(ContractError):
             pooling.mhfa(rng.normal(size=(3, 5, 9)), params)
+
+
+def _valid_params():
+    rng = np.random.default_rng(20)
+    return [pooling.AspParams.random(4, 3, rng), pooling.XiPrior.flat(4),
+            pooling.XiFrameStats(rng.normal(size=(5, 4)), np.zeros((5, 4))),
+            pooling.MhfaParams.random(2, 8, rng, num_heads=4, key_dim=5, embed_dim=16)]
+
+
+@pytest.mark.parametrize("params", _valid_params(), ids=lambda p: type(p).__name__)
+def test_a_bad_array_field_is_a_contract_error_that_names_it(params):
+    for field in dataclasses.fields(params):
+        good = getattr(params, field.name)
+        if isinstance(params, pooling.AspParams) and field.name == "score":  # any shape is flattened
+            assert dataclasses.replace(params, score=good[None, :]).score.shape == good.shape
+        else:
+            for wrong in (good[0], good[None]):  # one dimension fewer, one more
+                with pytest.raises(ContractError, match=f"^{field.name} must be {good.ndim}-D, got shape"):
+                    dataclasses.replace(params, **{field.name: wrong})
+        bad = good.copy()
+        bad.flat[-1] = np.nan
+        with pytest.raises(ContractError, match=f"^non-finite values in {field.name}$"):
+            dataclasses.replace(params, **{field.name: bad})

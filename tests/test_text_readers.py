@@ -90,6 +90,14 @@ def test_manifest_record_error_is_format_error(tmp_path):
         path.write_text(f"{utt_id}\t/d/a.wav\t1.0\t16000\n")
         with pytest.raises(FormatError, match="man.tsv: utterance id .* is not a plain file name"):
             augment.read_manifest(path)
+    # <id>.8k.wav fits a 255-byte file name, and Linux opens no path of 4096 bytes or more
+    path.write_text(f"{'é' * 124}\t/{'é' * 2047}\t1.0\t16000\n")  # 248 and 4095 UTF-8 bytes
+    assert augment.read_manifest(path).utterances[0].path == "/" + "é" * 2047
+    for fields, message in ((f"{'é' * 124}a\t/d/a.wav", f"utterance id '{'é' * 16}'... is longer than 248"),
+                            ("a\t" + "/" * 4096, "a: path is longer than 4095")):
+        path.write_text(f"{fields}\t1.0\t16000\n")
+        with pytest.raises(FormatError, match=f"man.tsv: {message} UTF-8 bytes$"):
+            augment.read_manifest(path)
 
 
 def test_plan_record_error_is_format_error(tmp_path):
