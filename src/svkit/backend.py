@@ -109,11 +109,8 @@ def fit_lda(s: EmbeddingSet, k: int | None = None) -> LdaStage:
     vals, y = np.linalg.eigh(inv @ sb @ inv.T)
     proj = (inv.T @ y)[:, np.argsort(vals)[::-1][:k]]
     proj /= np.linalg.norm(proj, axis=0, keepdims=True)
-    for j in range(proj.shape[1]):
-        col = proj[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size and col[nz[0]] < 0:
-            proj[:, j] = -col
+    first = np.argmax(np.abs(proj) > 1e-12, axis=0)  # a unit column has a component above 1e-12
+    proj[:, proj[first, np.arange(proj.shape[1])] < 0] *= -1
     return LdaStage(proj)
 
 

@@ -366,11 +366,10 @@ def _labeled_scores(scores_path, trials_path):
 def cmd_eval(args) -> int:
     from . import metrics
 
-    is_default = not args.p_target
-    if is_default:
-        ops = list(metrics.DEFAULT_OPERATING_POINTS)
-    else:  # a bad operating point fails here, before any read
-        ops = [metrics.OperatingPoint(p, **_given(args, c_miss="c_miss", c_fa="c_fa")) for p in args.p_target]
+    costs = _given(args, c_miss="c_miss", c_fa="c_fa")
+    is_default = not (args.p_target or costs)
+    priors = args.p_target or [op.p_target for op in metrics.DEFAULT_OPERATING_POINTS]
+    ops = [metrics.OperatingPoint(p, **costs) for p in priors]  # a bad point fails here, before any read
     scores = _labeled_scores(args.scores, args.trials)
     tag = " [default]" if is_default else ""
     err = metrics.eer(scores)

@@ -17,8 +17,9 @@ operating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +60,19 @@ class OperatingPoint:
             raise ContractError(f"p_target must be in (0, 1), got {self.p_target}")
         if not (0 < self.c_miss < math.inf and 0 < self.c_fa < math.inf):  # NaN fails too
             raise ContractError(f"costs must be finite and positive, got {self.c_miss}/{self.c_fa}")
+        if self.norm == 0:  # a cost times its prior rounds off: no cost could be normalized
+            raise ContractError(f"{self} has a best trivial cost of 0")
+
+    @property
+    def norm(self) -> float:
+        """Cost of the best trivial system, accept all or reject all: the DCF normalizer."""
+        return min(self.c_miss * self.p_target, self.c_fa * (1 - self.p_target))
+
+    def cost(self, p_miss, p_fa):
+        """Normalized DCF of error rates, scalars or arrays alike:
+        (c_miss * p_target * P_miss + c_fa * (1 - p_target) * P_fa) / norm."""
+        with np.errstate(over="ignore"):  # an overflow is no minimum: one end of the sweep costs 1
+            return (self.c_miss * self.p_target * p_miss + self.c_fa * (1 - self.p_target) * p_fa) / self.norm
 
     @property
     def effective_logodds(self) -> float:
@@ -116,17 +130,10 @@ def eer(scores: LabeledScores) -> float:
 
 
 def min_dcf(scores: LabeledScores, op: OperatingPoint) -> tuple[float, float]:
-    """Minimum normalized detection cost over the pooled score sweep.
-
-    DCF(t) = c_miss * p_tgt * P_miss(t) + c_fa * (1 - p_tgt) * P_fa(t),
-    normalized by the best trivial system min(c_miss * p_tgt,
-    c_fa * (1 - p_tgt)).  Ties break toward the smallest threshold.
-    Returns (value, threshold).
-    """
+    """Minimum normalized detection cost (op.cost) over the pooled score
+    sweep.  Ties break toward the smallest threshold.  Returns (value, threshold)."""
     p_fa, p_miss, thresholds = roc_points(scores)
-    norm = min(op.c_miss * op.p_target, op.c_fa * (1 - op.p_target))
-    with np.errstate(over="ignore"):  # an overflow is no minimum: one end of the sweep costs 1
-        dcf = (op.c_miss * op.p_target * p_miss + op.c_fa * (1 - op.p_target) * p_fa) / norm
+    dcf = op.cost(p_miss, p_fa)
     i = int(np.argmin(dcf))  # first minimum = smallest threshold
     return float(dcf[i]), float(thresholds[i])
 
@@ -137,9 +144,7 @@ def act_dcf(scores: LabeledScores, op: OperatingPoint, threshold: float) -> floa
         raise ContractError("threshold must not be NaN")
     p_fa, p_miss, thresholds = roc_points(scores)
     i = int(np.searchsorted(thresholds, threshold, "left"))  # no score lies between two thresholds
-    norm = min(op.c_miss * op.p_target, op.c_fa * (1 - op.p_target))
-    cost = op.c_miss * op.p_target * p_miss[i] + op.c_fa * (1 - op.p_target) * p_fa[i]
-    return float(cost) / norm
+    return float(op.cost(p_miss[i], p_fa[i]))
 
 
 def c_primary(scores: LabeledScores, ops: list[OperatingPoint]) -> float:
@@ -152,23 +157,13 @@ def c_primary(scores: LabeledScores, ops: list[OperatingPoint]) -> float:
 DEFAULT_OPERATING_POINTS = (OperatingPoint(0.01), OperatingPoint(0.005))
 
 
-@dataclass
-class DcfCurve:
-    """Normalized minDCF sampled over effective-prior log odds."""
+class DcfCurve(NamedTuple):
+    """Normalized minDCF sampled over effective-prior log odds; each value is at
+    most 1, since one end of the sweep costs exactly 1."""
 
     logodds: np.ndarray
     values: np.ndarray
-    marked: list[tuple[float, float, OperatingPoint]] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.logodds = np.asarray(self.logodds, dtype=np.float64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.logodds.shape != self.values.shape:
-            raise ContractError("curve axes must align")
-        if np.any(np.diff(self.logodds) <= 0):
-            raise ContractError("log odds must be strictly increasing")
-        if np.any(self.values < 0) or np.any(self.values > 1 + 1e-9):
-            raise ContractError("normalized minDCF must lie in [0, 1]")
+    marked: list[tuple[float, float, OperatingPoint]]
 
 
 def dcf_curve(
@@ -194,6 +189,8 @@ def dcf_curve(
             raise ContractError(f"log odds {end:g} give an effective prior of "
                                 f"{effective_prior(end):g}, not in (0, 1)")
     grid = np.linspace(logodds_lo, logodds_hi, n_points)
+    if np.any(np.diff(grid) <= 0):  # ends closer than n_points floats apart
+        raise ContractError("log odds must be strictly increasing")
     values = np.array(
         [min_dcf(scores, OperatingPoint(effective_prior(x)))[0] for x in grid]
     )

@@ -483,6 +483,49 @@ class TestBackendScoreEvalFlow:
         assert "C_primary [default]: 0.000" in out
 
 
+class TestEvalOperatingPoints:
+    """Costs apply to every prior, the default ones included; `[default]` marks only a
+    run that sets none of --p-target, --c-miss and --c-fa."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "trials.txt").write_text("e t1 target\ne t2 nontarget\ne t3 target\ne t4 nontarget\n")
+        (tmp_path / "s.tsv").write_text("e\tt1\t0.9\ne\tt2\t0.5\ne\tt3\t0.4\ne\tt4\t0.1\n")
+        return ["eval", "--scores", str(tmp_path / "s.tsv"), "--trials", str(tmp_path / "trials.txt"),
+                "--csv", str(tmp_path / "eval.csv")]
+
+    def test_costs_apply_to_the_default_priors(self, files, capsys):
+        assert main([*files, "--c-miss", "10"]) == 0
+        out = capsys.readouterr().out
+        s = metrics.LabeledScores([0.9, 0.4], [0.5, 0.1])
+        ops = [metrics.OperatingPoint(p, 10.0) for p in (0.01, 0.005)]
+        assert out.splitlines()[2:] == [
+            *(f"minDCF (p_target={op.p_target:g}, c_miss=10, c_fa=1): {metrics.min_dcf(s, op)[0]:.3f}" for op in ops),
+            f"C_primary: {metrics.c_primary(s, ops):.3f}"]
+        csv = Path(files[-1]).read_text().splitlines()
+        assert [line.split(",")[1:5] for line in csv[2:4]] == [["0.01", "10", "1", "no"], ["0.005", "10", "1", "no"]]
+        assert csv[4].startswith("c_primary,,,,no,")
+
+    def test_default_points_are_tagged(self, files, capsys):
+        assert main(files) == 0
+        out = capsys.readouterr().out
+        assert "minDCF (p_target=0.01, c_miss=1, c_fa=1) [default]: " in out and "C_primary [default]: " in out
+        assert all(line.split(",")[4] == "yes" for line in Path(files[-1]).read_text().splitlines()[2:])
+
+    @pytest.mark.parametrize("options,message", [
+        (["--c-miss", "nan"], "costs must be finite and positive, got nan/1.0"),
+        (["--c-fa", "-5"], "costs must be finite and positive, got 1.0/-5.0"),
+        (["--p-target", "0.9999999999999999", "--c-fa", "1e-320"],
+         "OperatingPoint(p_target=0.9999999999999999, c_miss=1.0, c_fa=1e-320) has a best trivial cost of 0")])
+    def test_a_bad_point_exits_3_before_any_read(self, files, tmp_path, capsys, options, message):
+        (tmp_path / "s.tsv").unlink()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*files, *options]) == 3
+        assert capsys.readouterr() == ("", f"svkit: error: {message}\n")
+        assert not (tmp_path / "eval.csv").exists()
+
+
 class TestFitBackendCommand:
     """fit-backend fits each stage on the training set as read, with no centered copy."""
 
@@ -557,6 +600,17 @@ class TestDcfCurveCommand:
         assert lines[sep + 1] == "logodds,min_dcf,p_target,c_miss,c_fa"
         assert len(lines[sep + 2 :]) == 2  # marked operating points
         assert all(float(ln.split(",")[1]) == 0.0 for ln in lines[1:sep])
+
+    @pytest.mark.parametrize("options,message", [
+        (["--lo", "1", "--hi", "1.0000000000000002", "--points", "5"], "log odds must be strictly increasing"),
+        (["--mark", "0.5:5e-324:1"], "OperatingPoint(p_target=0.5, c_miss=5e-324, c_fa=1.0) has a best trivial cost of 0")])
+    def test_a_grid_or_mark_it_cannot_use_exits_3(self, tmp_path, capsys, options, message):
+        (tmp_path / "trials.txt").write_text("e t1 target\ne t2 nontarget\n")
+        (tmp_path / "scores.tsv").write_text("e\tt1\t0.9\ne\tt2\t0.1\n")
+        assert main(["dcf-curve", "--scores", str(tmp_path / "scores.tsv"), "--trials", str(tmp_path / "trials.txt"),
+                     "--out", str(tmp_path / "curve.csv"), *options]) == 3
+        assert capsys.readouterr() == ("", f"svkit: error: {message}\n")
+        assert not (tmp_path / "curve.csv").exists()
 
 
 class TestScheduleCommand:
@@ -1187,15 +1241,19 @@ def _command_runs(tmp_path) -> list[list[str]]:
 @pytest.fixture(scope="module")
 def float_option_runs(tmp_path_factory):
     """A valid run, by command, of each command with a float option, after the runs
-    that write its inputs; features filters by VAD and has a seed for its dither, eval
-    names a prior and schedule runs all 150 epochs, past the margin ramp, so that
-    every float option is used."""
-    runs = _command_runs(tmp_path_factory.mktemp("float_options"))
+    that write its inputs; features filters the burst WAV by VAD, which keeps some of
+    its frames, and has a seed for its dither, eval uses the default priors so that
+    its costs apply to them, and schedule runs all 150 epochs, past the margin ramp,
+    so that every float option is used."""
+    tmp = tmp_path_factory.mktemp("float_options")
+    runs = _command_runs(tmp)
     for argv in runs:
         assert main(argv) == 0
     runs = {argv[0]: argv for argv in runs}  # the xi run, which reads --prior-log-precision, for pool
-    runs["features"] = [*runs["features"], "--vad", "--seed", "1"]
-    runs["eval"] = [*runs["eval"], "--p-target", "0.01", "--csv", "eval.csv"]
+    runs["features"] = [*(a.replace("tone.wav", "burst.wav") for a in runs["features"]), "--vad", "--seed", "1"]
+    assert main(_outputs_in(runs["features"], tmp / "vad")) == 0
+    assert store.read_matrix(tmp / "vad" / "feats" / "burst.feats").shape[0] >= 1
+    runs["eval"] = [*runs["eval"], "--csv", "eval.csv"]
     runs["schedule"] = ["schedule", "--out", "schedule.csv"]
     return runs
 
@@ -1252,8 +1310,9 @@ def test_negative_int_option(float_option_runs, tmp_path, capsys, command, key):
 ], ids=["dither", "preemphasis", "vad-threshold", "c-fa"])
 def test_huge_finite_float_option(float_option_runs, tmp_path, capsys, command, options):
     """A finite option that overflows numpy's float range warns nothing: a huge dither or
-    pre-emphasis fails with one svkit message; a VAD threshold past every energy drops
-    every frame; and a tiny false-alarm cost still gives the oracle's minDCF."""
+    pre-emphasis fails with one svkit message; a huge mean scale times the burst's mean
+    log energy, which is below 0, takes the VAD threshold to -inf, so every frame is kept;
+    and a tiny false-alarm cost still gives the oracle's minDCF."""
     argv = list(float_option_runs[command])
     for k, arg in enumerate(argv[:-1]):
         if arg in ("--csv", "--out-dir"):
@@ -1263,12 +1322,14 @@ def test_huge_finite_float_option(float_option_runs, tmp_path, capsys, command, 
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             rc = main([*argv, *options])
     out, err = capsys.readouterr()
+    wav = next((a for a in argv if a.endswith(".wav")), None)
     if "--dither=1e300" in options or "--preemphasis=1e300" in options:
-        wav = next(a for a in argv if a.endswith(".wav"))
         assert (rc, err) == (3, f"svkit: {wav}: non-finite feature values\n")
     elif command == "features":
         assert (rc, err) == (0, "")
-        assert store.read_matrix(tmp_path / "feats" / "tone.feats").shape == (0, 80)
+        energies = audio.frame_log_energies(audio.resample(audio.read_wav(wav), 8000))
+        assert energies.mean() < 0
+        assert store.read_matrix(tmp_path / "feats" / "burst.feats").shape == (len(energies), 80)
     else:
         assert (rc, err) == (0, "")
         scores = cli._labeled_scores(argv[argv.index("--scores") + 1], argv[argv.index("--trials") + 1])
@@ -1300,15 +1361,16 @@ def test_a_library_owned_option_has_no_parser_default(command, key):
 
 @pytest.mark.parametrize("command,extra", [
     ("features", []), ("features", ["--text"]), ("pool", []), ("pool", ["--method", "mhfa", "--seed", "1"]),
-    ("eval", []), ("schedule", [])], ids=["features", "features-text", "pool-xi", "pool-mhfa", "eval", "schedule"])
+    ("eval", ["--p-target", "0.01"]), ("schedule", [])],
+    ids=["features", "features-text", "pool-xi", "pool-mhfa", "eval", "schedule"])
 def test_library_defaults_equal_the_old_parser_defaults(float_option_runs, tmp_path, capsys, command, extra):
     """A run that leaves every library-owned option unset prints and writes the same bytes
-    as one that sets each to its old parser default."""
-    argv = [a.replace("tone.wav", "burst.wav") for a in float_option_runs[command]]  # VAD keeps no tone frame
+    as one that sets each to its old parser default (eval names a prior, so that neither
+    run reports the default operating points)."""
     runs = []
     for name, options in (("unset", []), ("set", [f"{k}={v}" for k, v in LIBRARY_DEFAULTS[command].items()])):
         (tmp_path / name).mkdir()
-        assert main([*_outputs_in(argv, tmp_path / name), *extra, *options]) == 0
+        assert main([*_outputs_in(float_option_runs[command], tmp_path / name), *extra, *options]) == 0
         files = {p.relative_to(tmp_path / name): p.read_bytes() for p in (tmp_path / name).rglob("*") if p.is_file()}
         runs.append((capsys.readouterr(), files))
     assert runs[0] == runs[1]

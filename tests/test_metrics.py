@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,12 +168,13 @@ class TestActDcf:
         assert abs(got - want) < 1e-12
 
     def test_consistent_with_min_dcf(self):
+        """Both read the one normalized cost, OperatingPoint.cost, off the sweep: bitwise equal."""
         rng = np.random.default_rng(7)
         for _ in range(30):
             s = random_scores(rng)
-            op = metrics.OperatingPoint(float(rng.uniform(0.05, 0.5)))
+            op = metrics.OperatingPoint(float(rng.uniform(0.05, 0.5)), *map(float, rng.uniform(0.1, 10, 2)))
             v, t = metrics.min_dcf(s, op)
-            assert abs(metrics.act_dcf(s, op, t) - v) < 1e-12
+            assert metrics.act_dcf(s, op, t) == v
 
     def test_random_direct_recompute(self):
         rng = np.random.default_rng(8)
@@ -238,6 +241,20 @@ class TestCPrimary:
         with pytest.raises(ContractError, match="costs must be finite and positive"):
             metrics.OperatingPoint(0.01, *costs)
 
+    # unchecked, the normalizer 0 turned every minDCF into nan with two numpy warnings
+    @pytest.mark.parametrize("point", [(0.9999999999999999, 1.0, 1e-320), (5e-324, 0.5, 1.0), (0.5, 5e-324, 1.0)])
+    def test_a_point_whose_best_trivial_cost_rounds_to_0_is_refused(self, point):
+        p, c_miss, c_fa = point
+        want = f"OperatingPoint(p_target={p!r}, c_miss={c_miss!r}, c_fa={c_fa!r}) has a best trivial cost of 0"
+        with pytest.raises(ContractError, match=f"^{re.escape(want)}$"):
+            metrics.OperatingPoint(*point)
+
+    def test_cost_of_an_array_is_the_cost_of_each_element(self):
+        op = metrics.OperatingPoint(0.3, 2.0, 1.5)
+        p_miss, p_fa = np.linspace(0, 1, 7), np.linspace(1, 0, 7) ** 2
+        assert [op.cost(m, f) for m, f in zip(p_miss, p_fa)] == list(op.cost(p_miss, p_fa))
+        assert op.cost(0.0, 1.0) == 1.5 * 0.7 / op.norm and op.norm == min(2.0 * 0.3, 1.5 * 0.7)
+
 
 class TestDcfCurve:
     def test_perfect_separation_all_zero(self):
@@ -298,10 +315,34 @@ class TestDcfCurve:
 
     @pytest.mark.parametrize("c_miss, prior", [(1e300, "1"), (5e-324, "0")])
     def test_marked_point_whose_prior_rounds_to_0_or_1(self, c_miss, prior):
+        """c_miss = 5e-324 makes c_miss * p_target round to 0 as well, so that point is
+        refused when it is built; a huge false-alarm cost still folds the prior to 0."""
         s = metrics.LabeledScores([1.0], [0.0])
-        op = metrics.OperatingPoint(0.5, c_miss, 1.0)
+        if prior == "0":
+            with pytest.raises(ContractError, match=r"^OperatingPoint\(p_target=0.5, c_miss=5e-324, .* cost of 0$"):
+                metrics.OperatingPoint(0.5, c_miss, 1.0)
+            op = metrics.OperatingPoint(0.5, 1e-300, 1e300)
+        else:
+            op = metrics.OperatingPoint(0.5, c_miss, 1.0)
         with pytest.raises(ContractError, match=rf"^OperatingPoint\(p_target=0.5, .* effective prior of {prior},"):
             metrics.dcf_curve(s, -1, 1, 3, [op])
+
+    def test_a_grid_finer_than_its_floats_is_refused(self):
+        s = metrics.LabeledScores([1.0], [0.0])
+        with pytest.raises(ContractError, match="^log odds must be strictly increasing$"):
+            metrics.dcf_curve(s, 1, 1.0000000000000002, 5)
+        assert len(metrics.dcf_curve(s, 1, 1.0000000000000002, 2).values) == 2
+
+    def test_every_curve_holds_an_end_that_costs_1(self):
+        """Why no curve value can leave [0, 1]: the sweep's accept-all and reject-all ends
+        cost exactly 1 at one of each prior's two costs, so the minimum is at most 1."""
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            s = random_scores(rng)
+            p_fa, p_miss, _ = metrics.roc_points(s)
+            for p in rng.uniform(1e-6, 1 - 1e-6, 5):
+                op = metrics.OperatingPoint(float(p))
+                assert 1.0 in (op.cost(p_miss[0], p_fa[0]), op.cost(p_miss[-1], p_fa[-1]))
 
 
 class TestInvariances:

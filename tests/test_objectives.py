@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 import scipy.special
@@ -293,3 +296,22 @@ class TestCrop:
         for seconds in (0.0, -1.0, np.nan, np.inf, -np.inf):  # NaN raised a bare ValueError in target_frames
             with pytest.raises(ContractError, match="target_len_s must be finite and positive"):
                 objectives.CropSpec(seconds)
+
+
+_AAM = objectives.AamConfig(scale=30.0, margin=0.2)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: objectives.AamConfig(scale=0.0), "scale must be positive, got 0.0"),
+    (lambda: objectives.AamConfig(margin=math.pi / 2), f"margin must be in [0, pi/2), got {math.pi / 2}"),
+    (lambda: objectives.aam_forward(np.ones((2, 3)), np.ones((4, 5)), [0, 1], _AAM),
+     "incompatible shapes: embeddings (2, 3), weights (4, 5)"),
+    (lambda: objectives.aam_forward(np.ones((0, 3)), np.ones((4, 3)), [], _AAM),
+     "need at least one sample and one class"),
+    (lambda: objectives.aam_grad(np.ones((2, 3)), np.ones((4, 3)), [0], _AAM), "1 labels for 2 samples"),
+    (lambda: objectives.crop_segment(0, 5, np.random.default_rng(0)), "frame counts must be >= 1"),
+    (lambda: objectives.crop_segment(5, 0, np.random.default_rng(0)), "frame counts must be >= 1"),
+], ids=["aam-scale", "aam-margin", "aam-shapes", "aam-empty", "aam-labels", "crop-utterance", "crop-target"])
+def test_an_input_the_objective_cannot_use_is_named(call, message):
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        call()

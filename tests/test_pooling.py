@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -250,3 +251,33 @@ def test_a_bad_array_field_is_a_contract_error_that_names_it(params):
         bad.flat[-1] = np.nan
         with pytest.raises(ContractError, match=f"^non-finite values in {field.name}$"):
             dataclasses.replace(params, **{field.name: bad})
+
+
+_MH = pooling.MhfaParams.random(2, 8, np.random.default_rng(21), num_heads=4, key_dim=5, embed_dim=16)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: pooling.tstp(np.ones(4)), "frames must be T x D, got shape (4,)"),
+    (lambda: pooling.tstp([[1.0, np.nan]]), "non-finite frame values"),
+    (lambda: pooling.AspParams(np.ones((4, 3)), np.ones(2)), "hidden (4, 3) incompatible with score (2,)"),
+    (lambda: pooling.XiPrior(np.zeros(3), np.zeros(4)), "prior mean and log precision must be matching D-vectors"),
+    (lambda: pooling.XiFrameStats(np.zeros((5, 4)), np.zeros((5, 3))),
+     "point estimates (5, 4) and log precisions (5, 3) must be matching T x D"),
+    (lambda: pooling.xi_pool(pooling.XiFrameStats(np.zeros((5, 4)), np.zeros((5, 4))), pooling.XiPrior.flat(3)),
+     "frame dim 4 != prior dim 3"),
+    (lambda: dataclasses.replace(_MH, layer_weights_v=np.zeros(3)), "layer weights must be matching L-vectors"),
+    (lambda: dataclasses.replace(_MH, queries=np.zeros((0, 5))), "need at least one head"),
+    (lambda: dataclasses.replace(_MH, queries=np.zeros((4, 6))),
+     "key projection (8, 5) incompatible with queries (4, 6)"),
+    (lambda: dataclasses.replace(_MH, key_proj=np.zeros((9, 5))), "key and value projections disagree on input dim"),
+    (lambda: dataclasses.replace(_MH, out_proj=np.zeros((12, 16))),
+     "output projection rows must equal value projection width"),
+    (lambda: pooling.mhfa(np.ones((5, 8)), _MH), "stack must be L x T x D, got shape (5, 8)"),
+    (lambda: pooling.mhfa(np.ones((2, 0, 8)), _MH), "need at least one frame"),
+    (lambda: pooling.mhfa(np.full((2, 3, 8), np.inf), _MH), "non-finite stack values"),
+], ids=["frames-rank", "frames-non-finite", "asp-score", "xi-prior", "xi-stats", "xi-pool-dim", "mhfa-layers",
+        "mhfa-no-head", "mhfa-queries", "mhfa-input-dim", "mhfa-out-proj", "mhfa-rank", "mhfa-no-frame",
+        "mhfa-non-finite"])
+def test_a_shape_or_value_the_operator_cannot_use_is_named(call, message):
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        call()
