@@ -254,12 +254,10 @@ def mel_filterbank(
     edges = np.linspace(to_mel(low_freq), to_mel(high_freq), n_mels + 2)
     bin_freqs = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
     bin_mels = to_mel(bin_freqs)
-    weights = np.zeros((n_mels, len(bin_freqs)))
-    for m in range(n_mels):
-        left, center, right = edges[m], edges[m + 1], edges[m + 2]
-        up = (bin_mels - left) / (center - left)
-        down = (right - bin_mels) / (right - center)
-        weights[m] = np.maximum(0.0, np.minimum(up, down))
+    left, center, right = edges[:-2, None], edges[1:-1, None], edges[2:, None]  # a row per mel
+    up = (bin_mels - left) / (center - left)
+    down = (right - bin_mels) / (right - center)
+    weights = np.maximum(0.0, np.minimum(up, down))
     centers_hz = from_mel(edges[1:-1])
     return weights, centers_hz
 

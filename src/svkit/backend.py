@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .store import ByteReader, EmbeddingSet, record_errors
+from .store import ByteReader, EmbeddingSet, record_errors, sorted_codes
 
 PIPELINE_MAGIC = b"SVPL"
 PIPELINE_VERSION = 1
@@ -68,8 +69,8 @@ def fit_center(s: EmbeddingSet) -> CenterStage:
     return CenterStage(s.vectors.mean(axis=0, dtype=np.float64))
 
 
-def fit_lda(s: EmbeddingSet, k: int | None = None) -> LdaStage:
-    """Fit an LDA projection from the set's speaker labels.
+def fit_lda(s: EmbeddingSet, labels: Mapping[str, str] | None, k: int | None = None) -> LdaStage:
+    """Fit an LDA projection from the speaker label of each id of the set.
 
     Solves the generalized eigenproblem of between-class scatter against
     ridge-regularized pooled within-class scatter (ridge 1e-6 * trace / D)
@@ -79,7 +80,12 @@ def fit_lda(s: EmbeddingSet, k: int | None = None) -> LdaStage:
     """
     if len(s) == 0:
         raise ContractError("cannot fit LDA on an empty set")
-    classes, codes = np.unique(np.asarray(s.label_array()), return_inverse=True)
+    if labels is None:
+        raise ContractError("embedding set has no labels")
+    try:
+        classes, codes = sorted_codes([labels[i] for i in s.ids])
+    except KeyError as exc:
+        raise ContractError(f"id {exc.args[0]!r} has no label") from None
     if len(classes) < 2:
         raise ContractError(f"LDA needs at least 2 classes, got {len(classes)}")
     d = s.dim
@@ -137,7 +143,7 @@ def apply_pipeline(p: Pipeline, s: EmbeddingSet) -> EmbeddingSet:
                 raise ContractError("cannot length-normalize a zero vector")
             x /= norms[:, None]
         out[lo : lo + step] = x
-    return EmbeddingSet(s.ids, out, s.labels)
+    return EmbeddingSet(s.ids, out)
 
 
 def _write_mat(f, m: np.ndarray) -> None:

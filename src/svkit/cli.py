@@ -309,10 +309,9 @@ def cmd_fit_backend(args) -> int:
     from . import backend
 
     s = store.read_embeddings(args.embeddings)
-    if args.labels is not None:
-        s.labels = store.read_labels(args.labels)
+    labels = None if args.labels is None else store.read_labels(args.labels)
     center = backend.fit_center(s) if args.center else None
-    lda = backend.fit_lda(s, args.lda_dim) if args.lda else None
+    lda = backend.fit_lda(s, labels, args.lda_dim) if args.lda else None
     pipe = backend.Pipeline(center=center, lda=lda, length_norm=args.length_norm)
     backend.save_pipeline(pipe, args.out)
     stages = [

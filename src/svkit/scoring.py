@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .store import EmbeddingSet, byte_fields, plain_number, read_once, records, write_text
+from .store import EmbeddingSet, byte_fields, plain_number, read_once, records, sorted_codes, write_text
 
 _LABELS = {"target": True, "nontarget": False}
 SCORE_BLOCK = 1 << 15  # float64 values per operand per scoring block: 128 rows at 256-d
@@ -58,7 +58,7 @@ class TrialList:
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[str, str]], labels=None) -> TrialList:
         """The trial list of (enroll, test) id pairs, in order."""
-        return cls(*_encode([e for e, _ in pairs]), *_encode([t for _, t in pairs]), labels)
+        return cls(*sorted_codes([e for e, _ in pairs]), *sorted_codes([t for _, t in pairs]), labels)
 
     @property
     def pairs(self) -> list[tuple[str, str]]:
@@ -70,14 +70,8 @@ class TrialList:
         return len(self.enroll)
 
 
-def _encode(ids: list[str]) -> tuple[list[str], np.ndarray]:
-    distinct = sorted(set(ids))
-    index = {i: k for k, i in enumerate(distinct)}
-    return distinct, np.fromiter(map(index.__getitem__, ids), np.intp, len(ids))
-
-
 def _byte_codes(col: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """_encode of the ASCII ids in the rows of a byte_fields matrix."""
+    """sorted_codes of the ASCII ids in the rows of a byte_fields matrix."""
     rows, width = col.shape
     if width <= 8:  # as big-endian u64, which sort as the ids do and much faster than bytes
         keys = np.zeros((rows, 8), np.uint8)
@@ -214,8 +208,6 @@ def score_trials(models: EmbeddingSet, tests: EmbeddingSet, trials: TrialList) -
         raise ContractError(f"enrollment dimension {models.dim} != test dimension {tests.dim}")
     n = len(trials)
     scores = np.empty(n)
-    if n == 0:
-        return scores
     e_rows = _trial_rows(models, trials.enroll_ids, trials.enroll, "enrollment id")
     t_rows = _trial_rows(tests, trials.test_ids, trials.test, "test id")
     na = _row_norms(models.vectors, block_size)

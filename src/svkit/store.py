@@ -177,12 +177,7 @@ def _is_sveb(path) -> bool:
 class EmbeddingSet:
     """Ordered set of (id, float32 vector) records with uniform dimension."""
 
-    def __init__(
-        self,
-        ids: Sequence[str],
-        vectors: np.ndarray,
-        labels: Mapping[str, str] | None = None,
-    ):
+    def __init__(self, ids: Sequence[str], vectors: np.ndarray):
         vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim != 2:
             raise ContractError(f"vectors must be 2-D, got shape {vectors.shape}")
@@ -201,7 +196,6 @@ class EmbeddingSet:
             raise ContractError("non-finite embedding values")
         self.ids = list(ids)
         self.vectors = vectors
-        self.labels = dict(labels) if labels is not None else None
         self._index = {i: k for k, i in enumerate(self.ids)}
 
     @property
@@ -225,21 +219,7 @@ class EmbeddingSet:
     def select(self, ids: Iterable[str]) -> "EmbeddingSet":
         """Subset in the requested order; unknown ids are an error."""
         ids = list(ids)
-        labels = None
-        if self.labels is not None:
-            labels = {i: self.labels[i] for i in ids if i in self.labels}
-        return EmbeddingSet(ids, self.vectors[self.rows(ids)], labels)
-
-    def label_array(self) -> list[str]:
-        """Per-record labels in set order; every id must be labeled."""
-        if self.labels is None:
-            raise ContractError("embedding set has no labels")
-        out = []
-        for i in self.ids:
-            if i not in self.labels:
-                raise ContractError(f"id {i!r} has no label")
-            out.append(self.labels[i])
-        return out
+        return EmbeddingSet(ids, self.vectors[self.rows(ids)])
 
 
 def write_embeddings(s: EmbeddingSet, path) -> None:
@@ -382,6 +362,14 @@ def read_embeddings(path) -> EmbeddingSet:
     """Read SVEB or TSV embeddings, auto-detected by the magic bytes."""
     path = read_once(path)
     return _parse_sveb(path) if _is_sveb(path) else _parse_tsv(path)
+
+
+def sorted_codes(values: list[str]) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct values, and each value's index among them: trial ids and
+    speaker labels are encoded this way."""
+    distinct = sorted(set(values))
+    index = {v: k for k, v in enumerate(distinct)}
+    return distinct, np.fromiter(map(index.__getitem__, values), np.intp, len(values))
 
 
 def write_labels(labels: Mapping[str, str], path) -> None:

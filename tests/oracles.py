@@ -36,8 +36,7 @@ from typing import Iterator, Mapping
 import numpy as np
 import scipy.linalg
 
-from svkit.audio import (_ENERGY_EPS, AudioBuffer, FbankConfig, FeatureMatrix, _frame_params, _frame_signal,
-                         mel_filterbank)
+from svkit.audio import _ENERGY_EPS, AudioBuffer, FbankConfig, FeatureMatrix, _frame_params, _frame_signal
 from svkit.augment import (CHAIN_DOWN8K, CHAIN_KEEP16K, CHAINS, AugmentPlan, PlanEntry, Utterance,
                            UtteranceManifest, render_commands)
 from svkit.errors import ContractError, FormatError
@@ -383,11 +382,12 @@ def oracle_emit_commands(plan: AugmentPlan, out_dir) -> Path:
     return path
 
 
-def _lda_scatter(s):
+def _lda_scatter(s, labels):
     """The earlier fit_lda's class count, within-class scatter and ridge-free
     between-class scatter: one float64 copy of the set, and a boolean mask per
-    class."""
-    labels = np.asarray(s.label_array())
+    class of a numpy str array of the set's labels, which holds a label with a
+    trailing NUL as the label without it."""
+    labels = np.asarray([labels[i] for i in s.ids])
     classes = np.unique(labels)
     d = s.dim
     x = s.vectors.astype(np.float64)
@@ -417,20 +417,20 @@ def _fix_signs(proj):
     return proj
 
 
-def oracle_lda(s, k=None):
+def oracle_lda(s, labels, k=None):
     """svkit.backend.fit_lda's float64 projection, before the float32 cast,
     with the generalized eigenproblem solved by scipy.linalg.eigh(sb, sw +
     eps I).  Returns (projection, every eigenvalue in ascending order)."""
-    n_classes, sw, sb = _lda_scatter(s)
+    n_classes, sw, sb = _lda_scatter(s, labels)
     k = min(s.dim, n_classes - 1) if k is None else k
     vals, vecs = scipy.linalg.eigh(sb, sw)
     return _fix_signs(vecs[:, np.argsort(vals)[::-1][:k]]), vals
 
 
-def oracle_fit_lda(s, k=None) -> np.ndarray:
+def oracle_fit_lda(s, labels, k=None) -> np.ndarray:
     """svkit.backend.fit_lda as it was, on a float64 copy of the whole set: its
     float64 projection, before the float32 cast."""
-    n_classes, sw, sb = _lda_scatter(s)
+    n_classes, sw, sb = _lda_scatter(s, labels)
     k = min(s.dim, n_classes - 1) if k is None else k
     inv = np.linalg.inv(np.linalg.cholesky(sw))
     vals, y = np.linalg.eigh(inv @ sb @ inv.T)
@@ -446,6 +446,24 @@ def oracle_frame_signal(x: np.ndarray, flen: int, fshift: int) -> np.ndarray:
     t = 1 + (len(x) - flen) // fshift
     idx = fshift * np.arange(t)[:, None] + np.arange(flen)[None, :]
     return x[idx]
+
+
+def oracle_mel_filterbank(n_mels: int, n_fft: int, sample_rate: int, low_freq: float, high_freq: float):
+    """svkit.audio.mel_filterbank as it was, one mel's triangle at a time, for
+    valid arguments: the (n_mels, n_fft // 2 + 1) weights and the centers in Hz."""
+
+    def to_mel(f):
+        return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
+
+    edges = np.linspace(to_mel(low_freq), to_mel(high_freq), n_mels + 2)
+    bin_mels = to_mel(np.arange(n_fft // 2 + 1) * (sample_rate / n_fft))
+    weights = np.zeros((n_mels, len(bin_mels)))
+    for m in range(n_mels):
+        left, center, right = edges[m], edges[m + 1], edges[m + 2]
+        up = (bin_mels - left) / (center - left)
+        down = (right - bin_mels) / (right - center)
+        weights[m] = np.maximum(0.0, np.minimum(up, down))
+    return weights, 700.0 * (10.0 ** (edges[1:-1] / 2595.0) - 1.0)
 
 
 def oracle_log_mel_fbank(buf: AudioBuffer, cfg: FbankConfig = FbankConfig(), rng=None) -> FeatureMatrix:
@@ -471,7 +489,7 @@ def oracle_log_mel_fbank(buf: AudioBuffer, cfg: FbankConfig = FbankConfig(), rng
         power = np.abs(np.fft.rfft(frames, n_fft)) ** 2
 
         high = cfg.high_freq if cfg.high_freq is not None else buf.sample_rate / 2.0
-        bank, _ = mel_filterbank(cfg.n_mels, n_fft, buf.sample_rate, cfg.low_freq, high)
+        bank, _ = oracle_mel_filterbank(cfg.n_mels, n_fft, buf.sample_rate, cfg.low_freq, high)
         energies = power @ bank.T
         values = np.log(np.maximum(energies, cfg.log_floor))
     return FeatureMatrix(values)

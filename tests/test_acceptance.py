@@ -199,7 +199,7 @@ def test_c06_backend_improves_eer():
     xb = rng.normal(size=(n, d)) * noise - np.eye(d)[0]
     ids = [f"a{k}" for k in range(n)] + [f"b{k}" for k in range(n)]
     labels = {i: i[0] for i in ids}
-    s = store.EmbeddingSet(ids, np.vstack([xa, xb]).astype(np.float32), labels)
+    s = store.EmbeddingSet(ids, np.vstack([xa, xb]).astype(np.float32))
 
     trials = _pairwise_trials(ids, labels, rng)
 
@@ -214,7 +214,7 @@ def test_c06_backend_improves_eer():
     raw_eer = eer_of(s)
     center = backend.fit_center(s)
     centered = backend.apply_pipeline(backend.Pipeline(center=center), s)
-    lda = backend.fit_lda(centered, k=1)
+    lda = backend.fit_lda(centered, labels, k=1)
     pipe = backend.Pipeline(center=center, lda=lda, length_norm=True)
     processed = backend.apply_pipeline(pipe, s)
     lda_eer = eer_of(processed)
@@ -327,17 +327,16 @@ def test_c10_format_roundtrips(tmp_path):
 
         if n >= 4 and d >= 2:
             labels = {i: f"c{k % 2}" for k, i in enumerate(ids)}
-            labeled = store.EmbeddingSet(ids, s.vectors, labels)
             stages = int(rng.integers(0, 8))
             pipe = backend.Pipeline(
-                center=backend.fit_center(labeled) if stages & 1 else None,
-                lda=backend.fit_lda(labeled, 1) if stages & 2 else None,
+                center=backend.fit_center(s) if stages & 1 else None,
+                lda=backend.fit_lda(s, labels, 1) if stages & 2 else None,
                 length_norm=bool(stages & 4),
             )
             ppath = tmp_path / "pipe.svpl"
             backend.save_pipeline(pipe, ppath)
             reloaded = backend.load_pipeline(ppath)
-            a = backend.apply_pipeline(pipe, labeled)
-            b = backend.apply_pipeline(reloaded, labeled)
+            a = backend.apply_pipeline(pipe, s)
+            b = backend.apply_pipeline(reloaded, s)
             assert a.vectors.tobytes() == b.vectors.tobytes()
     _report(10, "SVEB and pipeline files roundtrip bit-exactly on 100 random sets")

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (oracle_frame_log_energies, oracle_frame_signal, oracle_log_mel_fbank,
-                     oracle_phase_table_resample, oracle_resample)
+                     oracle_mel_filterbank, oracle_phase_table_resample, oracle_resample)
 
 from svkit import audio
 from svkit.errors import ContractError, FormatError
@@ -48,6 +48,16 @@ VALID_WAV = noise_wav_bytes()
 
 def mutate(data: bytes, pos: int, value: int) -> bytes:
     return data[:pos] + bytes([value]) + data[pos + 1 :]
+
+
+@pytest.mark.parametrize("samples, rate, message", [
+    (np.zeros((2, 3)), 16000, r"expected mono 1-D samples, got shape \(2, 3\)"),
+    ([0.0, np.inf, 0.5], 16000, "non-finite samples"),
+    (np.zeros(4), 0, "sample_rate must be a positive integer, got 0"),
+])
+def test_a_buffer_it_cannot_hold_is_a_contract_error(samples, rate, message):
+    with pytest.raises(ContractError, match=f"^{message}$"):
+        audio.AudioBuffer(samples, rate)
 
 
 class TestWavIO:
@@ -341,6 +351,14 @@ class TestFraming:
 
 
 class TestFbank:
+    @pytest.mark.parametrize("n_mels", [1, 23, 40, 80, 128])
+    @pytest.mark.parametrize("n_fft, rate", [(256, 8000), (512, 16000), (1024, 44100), (2048, 96000)])
+    def test_mel_bank_bytes_equal_the_loop(self, n_mels, n_fft, rate):
+        got = audio.mel_filterbank(n_mels, n_fft, rate, 20.0, rate / 2.0)
+        want = oracle_mel_filterbank(n_mels, n_fft, rate, 20.0, rate / 2.0)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert got[0].shape == (n_mels, n_fft // 2 + 1)
+
     def test_frame_count_1s_16k(self):
         buf = audio.AudioBuffer(np.random.default_rng(0).normal(0, 0.1, 16000), 16000)
         feats = audio.log_mel_fbank(buf)

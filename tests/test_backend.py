@@ -12,11 +12,15 @@ from svkit import backend, store
 from svkit.errors import ContractError, FormatError
 
 
-def make_set(vecs, labels=None, prefix="u"):
+def make_set(vecs, prefix="u"):
     vecs = np.asarray(vecs, dtype=np.float32)
-    ids = [f"{prefix}{k}" for k in range(len(vecs))]
-    labs = dict(zip(ids, labels)) if labels is not None else None
-    return store.EmbeddingSet(ids, vecs, labs)
+    return store.EmbeddingSet([f"{prefix}{k}" for k in range(len(vecs))], vecs)
+
+
+def labelled(vecs, labels):
+    """make_set(vecs) and the map from its ids, in order, to `labels`."""
+    s = make_set(vecs)
+    return s, dict(zip(s.ids, labels))
 
 
 def svpl_bytes(*parts: bytes) -> bytes:
@@ -54,11 +58,12 @@ def traced_peak(fn, *args):
 
 
 def labelled_set(seed, n, d, classes):
-    """n rows of d dims around `classes` speaker means, the speakers in shuffled row order."""
+    """n rows of d dims around `classes` speaker means, the speakers in shuffled row order,
+    and the label map."""
     rng = np.random.default_rng(seed)
     codes = rng.permutation(np.arange(n) % classes)
     x = rng.normal(size=(classes, d))[codes] * 3 + rng.normal(size=(n, d))
-    return make_set(x, [f"s{c}" for c in codes])
+    return labelled(x, [f"s{c}" for c in codes])
 
 
 def brute_force_lda(x, labels, k, ridge_scale=1e-6):
@@ -110,7 +115,7 @@ class TestFitCenter:
             backend.fit_center(store.EmbeddingSet([], np.zeros((0, 3), np.float32)))
 
     def test_no_float64_copy_of_the_set(self):
-        s = labelled_set(0, 4000, 256, 40)
+        s, _ = labelled_set(0, 4000, 256, 40)
         stage, peak = traced_peak(backend.fit_center, s)
         assert stage.mean.tobytes() == np.float32(s.vectors.astype(np.float64).mean(axis=0)).tobytes()
         assert peak < s.vectors.size * 8, peak
@@ -124,7 +129,7 @@ class TestFitLda:
         xb = rng.normal(0, 1.0, size=(n, d)) - np.eye(d)[0]
         x = np.vstack([xa, xb])
         labels = ["a"] * n + ["b"] * n
-        stage = backend.fit_lda(make_set(x, labels), k=1)
+        stage = backend.fit_lda(*labelled(x, labels), k=1)
         w = stage.projection[:, 0].astype(np.float64)
         assert abs(w @ np.eye(d)[0]) > 0.99
 
@@ -132,7 +137,7 @@ class TestFitLda:
         # all samples identical per class: S_w is exactly zero
         x = np.array([[1.0, 0.0, 0.0]] * 5 + [[0.0, 1.0, 0.0]] * 5)
         labels = ["a"] * 5 + ["b"] * 5
-        stage = backend.fit_lda(make_set(x, labels), k=1)
+        stage = backend.fit_lda(*labelled(x, labels), k=1)
         w = stage.projection[:, 0].astype(np.float64)
         proj_a = x[0] @ w
         proj_b = x[5] @ w
@@ -144,7 +149,7 @@ class TestFitLda:
         x = np.vstack([rng.normal(size=(30, 4)) @ np.diag([1, 0.5, 2, 1]) + m for m in means])
         labels = sum([[f"c{i}"] * 30 for i in range(3)], [])
         k = 2
-        stage = backend.fit_lda(make_set(x, labels), k=k)
+        stage = backend.fit_lda(*labelled(x, labels), k=k)
         oracle = brute_force_lda(x.astype(np.float32).astype(np.float64), np.asarray(labels), k)
         angles = principal_angles(stage.projection.astype(np.float64), oracle)
         assert np.max(angles) < 1e-6
@@ -153,15 +158,15 @@ class TestFitLda:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(60, 5))
         labels = ["a"] * 20 + ["b"] * 20 + ["c"] * 20
-        p1 = backend.fit_lda(make_set(x, labels), k=2).projection
-        p2 = backend.fit_lda(make_set(x * 37.5, labels), k=2).projection
+        p1 = backend.fit_lda(*labelled(x, labels), k=2).projection
+        p2 = backend.fit_lda(*labelled(x * 37.5, labels), k=2).projection
         np.testing.assert_allclose(p1, p2, atol=1e-5)
 
     def test_sign_convention(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(40, 4))
         labels = ["a"] * 20 + ["b"] * 20
-        proj = backend.fit_lda(make_set(x, labels), k=1).projection[:, 0]
+        proj = backend.fit_lda(*labelled(x, labels), k=1).projection[:, 0]
         nz = np.flatnonzero(np.abs(proj) > 1e-12)
         assert proj[nz[0]] > 0
 
@@ -169,11 +174,40 @@ class TestFitLda:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(10, 4))
         with pytest.raises(ContractError):
-            backend.fit_lda(make_set(x, ["a"] * 10), k=1)  # one class
+            backend.fit_lda(*labelled(x, ["a"] * 10), k=1)  # one class
         with pytest.raises(ContractError):
-            backend.fit_lda(make_set(x, ["a"] * 5 + ["b"] * 5), k=2)  # k > C - 1
+            backend.fit_lda(*labelled(x, ["a"] * 5 + ["b"] * 5), k=2)  # k > C - 1
         with pytest.raises(ContractError):
-            backend.fit_lda(make_set(x))  # no labels at all
+            backend.fit_lda(make_set(x), None)  # no labels at all
+
+    @pytest.mark.parametrize("labels", [None, {}])
+    def test_an_empty_set_is_refused_first(self, labels):
+        with pytest.raises(ContractError, match="^cannot fit LDA on an empty set$"):
+            backend.fit_lda(make_set(np.zeros((0, 3))), labels)
+
+    @pytest.mark.parametrize("labels, message", [
+        (None, "embedding set has no labels"),
+        ({"u0": "a", "u2": "a"}, "id 'u1' has no label"),  # the first unlabelled id in set order
+        ({"u0": "a", "u1": "a", "u2": "a", "u3": "a"}, "LDA needs at least 2 classes, got 1"),
+    ], ids=["no-labels", "unlabelled-id", "one-class"])
+    def test_labels_are_checked_before_the_class_count(self, labels, message):
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            backend.fit_lda(make_set(np.eye(4)), labels, k=5)
+
+    def test_a_label_with_a_trailing_nul_is_its_own_class(self):
+        """`spk` and `spk` with a trailing NUL are two speakers that sort as `spk` and `spkA`
+        do, so they give the same projection: a numpy str array would read both as `spk`."""
+        x = np.random.default_rng(12).normal(size=(4, 3))
+        nul = backend.fit_lda(*labelled(x, ["spk", "spk\x00", "spk", "spk\x00"]))
+        letter = backend.fit_lda(*labelled(x, ["spk", "spkA", "spk", "spkA"]))
+        assert nul.projection.shape == (3, 1)
+        assert nul.projection.tobytes() == letter.projection.tobytes()
+
+    def test_labels_of_ids_outside_the_set_are_ignored(self):
+        x = np.random.default_rng(13).normal(size=(6, 3))
+        s, labels = labelled(x, ["a", "b"] * 3)
+        more = {"z": "c", **labels, "y": "d"}
+        assert backend.fit_lda(s, more).projection.tobytes() == backend.fit_lda(s, labels).projection.tobytes()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bytes_equal_the_earlier_fit(self, tmp_path, monkeypatch, seed):
@@ -182,18 +216,18 @@ class TestFitLda:
         pipeline every byte."""
         rng = np.random.default_rng(seed)
         c = int(rng.integers(2, 151))
-        s = labelled_set(seed, c * int(rng.integers(2, 6)), int(rng.integers(c // 2 + 1, 129)), c)
-        want = oracle_fit_lda(s)
-        backend.save_pipeline(backend.Pipeline(lda=backend.fit_lda(s)), tmp_path / "new.svpl")
+        s, labels = labelled_set(seed, c * int(rng.integers(2, 6)), int(rng.integers(c // 2 + 1, 129)), c)
+        want = oracle_fit_lda(s, labels)
+        backend.save_pipeline(backend.Pipeline(lda=backend.fit_lda(s, labels)), tmp_path / "new.svpl")
         backend.save_pipeline(backend.Pipeline(lda=backend.LdaStage(want)), tmp_path / "old.svpl")
         assert (tmp_path / "new.svpl").read_bytes() == (tmp_path / "old.svpl").read_bytes()
         monkeypatch.setattr(backend, "LdaStage", lambda projection: projection)  # before the cast
-        assert backend.fit_lda(s).tobytes() == want.tobytes()
+        assert backend.fit_lda(s, labels).tobytes() == want.tobytes()
 
     def test_no_float64_copy_of_the_set(self):
-        s = labelled_set(1, 4000, 256, 40)
-        stage, peak = traced_peak(backend.fit_lda, s)
-        assert stage.projection.tobytes() == np.float32(oracle_fit_lda(s)).tobytes()
+        s, labels = labelled_set(1, 4000, 256, 40)
+        stage, peak = traced_peak(backend.fit_lda, s, labels)
+        assert stage.projection.tobytes() == np.float32(oracle_fit_lda(s, labels)).tobytes()
         assert peak < s.vectors.size * 8, peak
 
     @pytest.mark.parametrize("seed", range(20))
@@ -206,9 +240,9 @@ class TestFitLda:
         d, c, per = int(rng.integers(8, 257)), int(rng.integers(3, 121)), int(rng.integers(2, 7))
         means = rng.normal(size=(c, d)) * rng.uniform(0.5, 3)
         x = np.repeat(means, per, axis=0) + rng.normal(size=(c * per, d)) * rng.uniform(0.2, 1, d)
-        s = make_set(x, [f"s{k // per}" for k in range(c * per)])
-        got = backend.fit_lda(s).projection.astype(np.float64)
-        want, vals = oracle_lda(s)
+        s, labels = labelled(x, [f"s{k // per}" for k in range(c * per)])
+        got = backend.fit_lda(s, labels).projection.astype(np.float64)
+        want, vals = oracle_lda(s, labels)
         top = np.sort(vals)[::-1]
         gap = np.minimum(np.abs(np.diff(top, prepend=np.inf)), np.abs(np.diff(top, append=-np.inf)))
         separated = gap[: got.shape[1]] > 1e-3 * top[0]
@@ -255,9 +289,9 @@ class TestApplyPipeline:
 
     def test_unit_norm_after_apply(self):
         rng = np.random.default_rng(7)
-        s = make_set(rng.normal(size=(30, 6)), labels=[f"s{k % 3}" for k in range(30)])
+        s, labels = labelled(rng.normal(size=(30, 6)), [f"s{k % 3}" for k in range(30)])
         pipe = backend.Pipeline(
-            center=backend.fit_center(s), lda=backend.fit_lda(s, 2), length_norm=True
+            center=backend.fit_center(s), lda=backend.fit_lda(s, labels, 2), length_norm=True
         )
         out = backend.apply_pipeline(pipe, s)
         norms = np.linalg.norm(out.vectors.astype(np.float64), axis=1)
@@ -284,15 +318,15 @@ class TestApplyPipeline:
         np.testing.assert_allclose(a @ a.T, b @ b.T, atol=1e-5)
 
     @staticmethod
-    def full_pipeline(s):
+    def full_pipeline(s, labels):
         centered = backend.apply_pipeline(backend.Pipeline(center=backend.fit_center(s)), s)
-        return backend.Pipeline(center=backend.fit_center(s), lda=backend.fit_lda(centered),
+        return backend.Pipeline(center=backend.fit_center(s), lda=backend.fit_lda(centered, labels),
                                 length_norm=True)
 
     def test_any_block_gives_the_same_bytes(self, monkeypatch):
         """Blocks of 3 rows: 333 whole blocks and a last one of 1 row, and a 1-row set."""
-        s = labelled_set(2, 1000, 256, 20)
-        pipes = [self.full_pipeline(s), backend.Pipeline(center=backend.fit_center(s)),
+        s, labels = labelled_set(2, 1000, 256, 20)
+        pipes = [self.full_pipeline(s, labels), backend.Pipeline(center=backend.fit_center(s)),
                  backend.Pipeline(length_norm=True)]
         whole = [backend.apply_pipeline(p, t).vectors.tobytes() for p in pipes for t in (s, s.select(["u7"]))]
         monkeypatch.setattr(backend, "APPLY_BLOCK", 3 * s.dim)
@@ -307,7 +341,7 @@ class TestApplyPipeline:
             backend.apply_pipeline(backend.Pipeline(length_norm=True), make_set(vecs))
 
     def test_transient_peak_is_a_few_blocks(self):
-        s = labelled_set(4, 4000, 256, 40)
+        s, _ = labelled_set(4, 4000, 256, 40)
         pipe = backend.Pipeline(center=backend.fit_center(s),
                                 lda=backend.LdaStage(np.eye(256, 200)), length_norm=True)
         out, peak = traced_peak(backend.apply_pipeline, pipe, s)
@@ -324,9 +358,9 @@ class TestApplyPipeline:
 class TestPipelineIO:
     def test_roundtrip_bitwise_apply(self, tmp_path):
         rng = np.random.default_rng(10)
-        s = make_set(rng.normal(size=(24, 6)), labels=[f"s{k % 4}" for k in range(24)])
+        s, labels = labelled(rng.normal(size=(24, 6)), [f"s{k % 4}" for k in range(24)])
         pipe = backend.Pipeline(
-            center=backend.fit_center(s), lda=backend.fit_lda(s, 3), length_norm=True
+            center=backend.fit_center(s), lda=backend.fit_lda(s, labels, 3), length_norm=True
         )
         path = tmp_path / "p.svpl"
         backend.save_pipeline(pipe, path)
@@ -343,10 +377,10 @@ class TestPipelineIO:
 
     def test_partial_pipelines_roundtrip(self, tmp_path):
         rng = np.random.default_rng(11)
-        s = make_set(rng.normal(size=(12, 4)), labels=[f"s{k % 2}" for k in range(12)])
+        s, labels = labelled(rng.normal(size=(12, 4)), [f"s{k % 2}" for k in range(12)])
         variants = [
             backend.Pipeline(center=backend.fit_center(s)),
-            backend.Pipeline(lda=backend.fit_lda(s, 1)),
+            backend.Pipeline(lda=backend.fit_lda(s, labels, 1)),
             backend.Pipeline(length_norm=True),
             backend.Pipeline(center=backend.fit_center(s), length_norm=True),
         ]

@@ -48,10 +48,17 @@ def synthetic_speakers(rng, n_spk=4, per_spk=10, dim=16):
             ids.append(i)
             vecs.append(means[s] + rng.normal(0, 1.0, dim))
             labels[i] = f"spk{s}"
-    return store.EmbeddingSet(ids, np.asarray(vecs, np.float32), labels)
+    return store.EmbeddingSet(ids, np.asarray(vecs, np.float32)), labels
 
 
 class TestFeaturesCommand:
+    def test_a_frame_below_one_sample_exits_3(self, tmp_path, capsys):
+        """0.05 ms is 0.4 samples at 8 kHz."""
+        audio.write_wav(audio.AudioBuffer(np.zeros(800), 8000), tmp_path / "x.wav")
+        assert main(["features", "--frame-len", "0.05", "--frame-shift", "0.05", "--out-dir", str(tmp_path / "f"),
+                     str(tmp_path / "x.wav")]) == 3
+        assert capsys.readouterr() == ("", f"svkit: {tmp_path / 'x.wav'}: frame length/shift below one sample at this rate\n")
+
     def test_matches_library_output(self, tmp_path, capsys):
         wavs = make_wavs(tmp_path)
         out_dir = tmp_path / "feats"
@@ -244,9 +251,9 @@ class TestBackendScoreEvalFlow:
     @pytest.fixture
     def workspace(self, tmp_path):
         rng = np.random.default_rng(99)
-        train = synthetic_speakers(rng)
+        train, labels = synthetic_speakers(rng)
         store.write_embeddings(train, tmp_path / "train.sveb")
-        store.write_labels(train.labels, tmp_path / "train.labels")
+        store.write_labels(labels, tmp_path / "train.labels")
 
         # enroll on 3 segments per speaker, test on the remainder
         enroll_map_lines = []
@@ -263,10 +270,10 @@ class TestBackendScoreEvalFlow:
                 label = "target" if t.startswith(f"spk{s}-") else "nontarget"
                 trial_lines.append(f"model{s} {t} {label}")
         (tmp_path / "trials.txt").write_text("\n".join(trial_lines) + "\n")
-        return tmp_path, train, test_ids
+        return tmp_path, train, labels, test_ids
 
     def test_end_to_end_matches_library(self, workspace, capsys):
-        tmp_path, train, test_ids = workspace
+        tmp_path, train, labels, test_ids = workspace
         assert main([
             "fit-backend", "--embeddings", str(tmp_path / "train.sveb"),
             "--labels", str(tmp_path / "train.labels"),
@@ -288,7 +295,7 @@ class TestBackendScoreEvalFlow:
 
         # library-side replication of the whole flow, written independently
         center = backend.fit_center(train)
-        lda = backend.fit_lda(train)
+        lda = backend.fit_lda(train, labels)
         pipe = backend.Pipeline(center=center, lda=lda, length_norm=True)
         proc = backend.apply_pipeline(pipe, train)
         backend.save_pipeline(pipe, tmp_path / "pipe_lib.svpl")
@@ -317,9 +324,9 @@ class TestBackendScoreEvalFlow:
     def test_eval_report_equals_the_centered_copy_recipe(self, workspace, capsys):
         """fit-backend fits LDA on the set as read; LDA fitted on a float32 centered copy
         differs only by rounding, and gives the same `eval` report."""
-        tmp_path, train, _ = workspace
+        tmp_path, train, labels, _ = workspace
         center = backend.fit_center(train)
-        lda = backend.fit_lda(backend.apply_pipeline(backend.Pipeline(center=center), train))
+        lda = backend.fit_lda(backend.apply_pipeline(backend.Pipeline(center=center), train), labels)
         backend.save_pipeline(backend.Pipeline(center=center, lda=lda, length_norm=True), tmp_path / "old.svpl")
         assert main(["fit-backend", "--embeddings", str(tmp_path / "train.sveb"),
                      "--labels", str(tmp_path / "train.labels"), "--out", str(tmp_path / "new.svpl")]) == 0
@@ -338,7 +345,7 @@ class TestBackendScoreEvalFlow:
         assert reports[0] == reports[1]
 
     def test_workers_do_not_change_bytes(self, workspace, capsys):
-        tmp_path, train, _ = workspace
+        tmp_path, train, _, _ = workspace
         main([
             "fit-backend", "--embeddings", str(tmp_path / "train.sveb"),
             "--labels", str(tmp_path / "train.labels"), "--no-lda",
@@ -364,8 +371,16 @@ class TestBackendScoreEvalFlow:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_an_empty_trial_file_scores_0_trials(self, workspace, capsys):
+        tmp_path, _, _, _ = workspace
+        (tmp_path / "empty.txt").write_text("")
+        assert main(["score", "--enroll", str(tmp_path / "train.sveb"), "--test", str(tmp_path / "train.sveb"),
+                     "--trials", str(tmp_path / "empty.txt"), "--out", str(tmp_path / "scores.tsv")]) == 0
+        assert capsys.readouterr() == (f"scored 0 trials -> {tmp_path / 'scores.tsv'}\n", "")
+        assert (tmp_path / "scores.tsv").read_bytes() == b""
+
     def test_score_file_order_does_not_matter(self, workspace, capsys):
-        tmp_path, _, _ = workspace
+        tmp_path, _, _, _ = workspace
         assert main(["score", "--enroll", str(tmp_path / "train.sveb"),
                      "--test", str(tmp_path / "train.sveb"),
                      "--trials", str(tmp_path / "trials.txt"),
@@ -392,7 +407,7 @@ class TestBackendScoreEvalFlow:
     def test_score_lines_outside_the_trials_are_ignored(self, workspace, capsys):
         """Extra lines after the trials in order, or mixed into a permuted file,
         change no `eval` byte."""
-        tmp_path, _, _ = workspace
+        tmp_path, _, _, _ = workspace
         assert main(["score", "--enroll", str(tmp_path / "train.sveb"),
                      "--test", str(tmp_path / "train.sveb"),
                      "--trials", str(tmp_path / "trials.txt"),
@@ -532,11 +547,11 @@ class TestFitBackendCommand:
     @pytest.fixture
     def train(self, tmp_path):
         """4000 x 256 embeddings of 40 speakers around a shared offset of 4, as SVEB and labels."""
-        s = labelled_set(0, 4000, 256, 40)
-        s = store.EmbeddingSet(s.ids, s.vectors + 4, s.labels)
+        s, labels = labelled_set(0, 4000, 256, 40)
+        s = store.EmbeddingSet(s.ids, s.vectors + 4)
         store.write_embeddings(s, tmp_path / "e.sveb")
-        store.write_labels(s.labels, tmp_path / "e.labels")
-        return tmp_path, s
+        store.write_labels(labels, tmp_path / "e.labels")
+        return tmp_path, s, labels
 
     def fit(self, tmp_path, *options, out="p.svpl"):
         return main(["fit-backend", "--embeddings", str(tmp_path / "e.sveb"), "--labels", str(tmp_path / "e.labels"),
@@ -546,14 +561,14 @@ class TestFitBackendCommand:
         """Against LDA fitted on a float32 centered copy of the set: both scatters subtract
         means, so the projection and every applied value differ by rounding only, by at most
         3.7e-7 on this set and 2.7e-7 on 15000 x 256 sets; the bound is 1e-6."""
-        tmp_path, s = train
+        tmp_path, s, labels = train
         assert self.fit(tmp_path) == 0
         assert capsys.readouterr().out == (
             f"fitted pipeline [center -> lda -> length-norm] on 4000 embeddings -> {tmp_path / 'p.svpl'}\n")
         assert main(["apply-backend", "--pipeline", str(tmp_path / "p.svpl"), "--embeddings", str(tmp_path / "e.sveb"),
                      "--out", str(tmp_path / "out.sveb")]) == 0
         center = backend.fit_center(s)
-        lda = backend.fit_lda(backend.apply_pipeline(backend.Pipeline(center=center), s))
+        lda = backend.fit_lda(backend.apply_pipeline(backend.Pipeline(center=center), s), labels)
         old = backend.Pipeline(center=center, lda=lda, length_norm=True)
         new = backend.load_pipeline(tmp_path / "p.svpl")
         assert new.center.mean.tobytes() == center.mean.tobytes()
@@ -562,7 +577,7 @@ class TestFitBackendCommand:
                                    backend.apply_pipeline(old, s).vectors, rtol=0, atol=1e-6)
 
     def test_lda_does_not_depend_on_center(self, train, capsys):
-        tmp_path, s = train
+        tmp_path, _, _ = train
         assert self.fit(tmp_path, "--center", out="c.svpl") == 0
         assert self.fit(tmp_path, "--no-center", out="n.svpl") == 0
         with_center, without = (tmp_path / "c.svpl").read_bytes(), (tmp_path / "n.svpl").read_bytes()
@@ -573,12 +588,65 @@ class TestFitBackendCommand:
     def test_peak_is_the_read(self, train, capsys):
         """Fitting holds the set as read and no copy of it: the traced peak stays within 512 kiB
         of the read's own, where a float32 copy of the set is 4 MB."""
-        tmp_path, _ = train
+        tmp_path, _, _ = train
         assert self.fit(tmp_path) == 0  # first run: lazy imports are not counted
         _, read_peak = traced_peak(store.read_embeddings, tmp_path / "e.sveb")
         rc, peak = traced_peak(self.fit, tmp_path)
         assert rc == 0
         assert peak <= read_peak + (1 << 19), (peak, read_peak)
+
+    def test_a_label_with_a_trailing_nul_is_its_own_speaker(self, tmp_path, capsys):
+        """`spk` and `spk` with a trailing NUL are two speakers that sort as `spk` and `spkA` do:
+        both sidecars fit one LDA dimension and write the same pipeline bytes."""
+        s = store.EmbeddingSet([f"u{k}" for k in range(4)], np.random.default_rng(3).normal(size=(4, 3)))
+        store.write_embeddings(s, tmp_path / "e.sveb")
+        for name, second in (("nul", "spk\x00"), ("letter", "spkA")):
+            store.write_labels(dict(zip(s.ids, ["spk", second] * 2)), tmp_path / f"{name}.labels")
+            assert main(["fit-backend", "--embeddings", str(tmp_path / "e.sveb"),
+                         "--labels", str(tmp_path / f"{name}.labels"), "--out", str(tmp_path / f"{name}.svpl")]) == 0
+        assert backend.load_pipeline(tmp_path / "nul.svpl").lda.projection.shape == (3, 1)
+        assert (tmp_path / "nul.svpl").read_bytes() == (tmp_path / "letter.svpl").read_bytes()
+
+    @pytest.mark.parametrize("sidecar, message", [
+        (None, "embedding set has no labels"),
+        ("u0\ta\nu2\tb\n", "id 'u1' has no label"),
+    ])
+    def test_a_missing_label_exits_3(self, tmp_path, capsys, sidecar, message):
+        store.write_embeddings(store.EmbeddingSet(["u0", "u1", "u2"], np.eye(3)), tmp_path / "e.sveb")
+        argv = ["fit-backend", "--embeddings", str(tmp_path / "e.sveb"), "--out", str(tmp_path / "p.svpl")]
+        if sidecar is not None:
+            (tmp_path / "e.labels").write_text(sidecar)
+            argv += ["--labels", str(tmp_path / "e.labels")]
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", f"svkit: error: {message}\n")
+        assert not (tmp_path / "p.svpl").exists()
+
+    def test_labels_are_checked_after_the_read(self, tmp_path, capsys):
+        (tmp_path / "e.tsv").write_text("u0\tx\n")
+        assert main(["fit-backend", "--embeddings", str(tmp_path / "e.tsv"), "--out", str(tmp_path / "p.svpl")]) == 2
+        assert capsys.readouterr().err == f"svkit: format error: {tmp_path / 'e.tsv'}:1: non-numeric value\n"
+
+    def test_an_empty_set_exits_3(self, tmp_path, capsys):
+        store.write_embeddings(store.EmbeddingSet([], np.zeros((0, 3))), tmp_path / "e.sveb")
+        (tmp_path / "e.labels").write_text("a\tx\n")
+        assert main(["fit-backend", "--embeddings", str(tmp_path / "e.sveb"), "--labels", str(tmp_path / "e.labels"),
+                     "--no-center", "--out", str(tmp_path / "p.svpl")]) == 3
+        assert capsys.readouterr() == ("", "svkit: error: cannot fit LDA on an empty set\n")
+
+    def test_an_lda_of_another_input_dim_exits_3(self, tmp_path, capsys):
+        """A pipeline with LDA and no center, fitted on 5-d vectors and applied to 7-d ones."""
+        rng = np.random.default_rng(4)
+        s = store.EmbeddingSet([f"u{k}" for k in range(6)], rng.normal(size=(6, 5)))
+        store.write_embeddings(s, tmp_path / "five.sveb")
+        store.write_labels({i: f"s{k % 2}" for k, i in enumerate(s.ids)}, tmp_path / "five.labels")
+        store.write_embeddings(store.EmbeddingSet(["a", "b"], rng.normal(size=(2, 7))), tmp_path / "seven.sveb")
+        assert main(["fit-backend", "--embeddings", str(tmp_path / "five.sveb"), "--labels",
+                     str(tmp_path / "five.labels"), "--no-center", "--lda-dim", "1", "--out", str(tmp_path / "p.svpl")]) == 0
+        capsys.readouterr()
+        assert main(["apply-backend", "--pipeline", str(tmp_path / "p.svpl"), "--embeddings", str(tmp_path / "seven.sveb"),
+                     "--out", str(tmp_path / "o.sveb")]) == 3
+        assert capsys.readouterr() == ("", "svkit: error: LDA input dim 5 != embedding dim 7\n")
+        assert not (tmp_path / "o.sveb").exists()
 
 
 class TestDcfCurveCommand:
@@ -652,6 +720,11 @@ class TestScheduleCommand:
         assert len(rows) == 152 and not [r for r in rows if r.startswith("2,")]
         assert main(["schedule", "--lmf-epochs", "-3", "--out", str(tmp_path / "s.csv")]) == 3
         assert capsys.readouterr().err == "svkit: error: --lmf-epochs must be >= 0, got -3\n"
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_a_margin_that_ends_before_it_starts_exits_3(self, tmp_path, capsys):
+        assert main(["schedule", "--margin-start", "40", "--margin-end", "20", "--out", str(tmp_path / "s.csv")]) == 3
+        assert capsys.readouterr() == ("", "svkit: error: start_epoch must precede end_epoch\n")
         assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("option", ["--segment-seconds", "--lmf-segment-seconds"])
@@ -1209,11 +1282,11 @@ _COMMAND_LOADS = {
 def _command_runs(tmp_path) -> list[list[str]]:
     """Command lines for all nine commands on tiny inputs, each reading what
     the ones before it wrote."""
-    s = synthetic_speakers(np.random.default_rng(5), n_spk=3, per_spk=4, dim=6)
+    s, labels = synthetic_speakers(np.random.default_rng(5), n_spk=3, per_spk=4, dim=6)
     store.write_embeddings(s, tmp_path / "e.sveb")
-    store.write_labels(s.labels, tmp_path / "e.labels")
+    store.write_labels(labels, tmp_path / "e.labels")
     (tmp_path / "trials.txt").write_text("".join(
-        f"{a} {b} {'target' if s.labels[a] == s.labels[b] else 'nontarget'}\n"
+        f"{a} {b} {'target' if labels[a] == labels[b] else 'nontarget'}\n"
         for a in s.ids[:6] for b in s.ids[6:]))
     wavs = make_wavs(tmp_path)
     augment.write_manifest(augment.UtteranceManifest(

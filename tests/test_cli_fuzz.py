@@ -52,10 +52,10 @@ CASES = ["score/e.tsv", "score/t.tsv", "score/trials.txt", "score/map.txt", "eva
 def inputs(tmp_path_factory):
     """A valid file of each kind that the cases read, by name."""
     d = tmp_path_factory.mktemp("inputs")
-    s = synthetic_speakers(np.random.default_rng(31), n_spk=3, per_spk=4, dim=5)
+    s, labels = synthetic_speakers(np.random.default_rng(31), n_spk=3, per_spk=4, dim=5)
     store.write_embeddings_tsv(s.select(s.ids[:6]), d / "e.tsv")
     store.write_embeddings_tsv(s.select(s.ids[6:]), d / "t.tsv")
-    store.write_labels({i: s.labels[i] for i in s.ids[:6]}, d / "e.labels")
+    store.write_labels({i: labels[i] for i in s.ids[:6]}, d / "e.labels")
     (d / "map.txt").write_text("m0 spk0-utt0 spk0-utt1\nm1 spk0-utt2 spk0-utt3 # two\nm2 spk1-utt0\n")
     (d / "trials.txt").write_text("".join(
         f"{m} {t} {'target' if m == 'm2' and t.startswith('spk1-') else 'nontarget'}\n"

@@ -148,9 +148,9 @@ def fitted(tmp_path_factory):
     """A set of 400 x 24 embeddings of 8 speakers, a center + LDA + length-norm
     pipeline fitted on it, and the whole set through `apply-backend`."""
     d = tmp_path_factory.mktemp("backend")
-    s = synthetic_speakers(np.random.default_rng(17), n_spk=8, per_spk=50, dim=24)
+    s, labels = synthetic_speakers(np.random.default_rng(17), n_spk=8, per_spk=50, dim=24)
     store.write_embeddings(s, d / "set.sveb")
-    store.write_labels(s.labels, d / "set.labels")
+    store.write_labels(labels, d / "set.labels")
     assert main(["fit-backend", "--embeddings", str(d / "set.sveb"), "--labels", str(d / "set.labels"),
                  "--out", str(d / "pipe.svpl")]) == 0
     assert main(["apply-backend", "--pipeline", str(d / "pipe.svpl"), "--embeddings", str(d / "set.sveb"),

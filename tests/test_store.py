@@ -29,11 +29,9 @@ def embedding_sets(draw):
     return store.EmbeddingSet(ids, vecs)
 
 
-def random_set(rng, n=10, d=8, labels=False):
+def random_set(rng, n=10, d=8):
     ids = [f"spk{k // 2}-utt{k}" for k in range(n)]
-    vecs = rng.normal(size=(n, d)).astype(np.float32)
-    labs = {i: i.split("-")[0] for i in ids} if labels else None
-    return store.EmbeddingSet(ids, vecs, labs)
+    return store.EmbeddingSet(ids, rng.normal(size=(n, d)).astype(np.float32))
 
 
 class TestEmbeddingSet:
@@ -369,11 +367,6 @@ class TestLabels:
         path.write_text("u1 spkA\n")
         with pytest.raises(FormatError):
             store.read_labels(path)
-
-    def test_label_array_requires_full_coverage(self):
-        s = store.EmbeddingSet(["a", "b"], np.eye(2, dtype=np.float32), {"a": "x"})
-        with pytest.raises(ContractError, match="b"):
-            s.label_array()
 
 
 class TestMatrix:

@@ -108,6 +108,9 @@ def test_plan_record_error_is_format_error(tmp_path):
     path.write_text("a\tmp3\tkeep16k\t1\nb\tnone\tkeep16k\t1\n")
     with pytest.raises(FormatError, match="plan.tsv: a: unknown codec"):
         augment.read_plan(path, MANIFEST)
+    path.write_text("a\tnone\tkeep16k\t1\nb\tnone\tkeep8k\t1\n")
+    with pytest.raises(FormatError, match="plan.tsv: b: unknown chain 'keep8k'$"):
+        augment.read_plan(path, MANIFEST)
     for speed in ("nan", "inf"):
         path.write_text(f"a\tnone\tkeep16k\t{speed}\nb\tnone\tkeep16k\t1\n")
         with pytest.raises(FormatError, match="plan.tsv: a: speed factor"):
@@ -178,7 +181,7 @@ def _outcome(read, path):
         return None if a is None else (a.dtype.str, a.shape, a.tobytes())
 
     if isinstance(value, store.EmbeddingSet):
-        value = (value.ids, array(value.vectors), value.labels)
+        value = (value.ids, array(value.vectors))
     elif isinstance(value, scoring.TrialList):
         value = (value.enroll_ids, array(value.enroll), value.test_ids, array(value.test),
                  array(value.labels))
