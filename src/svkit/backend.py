@@ -6,7 +6,7 @@ saved and reloaded pipeline applies bitwise identically.
 
 No stage casts a whole set to float64: apply_pipeline works on row blocks of
 APPLY_BLOCK float64 values, which change no output bit as rows are
-independent, and fit_lda casts one class's rows at a time.
+independent, and fit_lda casts blocks of whole classes under the same budget.
 """
 
 from __future__ import annotations
@@ -76,7 +76,10 @@ def fit_lda(s: EmbeddingSet, labels: Mapping[str, str] | None, k: int | None = N
     ridge-regularized pooled within-class scatter (ridge 1e-6 * trace / D)
     and keeps the top-k eigenvectors, unit-normalized, with the sign fixed
     so each column's first nonzero component is positive.  The scatters are
-    invariant under a shift of the set, so no centered copy is needed.
+    invariant under a shift of the set, so no centered copy is needed.  They
+    are summed over blocks of whole classes, one product per block each: a
+    block's rows and the class mean of each row fit in APPLY_BLOCK float64
+    values, 512 rows at 256-d (a larger class is a block of its own).
     """
     if len(s) == 0:
         raise ContractError("cannot fit LDA on an empty set")
@@ -96,16 +99,23 @@ def fit_lda(s: EmbeddingSet, labels: Mapping[str, str] | None, k: int | None = N
         raise ContractError(f"k must be in [1, {max_k}], got {k}")
 
     mean = s.vectors.mean(axis=0, dtype=np.float64)
-    sw = np.zeros((d, d))
-    sb = np.zeros((d, d))
-    # each class's rows in ascending order, as a boolean mask would pick them
-    for rows in np.split(np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1]):
-        diff = s.vectors[rows].astype(np.float64)
-        mc = diff.mean(axis=0)
-        diff -= mc
-        sw += diff.T @ diff
-        gap = mc - mean
-        sb += len(rows) * np.outer(gap, gap)
+    sizes = np.bincount(codes)
+    ends = np.cumsum(sizes)
+    order = np.argsort(codes, kind="stable")  # each class's rows in ascending order
+    sw, sb = np.zeros((2, d, d))
+    c = 0
+    while c < len(sizes):  # whole classes whose rows and row means fit APPLY_BLOCK, or one class
+        lo = ends[c] - sizes[c]
+        stop = max(c + 1, np.searchsorted(ends, lo + APPLY_BLOCK // (2 * d), side="right"))
+        n = sizes[c:stop]
+        x = s.vectors[order[lo : ends[stop - 1]]].astype(np.float64)
+        mc = np.add.reduceat(x, np.cumsum(n) - n, axis=0) / n[:, None]
+        x -= np.repeat(mc, n, axis=0)
+        sw += x.T @ x
+        g = mc - mean
+        sb += (g * n[:, None]).T @ g
+        c = stop
+        del x  # before the next block is gathered
 
     eps = 1e-6 * np.trace(sw) / d
     if eps <= 0:

@@ -14,8 +14,14 @@ Exit codes: 0 ok, 1 usage, 2 format, 3 contract, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
+
+# svkit's products are small, so idle OpenBLAS workers only spin: one thread unless the
+# environment names a count, set before numpy (whose import starts OpenBLAS) is imported
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

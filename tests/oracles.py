@@ -14,7 +14,8 @@ one value per f-string; the SVEB writer writes one record at a time; the
 label, manifest, plan and command writers are the package's earlier
 writers, each opening its own file.  The LDA oracle solves its generalized
 eigenproblem with scipy.linalg.eigh; the fit_lda oracle is the earlier
-fit_lda, which cast the whole set to float64 and masked each class.  The framing
+fit_lda, which cast the whole set to float64, masked each class and summed
+the scatters one class at a time.  The framing
 oracle gathers frames through an index array; the filterbank and frame-energy
 oracles are the package's earlier functions, which held every frame at once;
 the actual-DCF oracle counts

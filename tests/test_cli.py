@@ -1254,10 +1254,16 @@ def test_benchmark_trace_targets_resolve():
     assert missing == {"scoring.models_to_set"}
 
 
-def _fresh_python(code, *args):
-    """Run `code` in a new interpreter that imports svkit from this checkout."""
-    env = dict(os.environ, PYTHONPATH=str(Path(svkit.__file__).resolve().parents[1]))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_python(code, *args, cwd=None, **threads):
+    """Run `code` in a new interpreter that imports svkit from this checkout, in `cwd`,
+    with no BLAS thread variable set but `threads`: importing svkit.cli here may have set
+    one in os.environ."""
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env.update(threads, PYTHONPATH=str(Path(svkit.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -1514,6 +1520,96 @@ print(json.dumps({"rc": rc, "import": imported, "run": loaded()}))
             assert result["rc"] == 0, (argv, proc.stderr)
             assert set(result["import"]) == _IMPORT_CLI
             assert set(result["run"]) == want, argv
+
+
+# prints the OpenBLAS thread count of a process that imported svkit.cli, or None
+_BLAS_THREADS = """
+import ctypes
+import svkit.cli
+
+def blas_threads():
+    with open("/proc/self/maps") as f:
+        libs = sorted({ln.split()[-1] for ln in f if "openblas" in ln and ".so" in ln})
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            fn = getattr(handle, name, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return int(fn())
+    return None
+
+print(blas_threads())
+"""
+
+
+class TestBlasThreads:
+    """Importing svkit.cli starts OpenBLAS with one thread unless the environment names
+    a count; outputs do not depend on the count, except fit-backend's by rounding."""
+
+    @pytest.mark.parametrize("threads, want", [
+        ({}, 1),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+        ({"OMP_NUM_THREADS": "2"}, 2),
+        ({"GOTO_NUM_THREADS": "2"}, 2),
+    ], ids=["default", "openblas", "omp", "goto"])
+    def test_one_thread_unless_the_environment_names_a_count(self, threads, want):
+        if want > (os.cpu_count() or 1):
+            pytest.skip("OpenBLAS starts no more threads than the machine has cores")
+        proc = _fresh_python(_BLAS_THREADS, **threads)
+        assert proc.returncode == 0, proc.stderr
+        if proc.stdout.strip() == "None":
+            pytest.skip("numpy does not use OpenBLAS here")
+        assert int(proc.stdout) == want
+
+    def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path):
+        """Each command under one and two threads, on inputs large enough that OpenBLAS
+        splits its products (2000 x 256 embeddings, 4 s of audio): every output byte and
+        stdout are equal, but fit-backend's projection, whose d x d products may be summed
+        in another order, only agrees within 1e-6."""
+        s, labels = labelled_set(7, 2000, 256, 40)
+        store.write_embeddings(s, tmp_path / "e.sveb")
+        store.write_labels(labels, tmp_path / "e.labels")
+        pipe = backend.Pipeline(backend.fit_center(s), backend.fit_lda(s, labels), length_norm=True)
+        backend.save_pipeline(pipe, tmp_path / "p.svpl")
+        (tmp_path / "trials.txt").write_text("".join(
+            f"{a} {b} {'target' if labels[a] == labels[b] else 'nontarget'}\n"
+            for a in s.ids[:60] for b in s.ids[1000:1050]))
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-0.8, 0.8, 64000) * np.repeat(rng.uniform(0, 1, 16) > 0.4, 4000)
+        audio.write_wav(audio.AudioBuffer(x, 16000), tmp_path / "speech.wav")
+        augment.write_manifest(augment.UtteranceManifest(
+            [augment.Utterance(f"u{k}", f"/d/u{k}.wav", 2.0, 16000) for k in range(500)]), tmp_path / "man.tsv")
+        t = str(tmp_path)
+        runs = [
+            ["fit-backend", "--embeddings", f"{t}/e.sveb", "--labels", f"{t}/e.labels", "--out", "fit.svpl"],
+            ["apply-backend", "--pipeline", f"{t}/p.svpl", "--embeddings", f"{t}/e.sveb", "--out", "e.proc.sveb"],
+            ["apply-backend", "--pipeline", f"{t}/p.svpl", "--embeddings", f"{t}/e.sveb", "--out", "e.proc.tsv",
+             "--text"],
+            ["score", "--enroll", "e.proc.tsv", "--test", "e.proc.tsv", "--trials", f"{t}/trials.txt",
+             "--out", "scores.tsv"],
+            ["eval", "--scores", "scores.tsv", "--trials", f"{t}/trials.txt", "--csv", "eval.csv"],
+            ["dcf-curve", "--scores", "scores.tsv", "--trials", f"{t}/trials.txt", "--out", "curve.csv"],
+            ["augment-plan", "--manifest", f"{t}/man.tsv", "--out-dir", "aug", "--seed", "1", "--speed-perturb"],
+            ["features", f"{t}/speech.wav", "--out-dir", "f8k", "--resample", "8000", "--vad"],
+            ["features", f"{t}/speech.wav", "--out-dir", "fnative", "--vad", "--text"],
+        ]
+        code = "import json, sys, svkit.cli\nprint([svkit.cli.main(a) for a in json.loads(sys.argv[1])])"
+        outs = {}
+        for n in ("1", "2"):
+            (tmp_path / n).mkdir()
+            proc = _fresh_python(code, json.dumps(runs), cwd=tmp_path / n, OPENBLAS_NUM_THREADS=n)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip().endswith(str([0] * len(runs))), proc.stderr
+            outs[n] = {p.relative_to(tmp_path / n): p.read_bytes() for p in (tmp_path / n).rglob("*") if p.is_file()}
+            outs[n]["stdout"] = proc.stdout
+        assert len(outs["1"]) == 11 and outs["1"].keys() == outs["2"].keys()
+        fit = [backend.load_pipeline(tmp_path / n / "fit.svpl") for n in ("1", "2")]
+        assert fit[0].center.mean.tobytes() == fit[1].center.mean.tobytes()
+        np.testing.assert_allclose(fit[0].lda.projection, fit[1].lda.projection, rtol=0, atol=1e-6)
+        for name in outs["1"].keys() - {Path("fit.svpl")}:
+            assert outs["1"][name] == outs["2"][name], name
 
 
 def _run_with_stdin(argv, data: bytes):
