@@ -252,6 +252,9 @@ def mel_filterbank(
         return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
     edges = np.linspace(to_mel(low_freq), to_mel(high_freq), n_mels + 2)
+    if not np.all(np.diff(edges) > 0):  # a filter of zero width would divide by zero
+        raise ContractError(f"the {n_mels} mel filters of band {low_freq}/{high_freq} Hz "
+                            "have edges that are not strictly increasing")
     bin_freqs = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
     bin_mels = to_mel(bin_freqs)
     left, center, right = edges[:-2, None], edges[1:-1, None], edges[2:, None]  # a row per mel

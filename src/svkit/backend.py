@@ -1,8 +1,9 @@
 """Embedding post-processing pipeline: centering, LDA, length normalization.
 
 Each stage is optional; the apply order is fixed center -> LDA ->
-length-norm.  Fitted stage parameters are stored as float32 so that a
-saved and reloaded pipeline applies bitwise identically.
+length-norm.  fit_center and fit_lda return float64 arrays; Pipeline stores
+them as float32, so that a saved and reloaded pipeline applies bitwise
+identically.
 
 No stage casts a whole set to float64: apply_pipeline works on row blocks of
 APPLY_BLOCK float64 values, which change no output bit as rows are
@@ -26,51 +27,34 @@ APPLY_BLOCK = 1 << 18  # float64 values per block of rows in apply_pipeline: 102
 
 
 @dataclass(frozen=True)
-class CenterStage:
-    mean: np.ndarray  # (D,) float32
-
-    def __post_init__(self):
-        m = np.asarray(self.mean, dtype=np.float32)
-        if m.ndim != 1 or not np.all(np.isfinite(m)):
-            raise ContractError("center mean must be a finite D-vector")
-        object.__setattr__(self, "mean", m)
-
-
-@dataclass(frozen=True)
-class LdaStage:
-    projection: np.ndarray  # (D, k) float32
-
-    def __post_init__(self):
-        p = np.asarray(self.projection, dtype=np.float32)
-        if p.ndim != 2 or p.shape[1] < 1 or not np.all(np.isfinite(p)):
-            raise ContractError("LDA projection must be a finite D x k matrix")
-        object.__setattr__(self, "projection", p)
-
-
-@dataclass(frozen=True)
 class Pipeline:
-    center: CenterStage | None = None
-    lda: LdaStage | None = None
+    """The stage parameters, each None (stage off) or a finite float32 array."""
+
+    center: np.ndarray | None = None  # (D,) mean
+    lda: np.ndarray | None = None  # (D, k) projection
     length_norm: bool = False
 
     def __post_init__(self):
-        if self.center is not None and self.lda is not None:
-            if self.center.mean.shape[0] != self.lda.projection.shape[0]:
-                raise ContractError(
-                    f"center dim {self.center.mean.shape[0]} != LDA input dim "
-                    f"{self.lda.projection.shape[0]}"
-                )
+        for name, ndim, message in (("center", 1, "center mean must be a finite D-vector"),
+                                    ("lda", 2, "LDA projection must be a finite D x k matrix")):
+            if getattr(self, name) is not None:
+                a = np.asarray(getattr(self, name), dtype=np.float32)
+                if a.ndim != ndim or 0 in a.shape[1:] or not np.all(np.isfinite(a)):
+                    raise ContractError(message)
+                object.__setattr__(self, name, a)
+        if self.center is not None and self.lda is not None and len(self.center) != len(self.lda):
+            raise ContractError(f"center dim {len(self.center)} != LDA input dim {len(self.lda)}")
 
 
-def fit_center(s: EmbeddingSet) -> CenterStage:
-    """Arithmetic mean of the set's vectors."""
+def fit_center(s: EmbeddingSet) -> np.ndarray:
+    """Arithmetic mean of the set's vectors, in float64."""
     if len(s) == 0:
         raise ContractError("cannot fit centering on an empty set")
-    return CenterStage(s.vectors.mean(axis=0, dtype=np.float64))
+    return s.vectors.mean(axis=0, dtype=np.float64)
 
 
-def fit_lda(s: EmbeddingSet, labels: Mapping[str, str] | None, k: int | None = None) -> LdaStage:
-    """Fit an LDA projection from the speaker label of each id of the set.
+def fit_lda(s: EmbeddingSet, labels: Mapping[str, str] | None, k: int | None = None) -> np.ndarray:
+    """Fit a float64 (D, k) LDA projection from the speaker label of each id of the set.
 
     Solves the generalized eigenproblem of between-class scatter against
     ridge-regularized pooled within-class scatter (ridge 1e-6 * trace / D)
@@ -127,50 +111,41 @@ def fit_lda(s: EmbeddingSet, labels: Mapping[str, str] | None, k: int | None = N
     proj /= np.linalg.norm(proj, axis=0, keepdims=True)
     first = np.argmax(np.abs(proj) > 1e-12, axis=0)  # a unit column has a component above 1e-12
     proj[:, proj[first, np.arange(proj.shape[1])] < 0] *= -1
-    return LdaStage(proj)
+    return proj
 
 
 def apply_pipeline(p: Pipeline, s: EmbeddingSet) -> EmbeddingSet:
     """Apply present stages in order center -> LDA -> length-norm, a block of rows at a time."""
     d = s.dim
-    if p.center is not None and p.center.mean.shape[0] != d:
-        raise ContractError(f"center dim {p.center.mean.shape[0]} != embedding dim {d}")
-    if p.lda is not None and p.lda.projection.shape[0] != d:
-        raise ContractError(f"LDA input dim {p.lda.projection.shape[0]} != embedding dim {d}")
-    mean = None if p.center is None else p.center.mean.astype(np.float64)
-    proj = None if p.lda is None else p.lda.projection.astype(np.float64)
-    out = np.empty((len(s), d if proj is None else proj.shape[1]), np.float32)
+    for name, a in (("center", p.center), ("LDA input", p.lda)):
+        if a is not None and len(a) != d:
+            raise ContractError(f"{name} dim {len(a)} != embedding dim {d}")
+    out = np.empty((len(s), d if p.lda is None else p.lda.shape[1]), np.float32)
     step = max(1, APPLY_BLOCK // max(d, 1))  # LDA keeps at most d dims
     for lo in range(0, len(s), step):
         x = s.vectors[lo : lo + step].astype(np.float64)
-        if mean is not None:
-            x -= mean
-        if proj is not None:
-            x = x @ proj
+        if p.center is not None:
+            x -= p.center  # in float64, as every product below
+        if p.lda is not None:
+            x = x @ p.lda
         if p.length_norm:
             norms = np.linalg.norm(x, axis=1)
             if np.any(norms == 0):
                 raise ContractError("cannot length-normalize a zero vector")
             x /= norms[:, None]
-        out[lo : lo + step] = x
+        with np.errstate(over="ignore"):  # past float32 is inf, which EmbeddingSet refuses: no warning
+            out[lo : lo + step] = x
     return EmbeddingSet(s.ids, out)
-
-
-def _write_mat(f, m: np.ndarray) -> None:
-    f.write(struct.pack("<II", m.shape[0], m.shape[1]))
-    f.write(m.astype("<f4", copy=False).tobytes())
 
 
 def save_pipeline(p: Pipeline, path) -> None:
     with open(path, "wb") as f:
         f.write(PIPELINE_MAGIC)
         f.write(struct.pack("<H", PIPELINE_VERSION))
-        f.write(struct.pack("<B", p.center is not None))
-        if p.center is not None:
-            _write_mat(f, p.center.mean[None, :])
-        f.write(struct.pack("<B", p.lda is not None))
-        if p.lda is not None:
-            _write_mat(f, p.lda.projection)
+        for m in (None if p.center is None else p.center[None, :], p.lda):
+            f.write(struct.pack("<B", m is not None))
+            if m is not None:  # u32 rows, u32 cols, then the float32 values
+                f.write(struct.pack("<II", *m.shape) + m.astype("<f4", copy=False).tobytes())
         f.write(struct.pack("<B", bool(p.length_norm)))
 
 
@@ -182,8 +157,8 @@ def load_pipeline(path) -> Pipeline:
             mean = r.mat()
             if mean.shape[0] != 1:
                 raise FormatError(f"{path}: center mean has {mean.shape[0]} rows, not 1")
-            center = CenterStage(mean[0])
-        lda = LdaStage(r.mat()) if r.flag() else None
+            center = Pipeline(center=mean[0]).center  # each stage is checked before the next is read
+        lda = Pipeline(lda=r.mat()).lda if r.flag() else None
         length_norm = r.flag()
         r.end()
         return Pipeline(center=center, lda=lda, length_norm=length_norm)

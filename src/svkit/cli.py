@@ -322,7 +322,7 @@ def cmd_fit_backend(args) -> int:
     backend.save_pipeline(pipe, args.out)
     stages = [
         name
-        for name, on in (("center", center), ("lda", lda), ("length-norm", args.length_norm))
+        for name, on in (("center", args.center), ("lda", args.lda), ("length-norm", args.length_norm))
         if on
     ]
     print(f"fitted pipeline [{' -> '.join(stages) if stages else 'identity'}] on {len(s)} embeddings -> {args.out}")

@@ -138,6 +138,8 @@ class MarginSchedule:
             raise ContractError(f"margin epochs and margins must be finite, got {self}")
         if self.start_epoch >= self.end_epoch:
             raise ContractError("start_epoch must precede end_epoch")
+        if not math.isfinite(self.end_epoch - self.start_epoch):  # else every ramp fraction reads 0
+            raise ContractError(f"end_epoch - start_epoch overflows float64, got {self.start_epoch}/{self.end_epoch}")
         if self.final < 0:
             raise ContractError(f"final margin must be >= 0, got {self.final}")
 
@@ -168,6 +170,10 @@ class LrSchedule:
             raise ContractError("need 0 < warmup_epochs < total_epochs")
         if not 0 < self.final < self.peak < math.inf:
             raise ContractError("need 0 < final < peak < inf")
+        if not math.isfinite(self.peak * self.warmup_epochs):  # else the warmup rate overflows
+            raise ContractError(f"peak * warmup_epochs overflows float64, got {self.peak}/{self.warmup_epochs}")
+        if self.final / self.peak < np.finfo(np.float64).tiny:  # a subnormal decay base loses `final`
+            raise ContractError(f"final / peak underflows float64, got {self.final}/{self.peak}")
 
 
 def lr_at(epoch: float, sched: LrSchedule = LrSchedule()) -> float:

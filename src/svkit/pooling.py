@@ -9,6 +9,7 @@ over frames.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,20 @@ def _set_arrays(params, **ranks) -> None:
         object.__setattr__(params, name, a)
 
 
+def _finite(pool):
+    """`pool` with numpy's overflow warnings off: a pooled vector whose float64
+    arithmetic overflowed is a ContractError, never a returned inf or nan."""
+    @functools.wraps(pool)
+    def pooled(*args):
+        with np.errstate(over="ignore", invalid="ignore"):
+            vec = pool(*args)
+        if not np.all(np.isfinite(vec)):
+            raise ContractError(f"{pool.__name__} statistics overflow float64")
+        return vec
+    return pooled
+
+
+@_finite
 def tstp(frames) -> np.ndarray:
     """Temporal statistics pooling: concat of per-channel mean and std (2D)."""
     x = _as_frames(frames)
@@ -81,6 +96,7 @@ class AspParams:
         )
 
 
+@_finite
 def asp(frames, params: AspParams) -> np.ndarray:
     """Attentive statistics pooling: attention-weighted mean and std (2D).
 
@@ -136,6 +152,7 @@ class XiFrameStats:
             raise ContractError("need at least one frame")
 
 
+@_finite
 def xi_pool(stats: XiFrameStats, prior: XiPrior) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian posterior over the utterance mean.
 
@@ -193,14 +210,6 @@ class MhfaParams:
         if self.out_proj.shape[0] != self.value_proj.shape[1]:
             raise ContractError("output projection rows must equal value projection width")
 
-    @property
-    def num_layers(self) -> int:
-        return self.layer_weights_k.shape[0]
-
-    @property
-    def num_heads(self) -> int:
-        return self.queries.shape[0]
-
     @classmethod
     def random(
         cls,
@@ -227,14 +236,15 @@ class MhfaParams:
         )
 
 
+@_finite
 def mhfa(stack, params: MhfaParams) -> np.ndarray:
     """Pool an L x T x D layer stack into an E-dim embedding."""
     x = np.asarray(stack, dtype=np.float64)
     if x.ndim != 3:
         raise ContractError(f"stack must be L x T x D, got shape {x.shape}")
     n_layers, t, d = x.shape
-    if n_layers != params.num_layers:
-        raise ContractError(f"stack has {n_layers} layers, params expect {params.num_layers}")
+    if n_layers != len(params.layer_weights_k):
+        raise ContractError(f"stack has {n_layers} layers, params expect {len(params.layer_weights_k)}")
     if d != params.key_proj.shape[0]:
         raise ContractError(f"stack dim {d} != projection input dim {params.key_proj.shape[0]}")
     if t < 1:
@@ -248,7 +258,7 @@ def mhfa(stack, params: MhfaParams) -> np.ndarray:
     v_stream = np.einsum("l,ltd->td", wv, x)
 
     keys = k_stream @ params.key_proj  # (T, Dk)
-    h = params.num_heads
+    h = len(params.queries)
     values = (v_stream @ params.value_proj).reshape(t, h, -1)  # (T, H, Dv)
     alpha = softmax(keys @ params.queries.T, axis=0)  # (T, H), sums to 1 over T
     context = np.einsum("th,thd->hd", alpha, values).reshape(-1)

@@ -42,7 +42,7 @@ from svkit.augment import (CHAIN_DOWN8K, CHAIN_KEEP16K, CHAINS, AugmentPlan, Pla
                            UtteranceManifest, render_commands)
 from svkit.errors import ContractError, FormatError
 from svkit.scoring import _LABELS, TrialList
-from svkit.backend import PIPELINE_MAGIC, PIPELINE_VERSION, CenterStage, LdaStage, Pipeline
+from svkit.backend import PIPELINE_MAGIC, PIPELINE_VERSION, Pipeline
 from svkit.store import FORMAT_VERSION, MAGIC, EmbeddingSet, _is_sveb, record_errors, text_lines
 
 _RESAMPLE_CELLS = 1 << 18  # resample's block budget: (output, tap) cells per block, at least one output
@@ -766,8 +766,8 @@ def oracle_load_pipeline(path) -> Pipeline:
             mean = r.mat()
             if mean.shape[0] != 1:
                 raise FormatError(f"{path}: center mean has {mean.shape[0]} rows, not 1")
-            center = CenterStage(mean[0])
-        lda = LdaStage(r.mat()) if r.flag() else None
+            center = Pipeline(center=mean[0]).center  # checked before the next stage is read
+        lda = Pipeline(lda=r.mat()).lda if r.flag() else None
         length_norm = r.flag()
         if r.off != len(data):
             raise FormatError(f"{path}: {len(data) - r.off} trailing bytes")

@@ -1,4 +1,5 @@
 import io
+import re
 import struct
 import tracemalloc
 import wave
@@ -425,6 +426,14 @@ class TestFbank:
             audio.log_mel_fbank(buf, audio.FbankConfig(low_freq=50.0, high_freq=40.0))
         with pytest.raises(ContractError):
             audio.log_mel_fbank(buf, audio.FbankConfig(high_freq=9000.0))
+
+    @pytest.mark.parametrize("low, high", [(0.0, 1e-300), (1000.0, 1000.0 + 1e-12)])
+    def test_a_band_too_narrow_for_its_mel_edges(self, low, high):
+        """A band whose mel edges round to one value is refused by name, before any filter
+        divides by its zero width (the "error" warning filter turns a warning into a failure)."""
+        with pytest.raises(ContractError, match=re.escape(
+                f"the 80 mel filters of band {low}/{high} Hz have edges that are not strictly increasing")):
+            audio.mel_filterbank(80, 512, 16000, low, high)
 
 
 def fbank_block(rate, cfg=audio.FbankConfig()):

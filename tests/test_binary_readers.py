@@ -111,9 +111,8 @@ def sveb_files(draw):
 @st.composite
 def svpl_files(draw):
     d = draw(st.integers(1, 3))
-    center = draw(st.none() | arrays(np.float32, d, elements=FINITE).map(backend.CenterStage))
-    lda = draw(st.none() | arrays(np.float32, (d, draw(st.integers(1, 2))), elements=FINITE)
-               .map(backend.LdaStage))
+    center = draw(st.none() | arrays(np.float32, d, elements=FINITE))
+    lda = draw(st.none() | arrays(np.float32, (d, draw(st.integers(1, 2))), elements=FINITE))
     return backend.Pipeline(center=center, lda=lda, length_norm=draw(st.booleans()))
 
 
@@ -140,9 +139,8 @@ def _outcome(read, path):
         return value.ids, _array(value.vectors)
     if isinstance(value, np.ndarray):
         return _array(value)
-    center, lda = value.center, value.lda
-    return (None if center is None else _array(center.mean),
-            None if lda is None else _array(lda.projection), value.length_norm)
+    return (None if value.center is None else _array(value.center),
+            None if value.lda is None else _array(value.lda), value.length_norm)
 
 
 def _sveb_dim_zero(data: bytes) -> bool:

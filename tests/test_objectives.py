@@ -1,9 +1,12 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from svkit import objectives
 from svkit.errors import ContractError
@@ -198,6 +201,10 @@ class TestAamGrad:
         assert np.max(np.abs(de[0])) < 1e-8
 
 
+# finite floats, the ends of float64's range drawn often
+EXTREME = st.sampled_from([1e308, -1e308, 1e-308, 5e-324, 0.5]) | st.floats(allow_nan=False, allow_infinity=False)
+
+
 class TestMarginSchedule:
     def test_recipe_anchor_points(self):
         sched = objectives.MarginSchedule()
@@ -234,6 +241,22 @@ class TestMarginSchedule:
         with pytest.raises(ContractError, match=r"^final margin must be >= 0, got -0\.1$"):
             objectives.MarginSchedule(final=-0.1)
 
+    def test_a_ramp_longer_than_float64_is_rejected(self):
+        with pytest.raises(ContractError, match=r"^end_epoch - start_epoch overflows float64, got -1e\+308/1e\+308$"):
+            objectives.MarginSchedule(start_epoch=-1e308, end_epoch=1e308)
+
+    @settings(max_examples=150, deadline=None)
+    @given(start=EXTREME, end=EXTREME, final=EXTREME.map(abs), epoch=st.integers(0, 200) | EXTREME.map(abs))
+    def test_any_accepted_ramp_gives_its_exact_margin(self, start, end, final, epoch):
+        """Every margin of a schedule that is accepted is the exact ramp's value to 1e-12 of
+        the final margin (a value far below that, as frac * final, may underflow to 0)."""
+        try:
+            sched = objectives.MarginSchedule(start_epoch=start, end_epoch=end, final=final)
+        except ContractError:
+            assume(False)
+        want = min(max(Fraction(epoch) - Fraction(start), 0) / (Fraction(end) - Fraction(start)), 1) * Fraction(final)
+        assert abs(objectives.margin_at(epoch, sched) - want) <= 1e-12 * final + 1e-320
+
 
 class TestLrSchedule:
     def test_recipe_anchor_points(self):
@@ -266,6 +289,33 @@ class TestLrSchedule:
     def test_infinite_peak_rejected(self):
         with pytest.raises(ContractError, match="need 0 < final < peak < inf"):
             objectives.LrSchedule(peak=np.inf)
+
+    @pytest.mark.parametrize("peak, final, message", [
+        (1e308, 1e-308, r"peak \* warmup_epochs overflows float64, got 1e\+308/6\.0"),
+        (1e307, 1e-308, r"final / peak underflows float64, got 1e-308/1e\+307"),
+    ])
+    def test_a_warmup_that_overflows_or_a_decay_that_underflows_is_rejected(self, peak, final, message):
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            objectives.LrSchedule(peak=peak, final=final)
+
+    @settings(max_examples=150, deadline=None)
+    @given(warmup=st.sampled_from([5e-324, 0.5, 6]) | st.floats(0, 39, exclude_min=True),
+           rates=st.tuples(EXTREME.map(abs), EXTREME.map(abs)).map(sorted), total=st.integers(40, 60))
+    def test_any_accepted_schedule_warms_up_and_decays_to_final(self, warmup, rates, total):
+        """Every rate of a schedule that is accepted is finite: the warmup is the exact line
+        to 1e-12, the decay falls from peak to `final` at the last epoch."""
+        final, peak = rates
+        try:
+            sched = objectives.LrSchedule(warmup_epochs=warmup, peak=peak, final=final, total_epochs=total)
+        except ContractError:
+            assume(False)
+        lrs = [objectives.lr_at(e, sched) for e in range(total + 1)]
+        for e, lr in enumerate(lrs):
+            if e <= warmup:
+                assert math.isclose(lr, Fraction(peak) * e / Fraction(warmup), rel_tol=1e-12, abs_tol=1e-320)
+        decay = [lr for e, lr in enumerate(lrs) if e > warmup]
+        assert all(a >= b for a, b in zip(decay, decay[1:])) and decay[0] <= peak
+        assert math.isclose(lrs[-1], final, rel_tol=1e-12, abs_tol=1e-320)
 
 
 class TestCrop:

@@ -3,6 +3,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from svkit import pooling
 from svkit.errors import ContractError
@@ -281,3 +284,31 @@ _MH = pooling.MhfaParams.random(2, 8, np.random.default_rng(21), num_heads=4, ke
 def test_a_shape_or_value_the_operator_cannot_use_is_named(call, message):
     with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
         call()
+
+
+_POOL = {  # each operator on T x D frames, with parameters drawn for D
+    "tstp": lambda x: pooling.tstp(x),
+    "asp": lambda x: pooling.asp(x, pooling.AspParams.random(x.shape[1], 8, np.random.default_rng(1))),
+    "mhfa": lambda x: pooling.mhfa(x[None], pooling.MhfaParams.random(1, x.shape[1], np.random.default_rng(1))),
+    "xi_pool": lambda x: pooling.xi_pool(pooling.XiFrameStats(x, x[::-1]), pooling.XiPrior.flat(x.shape[1])),
+}
+
+
+@pytest.mark.parametrize("method", _POOL)
+@settings(max_examples=60, deadline=None)
+@given(x=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 3)),
+                elements=st.sampled_from([1e308, -1e308, 1e200, -1e200, 1.0])
+                | st.floats(allow_nan=False, allow_infinity=False)))
+@example(x=np.full((2, 2), 1e308))
+@example(x=np.array([[1e200, 1.0], [-1e200, 2.0]]))
+@example(x=np.array([[1e308, -1e308], [-1e308, 1e308]]))
+def test_finite_frames_pool_to_a_finite_vector_or_a_contract_error(method, x):
+    """Finite frames whose float64 statistics overflow are refused by name: no inf or nan
+    is returned and numpy warns nothing (the "error" warning filter would fail the test).
+    xi_pool takes the frames, in reverse, as log precisions too."""
+    try:
+        vec = _POOL[method](x)
+    except ContractError as e:
+        assert str(e) == f"{method} statistics overflow float64"
+    else:
+        assert np.all(np.isfinite(vec))
