@@ -324,12 +324,16 @@ class VadConfig:
 
 def frame_log_energies(buf: AudioBuffer, fbank: FbankConfig = FbankConfig()) -> np.ndarray:
     """Raw log energy ln(sum x^2), floored away from -inf, of each of the
-    frames log_mel_fbank(buf, fbank) computes, in the same frame blocks."""
+    frames log_mel_fbank(buf, fbank) computes, in the same frame blocks; an energy past
+    float64's range is a ContractError."""
     frames, _, blocks = _frame_blocks(buf, fbank)
     energies = np.empty(len(frames))
-    for _, new, hi in blocks:
-        block = frames[new:hi]
-        energies[new:hi] = np.log(np.maximum((block * block).sum(axis=1), _ENERGY_EPS))
+    with np.errstate(over="ignore"):  # huge samples overflow to an infinite energy: refused below
+        for _, new, hi in blocks:
+            block = frames[new:hi]
+            energies[new:hi] = np.log(np.maximum((block * block).sum(axis=1), _ENERGY_EPS))
+    if not np.isfinite(energies).all():
+        raise ContractError("frame energies overflow float64")
     return energies
 
 

@@ -38,7 +38,8 @@ class Pipeline:
         for name, ndim, message in (("center", 1, "center mean must be a finite D-vector"),
                                     ("lda", 2, "LDA projection must be a finite D x k matrix")):
             if getattr(self, name) is not None:
-                a = np.asarray(getattr(self, name), dtype=np.float32)
+                with np.errstate(over="ignore"):  # past float32's range is an infinity, refused below
+                    a = np.asarray(getattr(self, name), dtype=np.float32)
                 if a.ndim != ndim or 0 in a.shape[1:] or not np.all(np.isfinite(a)):
                     raise ContractError(message)
                 object.__setattr__(self, name, a)

@@ -145,7 +145,10 @@ class MarginSchedule:
 
 
 def margin_at(epoch: float, sched: MarginSchedule = MarginSchedule(), lmf: bool = False) -> float:
-    """Margin for a training epoch: 0, linear ramp, final; lmf overrides."""
+    """Margin for a training epoch: 0, linear ramp, final; lmf overrides.
+
+    A ramp margin is the exact one to within 1e-12 * final, absolute: on a ramp near 1e308
+    epochs long the ramp fraction may underflow, so a far smaller margin may read 0."""
     if epoch < 0:
         raise ContractError(f"epoch must be >= 0, got {epoch}")
     if lmf:
@@ -201,7 +204,10 @@ class CropSpec:
             raise ContractError(f"target_len_s must be finite and positive, got {self.target_len_s}")
 
     def target_frames(self, frame_shift_ms: float) -> int:
-        return max(1, int(round(self.target_len_s * 1000.0 / frame_shift_ms)))
+        frames = self.target_len_s * 1000.0 / frame_shift_ms if frame_shift_ms > 0 else math.nan
+        if not math.isfinite(frames):
+            raise ContractError(f"{self.target_len_s} s in frames of {frame_shift_ms} ms is no finite frame count")
+        return max(1, int(round(frames)))
 
 
 def crop_segment(

@@ -5,10 +5,10 @@ operand to float64, so a block stays in cache.  Each row's norm is computed once
 score is a pure function of its two rows, so block size never changes an output bit.
 
 A trial list keeps its ids as codes.  A trial file, and a score file that holds the trials
-in order, is read whole as byte columns when ``store.byte_fields`` accepts it: a file of
-ASCII graphic ids and labels, no ``#``, no CR and the same field count on every line.  Any
-other file is read line by line, which is also where every error message comes from.  A
-pipe is read once into memory and then takes the same path as a file.
+in order, is read as byte columns, in blocks of whole lines, when ``store.byte_fields``
+accepts it: a file of ASCII graphic ids and labels, no ``#``, no CR and the same field
+count on every line.  Any other file is read line by line, which is also where every error
+message comes from.  A pipe is read once into memory and then takes the same path as a file.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ MAGIC = b"SVEB"
 FORMAT_VERSION = 1
 _U16 = struct.Struct("<H")  # a format version or an SVEB id length
 _COUNT_DIM = struct.Struct("<QI")  # the SVEB header after its version
+_FIELD_BLOCK = 1 << 20  # bytes per block of whole lines that byte_fields checks and gathers
 
 
 def _sveb_record(id_len: int, dim: int) -> np.dtype:  # ids as bytes: an S dtype drops a trailing NUL
@@ -92,6 +93,37 @@ def records(path, expect, *, fields, sep="\t", comment=False) -> Iterator[tuple[
             yield ln, values
 
 
+def _line_blocks(f, size: int) -> Iterator[memoryview]:
+    """The `size` bytes of an open binary file in blocks of whole lines, each at most
+    _FIELD_BLOCK bytes or one line longer than that; the last may lack its newline."""
+    pos = 0
+    while pos < size:
+        f.seek(pos)
+        block = f.read(min(_FIELD_BLOCK, size - pos))  # a small file allocates no whole block
+        if not block:  # the file shrank
+            return
+        end = len(block) if pos + len(block) >= size else block.rfind(b"\n") + 1
+        if end == 0:  # a line longer than a block is a block of its own, read once
+            del block
+            f.seek(pos)
+            block = f.readline()
+            end = len(block)
+        yield memoryview(block)[:end]
+        pos += end
+
+
+def _gather(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The fields of `data` at `starts` as the rows of a zero-padded uint8 matrix."""
+    width = int(lengths.max())
+    col = np.empty((len(starts), width), np.uint8)
+    at = starts.copy()
+    for p in range(width):  # one byte position at a time: no (rows, width) index matrix
+        col[:, p] = data.take(at, mode="clip")
+        at += 1
+    col[lengths[:, None] <= np.arange(width)] = 0
+    return col
+
+
 def byte_fields(path, fields, sep) -> list[np.ndarray] | None:
     """The records of a file as one zero-padded uint8 matrix per field, a row per record,
     when a check over its bytes proves that ``records(path, ..., fields=fields, sep=sep)``
@@ -100,40 +132,54 @@ def byte_fields(path, fields, sep) -> list[np.ndarray] | None:
     has the same field count, within ``fields``; a ``sep`` sits between two field bytes; and
     no matrix is larger than the file.  None for any other file, which the caller then reads
     with ``records``: so pass a pipe as ``read_once(path)``.
+
+    The file is read, checked and gathered in blocks of whole lines, _FIELD_BLOCK bytes or
+    one longer line, so the check's masks and edges follow the block, not the file; the
+    columns of the blocks are then joined, padded to the widest field of any block.  The
+    size check holds the rows and widths so far against the whole file, so no block gathers
+    a matrix that the whole file would refuse.
     """
-    with _open_binary(path) as f:
-        data = np.frombuffer(f.read(), np.uint8)
-    in_field = np.zeros(len(data) + 2, bool)  # byte i is in_field[i + 1]
-    field = in_field[1:-1]
-    np.less(data - np.uint8(0x21), 0x7F - 0x21, out=field)  # ASCII graphic: 0x21 to 0x7E
-    field &= data != ord("#")
-    at_sep = data == ord(sep) if sep is not None else (data == ord(" ")) | (data == ord("\t"))
-    at_end = data == ord("\n")
-    if sum(map(np.count_nonzero, (field, at_sep, at_end))) != len(data):  # three disjoint sets
-        return None
-    edges = np.flatnonzero(in_field[1:] != in_field[:-1])
-    starts, lengths = edges[0::2], edges[1::2] - edges[0::2]
-    if sep is not None:
-        at = np.flatnonzero(at_sep)
-        if not (in_field[at] & in_field[at + 2]).all():
-            return None  # an empty field
-    per_line = np.diff(np.searchsorted(starts, np.append(np.flatnonzero(at_end), len(data))), prepend=0)
-    k = int(per_line.max(initial=0))
     lo, hi = fields
-    if k == 0 or k < lo or (hi is not None and k > hi) or ((per_line != 0) & (per_line != k)).any():
-        return None
-    rows = len(starts) // k
-    widths = lengths.reshape(rows, k).max(axis=0).tolist()
-    if rows * max(widths) > len(data):
+    k, rows, widths, pieces = 0, 0, 0, []
+    with _open_binary(path) as f:
+        size = f.seek(0, io.SEEK_END)
+        for block in _line_blocks(f, size):
+            data = np.frombuffer(block, np.uint8)
+            in_field = np.zeros(len(data) + 2, bool)  # byte i is in_field[i + 1]
+            field = in_field[1:-1]
+            np.less(data - np.uint8(0x21), 0x7F - 0x21, out=field)  # ASCII graphic: 0x21 to 0x7E
+            field &= data != ord("#")
+            at_sep = data == ord(sep) if sep is not None else (data == ord(" ")) | (data == ord("\t"))
+            at_end = data == ord("\n")
+            if sum(map(np.count_nonzero, (field, at_sep, at_end))) != len(data):  # three disjoint sets
+                return None
+            edges = np.flatnonzero(in_field[1:] != in_field[:-1])
+            starts, lengths = edges[0::2], edges[1::2] - edges[0::2]
+            if sep is not None:
+                at = np.flatnonzero(at_sep)
+                if not (in_field[at] & in_field[at + 2]).all():
+                    return None  # an empty field
+            per_line = np.diff(np.searchsorted(starts, np.append(np.flatnonzero(at_end), len(data))), prepend=0)
+            n = int(per_line.max(initial=0))
+            if n == 0:  # blank lines only
+                continue
+            if n < lo or (hi is not None and n > hi) or k not in (0, n) or ((per_line != 0) & (per_line != n)).any():
+                return None
+            k = n
+            widths = np.maximum(widths, lengths.reshape(-1, k).max(axis=0))
+            rows += len(starts) // k
+            if rows * int(widths.max()) > size:
+                return None
+            pieces.append([_gather(data, starts[j::k], lengths[j::k]) for j in range(k)])
+    if k == 0:
         return None
     cols = []
-    for j, width in enumerate(widths):
-        col = np.empty((rows, width), np.uint8)
-        at = starts[j::k].copy()
-        for p in range(width):  # one byte position at a time: no (rows, width) index matrix
-            col[:, p] = data.take(at, mode="clip")
-            at += 1
-        col[lengths[j::k, None] <= np.arange(width)] = 0
+    for j, width in enumerate(widths.tolist()):
+        col, at = np.zeros((rows, width), np.uint8), 0
+        for piece in pieces:
+            part, piece[j] = piece[j], None  # freed as it is copied
+            col[at : at + len(part), : part.shape[1]] = part
+            at += len(part)
         cols.append(col)
     return cols
 

@@ -21,10 +21,12 @@ oracles are the package's earlier functions, which held every frame at once;
 the actual-DCF oracle counts
 errors by direct comparison, and the text-reader oracles are the package's
 earlier readers, each with its own field-count check, kept verbatim with the
-record reader they called; the labeled-scores oracle is the earlier score
-reader followed by the alignment loop that the CLI ran on its table.  The
-SVEB and SVPL oracles are the package's earlier binary readers, each with
-its own hand-kept offset and bounds checks.
+record reader they called; the byte-field oracle is the earlier
+byte_fields, which checked and gathered the whole file at once; the
+labeled-scores oracle is the earlier score reader followed by the
+alignment loop that the CLI ran on its table.  The SVEB and SVPL oracles
+are the package's earlier binary readers, each with its own hand-kept
+offset and bounds checks.
 """
 
 import math
@@ -43,7 +45,7 @@ from svkit.augment import (CHAIN_DOWN8K, CHAIN_KEEP16K, CHAINS, AugmentPlan, Pla
 from svkit.errors import ContractError, FormatError
 from svkit.scoring import _LABELS, TrialList
 from svkit.backend import PIPELINE_MAGIC, PIPELINE_VERSION, Pipeline
-from svkit.store import FORMAT_VERSION, MAGIC, EmbeddingSet, _is_sveb, record_errors, text_lines
+from svkit.store import FORMAT_VERSION, MAGIC, EmbeddingSet, _is_sveb, _open_binary, record_errors, text_lines
 
 _RESAMPLE_CELLS = 1 << 18  # resample's block budget: (output, tap) cells per block, at least one output
 _RESAMPLE_MAX_TAPS = 1 << 22  # longest kernel resample accepts
@@ -524,6 +526,52 @@ def oracle_records(path, sep="\t", comment=False) -> Iterator[tuple[int, list[st
             line = line.split("#", 1)[0]
         if line.strip():
             yield ln, line.split() if sep is None else line.rstrip("\n").split(sep)
+
+
+def oracle_byte_fields(path, fields, sep) -> list[np.ndarray] | None:
+    """The records of a file as one zero-padded uint8 matrix per field, a row per record,
+    when a check over its bytes proves that ``records(path, ..., fields=fields, sep=sep)``
+    yields the same fields: every byte is an ASCII graphic character other than ``#``, a
+    separator (``sep``, or space and tab for ``sep=None``) or ``\n``; every non-blank line
+    has the same field count, within ``fields``; a ``sep`` sits between two field bytes; and
+    no matrix is larger than the file.  None for any other file, which the caller then reads
+    with ``records``: so pass a pipe as ``read_once(path)``.
+    """
+    with _open_binary(path) as f:
+        data = np.frombuffer(f.read(), np.uint8)
+    in_field = np.zeros(len(data) + 2, bool)  # byte i is in_field[i + 1]
+    field = in_field[1:-1]
+    np.less(data - np.uint8(0x21), 0x7F - 0x21, out=field)  # ASCII graphic: 0x21 to 0x7E
+    field &= data != ord("#")
+    at_sep = data == ord(sep) if sep is not None else (data == ord(" ")) | (data == ord("\t"))
+    at_end = data == ord("\n")
+    if sum(map(np.count_nonzero, (field, at_sep, at_end))) != len(data):  # three disjoint sets
+        return None
+    edges = np.flatnonzero(in_field[1:] != in_field[:-1])
+    starts, lengths = edges[0::2], edges[1::2] - edges[0::2]
+    if sep is not None:
+        at = np.flatnonzero(at_sep)
+        if not (in_field[at] & in_field[at + 2]).all():
+            return None  # an empty field
+    per_line = np.diff(np.searchsorted(starts, np.append(np.flatnonzero(at_end), len(data))), prepend=0)
+    k = int(per_line.max(initial=0))
+    lo, hi = fields
+    if k == 0 or k < lo or (hi is not None and k > hi) or ((per_line != 0) & (per_line != k)).any():
+        return None
+    rows = len(starts) // k
+    widths = lengths.reshape(rows, k).max(axis=0).tolist()
+    if rows * max(widths) > len(data):
+        return None
+    cols = []
+    for j, width in enumerate(widths):
+        col = np.empty((rows, width), np.uint8)
+        at = starts[j::k].copy()
+        for p in range(width):  # one byte position at a time: no (rows, width) index matrix
+            col[:, p] = data.take(at, mode="clip")
+            at += 1
+        col[lengths[j::k, None] <= np.arange(width)] = 0
+        cols.append(col)
+    return cols
 
 
 def oracle_parse_tsv(path) -> EmbeddingSet:

@@ -563,6 +563,14 @@ class TestVad:
         b = audio.energy_vad(audio.AudioBuffer(x * 7.3, 16000), cfg)
         np.testing.assert_array_equal(a, b)
 
+    def test_an_energy_past_float64_is_refused_without_a_warning(self):
+        """Finite samples of 1e200 square past float64's range: the energies and the VAD are
+        refused, and the product warns nothing (the "error" warning filter would fail it)."""
+        buf = audio.AudioBuffer(np.random.default_rng(19).uniform(-1e200, 1e200, 16000), 16000)
+        for call in (audio.frame_log_energies, audio.energy_vad):
+            with pytest.raises(ContractError, match="^frame energies overflow float64$"):
+                call(buf)
+
     @pytest.mark.parametrize("field", ["energy_threshold", "energy_mean_scale"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_thresholds_rejected(self, field, value):

@@ -393,6 +393,14 @@ class TestApplyPipeline:
             with pytest.raises(ContractError, match=f"^{message}$"):
                 backend.Pipeline(**kwargs)
 
+    def test_a_stage_past_float32_is_refused_without_a_warning(self):
+        """A finite float64 value past float32's range casts to an infinity, which Pipeline
+        refuses; the cast warns nothing (the "error" warning filter would fail it)."""
+        for kwargs, message in [({"center": [0.0, 1e300]}, "center mean must be a finite D-vector"),
+                                ({"lda": [[1.0], [-1e300]]}, "LDA projection must be a finite D x k matrix")]:
+            with pytest.raises(ContractError, match=f"^{message}$"):
+                backend.Pipeline(**kwargs)
+
     def test_dimension_mismatch(self):
         s = make_set(np.ones((3, 4), np.float32))
         pipe = backend.Pipeline(center=np.zeros(5))

@@ -171,6 +171,39 @@ def test_a_1_mib_id_stays_within_the_peak_bound(tmp_path, capsys, trials, scores
     assert "svkit: error: no score for trial " in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def trials_100k(tmp_path_factory):
+    """100k labeled trials in shuffled order, of 100 enrollment and 1000 test ids of 2 to 4
+    bytes, the 4-d embeddings of both sets, and the scores of the trials."""
+    d = tmp_path_factory.mktemp("trials_100k")
+    rng = np.random.default_rng(100)
+    enroll = store.EmbeddingSet([f"m{k}" for k in range(100)], rng.normal(size=(100, 4)))
+    test = store.EmbeddingSet([f"t{k}" for k in range(1000)], rng.normal(size=(1000, 4)))
+    store.write_embeddings_tsv(enroll, d / "e.tsv")
+    store.write_embeddings_tsv(test, d / "t.tsv")
+    (d / "trials.txt").write_text("".join(
+        f"m{k // 1000} t{k % 1000} {'target' if k % 10 == 0 else 'nontarget'}\n" for k in rng.permutation(100_000)))
+    assert main(["score", "--enroll", str(d / "e.tsv"), "--test", str(d / "t.tsv"), "--trials",
+                 str(d / "trials.txt"), "--out", str(d / "scores.tsv")]) == 0
+    return d
+
+
+@pytest.mark.parametrize("command", ["score", "eval"])
+def test_a_valid_100k_trial_run_stays_within_the_peak_bound(trials_100k, tmp_path, capsys, command):
+    """The trial and score columns are gathered in line blocks: checking a whole 1.8 MB trial
+    list at once took `score` to 18.1 MiB, over its 14.8 MiB bound."""
+    d = trials_100k
+    argv, inputs = {
+        "score": (["score", "--enroll", str(d / "e.tsv"), "--test", str(d / "t.tsv"), "--trials",
+                   str(d / "trials.txt"), "--out", str(tmp_path / "scores.tsv")], ["e.tsv", "t.tsv", "trials.txt"]),
+        "eval": (["eval", "--scores", str(d / "scores.tsv"), "--trials", str(d / "trials.txt")],
+                 ["scores.tsv", "trials.txt"])}[command]
+    assert bounded_run(argv, [d / name for name in inputs]) == 0
+    assert capsys.readouterr().err == ""
+    if command == "score":
+        assert (tmp_path / "scores.tsv").read_bytes() == (d / "scores.tsv").read_bytes()
+
+
 def test_an_sveb_header_of_2_to_the_60_records_stays_within_the_peak_bound(tmp_path, capsys):
     sveb = store.MAGIC + struct.pack("<HQI", store.FORMAT_VERSION, 1 << 60, 4) + b"\x01\x00a" + bytes(16)
     (tmp_path / "e.sveb").write_bytes(sveb)

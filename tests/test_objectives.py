@@ -347,6 +347,16 @@ class TestCrop:
             with pytest.raises(ContractError, match="target_len_s must be finite and positive"):
                 objectives.CropSpec(seconds)
 
+    def test_a_frame_count_past_float64_or_of_no_frame_shift_is_rejected(self):
+        """1e308 s in 10 ms frames is past float64's range, which int(round()) raised as a
+        bare OverflowError; a frame shift of 0 raised ZeroDivisionError."""
+        with pytest.raises(ContractError, match=r"^1e\+308 s in frames of 10.0 ms is no finite frame count$"):
+            objectives.CropSpec(1e308).target_frames(10.0)
+        for shift in (0.0, -10.0, np.nan, 1e-320):
+            with pytest.raises(ContractError, match=f"^10.0 s in frames of {shift} ms is no finite frame count$"):
+                objectives.CropSpec(10.0).target_frames(shift)
+        assert objectives.CropSpec(1e300).target_frames(10.0) == int(round(1e300 * 1000.0 / 10.0))
+
 
 _AAM = objectives.AamConfig(scale=30.0, margin=0.2)
 

@@ -419,6 +419,58 @@ def test_a_wide_field_is_read_line_by_line_in_linear_memory(tmp_path, kind):
     assert peaks[1] < 2.5 * peaks[0], peaks
 
 
+@st.composite
+def field_files(draw):
+    """Bytes that byte_fields accepts or refuses, for a reason that may first show at any
+    line: lines of 2 or 3 fields of up to 40 bytes, with now and then a blank line, a line of
+    another field count, an empty field, a `#` or a CR, and maybe no final newline."""
+    k, lines = draw(st.integers(2, 3)), []
+    sep = draw(st.sampled_from(["\t", "\t", " ", " \t"]))  # a space parts trial fields only
+    width = draw(st.sampled_from([4, 40]))
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["fields"] * 15 + ["blank", "count", "empty", "#", "\r"]))
+        fields = draw(st.lists(st.text("abZ09", min_size=1, max_size=width),
+                               min_size=1 if kind == "count" else k, max_size=4 if kind == "count" else k))
+        line = sep.join(fields)
+        if kind == "blank":
+            line = draw(st.sampled_from(["", " ", "\t"]))
+        elif kind == "empty":
+            line = line.replace(sep, sep + sep, 1) if len(fields) > 1 else sep + line
+        elif kind in ("#", "\r"):
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + kind + line[at:]
+        lines.append(line)
+    return ("\n".join(lines) + ("\n" if draw(st.booleans()) else "")).encode()
+
+
+READS = {"trials": ((2, 3), None), "scores": ((3, 3), "\t")}
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=field_files(), block=st.integers(1, 64), read=st.sampled_from(sorted(READS)), pipe=st.booleans())
+@example(data=b"aaaaaaaaaa\tb\tc\nddddddddd\te\tf\n", block=8, read="scores", pipe=False)  # lines over a block
+@example(data=b"a b\nc d\ne f", block=4, read="trials", pipe=False)  # no final newline
+@example(data=b"a b\n\n\n\n \n\t\n\nc d\n", block=3, read="trials", pipe=False)  # blocks of blank lines only
+@example(data=b"a b\nc d\ne f#\n", block=4, read="trials", pipe=False)  # a later block's `#`
+@example(data=b"a\tb\tc\nd\te\tf\r\n", block=6, read="scores", pipe=False)  # a later block's CR
+@example(data=b"a b\nc d\ne f g\n", block=4, read="trials", pipe=False)  # a later block's field count
+@example(data=b"aaaaaaaa b\nc d\n", block=11, read="trials", pipe=False)  # matrix > file, each block not
+@example(data=b"a b\na b\na b\nabcdef g\nabcdef abcdef\nabcdef abcdef\n", block=21, read="trials",
+         pipe=True)  # the first block's matrix is larger than the block, no matrix larger than the file
+def test_byte_fields_in_blocks_equal_the_whole_file_check(tmp_path, data, block, read, pipe):
+    """byte_fields at any block size returns the columns, or the None, of the earlier
+    function that checked and gathered the whole file at once."""
+    path = tmp_path / "f.txt"
+    path.write_bytes(data)
+    want = oracles.oracle_byte_fields(path, *READS[read])
+    with mock.patch.object(store, "_FIELD_BLOCK", block):
+        got = store.byte_fields(store._ReadOnce(path) if pipe else path, *READS[read])
+    assert (got is None) == (want is None), (got, want)
+    if want is not None:
+        assert [(c.dtype, c.shape, c.tobytes()) for c in got] == [(c.dtype, c.shape, c.tobytes()) for c in want]
+
+
 # (reader, a valid first line, the second line around a number field, its error)
 NUMBER_FIELDS = {
     "scores": ("e\tt\t0.5\n", "e\tu\t{}\n", "bad score"),
