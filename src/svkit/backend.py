@@ -5,21 +5,23 @@ length-norm.  fit_center and fit_lda return float64 arrays; Pipeline stores
 them as float32, so that a saved and reloaded pipeline applies bitwise
 identically.
 
-No stage casts a whole set to float64: apply_pipeline works on row blocks of
+No stage casts a whole set to float64: apply_blocks works on row blocks of
 APPLY_BLOCK float64 values, which change no output bit as rows are
 independent, and fit_lda casts blocks of whole classes under the same budget.
+apply_blocks takes its input as the blocks that store.embedding_blocks reads,
+so that it holds its output and one block of its input at a time.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .store import ByteReader, EmbeddingSet, record_errors, sorted_codes
+from .store import ByteReader, EmbeddingSet, _open_binary, read_once, record_errors, sorted_codes
 
 PIPELINE_MAGIC = b"SVPL"
 PIPELINE_VERSION = 1
@@ -117,26 +119,38 @@ def fit_lda(s: EmbeddingSet, labels: Mapping[str, str] | None, k: int | None = N
 
 def apply_pipeline(p: Pipeline, s: EmbeddingSet) -> EmbeddingSet:
     """Apply present stages in order center -> LDA -> length-norm, a block of rows at a time."""
-    d = s.dim
-    for name, a in (("center", p.center), ("LDA input", p.lda)):
-        if a is not None and len(a) != d:
-            raise ContractError(f"{name} dim {len(a)} != embedding dim {d}")
-    out = np.empty((len(s), d if p.lda is None else p.lda.shape[1]), np.float32)
-    step = max(1, APPLY_BLOCK // max(d, 1))  # LDA keeps at most d dims
-    for lo in range(0, len(s), step):
-        x = s.vectors[lo : lo + step].astype(np.float64)
-        if p.center is not None:
-            x -= p.center  # in float64, as every product below
-        if p.lda is not None:
-            x = x @ p.lda
-        if p.length_norm:
-            norms = np.linalg.norm(x, axis=1)
-            if np.any(norms == 0):
-                raise ContractError("cannot length-normalize a zero vector")
-            x /= norms[:, None]
-        with np.errstate(over="ignore"):  # past float32 is inf, which EmbeddingSet refuses: no warning
-            out[lo : lo + step] = x
-    return EmbeddingSet(s.ids, out)
+    return apply_blocks(p, iter([(len(s), s.dim), (s.ids, s.vectors)]))
+
+
+def apply_blocks(p: Pipeline, blocks: Iterator) -> EmbeddingSet:
+    """apply_pipeline on a set given as store.embedding_blocks gives it: (count, dim), then
+    (ids, vectors) blocks, each applied into one output array as it arrives, APPLY_BLOCK
+    float64 values at a time.  A stage of another dim, a zero vector to length-normalize and
+    a non-finite output are raised once the blocks are spent: an input error comes first."""
+    count, d = next(blocks)
+    error = next((ContractError(f"{name} dim {len(a)} != embedding dim {d}")
+                  for name, a in (("center", p.center), ("LDA input", p.lda)) if a is not None and len(a) != d), None)
+    out = np.empty((count, d if p.lda is None else p.lda.shape[1]), np.float32) if error is None else None
+    ids, step = [], max(1, APPLY_BLOCK // max(d, 1))  # LDA keeps at most d dims
+    for block_ids, vectors in blocks:
+        for lo in range(0, len(block_ids) if error is None else 0, step):
+            x = vectors[lo : lo + step].astype(np.float64)
+            if p.center is not None:
+                x -= p.center  # in float64, as every product below
+            if p.lda is not None:
+                x = x @ p.lda
+            if p.length_norm:
+                norms = np.linalg.norm(x, axis=1)
+                if np.any(norms == 0):
+                    error = ContractError("cannot length-normalize a zero vector")
+                    break
+                x /= norms[:, None]
+            with np.errstate(over="ignore"):  # past float32 is inf, which EmbeddingSet refuses: no warning
+                out[len(ids) + lo : len(ids) + lo + len(x)] = x
+        ids += block_ids
+    if error is not None:
+        raise error
+    return EmbeddingSet(ids, out)
 
 
 def save_pipeline(p: Pipeline, path) -> None:
@@ -151,8 +165,8 @@ def save_pipeline(p: Pipeline, path) -> None:
 
 
 def load_pipeline(path) -> Pipeline:
-    r = ByteReader(path, PIPELINE_MAGIC, PIPELINE_VERSION, "pipeline")
-    with record_errors(path):  # a non-finite stage, or stages of different dims
+    with _open_binary(read_once(path)) as f, record_errors(path):  # a non-finite stage, or stages of different dims
+        r = ByteReader(f, path, PIPELINE_MAGIC, PIPELINE_VERSION, "pipeline")
         center = None
         if r.flag():
             mean = r.mat()

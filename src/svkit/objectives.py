@@ -45,11 +45,15 @@ class AamConfig:
             raise ContractError(f"margin must be in [0, pi/2), got {self.margin}")
 
 
-def _normalize_rows(m: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(m, axis=1)
-    if np.any(norms == 0):
+def _normalize_rows(m: np.ndarray, what: str) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The unit rows of m, and each row's norm as (norm of the row over its largest |value|,
+    that value): a row scaled to a largest |value| of 1 takes its norm without overflow."""
+    scale = np.abs(m).max(axis=1, keepdims=True)
+    if np.any(scale == 0):
         raise ContractError(f"zero-norm {what} row")
-    return m / norms[:, None], norms
+    m = m / scale
+    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    return m / norms, (norms, scale)
 
 
 def _aam_pieces(embeddings, class_weights, labels, cfg: AamConfig):
@@ -120,9 +124,12 @@ def aam_grad(embeddings, class_weights, labels, cfg: AamConfig) -> tuple[np.ndar
 
     du = dcos @ v
     dv = dcos.T @ u
-    # back through x -> x/|x|: (I - u u^T)/|x|
-    de = (du - (du * u).sum(axis=1, keepdims=True) * u) / e_norms[:, None]
-    dw = (dv - (dv * v).sum(axis=1, keepdims=True) * v) / w_norms[:, None]
+    # back through x -> x/|x|: (I - u u^T)/|x|, with |x| as its two factors
+    with np.errstate(over="ignore"):  # past float64, as 1/|x| of a subnormal row can be: refused below
+        de = (du - (du * u).sum(axis=1, keepdims=True) * u) / e_norms[0] / e_norms[1]
+        dw = (dv - (dv * v).sum(axis=1, keepdims=True) * v) / w_norms[0] / w_norms[1]
+    if not (np.all(np.isfinite(de)) and np.all(np.isfinite(dw))):
+        raise ContractError("AAM gradient overflows float64")
     return de, dw
 
 

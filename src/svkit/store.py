@@ -3,9 +3,8 @@
 Two interchangeable formats:
   * SVEB binary: magic ``SVEB``, version u16, count u64, dim u32 (at least
     1), then per record a u16 id length, the UTF-8 id bytes, and ``dim``
-    little-endian float32 values.  Roundtrips bit-exactly.  A set or file whose
-    ids share one byte length is written or read whole as one record array; any
-    other goes one record at a time, which is where every read error comes from.
+    little-endian float32 values.  Roundtrips bit-exactly.  Records are read from
+    the open file and written in _RECORD_BLOCK blocks, each one record array.
   * TSV text: one record per line, ``id<TAB>v1<TAB>v2...`` with decimal
     floats (9 significant digits on write, which roundtrips float32).
 
@@ -33,6 +32,7 @@ FORMAT_VERSION = 1
 _U16 = struct.Struct("<H")  # a format version or an SVEB id length
 _COUNT_DIM = struct.Struct("<QI")  # the SVEB header after its version
 _FIELD_BLOCK = 1 << 20  # bytes per block of whole lines that byte_fields checks and gathers
+_RECORD_BLOCK = 1 << 20  # bytes per block of SVEB records read or written
 
 
 def _sveb_record(id_len: int, dim: int) -> np.dtype:  # ids as bytes: an S dtype drops a trailing NUL
@@ -51,8 +51,9 @@ class _ReadOnce:
 
 
 def read_once(path):
-    """`path` if it is a regular file, else a _ReadOnce of it, for a reader that opens it twice."""
-    return path if os.path.isfile(path) else _ReadOnce(path)
+    """`path` if it is a regular file or a _ReadOnce, else a _ReadOnce of it, for a reader
+    that opens it twice."""
+    return path if isinstance(path, _ReadOnce) or os.path.isfile(path) else _ReadOnce(path)
 
 
 def _open_binary(path) -> BinaryIO:
@@ -220,6 +221,23 @@ def _is_sveb(path) -> bool:
     return head[:4] == MAGIC and head[5:] == b"\x00"
 
 
+def _finite(a: np.ndarray) -> bool:  # min and max propagate NaN and ±inf
+    return not a.size or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
+def _check_set(ids: Sequence[str], finite: bool) -> None:
+    """Raise a set's first error: an invalid id, a duplicate id, a non-finite value."""
+    for i in ids:
+        if i.split() != [i]:  # empty, or any character that str.isspace() accepts
+            raise ContractError(f"invalid id {i!r}: must be non-empty, no whitespace")
+    if len(set(ids)) != len(ids):
+        seen = set()
+        dup = next(i for i in ids if i in seen or seen.add(i))
+        raise ContractError(f"duplicate id {dup!r}")
+    if not finite:
+        raise ContractError("non-finite embedding values")
+
+
 class EmbeddingSet:
     """Ordered set of (id, float32 vector) records with uniform dimension."""
 
@@ -231,15 +249,7 @@ class EmbeddingSet:
             raise ContractError(
                 f"{len(ids)} ids but {vectors.shape[0]} vectors"
             )
-        for i in ids:
-            if i.split() != [i]:  # empty, or any character that str.isspace() accepts
-                raise ContractError(f"invalid id {i!r}: must be non-empty, no whitespace")
-        if len(set(ids)) != len(ids):
-            seen = set()
-            dup = next(i for i in ids if i in seen or seen.add(i))
-            raise ContractError(f"duplicate id {dup!r}")
-        if vectors.size and not np.all(np.isfinite(vectors)):
-            raise ContractError("non-finite embedding values")
+        _check_set(ids, _finite(vectors))
         self.ids = list(ids)
         self.vectors = vectors
         self._index = {i: k for k, i in enumerate(self.ids)}
@@ -270,22 +280,36 @@ class EmbeddingSet:
 
 def write_embeddings(s: EmbeddingSet, path) -> None:
     """Write SVEB (bit-exact roundtrip); a set it cannot hold is refused before open."""
-    if s.dim == 0:
+    _write_sveb(path, s.vectors, s.ids)
+
+
+def _write_sveb(path, vectors: np.ndarray, ids: Sequence[str] | None = None) -> None:
+    """SVEB of the rows of `vectors` under `ids`, or their row numbers, a block at a time:
+    its ids are padded to the longest, and the padding is dropped on write."""
+    count, dim = vectors.shape
+    if dim == 0:
         raise ContractError("SVEB records need at least one value, got dimension 0")
-    raws = [id_.encode("utf-8") for id_ in s.ids]
-    for id_, raw in zip(s.ids, raws):
-        if len(raw) > 0xFFFF:
+    for id_ in ids or ():
+        if len(id_) > 0xFFFF // 4 and len(id_.encode("utf-8")) > 0xFFFF:  # at most 4 bytes a character
             raise ContractError(f"id longer than 65535 bytes: {id_[:32]!r}...")
+    raws = (b"%d" % k for k in range(count)) if ids is None else map(str.encode, ids)
+    step = max(1, _RECORD_BLOCK // (4 * dim))
     with open(path, "wb") as f:
-        f.write(MAGIC + _U16.pack(FORMAT_VERSION) + _COUNT_DIM.pack(len(s), s.dim))
-        if len(set(map(len, raws))) == 1:
-            recs = np.empty(len(s), _sveb_record(len(raws[0]), s.dim))
-            id_bytes = np.frombuffer(b"".join(raws), np.uint8).reshape(len(s), -1)
-            recs["n"], recs["id"], recs["vec"] = len(raws[0]), id_bytes, s.vectors
-            f.write(recs)
-        else:
-            for raw, vec in zip(raws, s.vectors):
-                f.write(_U16.pack(len(raw)) + raw + vec.astype("<f4", copy=False).tobytes())
+        f.write(MAGIC + _U16.pack(FORMAT_VERSION) + _COUNT_DIM.pack(count, dim))
+        for lo in range(0, count, step):
+            block = list(itertools.islice(raws, step))
+            lengths = np.fromiter(map(len, block), np.intp, len(block))
+            width = int(lengths.max())
+            recs = np.empty(len(block), _sveb_record(width, dim))
+            recs["n"], recs["vec"] = lengths, vectors[lo : lo + step]
+            real = np.arange(width) < lengths[:, None]  # each id's bytes, then its padding
+            recs["id"][real] = np.frombuffer(b"".join(block), np.uint8)
+            if real.all():
+                f.write(recs)
+            else:
+                keep = np.ones((len(block), recs.itemsize), bool)
+                keep[:, 2 : 2 + width] = real
+                f.write(recs.view(np.uint8).reshape(len(block), -1)[keep])
 
 
 def write_embeddings_tsv(s: EmbeddingSet, path) -> None:
@@ -294,24 +318,25 @@ def write_embeddings_tsv(s: EmbeddingSet, path) -> None:
 
 
 class ByteReader:
-    """Bounded little-endian cursor over a whole SVEB or SVPL file: opening it checks the
+    """Bounded little-endian cursor over an open SVEB or SVPL file: opening it checks the
     magic and u16 version, and a read past the end or a byte left at end() is a FormatError."""
 
-    def __init__(self, path, magic: bytes, version: int, kind: str):
-        with _open_binary(path) as f:
-            self.path, self.data, self.off = path, memoryview(f.read()), 0
+    def __init__(self, f: BinaryIO, path, magic: bytes, version: int, kind: str):
+        self.f, self.path, self.off = f, path, 0
+        self.size = f.seek(0, io.SEEK_END)
+        f.seek(0)
         if self.take(len(magic)) != magic:
             raise FormatError(f"{path}: not a {kind} file")
         (v,) = self.unpack(_U16)
         if v != version:
             raise FormatError(f"{path}: unsupported {kind} version {v}")
 
-    def take(self, n: int) -> memoryview:
-        end = self.off + n
-        if end > len(self.data):
+    def take(self, n: int) -> bytes:
+        data = self.f.read(n) if n <= self.size - self.off else b""
+        if len(data) < n:  # past the size, or the file shrank
             raise FormatError(f"{self.path}: truncated: {n} bytes needed at byte {self.off}")
-        self.off = end
-        return self.data[end - n : end]
+        self.off += n
+        return data
 
     def unpack(self, fmt: struct.Struct) -> tuple:
         return fmt.unpack(self.take(fmt.size))
@@ -327,45 +352,70 @@ class ByteReader:
         return bool(b)
 
     def end(self) -> None:
-        if self.off < len(self.data):
-            raise FormatError(f"{self.path}: {len(self.data) - self.off} trailing bytes")
+        if self.off < self.size:
+            raise FormatError(f"{self.path}: {self.size - self.off} trailing bytes")
 
 
-def _parse_sveb(path) -> EmbeddingSet:
-    r = ByteReader(path, MAGIC, FORMAT_VERSION, "SVEB")
-    count, dim = r.unpack(_COUNT_DIM)
-    if dim == 0:
-        raise FormatError(f"{path}: dimension 0: a record needs at least one value")
-    vec_bytes = 4 * dim
-    left = len(r.data) - r.off
-    # every record takes at least its id length and vector: check before allocating
-    if count * (2 + vec_bytes) > left:
-        raise FormatError(f"{path}: header claims {count} records of dim {dim}, "
-                          f"more than the {left} bytes that follow")
-    # when the records fill the rest of the file at one stride, and every id has the first
-    # one's byte length and is UTF-8, one record array holds what the loop below would read
-    id_len = int.from_bytes(r.data[r.off : r.off + 2], "little")
-    size = 2 + id_len + vec_bytes
-    if count * size == left and size < 1 << 31:  # numpy has no larger record dtype
-        recs = np.frombuffer(r.data[r.off :], _sveb_record(id_len, dim))
-        with suppress(UnicodeDecodeError):  # the loop names the record
-            if (recs["n"] == id_len).all():
-                ids = [str(r.data[at : at + id_len], "utf-8") for at in range(r.off + 2, len(r.data), size)]
-                with record_errors(path):
-                    return EmbeddingSet(ids, recs["vec"].copy())
-    ids = []
-    vecs = np.empty((count, dim), dtype=np.float32)
-    for k in range(count):
-        (id_len,) = r.unpack(_U16)
-        record = r.take(id_len + vec_bytes)
-        try:
-            ids.append(str(record[:id_len], "utf-8"))
-        except UnicodeDecodeError:
-            raise FormatError(f"{path}: record {k}: id is not UTF-8") from None
-        vecs[k] = np.frombuffer(record[id_len:], "<f4")
-    r.end()
-    with record_errors(path):  # empty, blank or duplicate id, or a non-finite value
-        return EmbeddingSet(ids, vecs)
+def embedding_blocks(path) -> Iterator:
+    """What read_embeddings(path) reads, as (count, dim) and then (ids, float32 vectors)
+    blocks, one of a TSV file; each error is raised after the blocks before it.
+
+    An SVEB file is read a block of records at a time while they fill the rest of the file
+    at the first one's stride; from a block with another id length or an id that is not
+    UTF-8 on, one record at a time, which is where every FormatError is raised."""
+    path = read_once(path)
+    if not _is_sveb(path):
+        s = _parse_tsv(path)
+        yield len(s), s.dim
+        yield s.ids, s.vectors
+        return
+    with _open_binary(path) as f:
+        r = ByteReader(f, path, MAGIC, FORMAT_VERSION, "SVEB")
+        count, dim = r.unpack(_COUNT_DIM)
+        if dim == 0:
+            raise FormatError(f"{path}: dimension 0: a record needs at least one value")
+        vec_bytes = 4 * dim
+        left = r.size - r.off
+        # every record takes at least its id length and vector: check before allocating
+        if count * (2 + vec_bytes) > left:
+            raise FormatError(f"{path}: header claims {count} records of dim {dim}, "
+                              f"more than the {left} bytes that follow")
+        yield count, dim
+        id_len = int.from_bytes(f.read(2), "little")  # the first record's, read again below
+        f.seek(r.off)
+        size = 2 + id_len + vec_bytes
+        strided = count * size == left and size < 1 << 31  # numpy has no larger record dtype
+        ids, finite = [], True
+        while len(ids) < count:
+            k = len(ids)
+            if strided:
+                data = r.take(min(count - k, max(1, _RECORD_BLOCK // size)) * size)
+                recs, block_ids = np.frombuffer(data, _sveb_record(id_len, dim)), None
+                if (recs["n"] == id_len).all():
+                    with suppress(UnicodeDecodeError):  # the record loop names the record
+                        block_ids = [str(data[at : at + id_len], "utf-8") for at in range(2, len(data), size)]
+                if block_ids is None:
+                    r.off = f.seek(r.off - len(data))  # read the block again one record at a time
+                    strided = False
+                    continue
+                vecs = recs["vec"]
+            else:
+                block_ids = []
+                vecs = np.empty((min(count - k, max(1, _RECORD_BLOCK // vec_bytes)), dim), np.float32)
+                for j in range(len(vecs)):
+                    (n,) = r.unpack(_U16)
+                    record = r.take(n + vec_bytes)
+                    try:
+                        block_ids.append(str(record[:n], "utf-8"))
+                    except UnicodeDecodeError:
+                        raise FormatError(f"{path}: record {k + j}: id is not UTF-8") from None
+                    vecs[j] = np.frombuffer(record, "<f4", offset=n)
+            finite = finite and _finite(vecs)
+            ids += block_ids
+            yield block_ids, vecs
+        r.end()
+        with record_errors(path):  # an empty, blank or duplicate id, or a non-finite value
+            _check_set(ids, finite)
 
 
 def _numeric_rows(path, first: int, dtype) -> tuple[list[str], np.ndarray]:
@@ -407,7 +457,15 @@ def _parse_tsv(path) -> EmbeddingSet:
 def read_embeddings(path) -> EmbeddingSet:
     """Read SVEB or TSV embeddings, auto-detected by the magic bytes."""
     path = read_once(path)
-    return _parse_sveb(path) if _is_sveb(path) else _parse_tsv(path)
+    if not _is_sveb(path):
+        return _parse_tsv(path)
+    blocks = embedding_blocks(path)
+    count, dim = next(blocks)
+    ids, vectors = [], np.empty((count, dim), np.float32)
+    for block_ids, block in blocks:
+        vectors[len(ids) : len(ids) + len(block_ids)] = block
+        ids += block_ids
+    return EmbeddingSet(ids, vectors)
 
 
 def sorted_codes(values: list[str]) -> tuple[list[str], np.ndarray]:
@@ -432,12 +490,14 @@ def read_labels(path) -> dict[str, str]:
 
 
 def write_matrix(values: np.ndarray, path) -> None:
-    """Dump a T x F matrix reusing the SVEB record encoding (frame-index ids)."""
+    """Dump a T x F matrix as SVEB records, each under its row number as id."""
     values = np.asarray(values)
     if values.ndim != 2:
         raise ContractError(f"matrix must be 2-D, got shape {values.shape}")
-    s = EmbeddingSet([str(t) for t in range(values.shape[0])], values)
-    write_embeddings(s, path)
+    # rounding keeps order: all values are finite in float32 if both extremes are
+    if values.size and not _finite(np.float32([values.min(), values.max()])):
+        raise ContractError("non-finite embedding values")
+    _write_sveb(path, values)
 
 
 def write_matrix_tsv(values: np.ndarray, path) -> None:
@@ -455,7 +515,7 @@ def read_matrix(path) -> np.ndarray:
     record is a number."""
     path = read_once(path)
     if _is_sveb(path):
-        return _parse_sveb(path).vectors.astype(np.float64)
+        return read_embeddings(path).vectors.astype(np.float64)
     for _, fields in records(path, "a value", fields=(1, None)):
         try:
             float(plain_number(fields[0]))

@@ -26,7 +26,8 @@ byte_fields, which checked and gathered the whole file at once; the
 labeled-scores oracle is the earlier score reader followed by the
 alignment loop that the CLI ran on its table.  The SVEB and SVPL oracles
 are the package's earlier binary readers, each with its own hand-kept
-offset and bounds checks.
+offset and bounds checks, and the SVEB record-loop oracle is the reader
+that came after them and before record blocks.
 """
 
 import math
@@ -772,6 +773,45 @@ def oracle_parse_sveb(path) -> EmbeddingSet:
     if off != len(data):
         raise FormatError(f"{path}: {len(data) - off} trailing bytes")
     with record_errors(path):  # empty, blank or duplicate id, or a non-finite value
+        return EmbeddingSet(ids, vecs)
+
+
+def oracle_sveb_record_loop(path) -> EmbeddingSet:
+    """The SVEB reader before record blocks, on its record loop: the whole file in memory
+    and a bounded cursor over it, with the messages and byte offsets that read_embeddings
+    keeps."""
+    data, off = memoryview(Path(path).read_bytes()), 0
+
+    def take(n: int) -> memoryview:
+        nonlocal off
+        if off + n > len(data):
+            raise FormatError(f"{path}: truncated: {n} bytes needed at byte {off}")
+        off += n
+        return data[off - n : off]
+
+    if take(4) != MAGIC:
+        raise FormatError(f"{path}: not a SVEB file")
+    (version,) = struct.unpack("<H", take(2))
+    if version != FORMAT_VERSION:
+        raise FormatError(f"{path}: unsupported SVEB version {version}")
+    count, dim = struct.unpack("<QI", take(12))
+    if dim == 0:
+        raise FormatError(f"{path}: dimension 0: a record needs at least one value")
+    if count * (2 + 4 * dim) > len(data) - off:
+        raise FormatError(f"{path}: header claims {count} records of dim {dim}, "
+                          f"more than the {len(data) - off} bytes that follow")
+    ids, vecs = [], np.empty((count, dim), dtype=np.float32)
+    for k in range(count):
+        (id_len,) = struct.unpack("<H", take(2))
+        record = take(id_len + 4 * dim)
+        try:
+            ids.append(str(record[:id_len], "utf-8"))
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: record {k}: id is not UTF-8") from None
+        vecs[k] = np.frombuffer(record[id_len:], "<f4")
+    if off < len(data):
+        raise FormatError(f"{path}: {len(data) - off} trailing bytes")
+    with record_errors(path):
         return EmbeddingSet(ids, vecs)
 
 

@@ -5,11 +5,14 @@ vector bytes and stages, or both raise FormatError; messages may differ
 only as REWORDED lists.  The one deliberate difference: an SVEB
 header of dimension 0, which the earlier reader accepted, is a FormatError.
 The SVEB writer must write the bytes of the earlier one-record-at-a-time
-writer.  Both read and write a set whose ids share one byte length as one
-record array, so the drawn files often have such ids."""
+writer.  SVEB reads must also equal, message and byte offset included, the
+record loop that read every file before records were read in blocks, at any
+block size.  A file whose ids share one byte length is read a block of
+records at a time, so the drawn files often have such ids."""
 
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -160,6 +163,10 @@ def _check(new, old, path):
                for was, now in REWORDED), (want, got)
 
 
+def _loop_matrix(path):
+    return oracles.oracle_sveb_record_loop(path).vectors.astype(np.float64)
+
+
 def check_sveb(path, data: bytes):
     path.write_bytes(data)
     if not store._is_sveb(path):
@@ -170,6 +177,8 @@ def check_sveb(path, data: bytes):
                                                          "at least one value")
         else:
             _check(new, old, path)
+    assert _outcome(store.read_embeddings, path) == _outcome(oracles.oracle_sveb_record_loop, path)
+    assert _outcome(store.read_matrix, path) == _outcome(_loop_matrix, path)
 
 
 def _check_svpl(path, data: bytes):
@@ -205,13 +214,62 @@ def test_sveb_writer_matches_earlier_writer(tmp_path, s):
     assert (got.ids, got.vectors.tobytes()) == (s.ids, s.vectors.tobytes())
 
 
+def _variants(s: store.EmbeddingSet, raw: bytes) -> list[bytes]:
+    """The SVEB file `raw` of `s`; it cut short by one byte and by a vector and an id length;
+    with a trailing byte; and with its last record's first id byte, or its id length's low
+    byte, replaced by 0xff (not UTF-8, or a wrong stride)."""
+    out = [raw, raw[:-1], raw[: -4 * s.dim - 2], raw + b"\x00"]
+    if len(s):
+        at = len(raw) - 2 - len(s.ids[-1].encode()) - 4 * s.dim
+        out += [raw[: at + 2] + b"\xff" + raw[at + 3 :], raw[:at] + b"\xff" + raw[at + 1 :]]
+    return out
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(s=sveb_files(), data=st.data())
+def test_any_record_block_reads_and_writes_as_the_earlier_code(tmp_path, s, data):
+    """_RECORD_BLOCK from one byte (one record a block) up to past the whole file, over files
+    of one stride and of several (ids of 1, 2, 3 and 9 bytes), cut short, with a trailing
+    byte, an id that is not UTF-8, a wrong id length, or one drawn byte changed: the writer
+    writes the earlier writer's bytes, each read equals the record loop's, message and byte
+    offset included, and the earlier reader's up to REWORDED, and SVPL reads as before."""
+    oracles.oracle_write_embeddings(s, tmp_path / "old.sveb")
+    raw = (tmp_path / "old.sveb").read_bytes()
+    files = [*_variants(s, raw), _mutate(data.draw, raw)]
+    pipe = tmp_path / "p.svpl"
+    backend.save_pipeline(data.draw(svpl_files()), pipe)
+    for block in sorted({1, 2 + s.dim * 4, 2 * (3 + s.dim * 4) + 1, len(raw) - 1, len(raw), len(raw) + 1, 1 << 20}):
+        with mock.patch.object(store, "_RECORD_BLOCK", block):
+            store.write_embeddings(s, tmp_path / "new.sveb")
+            assert (tmp_path / "new.sveb").read_bytes() == raw, block
+            for k, body in enumerate(files):
+                check_sveb(tmp_path / f"v{k}.sveb", body)
+            _check_svpl(pipe, pipe.read_bytes())
+
+
+@pytest.mark.parametrize("ids", [["ab", "c", "def", "gh"], ["ab", "cd", "e", "fgh"], ["a", "bc", "d"]],
+                         ids=["one-stride-total", "stride-change", "mixed"])
+@pytest.mark.parametrize("block", [1, 30, 60, 1 << 20])
+def test_a_stride_change_after_a_block_reads_as_the_record_loop(tmp_path, ids, block):
+    """Ids of 2, 1, 3 and 2 bytes take as many bytes as four ids of 2, so the reader starts
+    with record blocks and meets another id length inside or after its first block."""
+    s = store.EmbeddingSet(ids, np.arange(4 * len(ids), dtype=np.float32).reshape(len(ids), 4))
+    oracles.oracle_write_embeddings(s, tmp_path / "e.sveb")
+    with mock.patch.object(store, "_RECORD_BLOCK", block):
+        got = store.read_embeddings(tmp_path / "e.sveb")
+        assert (got.ids, got.vectors.tobytes()) == (ids, s.vectors.tobytes())
+        raw = (tmp_path / "e.sveb").read_bytes()
+        for k, body in enumerate(_variants(s, raw)):
+            check_sveb(tmp_path / f"v{k}.sveb", body)
+
+
 @pytest.mark.parametrize("ids, looped", [
-    (["ab", "ä", "c\x00"], 0),  # one byte length: one record array
+    (["ab", "ä", "c\x00"], 0),  # one byte length: one block of three 12-byte records
     (["a", "ä", "c\x00"], 3),  # 1, 2 and 2 bytes: the record loop
 ])
 def test_uniform_ids_skip_the_record_loop(tmp_path, monkeypatch, ids, looped):
-    """The magic, the version and the header are the reads of a whole file; the record
-    loop adds two a record."""
+    """After the magic, the version and the header, a file of one stride is read in one take
+    a block; the record loop takes an id length and then the rest of each record."""
     s = store.EmbeddingSet(ids, np.arange(6, dtype=np.float32).reshape(3, 2))
     store.write_embeddings(s, tmp_path / "new.sveb")
     oracles.oracle_write_embeddings(s, tmp_path / "old.sveb")
@@ -221,7 +279,8 @@ def test_uniform_ids_skip_the_record_loop(tmp_path, monkeypatch, ids, looped):
     monkeypatch.setattr(store.ByteReader, "take", lambda r, n: reads.append(n) or take(r, n))
     got = store.read_embeddings(tmp_path / "new.sveb")
     assert (got.ids, got.vectors.tobytes()) == (ids, s.vectors.tobytes())
-    assert len(reads) == 3 + 2 * looped
+    loop = [n for i in ids[len(ids) - looped :] for n in (2, len(i.encode()) + 8)]
+    assert reads == [4, 2, 12, *([] if looped else [36]), *loop]
 
 
 @SETTINGS

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -126,6 +127,36 @@ class TestAamForward:
             objectives.aam_forward(emb, weights, [0, 1], objectives.AamConfig())
         with pytest.raises(ContractError):
             objectives.aam_forward(np.eye(2), np.array([[0.0, 0.0], [1.0, 0.0]]), [0, 1], objectives.AamConfig())
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300, 1.7e308], ids=["1e300", "1e-300", "largest"])
+    def test_extreme_finite_rows_give_the_unit_rows_loss(self, scale):
+        """Each row is divided by its largest |value| before its norm is taken: the squares of
+        rows of 1e300 overflowed and warned, and those of rows of 1e-300 underflowed to a
+        zero norm.  The loss does not change with the rows' scale, and each gradient scales by
+        1/scale; `largest` puts the largest |value| at 1.7e308."""
+        rng = np.random.default_rng(5)
+        emb, weights, labels = random_instance(rng)
+        if scale == 1.7e308:
+            scale /= max(np.abs(emb).max(), np.abs(weights).max())
+        cfg = objectives.AamConfig(scale=30.0, margin=0.2)
+        want = objectives.aam_forward(emb, weights, labels, cfg)[0]
+        want_de, want_dw = objectives.aam_grad(emb, weights, labels, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, _ = objectives.aam_forward(emb * scale, weights * scale, labels, cfg)
+            de, dw = objectives.aam_grad(emb * scale, weights * scale, labels, cfg)
+        assert abs(loss - want) < 1e-12
+        np.testing.assert_allclose(de * scale, want_de, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dw * scale, want_dw, rtol=0, atol=1e-12)
+
+    def test_a_gradient_past_float64_is_refused(self):
+        """1/|x| of a row of the least subnormal, 5e-324, is past float64's range."""
+        emb = np.array([[5e-324, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(objectives.aam_forward(emb, np.eye(3)[:2], [0, 1], objectives.AamConfig())[0])
+            with pytest.raises(ContractError, match="^AAM gradient overflows float64$"):
+                objectives.aam_grad(emb, np.eye(3)[:2], [0, 1], objectives.AamConfig())
 
     def test_bad_labels(self):
         with pytest.raises(ContractError):

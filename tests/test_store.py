@@ -1,5 +1,7 @@
+import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import oracle_write_embeddings_tsv, oracle_write_matrix_tsv
+from unittest import mock
+
+from oracles import oracle_write_embeddings, oracle_write_embeddings_tsv, oracle_write_matrix_tsv
 from svkit import store
 from svkit.errors import ContractError, FormatError
 
@@ -56,6 +60,20 @@ class TestEmbeddingSet:
     def test_nonfinite_rejected(self):
         with pytest.raises(ContractError):
             store.EmbeddingSet(["a"], np.array([[np.nan, 0.0]], np.float32))
+
+    @given(vecs=arrays(np.float32, st.tuples(st.integers(0, 6), st.integers(0, 6)), elements=FLOAT32),
+           value=st.sampled_from([np.nan, np.inf, -np.inf, 3.4028235e38, -0.0]), at=st.integers(0, 35))
+    def test_finite_check_equals_the_whole_mask(self, vecs, value, at):
+        """The set is checked from its min and max, which propagate NaN and ±inf, without a
+        bool array of its size: it refuses exactly the sets that np.isfinite finds."""
+        if vecs.size:
+            vecs.flat[at % vecs.size] = value
+        ids = [f"u{k}" for k in range(len(vecs))]
+        if not vecs.size or np.all(np.isfinite(vecs)):
+            assert store.EmbeddingSet(ids, vecs).vectors is not None
+        else:
+            with pytest.raises(ContractError, match="^non-finite embedding values$"):
+                store.EmbeddingSet(ids, vecs)
 
     def test_select_identity_and_order(self):
         s = random_set(np.random.default_rng(0))
@@ -376,6 +394,48 @@ class TestMatrix:
         path = tmp_path / "m.feats"
         store.write_matrix(m, path)
         np.testing.assert_array_equal(store.read_matrix(path), m.astype(np.float64))
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(m=arrays(np.float64, st.tuples(st.integers(0, 12), st.integers(1, 4)),
+                    elements=st.floats(-3.4e38, 3.4e38)),
+           block=st.sampled_from([1, 5, 40, 1 << 20]))
+    def test_binary_bytes_equal_a_set_of_frame_ids(self, tmp_path, m, block):
+        """Frame ids 0 to T-1 are written a block at a time, as records of mixed id lengths
+        once T passes 10, and values are rounded to float32 as they are written: the bytes of
+        the earlier writer on a set of those ids."""
+        with mock.patch.object(store, "_RECORD_BLOCK", block):
+            store.write_matrix(m, tmp_path / "new.feats")
+        oracle_write_embeddings(store.EmbeddingSet([str(t) for t in range(len(m))], m), tmp_path / "old.feats")
+        assert (tmp_path / "new.feats").read_bytes() == (tmp_path / "old.feats").read_bytes()
+
+    @pytest.mark.parametrize("m, message", [
+        (np.zeros(3), "matrix must be 2-D, got shape (3,)"),
+        (np.zeros((1, 2, 2)), "matrix must be 2-D, got shape (1, 2, 2)"),
+        (np.array([[0.0, np.nan]]), "non-finite embedding values"),
+        (np.array([[-np.inf, 0.0]]), "non-finite embedding values"),
+        (np.array([[0.0, 3.5e38]]), "non-finite embedding values"),  # past float32's range
+        (np.zeros((2, 0)), "SVEB records need at least one value, got dimension 0"),
+    ], ids=["1-d", "3-d", "nan", "-inf", "past-float32", "dimension-0"])
+    def test_an_unwritable_matrix_creates_no_file(self, tmp_path, m, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the float32 cast of 3.5e38 warns, as it did
+            with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+                store.write_matrix(m, tmp_path / "m.feats")
+        assert not (tmp_path / "m.feats").exists()
+
+    def test_binary_write_holds_one_block(self, tmp_path):
+        """40k frames of 80 float64 values: one block of records, not a set of 40k id strings
+        and a float32 copy of the matrix: 3.3 MiB traced, 18.3 MiB before."""
+        m = np.random.default_rng(10).normal(size=(40000, 80))
+        store.write_matrix(m, tmp_path / "m.feats")
+        tracemalloc.start()
+        try:
+            store.write_matrix(m, tmp_path / "m.feats")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * store._RECORD_BLOCK, peak
+        np.testing.assert_array_equal(store.read_matrix(tmp_path / "m.feats"), m.astype(np.float32))
 
     def test_plain_tsv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)
