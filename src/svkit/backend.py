@@ -5,11 +5,15 @@ length-norm.  fit_center and fit_lda return float64 arrays; Pipeline stores
 them as float32, so that a saved and reloaded pipeline applies bitwise
 identically.
 
-No stage casts a whole set to float64: apply_blocks works on row blocks of
+No stage casts a whole set to float64.  apply_blocks works on row blocks of
 APPLY_BLOCK float64 values, which change no output bit as rows are
-independent, and fit_lda casts blocks of whole classes under the same budget.
-apply_blocks takes its input as the blocks that store.embedding_blocks reads,
-so that it holds its output and one block of its input at a time.
+independent; it takes its input as store.embedding_blocks reads it, so that
+it holds its output and one block of its input at a time.  The fit holds no
+copy of its set: fit_center and fit_lda read a TrainingSet in passes of
+record blocks.  A file is read once to center (TrainingSet's validating
+pass) and three times to fit LDA (that pass, then the class sums, then the
+within-class scatter).  A TSV file is one in-memory block, so it is parsed
+once; a pipe is read once into memory (store.read_once).
 """
 
 from __future__ import annotations
@@ -21,11 +25,11 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .store import ByteReader, EmbeddingSet, _open_binary, read_once, record_errors, sorted_codes
+from .store import ByteReader, EmbeddingSet, _open_binary, embedding_blocks, read_once, record_errors, sorted_codes
 
 PIPELINE_MAGIC = b"SVPL"
 PIPELINE_VERSION = 1
-APPLY_BLOCK = 1 << 18  # float64 values per block of rows in apply_pipeline: 1024 rows at 256-d
+APPLY_BLOCK = 1 << 18  # float64 values per block of rows: 1024 rows at 256-d to apply, 512 and their means to fit
 
 
 @dataclass(frozen=True)
@@ -49,25 +53,87 @@ class Pipeline:
             raise ContractError(f"center dim {len(self.center)} != LDA input dim {len(self.lda)}")
 
 
-def fit_center(s: EmbeddingSet) -> np.ndarray:
-    """Arithmetic mean of the set's vectors, in float64."""
+def _product_blocks(blocks: Iterator, count: int, d: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The rows of (ids, vectors) `blocks` as (first row, float64 rows) pairs of
+    APPLY_BLOCK // (2 * d) rows each (fewer at the end), in one buffer that is refilled: the
+    same row ranges and bytes however the record blocks split the set."""
+    x = np.empty((min(count, max(1, APPLY_BLOCK // (2 * max(d, 1)))), d))
+    lo = n = 0
+    for _, vectors in blocks:
+        at = 0
+        while at < len(vectors):
+            take = min(len(x) - n, len(vectors) - at)
+            x[n : n + take] = vectors[at : at + take]
+            n, at = n + take, at + take
+            if n == len(x):
+                yield lo, x
+                lo, n = lo + n, 0
+    if n:
+        yield lo, x[:n]
+
+
+class TrainingSet:
+    """A set that fit_center and fit_lda read in passes of (ids, float32 vectors) blocks:
+    an EmbeddingSet as one block, a file as store.embedding_blocks reads it.  The first
+    pass, made here, raises every read error, keeps the ids and sums the rows in float64
+    one after another, as mean(axis=0) does.  A set of one block is kept, not read again."""
+
+    def __init__(self, source):
+        self.path = None if isinstance(source, EmbeddingSet) else read_once(source)
+        blocks = embedding_blocks(self.path) if self.path is not None else iter(
+            [(len(source), source.dim), (source.ids, source.vectors)])
+        self.count, self.dim = next(blocks)
+        self.ids, self._one = [], None
+
+        def first():
+            for n, block in enumerate(blocks):
+                self.ids += block[0]
+                self._one = block if n == 0 else None
+                yield block
+
+        self.sum = np.zeros(self.dim)
+        with np.errstate(invalid="ignore"):  # a NaN or an infinity, which the read refuses at its end
+            for _, x in _product_blocks(first(), self.count, self.dim):
+                self.sum = np.add.reduce(np.concatenate((self.sum[None], x)), axis=0)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def rows(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Another pass: the set as _product_blocks gives it.  A file whose count, dim or ids
+        changed since the first pass is a FormatError."""
+        if self._one is not None:
+            return _product_blocks(iter([self._one]), self.count, self.dim)
+        blocks = embedding_blocks(self.path, self.ids)  # checks the count and ids, and holds no ids
+        if next(blocks)[1] != self.dim:
+            raise FormatError(f"{self.path}: changed since it was first read")
+        return _product_blocks(blocks, self.count, self.dim)
+
+
+def fit_center(s: EmbeddingSet | TrainingSet) -> np.ndarray:
+    """Arithmetic mean of the set's vectors, in float64: the sum of its first pass."""
+    s = s if isinstance(s, TrainingSet) else TrainingSet(s)
     if len(s) == 0:
         raise ContractError("cannot fit centering on an empty set")
-    return s.vectors.mean(axis=0, dtype=np.float64)
+    return s.sum / len(s)
 
 
-def fit_lda(s: EmbeddingSet, labels: Mapping[str, str] | None, k: int | None = None) -> np.ndarray:
+def fit_lda(s: EmbeddingSet | TrainingSet, labels: Mapping[str, str] | None, k: int | None = None) -> np.ndarray:
     """Fit a float64 (D, k) LDA projection from the speaker label of each id of the set.
 
     Solves the generalized eigenproblem of between-class scatter against
     ridge-regularized pooled within-class scatter (ridge 1e-6 * trace / D)
     and keeps the top-k eigenvectors, unit-normalized, with the sign fixed
-    so each column's first nonzero component is positive.  The scatters are
-    invariant under a shift of the set, so no centered copy is needed.  They
-    are summed over blocks of whole classes, one product per block each: a
-    block's rows and the class mean of each row fit in APPLY_BLOCK float64
-    values, 512 rows at 256-d (a larger class is a block of its own).
+    so each column's first nonzero component is positive.
+
+    After the first pass (TrainingSet), one pass sums each class and one sums
+    the within-class scatter about the exact class means, each in product
+    blocks of fixed row ranges whose rows and row means fit in APPLY_BLOCK
+    float64 values (512 rows at 256-d), so that no byte depends on the record
+    blocks.  Besides the ids and their class codes, the fit holds the class
+    sums, two d x d float64 matrices and one product block.
     """
+    s = s if isinstance(s, TrainingSet) else TrainingSet(s)
     if len(s) == 0:
         raise ContractError("cannot fit LDA on an empty set")
     if labels is None:
@@ -85,24 +151,21 @@ def fit_lda(s: EmbeddingSet, labels: Mapping[str, str] | None, k: int | None = N
     if not 1 <= k <= max_k:
         raise ContractError(f"k must be in [1, {max_k}], got {k}")
 
-    mean = s.vectors.mean(axis=0, dtype=np.float64)
+    means = np.zeros((len(classes), d))
+    for lo, x in s.rows():  # the sums of the block's classes, as one bincount of its values
+        present, row_class = np.unique(codes[lo : lo + len(x)], return_inverse=True)
+        at = (row_class[:, None] * d + np.arange(d)).ravel()
+        means[present] += np.bincount(at, x.ravel(), len(present) * d).reshape(-1, d)
     sizes = np.bincount(codes)
-    ends = np.cumsum(sizes)
-    order = np.argsort(codes, kind="stable")  # each class's rows in ascending order
+    means /= sizes[:, None]
     sw, sb = np.zeros((2, d, d))
-    c = 0
-    while c < len(sizes):  # whole classes whose rows and row means fit APPLY_BLOCK, or one class
-        lo = ends[c] - sizes[c]
-        stop = max(c + 1, np.searchsorted(ends, lo + APPLY_BLOCK // (2 * d), side="right"))
-        n = sizes[c:stop]
-        x = s.vectors[order[lo : ends[stop - 1]]].astype(np.float64)
-        mc = np.add.reduceat(x, np.cumsum(n) - n, axis=0) / n[:, None]
-        x -= np.repeat(mc, n, axis=0)
+    for lo, x in s.rows():
+        x -= means[codes[lo : lo + len(x)]]
         sw += x.T @ x
-        g = mc - mean
-        sb += (g * n[:, None]).T @ g
-        c = stop
-        del x  # before the next block is gathered
+    mean, step = s.sum / len(s), max(1, APPLY_BLOCK // (2 * d))
+    for lo in range(0, len(classes), step):  # as many class means at a time
+        g = means[lo : lo + step] - mean
+        sb += (g * sizes[lo : lo + step, None]).T @ g
 
     eps = 1e-6 * np.trace(sw) / d
     if eps <= 0:
@@ -131,23 +194,29 @@ def apply_blocks(p: Pipeline, blocks: Iterator) -> EmbeddingSet:
     error = next((ContractError(f"{name} dim {len(a)} != embedding dim {d}")
                   for name, a in (("center", p.center), ("LDA input", p.lda)) if a is not None and len(a) != d), None)
     out = np.empty((count, d if p.lda is None else p.lda.shape[1]), np.float32) if error is None else None
+    # each stage in float64 once, not once a block: the products below are in float64
+    center, lda = (None if a is None else a.astype(np.float64) for a in (p.center, p.lda))
     ids, step = [], max(1, APPLY_BLOCK // max(d, 1))  # LDA keeps at most d dims
     for block_ids, vectors in blocks:
-        for lo in range(0, len(block_ids) if error is None else 0, step):
-            x = vectors[lo : lo + step].astype(np.float64)
-            if p.center is not None:
-                x -= p.center  # in float64, as every product below
-            if p.lda is not None:
-                x = x @ p.lda
-            if p.length_norm:
-                norms = np.linalg.norm(x, axis=1)
-                if np.any(norms == 0):
-                    error = ContractError("cannot length-normalize a zero vector")
-                    break
-                x /= norms[:, None]
-            with np.errstate(over="ignore"):  # past float32 is inf, which EmbeddingSet refuses: no warning
+        # no warning: a NaN or an infinity of the input is refused once the blocks are spent,
+        # and an output past float32, an infinity, by EmbeddingSet
+        with np.errstate(invalid="ignore", over="ignore"):
+            for lo in range(0, len(block_ids) if error is None else 0, step):
+                x = vectors[lo : lo + step].astype(np.float64)
+                if center is not None:
+                    x -= center
+                if lda is not None:
+                    x = x @ lda
+                if p.length_norm:
+                    norms = np.linalg.norm(x, axis=1)
+                    if np.any(norms == 0):
+                        error = ContractError("cannot length-normalize a zero vector")
+                        break
+                    x /= norms[:, None]
                 out[len(ids) + lo : len(ids) + lo + len(x)] = x
         ids += block_ids
+        if len(ids) == count:  # freed before the reader's end checks and the output set's index
+            center = lda = None
     if error is not None:
         raise error
     return EmbeddingSet(ids, out)

@@ -317,7 +317,7 @@ def cmd_pool(args) -> int:
 def cmd_fit_backend(args) -> int:
     from . import backend
 
-    s = store.read_embeddings(args.embeddings)
+    s = backend.TrainingSet(args.embeddings)  # the first pass, which raises every read error
     labels = None if args.labels is None else store.read_labels(args.labels)
     center = backend.fit_center(s) if args.center else None
     lda = backend.fit_lda(s, labels, args.lda_dim) if args.lda else None

@@ -101,9 +101,9 @@ def roc_points(scores: LabeledScores) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def _sweep(target: np.ndarray, nontarget: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     tar = np.sort(target)
     non = np.sort(nontarget)
-    thresholds = np.concatenate(
-        [[-np.inf], np.unique(np.concatenate([tar, non])), [np.inf]]
-    )
+    pooled = np.concatenate([tar, non])
+    pooled.sort()  # np.unique's sort and mask, without its np.ma check, which imports numpy.ma
+    thresholds = np.concatenate([[-np.inf], pooled[np.concatenate([[True], pooled[1:] != pooled[:-1]])], [np.inf]])
     # pure count ratios, bit-identical to direct comparison counting
     p_miss = np.searchsorted(tar, thresholds, side="left") / len(tar)
     p_fa = (len(non) - np.searchsorted(non, thresholds, side="left")) / len(non)

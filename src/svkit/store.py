@@ -313,6 +313,9 @@ def _write_sveb(path, vectors: np.ndarray, ids: Sequence[str] | None = None) -> 
 
 
 def write_embeddings_tsv(s: EmbeddingSet, path) -> None:
+    """Write TSV; a set that no TSV reader accepts, one with no record, is refused before open."""
+    if len(s) == 0:
+        raise ContractError("a TSV embedding file needs at least one record, got an empty set")
     fmt = "%s\t" + "\t".join(["%.9g"] * s.dim) + "\n"
     write_text(path, (fmt % (i, *r) for i, r in zip(s.ids, map(np.ndarray.tolist, s.vectors))))
 
@@ -356,17 +359,24 @@ class ByteReader:
             raise FormatError(f"{self.path}: {self.size - self.off} trailing bytes")
 
 
-def embedding_blocks(path) -> Iterator:
+def embedding_blocks(path, known: Sequence[str] | None = None) -> Iterator:
     """What read_embeddings(path) reads, as (count, dim) and then (ids, float32 vectors)
     blocks, one of a TSV file; each error is raised after the blocks before it.
 
     An SVEB file is read a block of records at a time while they fill the rest of the file
     at the first one's stride; from a block with another id length or an id that is not
-    UTF-8 on, one record at a time, which is where every FormatError is raised."""
+    UTF-8 on, one record at a time, which is where every FormatError is raised.
+
+    Given `known`, the ids that an earlier read of the file gave, a read keeps no ids of its
+    own for its end checks: another count, or a block whose ids are not the next of `known`,
+    is a FormatError."""
     path = read_once(path)
+    changed = f"{path}: changed since it was first read"
     if not _is_sveb(path):
         s = _parse_tsv(path)
         yield len(s), s.dim
+        if known is not None and s.ids != list(known):
+            raise FormatError(changed)
         yield s.ids, s.vectors
         return
     with _open_binary(path) as f:
@@ -380,14 +390,15 @@ def embedding_blocks(path) -> Iterator:
         if count * (2 + vec_bytes) > left:
             raise FormatError(f"{path}: header claims {count} records of dim {dim}, "
                               f"more than the {left} bytes that follow")
+        if known is not None and count != len(known):
+            raise FormatError(changed)
         yield count, dim
         id_len = int.from_bytes(f.read(2), "little")  # the first record's, read again below
         f.seek(r.off)
         size = 2 + id_len + vec_bytes
         strided = count * size == left and size < 1 << 31  # numpy has no larger record dtype
-        ids, finite = [], True
-        while len(ids) < count:
-            k = len(ids)
+        k, ids, finite = 0, [], True
+        while k < count:
             if strided:
                 data = r.take(min(count - k, max(1, _RECORD_BLOCK // size)) * size)
                 recs, block_ids = np.frombuffer(data, _sveb_record(id_len, dim)), None
@@ -410,8 +421,11 @@ def embedding_blocks(path) -> Iterator:
                     except UnicodeDecodeError:
                         raise FormatError(f"{path}: record {k + j}: id is not UTF-8") from None
                     vecs[j] = np.frombuffer(record, "<f4", offset=n)
+            if known is not None and block_ids != known[k : k + len(block_ids)]:
+                raise FormatError(changed)
             finite = finite and _finite(vecs)
-            ids += block_ids
+            ids += block_ids if known is None else []
+            k += len(block_ids)
             yield block_ids, vecs
         r.end()
         with record_errors(path):  # an empty, blank or duplicate id, or a non-finite value
@@ -485,7 +499,7 @@ def read_labels(path) -> dict[str, str]:
     for ln, fields in records(path, "'id<TAB>label'", fields=(2, 2)):
         if fields[0] in out:
             raise FormatError(f"{path}:{ln}: duplicate id {fields[0]!r}")
-        out[fields[0]] = fields[1]
+        out[fields[0]] = sys.intern(fields[1])  # one string per speaker, not one per id
     return out
 
 
@@ -501,10 +515,13 @@ def write_matrix(values: np.ndarray, path) -> None:
 
 
 def write_matrix_tsv(values: np.ndarray, path) -> None:
-    """Plain-text matrix dump: one row per line, tab-separated values."""
+    """Plain-text matrix dump: one row per line, tab-separated values.  A matrix that
+    read_matrix refuses as text, one with no row or no column, is refused before open."""
     values = np.asarray(values)
     if values.ndim != 2:
         raise ContractError(f"matrix must be 2-D, got shape {values.shape}")
+    if 0 in values.shape:
+        raise ContractError(f"a TSV matrix needs at least one row and one column, got shape {values.shape}")
     fmt = "\t".join(["%.9g"] * values.shape[1]) + "\n"
     write_text(path, (fmt % tuple(r) for r in map(np.ndarray.tolist, values)))
 

@@ -1,5 +1,7 @@
 import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -127,6 +129,22 @@ class TestFitCenter:
         assert mean.tobytes() == s.vectors.astype(np.float64).mean(axis=0).tobytes()
         assert peak < s.vectors.size * 8, peak
 
+    @pytest.mark.parametrize("rows", [1, 7, 512, 4096])
+    @pytest.mark.parametrize("record", [1, 24, 1 << 20])
+    def test_the_rows_are_added_in_order_at_any_block(self, tmp_path, monkeypatch, rows, record):
+        """Product blocks of 1 to 4096 rows, and record blocks of one record, 24 bytes and
+        the default: the mean has the bytes of mean(axis=0, dtype=float64), from the file as
+        from the set in memory.  The values span 24 decades, so that float64 sums of them
+        are inexact and another order of the additions gives other bytes."""
+        rng = np.random.default_rng(3)
+        s = make_set(rng.normal(size=(4100, 16)) * 10.0 ** rng.uniform(-12, 12, (4100, 16)))
+        store.write_embeddings(s, tmp_path / "e.sveb")
+        monkeypatch.setattr(backend, "APPLY_BLOCK", 2 * rows * s.dim)
+        monkeypatch.setattr(store, "_RECORD_BLOCK", record)
+        want = s.vectors.mean(axis=0, dtype=np.float64).tobytes()
+        assert backend.fit_center(backend.TrainingSet(tmp_path / "e.sveb")).tobytes() == want
+        assert backend.fit_center(s).tobytes() == want
+
 
 class TestFitLda:
     def test_two_class_axis_recovery(self):
@@ -237,20 +255,28 @@ class TestFitLda:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_any_class_block_is_within_1e_6_of_the_earlier_fit(self, data):
-        """Class sizes from 1 up, and a budget under the largest class, so the set splits
-        into blocks, some of several small classes and some of one class larger than a
-        block: projection and applied values stay within 1e-6 of the per-class loop."""
+        """Class sizes from 1 up in shuffled rows, read from an SVEB file in record blocks of
+        one record up to the whole file, of one id length or several, and fitted in product
+        blocks of one row up to the whole set: the projection and the applied values stay
+        within 1e-6 of the per-class loop, and have the bytes of the fit in memory."""
         sizes = data.draw(st.lists(st.integers(1, 12), min_size=2, max_size=16), label="sizes")
         d = data.draw(st.integers(1, 12), label="d")
-        rows = data.draw(st.integers(0, max(sizes) - 1), label="rows per block")
+        rows = data.draw(st.integers(1, sum(sizes)), label="rows per product block")
         budget = 2 * rows * d + data.draw(st.integers(0, 2 * d - 1), label="spare values")  # rows and their means
+        width = data.draw(st.sampled_from([0, 3]), label="id width")  # 3: one id length, one stride
+        record = data.draw(st.integers(1, sum(sizes) * (6 + 4 * d)), label="record block bytes")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         codes = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
         x = rng.normal(size=(len(sizes), d))[codes] * 3 + rng.normal(size=(len(codes), d))
-        s, labels = labelled(x, [f"s{c}" for c in codes])
+        s = store.EmbeddingSet([f"u{k:0{width}d}" for k in range(len(codes))], x)
+        labels = dict(zip(s.ids, [f"s{c}" for c in codes]))
         want = oracle_fit_lda(s, labels)
-        with mock.patch.object(backend, "APPLY_BLOCK", budget):
-            assert_near_earlier_fit(s, labels, backend.fit_lda(s, labels), want)
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(backend, "APPLY_BLOCK", budget):
+            store.write_embeddings(s, Path(tmp) / "e.sveb")
+            with mock.patch.object(store, "_RECORD_BLOCK", record):
+                proj = backend.fit_lda(backend.TrainingSet(Path(tmp) / "e.sveb"), labels)
+            assert_near_earlier_fit(s, labels, proj, want)
+            assert proj.tobytes() == backend.fit_lda(s, labels).tobytes()
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_scipy_generalized_eigh(self, seed):

@@ -283,6 +283,26 @@ def test_uniform_ids_skip_the_record_loop(tmp_path, monkeypatch, ids, looped):
     assert reads == [4, 2, 12, *([] if looped else [36]), *loop]
 
 
+@pytest.mark.parametrize("form", ["one-stride", "mixed", "tsv"])
+@pytest.mark.parametrize("block", [1, 30, 1 << 20])
+def test_known_ids_are_checked_and_not_kept(tmp_path, monkeypatch, form, block):
+    """With the ids of an earlier read, a read gives the same blocks and keeps no ids of its
+    own: the end checks see none.  Ids that are not the next of those are a FormatError."""
+    ids = {"one-stride": ["ab", "cd", "ef", "gh"], "mixed": ["a", "bc", "d", "ef"], "tsv": ["a", "bc", "d", "ef"]}[form]
+    s = store.EmbeddingSet(ids, np.arange(12, dtype=np.float32).reshape(4, 3))
+    path = tmp_path / "e"
+    (store.write_embeddings_tsv if form == "tsv" else store.write_embeddings)(s, path)
+    monkeypatch.setattr(store, "_RECORD_BLOCK", block)
+    plain = [(list(i), v.tobytes()) for i, v in list(store.embedding_blocks(path))[1:]]
+    checked = []
+    monkeypatch.setattr(store, "_check_set", lambda i, finite: checked.append(list(i)))
+    assert [(list(i), v.tobytes()) for i, v in list(store.embedding_blocks(path, ids))[1:]] == plain
+    assert checked == ([ids] if form == "tsv" else [[]])  # a TSV file is parsed as one EmbeddingSet
+    for other in (["x", *ids[1:]], [*ids[:-1], "x"], ids[:-1], [*ids, "x"]):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: changed since it was first read$"):
+            list(store.embedding_blocks(path, other))
+
+
 @SETTINGS
 @given(body=SVPL_BODIES)
 def test_svpl_arbitrary_bytes_match_earlier_reader(tmp_path, body):

@@ -91,6 +91,18 @@ class TestFeaturesCommand:
         got = store.read_matrix(out_dir / "burst.feats")
         assert got.shape[0] == int(mask.sum()) < feats.num_frames
 
+    def test_a_vad_that_keeps_no_frame_exits_3_as_text(self, tmp_path, capsys):
+        """No reader accepts a TSV matrix of no row, so --text refuses one before it opens the
+        file; as SVEB the empty matrix is written and reads back."""
+        wavs = make_wavs(tmp_path)
+        argv = ["features", "--vad", "--vad-energy-threshold", "1e6", str(wavs["tone"])]
+        assert main([*argv, "--text", "--out-dir", str(tmp_path / "t")]) == 3
+        assert capsys.readouterr() == ("", f"svkit: {wavs['tone']}: a TSV matrix needs at least one row and one "
+                                           f"column, got shape (0, 80)\n")
+        assert not (tmp_path / "t" / "tone.tsv").exists()
+        assert main([*argv, "--out-dir", str(tmp_path / "b")]) == 0
+        assert store.read_matrix(tmp_path / "b" / "tone.feats").shape == (0, 80)
+
     def test_vad_masks_the_fbank_frames_of_any_geometry(self, tmp_path):
         """--frame-len/--frame-shift set the frames of both the features and the VAD mask."""
         wavs = make_wavs(tmp_path)
@@ -542,6 +554,13 @@ class TestEvalOperatingPoints:
         assert not (tmp_path / "eval.csv").exists()
 
 
+def _sveb_bytes(ids: list[bytes], rows) -> bytes:
+    """An SVEB file of raw id bytes and float32 rows, written record by record."""
+    rows = np.asarray(rows, np.float32)
+    return (store.MAGIC + struct.pack("<HQI", 1, len(ids), rows.shape[1])
+            + b"".join(struct.pack("<H", len(i)) + i + r.tobytes() for i, r in zip(ids, rows)))
+
+
 class TestFitBackendCommand:
     """fit-backend fits each stage on the training set as read, with no centered copy."""
 
@@ -586,17 +605,108 @@ class TestFitBackendCommand:
         assert len(with_center) == len(without) + 8 + 4 * 256  # the center block
         assert with_center[-lda_block:] == without[-lda_block:]
 
-    def test_peak_is_the_read(self, train, capsys):
-        """Fitting holds the set as read and no copy of it.  The read holds the set and one
-        block of records, so the fit's own work now sets the peak: fit_lda's d x d float64
-        matrices (0.5 MiB each at 256-d) and the label map, 1.8 MiB above the read's peak
-        here.  The bound allows 2.5 MiB, where a float32 copy of the set is 4 MB."""
-        tmp_path, _, _ = train
-        assert self.fit(tmp_path) == 0  # first run: lazy imports are not counted
-        _, read_peak = traced_peak(store.read_embeddings, tmp_path / "e.sveb")
-        rc, peak = traced_peak(self.fit, tmp_path)
-        assert rc == 0
-        assert peak <= read_peak + (5 << 19), (peak, read_peak)
+    def test_the_peak_does_not_hold_the_set(self, tmp_path, capsys):
+        """From 2000 to 4000 rows at 256-d, the traced peak grows by the ids, their labels and
+        class codes (about 170 bytes a row), by less than a quarter of the 2 MB of float32
+        values added: the fit reads the file in passes and holds no copy of the set.  A fit
+        that held the set as read grew by the whole 2 MB and more."""
+        peaks = []
+        for n in (2000, 4000):
+            (tmp_path / str(n)).mkdir()
+            s, labels = labelled_set(0, n, 256, 40)
+            store.write_embeddings(s, tmp_path / str(n) / "e.sveb")
+            store.write_labels(labels, tmp_path / str(n) / "e.labels")
+            assert self.fit(tmp_path / str(n)) == 0  # first run: lazy imports are not counted
+            rc, peak = traced_peak(self.fit, tmp_path / str(n))
+            assert rc == 0
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < 2000 * 256 * 4 / 4, peaks
+
+    @pytest.mark.parametrize("block", [1, 24, 1 << 20])
+    def test_the_pipeline_bytes_do_not_depend_on_the_record_blocks(self, train, capsys, monkeypatch, block):
+        """Records read one at a time, 24 bytes (one record) at a time, or in 1 MiB blocks: the
+        saved pipeline has the bytes of the one fitted on the set in memory."""
+        tmp_path, s, labels = train
+        monkeypatch.setattr(store, "_RECORD_BLOCK", block)
+        assert self.fit(tmp_path) == 0
+        backend.save_pipeline(backend.Pipeline(center=backend.fit_center(s), lda=backend.fit_lda(s, labels),
+                                               length_norm=True), tmp_path / "lib.svpl")
+        assert (tmp_path / "p.svpl").read_bytes() == (tmp_path / "lib.svpl").read_bytes()
+
+    ERRORS = {  # name: (SVEB bytes, label sidecar, options, exit code, message after the label)
+        "bad-sveb": (_sveb_bytes([b"u0", b"u1", b"u2"], np.eye(3))[:-1], "u0\ta\nu1\tb\nu2\ta\n", [],
+                     2, "{e}: truncated: 14 bytes needed at byte 52"),
+        "bad-labels": (_sveb_bytes([b"u0", b"u1", b"u2"], np.eye(3)), "u0\ta\nu1\n", [],
+                       2, "{l}:2: expected 'id<TAB>label'"),
+        "both-bad": (_sveb_bytes([b"u0", b"u1", b"u0"], np.eye(3)), "u0\ta\nu1\n", [], 2, "{e}: duplicate id 'u0'"),
+        "missing-label": (_sveb_bytes([b"u0", b"u1", b"u2"], np.eye(3)), "u0\ta\nu2\tb\n", [],
+                          3, "id 'u1' has no label"),
+        "one-class": (_sveb_bytes([b"u0", b"u1", b"u2"], np.eye(3)), "u0\ta\nu1\ta\nu2\ta\n", [],
+                      3, "LDA needs at least 2 classes, got 1"),
+        "lda-dim": (_sveb_bytes([b"u0", b"u1", b"u2"], np.eye(3)), "u0\ta\nu1\tb\nu2\ta\n", ["--lda-dim", "2"],
+                    3, "k must be in [1, 1], got 2"),
+        "empty-set": (_sveb_bytes([], np.zeros((0, 3))), "u0\ta\n", [], 3, "cannot fit centering on an empty set"),
+        "empty-set-no-center": (_sveb_bytes([], np.zeros((0, 3))), "u0\ta\n", ["--no-center"],
+                                3, "cannot fit LDA on an empty set"),
+    }
+
+    @pytest.mark.parametrize("block", [1, 24, 1 << 20])
+    @pytest.mark.parametrize("case", sorted(ERRORS))
+    def test_embedding_errors_come_before_label_errors_before_fit_errors(self, tmp_path, capsys, monkeypatch,
+                                                                          case, block):
+        """The exit codes and messages of the whole read that fit-backend made before it read
+        its training set in passes, at any record block."""
+        data, sidecar, options, rc, message = self.ERRORS[case]
+        monkeypatch.setattr(store, "_RECORD_BLOCK", block)
+        (tmp_path / "e.sveb").write_bytes(data)
+        (tmp_path / "e.labels").write_text(sidecar)
+        assert self.fit(tmp_path, *options) == rc
+        label = {2: "format error", 3: "error"}[rc]
+        message = message.format(e=tmp_path / "e.sveb", l=tmp_path / "e.labels")
+        assert capsys.readouterr() == ("", f"svkit: {label}: {message}\n")
+        assert not (tmp_path / "p.svpl").exists()
+
+    @pytest.mark.parametrize("change", ["count", "dim", "ids", "values"])
+    def test_a_file_changed_between_passes_exits_2(self, train, capsys, monkeypatch, change):
+        """The file is rewritten before the second of the three reads: a count, dim or ids that
+        changed, or a value that is no longer finite, is a format error, not a traceback."""
+        tmp_path, s, _ = train
+        monkeypatch.setattr(store, "_RECORD_BLOCK", 1 << 16)
+        vectors = s.vectors.copy()
+        vectors[-1, -1] = np.nan
+        rewritten = {"count": store.EmbeddingSet([*s.ids, "extra"], np.vstack([s.vectors, s.vectors[:1]])),
+                     "dim": store.EmbeddingSet(s.ids, s.vectors[:, 1:]),
+                     "ids": store.EmbeddingSet([*s.ids[:-1], "renamed"], s.vectors)}.get(change)
+        reads, read = [], backend.embedding_blocks
+
+        def rewrite_then_read(path, *known):
+            reads.append(path)
+            if len(reads) == 2:
+                if rewritten is None:
+                    store._write_sveb(path, vectors, s.ids)  # write_embeddings refuses the NaN
+                else:
+                    store.write_embeddings(rewritten, path)
+            return read(path, *known)
+
+        monkeypatch.setattr(backend, "embedding_blocks", rewrite_then_read)
+        assert self.fit(tmp_path) == 2
+        message = "non-finite embedding values" if change == "values" else "changed since it was first read"
+        assert capsys.readouterr() == ("", f"svkit: format error: {tmp_path / 'e.sveb'}: {message}\n")
+        assert len(reads) == 2 and not (tmp_path / "p.svpl").exists()
+
+    @pytest.mark.parametrize("form, reads", [("sveb", 3), ("one-block", 1), ("tsv", 1)])
+    def test_a_set_of_one_block_is_read_once(self, train, capsys, monkeypatch, form, reads):
+        """A file of several record blocks is read by each of the three passes; a TSV file,
+        which is one block, and an SVEB file of one block are read once."""
+        tmp_path, s, _ = train
+        if form == "one-block":
+            monkeypatch.setattr(store, "_RECORD_BLOCK", 1 << 23)
+        if form == "tsv":
+            store.write_embeddings_tsv(s, tmp_path / "e.sveb")  # read by its content, not its name
+        calls, read = [], backend.embedding_blocks
+        monkeypatch.setattr(backend, "embedding_blocks", lambda *a: calls.append(a) or read(*a))
+        assert self.fit(tmp_path) == 0
+        assert len(calls) == reads
 
     def test_a_label_with_a_trailing_nul_is_its_own_speaker(self, tmp_path, capsys):
         """`spk` and `spk` with a trailing NUL are two speakers that sort as `spk` and `spkA` do:
@@ -650,13 +760,6 @@ class TestFitBackendCommand:
                      "--out", str(tmp_path / "o.sveb")]) == 3
         assert capsys.readouterr() == ("", "svkit: error: LDA input dim 5 != embedding dim 7\n")
         assert not (tmp_path / "o.sveb").exists()
-
-
-def _sveb_bytes(ids: list[bytes], rows) -> bytes:
-    """An SVEB file of raw id bytes and float32 rows, written record by record."""
-    rows = np.asarray(rows, np.float32)
-    return (store.MAGIC + struct.pack("<HQI", 1, len(ids), rows.shape[1])
-            + b"".join(struct.pack("<H", len(i)) + i + r.tobytes() for i, r in zip(ids, rows)))
 
 
 class TestApplyBackendCommand:
@@ -729,6 +832,43 @@ class TestApplyBackendCommand:
         assert peak < (tmp_path / "e.sveb").stat().st_size, peak
         assert (store.read_embeddings(tmp_path / "o.sveb").vectors.tobytes()
                 == backend.apply_pipeline(backend.load_pipeline(tmp_path / "p.svpl"), s).vectors.tobytes())
+
+
+    def test_blocks_of_one_row_give_the_same_bytes(self, tmp_path, capsys, monkeypatch):
+        """Each stage is cast to float64 once a call, not once a block: blocks of one row give
+        the bytes of the default blocks, as SVEB and as text."""
+        s, labels = labelled_set(1, 600, 32, 12)
+        store.write_embeddings(s, tmp_path / "e.sveb")
+        store.write_labels(labels, tmp_path / "e.labels")
+        assert main(["fit-backend", "--embeddings", str(tmp_path / "e.sveb"), "--labels", str(tmp_path / "e.labels"),
+                     "--lda-dim", "8", "--out", str(tmp_path / "p.svpl")]) == 0
+        outs = {}
+        for rows in (None, 1):
+            if rows is not None:
+                monkeypatch.setattr(backend, "APPLY_BLOCK", rows * s.dim)
+            for text in ([], ["--text"]):
+                out = tmp_path / f"{rows}{len(text)}.out"
+                assert main(["apply-backend", "--pipeline", str(tmp_path / "p.svpl"), "--embeddings",
+                             str(tmp_path / "e.sveb"), "--out", str(out), *text]) == 0
+                outs[rows, len(text)] = out.read_bytes()
+        assert outs[None, 0] == outs[1, 0] and outs[None, 1] == outs[1, 1]
+
+    @pytest.mark.parametrize("old", [None, b"old bytes"], ids=["absent", "existing"])
+    def test_an_empty_set_as_text_exits_3(self, tmp_path, capsys, old):
+        """No reader accepts a TSV file of no record, so --text refuses an empty set before it
+        opens its output; as SVEB the empty set is written."""
+        store.write_embeddings(store.EmbeddingSet([], np.zeros((0, 3))), tmp_path / "e.sveb")
+        backend.save_pipeline(backend.Pipeline(length_norm=True), tmp_path / "p.svpl")
+        out = tmp_path / "o.tsv"
+        if old is not None:
+            out.write_bytes(old)
+        argv = ["apply-backend", "--pipeline", str(tmp_path / "p.svpl"), "--embeddings", str(tmp_path / "e.sveb")]
+        assert main([*argv, "--out", str(out), "--text"]) == 3
+        assert capsys.readouterr() == ("", "svkit: error: a TSV embedding file needs at least one record, "
+                                           "got an empty set\n")
+        assert (out.read_bytes() if out.exists() else None) == old
+        assert main([*argv, "--out", str(tmp_path / "o.sveb")]) == 0
+        assert len(store.read_embeddings(tmp_path / "o.sveb")) == 0
 
 
 class TestDcfCurveCommand:
@@ -1557,6 +1697,27 @@ def test_apply_backend_float32_overflow_exits_3_without_a_warning(tmp_path, caps
     assert not (tmp_path / "out.sveb").exists()
 
 
+@pytest.mark.parametrize("command", ["fit-backend", "apply-backend"])
+def test_a_signaling_nan_exits_2_without_a_warning(tmp_path, capsys, command):
+    """Both commands cast blocks of the input to float64 before the read refuses a
+    non-finite value at its end; a signaling NaN warns `invalid value encountered in cast`
+    there unless the cast is made quietly."""
+    vectors = np.eye(4, 3, dtype=np.float32)
+    vectors[2, 1] = np.uint32(0x7FA00000).view(np.float32)  # a signaling NaN
+    (tmp_path / "e.sveb").write_bytes(_sveb_bytes([b"u0", b"u1", b"u2", b"u3"], vectors))
+    (tmp_path / "e.labels").write_text("u0\ta\nu1\tb\nu2\ta\nu3\tb\n")
+    backend.save_pipeline(backend.Pipeline(center=np.ones(3), lda=np.eye(3, 2), length_norm=True),
+                          tmp_path / "p.svpl")
+    inputs = {"fit-backend": ["--labels", str(tmp_path / "e.labels")],
+              "apply-backend": ["--pipeline", str(tmp_path / "p.svpl")]}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, "--embeddings", str(tmp_path / "e.sveb"), *inputs, "--out", str(tmp_path / "o")])
+    assert (rc, capsys.readouterr()) == (2, ("", f"svkit: format error: {tmp_path / 'e.sveb'}: "
+                                                 "non-finite embedding values\n"))
+    assert not (tmp_path / "o").exists()
+
+
 # The options whose default is the one of the library type they go to (FbankConfig, VadConfig,
 # MhfaParams.random, XiPrior.flat, OperatingPoint, MarginSchedule, LrSchedule), by command, with
 # the value each had as its parser default before the types became its only home.
@@ -1626,6 +1787,19 @@ class TestStartup:
         proc = _fresh_python(f"import sys, svkit.cli; print({_SCIPY})")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command", ["eval", "dcf-curve"])
+    def test_eval_and_dcf_curve_load_no_numpy_ma(self, tmp_path, command):
+        """The ROC sweep does not call np.unique, which imports numpy.ma (about 9 ms) to check
+        for a masked array."""
+        (tmp_path / "trials.txt").write_text("e t1 target\ne t2 nontarget\n")
+        (tmp_path / "scores.tsv").write_text("e\tt1\t0.9\ne\tt2\t0.1\n")
+        argv = [command, "--scores", str(tmp_path / "scores.tsv"), "--trials", str(tmp_path / "trials.txt")]
+        code = "import json, sys\nfrom svkit.cli import main\nrc = main(json.loads(sys.argv[1]))\n" \
+               "print(rc, 'numpy.ma' in sys.modules)"
+        proc = _fresh_python(code, json.dumps(argv), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
 
     def test_no_command_loads_scipy(self, tmp_path):
         runs = _command_runs(tmp_path)
@@ -1803,6 +1977,20 @@ class TestPipedInputs:
         proc = _run_with_stdin(argv, paths[piped].read_bytes())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.decode() == want
+
+    @pytest.mark.parametrize("form", ["sveb", "tsv"])
+    def test_fit_backend_reads_its_training_set_from_stdin(self, tmp_path, form, capsys):
+        """A pipe is read once into memory, where each pass of the fit reads it: 2000 x 256 as
+        SVEB is two record blocks, read three times, and TSV is one block, parsed once."""
+        s, labels = labelled_set(6, 2000, 256, 20)
+        (store.write_embeddings if form == "sveb" else store.write_embeddings_tsv)(s, tmp_path / "e")
+        store.write_labels(labels, tmp_path / "e.labels")
+        argv = ["fit-backend", "--labels", str(tmp_path / "e.labels")]
+        assert main([*argv, "--embeddings", str(tmp_path / "e"), "--out", str(tmp_path / "want.svpl")]) == 0
+        proc = _run_with_stdin([*argv, "--embeddings", "/dev/stdin", "--out", str(tmp_path / "got.svpl")],
+                               (tmp_path / "e").read_bytes())
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "got.svpl").read_bytes() == (tmp_path / "want.svpl").read_bytes()
 
     @pytest.mark.parametrize("matrix", ["m.tsv", "m.sveb"])
     def test_pool_reads_a_matrix_from_stdin(self, files, matrix, capsys):

@@ -11,6 +11,7 @@ import shlex
 import struct
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,9 +44,14 @@ COMMANDS = {
 }
 # command/the input it reads that gets mutated
 CASES = ["score/e.tsv", "score/t.tsv", "score/trials.txt", "score/map.txt", "eval/scores.tsv", "eval/trials.txt",
-         "dcf-curve/scores.tsv", "fit-backend/e.tsv", "fit-backend/e.labels", "apply-backend/e.tsv",
-         "apply-backend/p.svpl", "pool-xi/m.tsv", "pool-asp/m.feats", "features/burst.wav",
-         "augment-plan/man.tsv"]
+         "dcf-curve/scores.tsv", "fit-backend/e.tsv", "fit-backend/e.sveb", "fit-backend/e.labels",
+         "apply-backend/e.tsv", "apply-backend/e.sveb", "apply-backend/p.svpl", "pool-xi/m.tsv", "pool-asp/m.feats",
+         "features/burst.wav", "augment-plan/man.tsv"]
+# an input read in place of another: the SVEB cases give fit-backend and apply-backend the
+# embeddings of e.tsv as SVEB, read in blocks of 64 bytes (two or three records), so that
+# the strided blocks, the record loop and fit-backend's later passes all see the mutation
+IN_PLACE_OF = {"e.sveb": "e.tsv"}
+SVEB_BLOCK = 64
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +60,7 @@ def inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("inputs")
     s, labels = synthetic_speakers(np.random.default_rng(31), n_spk=3, per_spk=4, dim=5)
     store.write_embeddings_tsv(s.select(s.ids[:6]), d / "e.tsv")
+    store.write_embeddings(s.select(s.ids[:6]), d / "e.sveb")
     store.write_embeddings_tsv(s.select(s.ids[6:]), d / "t.tsv")
     store.write_labels({i: labels[i] for i in s.ids[:6]}, d / "e.labels")
     (d / "map.txt").write_text("m0 spk0-utt0 spk0-utt1\nm1 spk0-utt2 spk0-utt3 # two\nm2 spk1-utt0\n")
@@ -98,10 +105,11 @@ def run(inputs, tmp_path, case, mutated: bytes, traced=False):
     second call, warmed by the first, is traced and held to the peak bound."""
     command, target = case.split("/")
     (tmp_path / "mutated").write_bytes(mutated)
-    paths = {**{name: str(p) for name, p in inputs.items()}, target: str(tmp_path / "mutated"),
+    paths = {**{name: str(p) for name, p in inputs.items()}, IN_PLACE_OF.get(target, target): str(tmp_path / "mutated"),
              "out": str(tmp_path / command)}  # features makes a directory there
     argv = [paths[arg[1:-1]] if arg.startswith("{") else arg for arg in COMMANDS[command]]
-    with warnings.catch_warnings():
+    block = SVEB_BLOCK if target in IN_PLACE_OF else store._RECORD_BLOCK
+    with warnings.catch_warnings(), mock.patch.object(store, "_RECORD_BLOCK", block):
         warnings.simplefilter("error")  # a warning would print to stderr beside the message
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             rc = main(argv)
@@ -124,6 +132,8 @@ def test_unmutated_inputs_exit_0(inputs, tmp_path, capsys, case):
 @given(case=st.sampled_from(CASES), kind=st.sampled_from(KINDS),
        a=st.integers(0, 2**16), b=st.integers(0, 2**16), token=st.sampled_from(TOKENS))
 @example(case="apply-backend/e.tsv", kind="field", a=1, b=0, token=b"1e39")  # past float32: inf
+@example(case="fit-backend/e.sveb", kind="flip", a=36, b=62, token=b"0")  # a signaling NaN
+@example(case="apply-backend/e.sveb", kind="flip", a=245, b=62, token=b"0")  # a signaling NaN
 def test_a_mutated_input_exits_with_a_code_and_a_message(inputs, tmp_path, capsys, case, kind, a, b, token):
     target = case.split("/")[1]
     # a traced call doubles the time of an example, so a quarter of them, picked by the drawn values

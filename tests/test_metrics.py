@@ -158,6 +158,17 @@ class TestSharedSweep:
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]),
+                                       st.floats(allow_nan=False, allow_infinity=False)), min_size=1, max_size=30),
+                    min_size=2, max_size=2))
+    def test_thresholds_are_np_unique(self, classes):
+        """The sweep sorts and masks the pooled scores as np.unique does, without np.unique's
+        masked-array check: the same bytes, the sign of the first of equal zeros included."""
+        tar, non = map(np.array, classes)
+        want = np.unique(np.concatenate([np.sort(tar), np.sort(non)]))
+        assert metrics.roc_points(metrics.LabeledScores(tar, non))[2][1:-1].tobytes() == want.tobytes()
+
 
 class TestActDcf:
     def test_accept_all_threshold(self):

@@ -302,6 +302,13 @@ class TestTsvWriters:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(s=writable_sets())
     def test_embeddings_byte_equal(self, tmp_path, s):
+        """An empty set, which the oracle wrote as a file that no reader accepts, is refused."""
+        (tmp_path / "got.tsv").unlink(missing_ok=True)
+        if len(s) == 0:
+            with pytest.raises(ContractError, match="^a TSV embedding file needs at least one record, got an empty"):
+                store.write_embeddings_tsv(s, tmp_path / "got.tsv")
+            assert not (tmp_path / "got.tsv").exists()
+            return
         store.write_embeddings_tsv(s, tmp_path / "got.tsv")
         oracle_write_embeddings_tsv(s, tmp_path / "want.tsv")
         assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
@@ -311,6 +318,15 @@ class TestTsvWriters:
     @given(m=st.one_of(arrays(np.float32, SHAPES, elements=WRITE_FLOAT32),
                        arrays(np.float64, SHAPES, elements=FLOAT64)))
     def test_matrix_byte_equal(self, tmp_path, m):
+        """A matrix of no row or no column, which the oracle wrote as a file that no reader
+        accepts, is refused."""
+        (tmp_path / "got.tsv").unlink(missing_ok=True)
+        if 0 in m.shape:
+            with pytest.raises(ContractError) as raised:
+                store.write_matrix_tsv(m, tmp_path / "got.tsv")
+            assert str(raised.value) == f"a TSV matrix needs at least one row and one column, got shape {m.shape}"
+            assert not (tmp_path / "got.tsv").exists()
+            return
         store.write_matrix_tsv(m, tmp_path / "got.tsv")
         oracle_write_matrix_tsv(m, tmp_path / "want.tsv")
         assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
