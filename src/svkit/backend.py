@@ -5,15 +5,16 @@ length-norm.  fit_center and fit_lda return float64 arrays; Pipeline stores
 them as float32, so that a saved and reloaded pipeline applies bitwise
 identically.
 
-No stage casts a whole set to float64.  apply_blocks works on row blocks of
-APPLY_BLOCK float64 values, which change no output bit as rows are
-independent; it takes its input as store.embedding_blocks reads it, so that
-it holds its output and one block of its input at a time.  The fit holds no
-copy of its set: fit_center and fit_lda read a TrainingSet in passes of
-record blocks.  A file is read once to center (TrainingSet's validating
-pass) and three times to fit LDA (that pass, then the class sums, then the
-within-class scatter).  A TSV file is one in-memory block, so it is parsed
-once; a pipe is read once into memory (store.read_once).
+No stage casts a whole set to float64.  Each reads its set, an EmbeddingSet
+or a store.EmbeddingFile, in blocks(rows) of a row count fixed by
+APPLY_BLOCK, so no byte depends on how the file is read.  apply_blocks
+applies blocks of APPLY_BLOCK float64 values, which change no output bit as
+rows are independent, and holds its output and one block of its input.  The
+fit holds no copy of its set: fit_center and fit_lda read a TrainingSet in
+passes of blocks whose rows and row means fit APPLY_BLOCK values.  An SVEB
+file is read once to center (TrainingSet's first pass) and three times to
+fit LDA (that pass, then the class sums, then the within-class scatter).  A
+TSV file is parsed once, when it is opened; a pipe is read once into memory.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .store import ByteReader, EmbeddingSet, _open_binary, embedding_blocks, read_once, record_errors, sorted_codes
+from .store import ByteReader, EmbeddingFile, EmbeddingSet, _open_binary, read_once, record_errors, sorted_codes
 
 PIPELINE_MAGIC = b"SVPL"
 PIPELINE_VERSION = 1
@@ -53,61 +54,29 @@ class Pipeline:
             raise ContractError(f"center dim {len(self.center)} != LDA input dim {len(self.lda)}")
 
 
-def _product_blocks(blocks: Iterator, count: int, d: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The rows of (ids, vectors) `blocks` as (first row, float64 rows) pairs of
-    APPLY_BLOCK // (2 * d) rows each (fewer at the end), in one buffer that is refilled: the
-    same row ranges and bytes however the record blocks split the set."""
-    x = np.empty((min(count, max(1, APPLY_BLOCK // (2 * max(d, 1)))), d))
-    lo = n = 0
-    for _, vectors in blocks:
-        at = 0
-        while at < len(vectors):
-            take = min(len(x) - n, len(vectors) - at)
-            x[n : n + take] = vectors[at : at + take]
-            n, at = n + take, at + take
-            if n == len(x):
-                yield lo, x
-                lo, n = lo + n, 0
-    if n:
-        yield lo, x[:n]
-
-
 class TrainingSet:
-    """A set that fit_center and fit_lda read in passes of (ids, float32 vectors) blocks:
-    an EmbeddingSet as one block, a file as store.embedding_blocks reads it.  The first
-    pass, made here, raises every read error, keeps the ids and sums the rows in float64
-    one after another, as mean(axis=0) does.  A set of one block is kept, not read again."""
+    """An EmbeddingSet, or the store.EmbeddingFile of a path, that fit_center and fit_lda read
+    in passes.  The first pass, made here, raises every read error, keeps the ids and sums
+    the rows in float64 one after another, as mean(axis=0) does."""
 
     def __init__(self, source):
-        self.path = None if isinstance(source, EmbeddingSet) else read_once(source)
-        blocks = embedding_blocks(self.path) if self.path is not None else iter(
-            [(len(source), source.dim), (source.ids, source.vectors)])
-        self.count, self.dim = next(blocks)
-        self.ids, self._one = [], None
-
-        def first():
-            for n, block in enumerate(blocks):
-                self.ids += block[0]
-                self._one = block if n == 0 else None
-                yield block
-
-        self.sum = np.zeros(self.dim)
+        self.source = source if isinstance(source, EmbeddingSet) else EmbeddingFile(source)
+        self.dim, self.sum = self.source.dim, np.zeros(self.source.dim)
         with np.errstate(invalid="ignore"):  # a NaN or an infinity, which the read refuses at its end
-            for _, x in _product_blocks(first(), self.count, self.dim):
+            for _, x in self.rows():
                 self.sum = np.add.reduce(np.concatenate((self.sum[None], x)), axis=0)
+        self.ids = self.source.ids
 
     def __len__(self) -> int:
-        return self.count
+        return len(self.source)
 
     def rows(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Another pass: the set as _product_blocks gives it.  A file whose count, dim or ids
-        changed since the first pass is a FormatError."""
-        if self._one is not None:
-            return _product_blocks(iter([self._one]), self.count, self.dim)
-        blocks = embedding_blocks(self.path, self.ids)  # checks the count and ids, and holds no ids
-        if next(blocks)[1] != self.dim:
-            raise FormatError(f"{self.path}: changed since it was first read")
-        return _product_blocks(blocks, self.count, self.dim)
+        """A pass: (first row, float64 rows) blocks whose rows and row means fit APPLY_BLOCK
+        values.  A file whose count, dim or ids changed since the first pass is a FormatError."""
+        lo = 0
+        for _, vectors in self.source.blocks(max(1, APPLY_BLOCK // (2 * max(self.dim, 1)))):
+            yield lo, vectors.astype(np.float64)
+            lo += len(vectors)
 
 
 def fit_center(s: EmbeddingSet | TrainingSet) -> np.ndarray:
@@ -127,11 +96,9 @@ def fit_lda(s: EmbeddingSet | TrainingSet, labels: Mapping[str, str] | None, k: 
     so each column's first nonzero component is positive.
 
     After the first pass (TrainingSet), one pass sums each class and one sums
-    the within-class scatter about the exact class means, each in product
-    blocks of fixed row ranges whose rows and row means fit in APPLY_BLOCK
-    float64 values (512 rows at 256-d), so that no byte depends on the record
-    blocks.  Besides the ids and their class codes, the fit holds the class
-    sums, two d x d float64 matrices and one product block.
+    the within-class scatter about the exact class means.  Besides the ids and
+    their class codes, the fit holds the class sums, two d x d float64
+    matrices and one block of TrainingSet.rows() (512 rows at 256-d).
     """
     s = s if isinstance(s, TrainingSet) else TrainingSet(s)
     if len(s) == 0:
@@ -182,27 +149,25 @@ def fit_lda(s: EmbeddingSet | TrainingSet, labels: Mapping[str, str] | None, k: 
 
 def apply_pipeline(p: Pipeline, s: EmbeddingSet) -> EmbeddingSet:
     """Apply present stages in order center -> LDA -> length-norm, a block of rows at a time."""
-    return apply_blocks(p, iter([(len(s), s.dim), (s.ids, s.vectors)]))
+    return apply_blocks(p, s)
 
 
-def apply_blocks(p: Pipeline, blocks: Iterator) -> EmbeddingSet:
-    """apply_pipeline on a set given as store.embedding_blocks gives it: (count, dim), then
-    (ids, vectors) blocks, each applied into one output array as it arrives, APPLY_BLOCK
-    float64 values at a time.  A stage of another dim, a zero vector to length-normalize and
-    a non-finite output are raised once the blocks are spent: an input error comes first."""
-    count, d = next(blocks)
+def apply_blocks(p: Pipeline, s: EmbeddingSet | EmbeddingFile) -> EmbeddingSet:
+    """apply_pipeline on a set read in blocks of APPLY_BLOCK float64 values, each applied into
+    one output array as it arrives.  A stage of another dim, a zero vector to length-normalize
+    and a non-finite output are raised once the blocks are spent: an input error comes first."""
+    d, lo = s.dim, 0
     error = next((ContractError(f"{name} dim {len(a)} != embedding dim {d}")
                   for name, a in (("center", p.center), ("LDA input", p.lda)) if a is not None and len(a) != d), None)
-    out = np.empty((count, d if p.lda is None else p.lda.shape[1]), np.float32) if error is None else None
+    out = np.empty((len(s), d if p.lda is None else p.lda.shape[1]), np.float32) if error is None else None
     # each stage in float64 once, not once a block: the products below are in float64
     center, lda = (None if a is None else a.astype(np.float64) for a in (p.center, p.lda))
-    ids, step = [], max(1, APPLY_BLOCK // max(d, 1))  # LDA keeps at most d dims
-    for block_ids, vectors in blocks:
-        # no warning: a NaN or an infinity of the input is refused once the blocks are spent,
-        # and an output past float32, an infinity, by EmbeddingSet
-        with np.errstate(invalid="ignore", over="ignore"):
-            for lo in range(0, len(block_ids) if error is None else 0, step):
-                x = vectors[lo : lo + step].astype(np.float64)
+    # no warning: a NaN or an infinity of the input is refused once the blocks are spent, a
+    # zero vector below, and an output past float32, an infinity, by EmbeddingSet
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for _, vectors in s.blocks(max(1, APPLY_BLOCK // max(d, 1))):  # LDA keeps at most d dims
+            if error is None:
+                x = vectors.astype(np.float64)
                 if center is not None:
                     x -= center
                 if lda is not None:
@@ -211,15 +176,14 @@ def apply_blocks(p: Pipeline, blocks: Iterator) -> EmbeddingSet:
                     norms = np.linalg.norm(x, axis=1)
                     if np.any(norms == 0):
                         error = ContractError("cannot length-normalize a zero vector")
-                        break
                     x /= norms[:, None]
-                out[len(ids) + lo : len(ids) + lo + len(x)] = x
-        ids += block_ids
-        if len(ids) == count:  # freed before the reader's end checks and the output set's index
-            center = lda = None
+                out[lo : lo + len(x)] = x
+            lo += len(vectors)
+            if lo == len(s):  # freed before the reader's end checks and the output set's index
+                center = lda = None
     if error is not None:
         raise error
-    return EmbeddingSet(ids, out)
+    return EmbeddingSet(s.ids, out)
 
 
 def save_pipeline(p: Pipeline, path) -> None:

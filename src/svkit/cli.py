@@ -336,7 +336,7 @@ def cmd_apply_backend(args) -> int:
     from . import backend
 
     pipe = backend.load_pipeline(args.pipeline)
-    out = backend.apply_blocks(pipe, store.embedding_blocks(args.embeddings))  # the input a block at a time
+    out = backend.apply_blocks(pipe, store.EmbeddingFile(args.embeddings))  # the input a block at a time
     if args.text:
         store.write_embeddings_tsv(out, args.out)
     else:

@@ -3,10 +3,14 @@
 Two interchangeable formats:
   * SVEB binary: magic ``SVEB``, version u16, count u64, dim u32 (at least
     1), then per record a u16 id length, the UTF-8 id bytes, and ``dim``
-    little-endian float32 values.  Roundtrips bit-exactly.  Records are read from
-    the open file and written in _RECORD_BLOCK blocks, each one record array.
+    little-endian float32 values.  Roundtrips bit-exactly.  Records are written
+    in _RECORD_BLOCK blocks, each one record array.
   * TSV text: one record per line, ``id<TAB>v1<TAB>v2...`` with decimal
     floats (9 significant digits on write, which roundtrips float32).
+
+A set in memory (EmbeddingSet) or in a file (EmbeddingFile) has len(), dim
+and blocks(rows): (ids, float32 vectors) blocks of `rows` rows, fewer in the
+last, so the caller, not the format, picks the row ranges.
 
 Speaker labels live in a sidecar TSV (``id<TAB>label``), keeping the binary
 format label-agnostic.
@@ -277,6 +281,11 @@ class EmbeddingSet:
         ids = list(ids)
         return EmbeddingSet(ids, self.vectors[self.rows(ids)])
 
+    def blocks(self, rows: int) -> Iterator[tuple[list[str], np.ndarray]]:
+        """The records as (ids, vectors) blocks of `rows` rows, fewer in the last."""
+        for lo in range(0, len(self), rows):
+            yield self.ids[lo : lo + rows], self.vectors[lo : lo + rows]
+
 
 def write_embeddings(s: EmbeddingSet, path) -> None:
     """Write SVEB (bit-exact roundtrip); a set it cannot hold is refused before open."""
@@ -313,9 +322,12 @@ def _write_sveb(path, vectors: np.ndarray, ids: Sequence[str] | None = None) -> 
 
 
 def write_embeddings_tsv(s: EmbeddingSet, path) -> None:
-    """Write TSV; a set that no TSV reader accepts, one with no record, is refused before open."""
+    """Write TSV; a set that no TSV reader accepts, one with no record or no value a record, is
+    refused before open."""
     if len(s) == 0:
         raise ContractError("a TSV embedding file needs at least one record, got an empty set")
+    if s.dim == 0:
+        raise ContractError("TSV embedding records need at least one value, got dimension 0")
     fmt = "%s\t" + "\t".join(["%.9g"] * s.dim) + "\n"
     write_text(path, (fmt % (i, *r) for i, r in zip(s.ids, map(np.ndarray.tolist, s.vectors))))
 
@@ -359,77 +371,86 @@ class ByteReader:
             raise FormatError(f"{self.path}: {self.size - self.off} trailing bytes")
 
 
-def embedding_blocks(path, known: Sequence[str] | None = None) -> Iterator:
-    """What read_embeddings(path) reads, as (count, dim) and then (ids, float32 vectors)
-    blocks, one of a TSV file; each error is raised after the blocks before it.
+class EmbeddingFile:
+    """An SVEB or TSV file (told by its magic bytes) read in passes of blocks(rows).  Opening
+    it checks the SVEB header, or parses a TSV file, kept and not read again; a pipe is read
+    once into memory.  The first pass keeps the ids; a later one reads the header again and
+    keeps none: another count, dim or ids than the first pass's is a FormatError."""
 
-    An SVEB file is read a block of records at a time while they fill the rest of the file
-    at the first one's stride; from a block with another id length or an id that is not
-    UTF-8 on, one record at a time, which is where every FormatError is raised.
+    def __init__(self, path):
+        self.path, self.ids = read_once(path), None
+        self._tsv = None if _is_sveb(self.path) else _parse_tsv(self.path)
+        if self._tsv is not None:
+            self.count, self.dim, self.ids = len(self._tsv), self._tsv.dim, self._tsv.ids
+        else:
+            with _open_binary(self.path) as f:
+                _, self.count, self.dim = self._header(f)
 
-    Given `known`, the ids that an earlier read of the file gave, a read keeps no ids of its
-    own for its end checks: another count, or a block whose ids are not the next of `known`,
-    is a FormatError."""
-    path = read_once(path)
-    changed = f"{path}: changed since it was first read"
-    if not _is_sveb(path):
-        s = _parse_tsv(path)
-        yield len(s), s.dim
-        if known is not None and s.ids != list(known):
-            raise FormatError(changed)
-        yield s.ids, s.vectors
-        return
-    with _open_binary(path) as f:
-        r = ByteReader(f, path, MAGIC, FORMAT_VERSION, "SVEB")
+    def __len__(self) -> int:
+        return self.count
+
+    def _header(self, f) -> tuple[ByteReader, int, int]:
+        r = ByteReader(f, self.path, MAGIC, FORMAT_VERSION, "SVEB")
         count, dim = r.unpack(_COUNT_DIM)
         if dim == 0:
-            raise FormatError(f"{path}: dimension 0: a record needs at least one value")
-        vec_bytes = 4 * dim
-        left = r.size - r.off
-        # every record takes at least its id length and vector: check before allocating
-        if count * (2 + vec_bytes) > left:
-            raise FormatError(f"{path}: header claims {count} records of dim {dim}, "
-                              f"more than the {left} bytes that follow")
-        if known is not None and count != len(known):
-            raise FormatError(changed)
-        yield count, dim
-        id_len = int.from_bytes(f.read(2), "little")  # the first record's, read again below
-        f.seek(r.off)
-        size = 2 + id_len + vec_bytes
-        strided = count * size == left and size < 1 << 31  # numpy has no larger record dtype
-        k, ids, finite = 0, [], True
-        while k < count:
-            if strided:
-                data = r.take(min(count - k, max(1, _RECORD_BLOCK // size)) * size)
-                recs, block_ids = np.frombuffer(data, _sveb_record(id_len, dim)), None
-                if (recs["n"] == id_len).all():
-                    with suppress(UnicodeDecodeError):  # the record loop names the record
-                        block_ids = [str(data[at : at + id_len], "utf-8") for at in range(2, len(data), size)]
-                if block_ids is None:
-                    r.off = f.seek(r.off - len(data))  # read the block again one record at a time
-                    strided = False
-                    continue
-                vecs = recs["vec"]
-            else:
-                block_ids = []
-                vecs = np.empty((min(count - k, max(1, _RECORD_BLOCK // vec_bytes)), dim), np.float32)
-                for j in range(len(vecs)):
-                    (n,) = r.unpack(_U16)
-                    record = r.take(n + vec_bytes)
-                    try:
-                        block_ids.append(str(record[:n], "utf-8"))
-                    except UnicodeDecodeError:
-                        raise FormatError(f"{path}: record {k + j}: id is not UTF-8") from None
-                    vecs[j] = np.frombuffer(record, "<f4", offset=n)
-            if known is not None and block_ids != known[k : k + len(block_ids)]:
+            raise FormatError(f"{self.path}: dimension 0: a record needs at least one value")
+        if count * (2 + 4 * dim) > r.size - r.off:  # each record has an id length and a vector
+            raise FormatError(f"{self.path}: header claims {count} records of dim {dim}, "
+                              f"more than the {r.size - r.off} bytes that follow")
+        return r, count, dim
+
+    def blocks(self, rows: int) -> Iterator[tuple[list[str], np.ndarray]]:
+        """What read_embeddings(path) reads, as (ids, float32 vectors) blocks of `rows` rows,
+        fewer in the last; each error is raised after the blocks before it.  A block is read
+        in one take while the records fill the rest of the file at the first one's stride;
+        from a block with another id length or an id that is not UTF-8 on, one record at a
+        time, which is where every FormatError is raised."""
+        if self._tsv is not None:
+            yield from self._tsv.blocks(rows)
+            return
+        known, changed = self.ids, f"{self.path}: changed since it was first read"
+        with _open_binary(self.path) as f:
+            r, count, dim = self._header(f)
+            if (count, dim) != (self.count, self.dim):
                 raise FormatError(changed)
-            finite = finite and _finite(vecs)
-            ids += block_ids if known is None else []
-            k += len(block_ids)
-            yield block_ids, vecs
-        r.end()
-        with record_errors(path):  # an empty, blank or duplicate id, or a non-finite value
-            _check_set(ids, finite)
+            id_len = int.from_bytes(f.read(2), "little")  # the first record's, read again below
+            f.seek(r.off)
+            size = 2 + id_len + 4 * dim
+            strided = count * size == r.size - r.off and size < 1 << 31  # numpy has no larger record dtype
+            k, ids, finite = 0, [], True
+            while k < count:
+                n = min(count - k, rows)
+                if strided:
+                    data = r.take(n * size)
+                    recs, block_ids = np.frombuffer(data, _sveb_record(id_len, dim)), None
+                    if (recs["n"] == id_len).all():
+                        with suppress(UnicodeDecodeError):  # the record loop names the record
+                            block_ids = [str(data[at : at + id_len], "utf-8") for at in range(2, len(data), size)]
+                    if block_ids is None:
+                        r.off = f.seek(r.off - len(data))  # read the block again one record at a time
+                        strided = False
+                        continue
+                    vecs = recs["vec"]
+                else:
+                    block_ids, vecs = [], np.empty((n, dim), np.float32)
+                    for j in range(n):
+                        (id_len,) = r.unpack(_U16)
+                        record = r.take(id_len + 4 * dim)
+                        try:
+                            block_ids.append(str(record[:id_len], "utf-8"))
+                        except UnicodeDecodeError:
+                            raise FormatError(f"{self.path}: record {k + j}: id is not UTF-8") from None
+                        vecs[j] = np.frombuffer(record, "<f4", offset=id_len)
+                if known is not None and block_ids != known[k : k + n]:
+                    raise FormatError(changed)
+                finite = finite and _finite(vecs)
+                ids += block_ids if known is None else []
+                k += n
+                yield block_ids, vecs
+            r.end()
+            with record_errors(self.path):  # an empty, blank or duplicate id, or a non-finite value
+                _check_set(ids, finite)
+        self.ids = known or ids  # the first pass's
 
 
 def _numeric_rows(path, first: int, dtype) -> tuple[list[str], np.ndarray]:
@@ -469,17 +490,15 @@ def _parse_tsv(path) -> EmbeddingSet:
 
 
 def read_embeddings(path) -> EmbeddingSet:
-    """Read SVEB or TSV embeddings, auto-detected by the magic bytes."""
-    path = read_once(path)
-    if not _is_sveb(path):
-        return _parse_tsv(path)
-    blocks = embedding_blocks(path)
-    count, dim = next(blocks)
-    ids, vectors = [], np.empty((count, dim), np.float32)
-    for block_ids, block in blocks:
-        vectors[len(ids) : len(ids) + len(block_ids)] = block
-        ids += block_ids
-    return EmbeddingSet(ids, vectors)
+    """Read SVEB or TSV embeddings, told by the magic bytes; SVEB _RECORD_BLOCK bytes of values at a time."""
+    f = EmbeddingFile(path)
+    if f._tsv is not None:
+        return f._tsv
+    vectors, at = np.empty((len(f), f.dim), np.float32), 0
+    for _, block in f.blocks(max(1, _RECORD_BLOCK // (4 * f.dim))):
+        vectors[at : at + len(block)] = block
+        at += len(block)
+    return EmbeddingSet(f.ids, vectors)
 
 
 def sorted_codes(values: list[str]) -> tuple[list[str], np.ndarray]:

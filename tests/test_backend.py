@@ -130,20 +130,37 @@ class TestFitCenter:
         assert peak < s.vectors.size * 8, peak
 
     @pytest.mark.parametrize("rows", [1, 7, 512, 4096])
-    @pytest.mark.parametrize("record", [1, 24, 1 << 20])
-    def test_the_rows_are_added_in_order_at_any_block(self, tmp_path, monkeypatch, rows, record):
-        """Product blocks of 1 to 4096 rows, and record blocks of one record, 24 bytes and
-        the default: the mean has the bytes of mean(axis=0, dtype=float64), from the file as
-        from the set in memory.  The values span 24 decades, so that float64 sums of them
-        are inexact and another order of the additions gives other bytes."""
+    def test_the_rows_are_added_in_order_at_any_block(self, tmp_path, monkeypatch, rows):
+        """Blocks of 1 to 4096 rows: the mean has the bytes of mean(axis=0, dtype=float64),
+        from the file as from the set in memory.  The values span 24 decades, so that float64
+        sums of them are inexact and another order of the additions gives other bytes."""
         rng = np.random.default_rng(3)
         s = make_set(rng.normal(size=(4100, 16)) * 10.0 ** rng.uniform(-12, 12, (4100, 16)))
         store.write_embeddings(s, tmp_path / "e.sveb")
         monkeypatch.setattr(backend, "APPLY_BLOCK", 2 * rows * s.dim)
-        monkeypatch.setattr(store, "_RECORD_BLOCK", record)
         want = s.vectors.mean(axis=0, dtype=np.float64).tobytes()
         assert backend.fit_center(backend.TrainingSet(tmp_path / "e.sveb")).tobytes() == want
         assert backend.fit_center(s).tobytes() == want
+
+
+class TestTrainingSet:
+    @pytest.mark.parametrize("width", [0, 4], ids=["mixed-ids", "one-id-length"])
+    @pytest.mark.parametrize("rows", [1, 7, 512])
+    @pytest.mark.parametrize("record", [1, 24, 1 << 20])
+    def test_rows_are_the_same_ranges_at_any_record_block(self, tmp_path, monkeypatch, width, rows, record):
+        """Each pass of a file gives (first row, float64 rows) blocks of APPLY_BLOCK // (2 * dim)
+        rows from row 0 on, fewer in the last, whatever _RECORD_BLOCK is: the blocks of the
+        set in memory."""
+        vecs = np.random.default_rng(5).normal(size=(1030, 6)).astype(np.float32)
+        s = store.EmbeddingSet([f"u{k:0{width}d}" for k in range(len(vecs))], vecs)
+        store.write_embeddings(s, tmp_path / "e.sveb")
+        monkeypatch.setattr(backend, "APPLY_BLOCK", 2 * rows * s.dim + 1)
+        monkeypatch.setattr(store, "_RECORD_BLOCK", record)
+        want = [(lo, vecs[lo : lo + rows].astype(np.float64).tobytes()) for lo in range(0, len(vecs), rows)]
+        t = backend.TrainingSet(tmp_path / "e.sveb")
+        for _ in range(2):  # the pass that checks against the first one's ids, twice
+            assert [(lo, x.tobytes()) for lo, x in t.rows()] == want
+        assert [(lo, x.tobytes()) for lo, x in backend.TrainingSet(s).rows()] == want
 
 
 class TestFitLda:
@@ -255,16 +272,14 @@ class TestFitLda:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_any_class_block_is_within_1e_6_of_the_earlier_fit(self, data):
-        """Class sizes from 1 up in shuffled rows, read from an SVEB file in record blocks of
-        one record up to the whole file, of one id length or several, and fitted in product
-        blocks of one row up to the whole set: the projection and the applied values stay
+        """Class sizes from 1 up in shuffled rows, read from an SVEB file of one id length or
+        several, and fitted in blocks of one row up to the whole set: the projection and the applied values stay
         within 1e-6 of the per-class loop, and have the bytes of the fit in memory."""
         sizes = data.draw(st.lists(st.integers(1, 12), min_size=2, max_size=16), label="sizes")
         d = data.draw(st.integers(1, 12), label="d")
         rows = data.draw(st.integers(1, sum(sizes)), label="rows per product block")
         budget = 2 * rows * d + data.draw(st.integers(0, 2 * d - 1), label="spare values")  # rows and their means
         width = data.draw(st.sampled_from([0, 3]), label="id width")  # 3: one id length, one stride
-        record = data.draw(st.integers(1, sum(sizes) * (6 + 4 * d)), label="record block bytes")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         codes = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
         x = rng.normal(size=(len(sizes), d))[codes] * 3 + rng.normal(size=(len(codes), d))
@@ -273,8 +288,7 @@ class TestFitLda:
         want = oracle_fit_lda(s, labels)
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(backend, "APPLY_BLOCK", budget):
             store.write_embeddings(s, Path(tmp) / "e.sveb")
-            with mock.patch.object(store, "_RECORD_BLOCK", record):
-                proj = backend.fit_lda(backend.TrainingSet(Path(tmp) / "e.sveb"), labels)
+            proj = backend.fit_lda(backend.TrainingSet(Path(tmp) / "e.sveb"), labels)
             assert_near_earlier_fit(s, labels, proj, want)
             assert proj.tobytes() == backend.fit_lda(s, labels).tobytes()
 

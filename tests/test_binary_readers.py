@@ -232,12 +232,22 @@ def test_any_record_block_reads_and_writes_as_the_earlier_code(tmp_path, s, data
     of one stride and of several (ids of 1, 2, 3 and 9 bytes), cut short, with a trailing
     byte, an id that is not UTF-8, a wrong id length, or one drawn byte changed: the writer
     writes the earlier writer's bytes, each read equals the record loop's, message and byte
-    offset included, and the earlier reader's up to REWORDED, and SVPL reads as before."""
+    offset included, and the earlier reader's up to REWORDED, and SVPL reads as before.
+    Read as EmbeddingFile(path).blocks(rows) and EmbeddingSet.blocks(rows), for rows from 1
+    up to past the record count, every block but the last has `rows` rows, and the joined
+    blocks equal the record loop's read, message and byte offset included."""
     oracles.oracle_write_embeddings(s, tmp_path / "old.sveb")
     raw = (tmp_path / "old.sveb").read_bytes()
     files = [*_variants(s, raw), _mutate(data.draw, raw)]
     pipe = tmp_path / "p.svpl"
     backend.save_pipeline(data.draw(svpl_files()), pipe)
+    rows = data.draw(st.integers(1, len(s) + 2), label="rows")
+    assert _outcome(_joined(rows), s) == (s.ids, _array(s.vectors))
+    for k, body in enumerate(files):
+        (tmp_path / f"b{k}.sveb").write_bytes(body)
+        if store._is_sveb(tmp_path / f"b{k}.sveb"):
+            assert (_outcome(_joined(rows), tmp_path / f"b{k}.sveb")
+                    == _outcome(oracles.oracle_sveb_record_loop, tmp_path / f"b{k}.sveb"))
     for block in sorted({1, 2 + s.dim * 4, 2 * (3 + s.dim * 4) + 1, len(raw) - 1, len(raw), len(raw) + 1, 1 << 20}):
         with mock.patch.object(store, "_RECORD_BLOCK", block):
             store.write_embeddings(s, tmp_path / "new.sveb")
@@ -245,6 +255,20 @@ def test_any_record_block_reads_and_writes_as_the_earlier_code(tmp_path, s, data
             for k, body in enumerate(files):
                 check_sveb(tmp_path / f"v{k}.sveb", body)
             _check_svpl(pipe, pipe.read_bytes())
+
+
+def _joined(rows: int):
+    """A reader that joins the blocks(rows) of an EmbeddingSet, or of the EmbeddingFile of a
+    path, into one set, after asserting that every block but the last has `rows` rows."""
+    def read(source):
+        f = source if isinstance(source, store.EmbeddingSet) else store.EmbeddingFile(source)
+        blocks = list(f.blocks(rows))
+        sizes = [len(v) for _, v in blocks]
+        assert sizes[:-1] == [rows] * (len(sizes) - 1) and all(0 < n <= rows for n in sizes[-1:])
+        assert [len(i) for i, _ in blocks] == sizes
+        ids = [i for block_ids, _ in blocks for i in block_ids]
+        return store.EmbeddingSet(ids, np.concatenate([v for _, v in blocks] or [np.empty((0, f.dim), np.float32)]))
+    return read
 
 
 @pytest.mark.parametrize("ids", [["ab", "c", "def", "gh"], ["ab", "cd", "e", "fgh"], ["a", "bc", "d"]],
@@ -268,8 +292,9 @@ def test_a_stride_change_after_a_block_reads_as_the_record_loop(tmp_path, ids, b
     (["a", "ä", "c\x00"], 3),  # 1, 2 and 2 bytes: the record loop
 ])
 def test_uniform_ids_skip_the_record_loop(tmp_path, monkeypatch, ids, looped):
-    """After the magic, the version and the header, a file of one stride is read in one take
-    a block; the record loop takes an id length and then the rest of each record."""
+    """The magic, the version and the header are read when the file is opened and again by
+    the pass; then a file of one stride is read in one take a block, and the record loop
+    takes an id length and then the rest of each record."""
     s = store.EmbeddingSet(ids, np.arange(6, dtype=np.float32).reshape(3, 2))
     store.write_embeddings(s, tmp_path / "new.sveb")
     oracles.oracle_write_embeddings(s, tmp_path / "old.sveb")
@@ -280,27 +305,37 @@ def test_uniform_ids_skip_the_record_loop(tmp_path, monkeypatch, ids, looped):
     got = store.read_embeddings(tmp_path / "new.sveb")
     assert (got.ids, got.vectors.tobytes()) == (ids, s.vectors.tobytes())
     loop = [n for i in ids[len(ids) - looped :] for n in (2, len(i.encode()) + 8)]
-    assert reads == [4, 2, 12, *([] if looped else [36]), *loop]
+    assert reads == [4, 2, 12, 4, 2, 12, *([] if looped else [36]), *loop]
 
 
 @pytest.mark.parametrize("form", ["one-stride", "mixed", "tsv"])
-@pytest.mark.parametrize("block", [1, 30, 1 << 20])
-def test_known_ids_are_checked_and_not_kept(tmp_path, monkeypatch, form, block):
-    """With the ids of an earlier read, a read gives the same blocks and keeps no ids of its
-    own: the end checks see none.  Ids that are not the next of those are a FormatError."""
+@pytest.mark.parametrize("rows", [1, 3, 1 << 20])
+def test_known_ids_are_checked_and_not_kept(tmp_path, monkeypatch, form, rows):
+    """The first pass of an EmbeddingFile keeps its ids; a second pass gives the same blocks
+    and keeps no ids of its own: the end checks see none.  A file rewritten with other ids,
+    or another count, is a FormatError on the next pass; a TSV file is parsed at open and
+    not read again."""
     ids = {"one-stride": ["ab", "cd", "ef", "gh"], "mixed": ["a", "bc", "d", "ef"], "tsv": ["a", "bc", "d", "ef"]}[form]
     s = store.EmbeddingSet(ids, np.arange(12, dtype=np.float32).reshape(4, 3))
     path = tmp_path / "e"
-    (store.write_embeddings_tsv if form == "tsv" else store.write_embeddings)(s, path)
-    monkeypatch.setattr(store, "_RECORD_BLOCK", block)
-    plain = [(list(i), v.tobytes()) for i, v in list(store.embedding_blocks(path))[1:]]
+    write = store.write_embeddings_tsv if form == "tsv" else store.write_embeddings
+    write(s, path)
+    f = store.EmbeddingFile(path)
+    plain = [(list(i), v.tobytes()) for i, v in f.blocks(rows)]
+    assert f.ids == ids
     checked = []
     monkeypatch.setattr(store, "_check_set", lambda i, finite: checked.append(list(i)))
-    assert [(list(i), v.tobytes()) for i, v in list(store.embedding_blocks(path, ids))[1:]] == plain
-    assert checked == ([ids] if form == "tsv" else [[]])  # a TSV file is parsed as one EmbeddingSet
+    assert [(list(i), v.tobytes()) for i, v in f.blocks(rows)] == plain
+    assert checked == ([] if form == "tsv" else [[]])
+    monkeypatch.undo()
     for other in (["x", *ids[1:]], [*ids[:-1], "x"], ids[:-1], [*ids, "x"]):
+        write(store.EmbeddingSet(other, np.arange(3 * len(other), dtype=np.float32).reshape(-1, 3)), path)
+        if form == "tsv":
+            assert [(list(i), v.tobytes()) for i, v in f.blocks(rows)] == plain
+            continue
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: changed since it was first read$"):
-            list(store.embedding_blocks(path, other))
+            list(f.blocks(rows))
+        assert f.ids == ids
 
 
 @SETTINGS

@@ -622,12 +622,16 @@ class TestFitBackendCommand:
             peaks.append(peak)
         assert peaks[1] - peaks[0] < 2000 * 256 * 4 / 4, peaks
 
-    @pytest.mark.parametrize("block", [1, 24, 1 << 20])
-    def test_the_pipeline_bytes_do_not_depend_on_the_record_blocks(self, train, capsys, monkeypatch, block):
-        """Records read one at a time, 24 bytes (one record) at a time, or in 1 MiB blocks: the
-        saved pipeline has the bytes of the one fitted on the set in memory."""
+    @pytest.mark.parametrize("form", ["sveb", "tsv"])
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_the_pipeline_bytes_are_those_of_the_set_in_memory(self, train, capsys, monkeypatch, form, rows):
+        """Blocks of one row, of 7 rows or of the default 512: the pipeline that the command
+        fits on an SVEB or TSV file has the bytes of the one fitted on the set in memory."""
         tmp_path, s, labels = train
-        monkeypatch.setattr(store, "_RECORD_BLOCK", block)
+        if rows is not None:
+            monkeypatch.setattr(backend, "APPLY_BLOCK", 2 * rows * s.dim)
+        if form == "tsv":
+            store.write_embeddings_tsv(s, tmp_path / "e.sveb")  # read by its content, not its name
         assert self.fit(tmp_path) == 0
         backend.save_pipeline(backend.Pipeline(center=backend.fit_center(s), lda=backend.fit_lda(s, labels),
                                                length_norm=True), tmp_path / "lib.svpl")
@@ -655,9 +659,9 @@ class TestFitBackendCommand:
     def test_embedding_errors_come_before_label_errors_before_fit_errors(self, tmp_path, capsys, monkeypatch,
                                                                           case, block):
         """The exit codes and messages of the whole read that fit-backend made before it read
-        its training set in passes, at any record block."""
+        its training set in passes, in blocks of one row or of the whole set."""
         data, sidecar, options, rc, message = self.ERRORS[case]
-        monkeypatch.setattr(store, "_RECORD_BLOCK", block)
+        monkeypatch.setattr(backend, "APPLY_BLOCK", block)
         (tmp_path / "e.sveb").write_bytes(data)
         (tmp_path / "e.labels").write_text(sidecar)
         assert self.fit(tmp_path, *options) == rc
@@ -668,45 +672,43 @@ class TestFitBackendCommand:
 
     @pytest.mark.parametrize("change", ["count", "dim", "ids", "values"])
     def test_a_file_changed_between_passes_exits_2(self, train, capsys, monkeypatch, change):
-        """The file is rewritten before the second of the three reads: a count, dim or ids that
-        changed, or a value that is no longer finite, is a format error, not a traceback."""
+        """The file is rewritten before the second of the three passes: a count, dim or ids
+        that changed, or a value that is no longer finite, is a format error, not a traceback."""
         tmp_path, s, _ = train
-        monkeypatch.setattr(store, "_RECORD_BLOCK", 1 << 16)
         vectors = s.vectors.copy()
         vectors[-1, -1] = np.nan
         rewritten = {"count": store.EmbeddingSet([*s.ids, "extra"], np.vstack([s.vectors, s.vectors[:1]])),
                      "dim": store.EmbeddingSet(s.ids, s.vectors[:, 1:]),
                      "ids": store.EmbeddingSet([*s.ids[:-1], "renamed"], s.vectors)}.get(change)
-        reads, read = [], backend.embedding_blocks
+        passes, blocks = [], store.EmbeddingFile.blocks
 
-        def rewrite_then_read(path, *known):
-            reads.append(path)
-            if len(reads) == 2:
+        def rewrite_then_read(f, rows):
+            passes.append(rows)
+            if len(passes) == 2:
                 if rewritten is None:
-                    store._write_sveb(path, vectors, s.ids)  # write_embeddings refuses the NaN
+                    store._write_sveb(f.path, vectors, s.ids)  # write_embeddings refuses the NaN
                 else:
-                    store.write_embeddings(rewritten, path)
-            return read(path, *known)
+                    store.write_embeddings(rewritten, f.path)
+            return blocks(f, rows)
 
-        monkeypatch.setattr(backend, "embedding_blocks", rewrite_then_read)
+        monkeypatch.setattr(store.EmbeddingFile, "blocks", rewrite_then_read)
         assert self.fit(tmp_path) == 2
         message = "non-finite embedding values" if change == "values" else "changed since it was first read"
         assert capsys.readouterr() == ("", f"svkit: format error: {tmp_path / 'e.sveb'}: {message}\n")
-        assert len(reads) == 2 and not (tmp_path / "p.svpl").exists()
+        assert len(passes) == 2 and not (tmp_path / "p.svpl").exists()
 
-    @pytest.mark.parametrize("form, reads", [("sveb", 3), ("one-block", 1), ("tsv", 1)])
-    def test_a_set_of_one_block_is_read_once(self, train, capsys, monkeypatch, form, reads):
-        """A file of several record blocks is read by each of the three passes; a TSV file,
-        which is one block, and an SVEB file of one block are read once."""
+    @pytest.mark.parametrize("form, opens", [("sveb", 5), ("tsv", 2)])
+    def test_an_sveb_file_is_read_by_each_pass_and_tsv_once(self, train, capsys, monkeypatch, form, opens):
+        """An SVEB file is opened to tell its format, to read its header and by each of the
+        three passes, whatever its size; a TSV file is opened to tell its format and to be
+        parsed, once."""
         tmp_path, s, _ = train
-        if form == "one-block":
-            monkeypatch.setattr(store, "_RECORD_BLOCK", 1 << 23)
         if form == "tsv":
             store.write_embeddings_tsv(s, tmp_path / "e.sveb")  # read by its content, not its name
-        calls, read = [], backend.embedding_blocks
-        monkeypatch.setattr(backend, "embedding_blocks", lambda *a: calls.append(a) or read(*a))
+        calls, open_binary = [], store._open_binary
+        monkeypatch.setattr(store, "_open_binary", lambda path: calls.append(path) or open_binary(path))
         assert self.fit(tmp_path) == 0
-        assert len(calls) == reads
+        assert [str(p) for p in calls].count(str(tmp_path / "e.sveb")) == opens
 
     def test_a_label_with_a_trailing_nul_is_its_own_speaker(self, tmp_path, capsys):
         """`spk` and `spk` with a trailing NUL are two speakers that sort as `spk` and `spkA` do:
@@ -792,7 +794,7 @@ class TestApplyBackendCommand:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_an_error_keeps_its_message_and_the_output(self, tmp_path, capsys, monkeypatch, case, old, block):
         pipe, data, rc, message = self.CASES[case]
-        monkeypatch.setattr(store, "_RECORD_BLOCK", block, raising=False)
+        monkeypatch.setattr(backend, "APPLY_BLOCK", block)  # blocks of one row, or of the whole set
         e = tmp_path / ("e.tsv" if isinstance(data, str) else "e.sveb")
         e.write_bytes(data.encode() if isinstance(data, str) else data)
         backend.save_pipeline(pipe, tmp_path / "p.svpl")
@@ -811,8 +813,8 @@ class TestApplyBackendCommand:
         assert f"svkit: {label}: {raised.value}\n" == want
 
     def test_the_peak_is_the_output_not_the_input(self, tmp_path, capsys, monkeypatch):
-        """8000 x 256 embeddings (8.2 MB of SVEB) through a 200-d LDA: with blocks of 4 kiB of
-        records and 1024 float64 values, the command holds its 6.4 MB output, its ids, the
+        """8000 x 256 embeddings (8.2 MB of SVEB) through a 200-d LDA: with blocks of 1024
+        float64 values (4 rows) and of 4 kiB of records written, the command holds its 6.4 MB output, its ids, the
         projection in float32 and as the float64 operand of each product, and one block; the
         earlier command held the whole file and a float32 copy of it, twice the input.  (At
         4000 rows, the fixed 0.6 MB of the projection would leave too little room for the ids
@@ -822,7 +824,7 @@ class TestApplyBackendCommand:
         store.write_labels(labels, tmp_path / "e.labels")
         assert main(["fit-backend", "--embeddings", str(tmp_path / "e.sveb"), "--labels", str(tmp_path / "e.labels"),
                      "--lda-dim", "200", "--out", str(tmp_path / "p.svpl")]) == 0
-        monkeypatch.setattr(store, "_RECORD_BLOCK", 1 << 12, raising=False)
+        monkeypatch.setattr(store, "_RECORD_BLOCK", 1 << 12)
         monkeypatch.setattr(backend, "APPLY_BLOCK", 1 << 10)
         argv = ["apply-backend", "--pipeline", str(tmp_path / "p.svpl"), "--embeddings", str(tmp_path / "e.sveb"),
                 "--out", str(tmp_path / "o.sveb")]

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from svkit import audio, augment, store
+from svkit import audio, augment, backend, store
 from svkit.cli import main
 from test_backend import traced_peak
 from test_cli import make_wavs, synthetic_speakers
@@ -48,10 +48,11 @@ CASES = ["score/e.tsv", "score/t.tsv", "score/trials.txt", "score/map.txt", "eva
          "apply-backend/e.tsv", "apply-backend/e.sveb", "apply-backend/p.svpl", "pool-xi/m.tsv", "pool-asp/m.feats",
          "features/burst.wav", "augment-plan/man.tsv"]
 # an input read in place of another: the SVEB cases give fit-backend and apply-backend the
-# embeddings of e.tsv as SVEB, read in blocks of 64 bytes (two or three records), so that
-# the strided blocks, the record loop and fit-backend's later passes all see the mutation
+# embeddings of e.tsv as SVEB, read in blocks of 20 float64 values (2 of the 6 records to fit,
+# 4 to apply), so that the strided blocks, the record loop and fit-backend's later passes
+# all see the mutation
 IN_PLACE_OF = {"e.sveb": "e.tsv"}
-SVEB_BLOCK = 64
+SVEB_BLOCK = 20
 
 
 @pytest.fixture(scope="module")
@@ -108,8 +109,8 @@ def run(inputs, tmp_path, case, mutated: bytes, traced=False):
     paths = {**{name: str(p) for name, p in inputs.items()}, IN_PLACE_OF.get(target, target): str(tmp_path / "mutated"),
              "out": str(tmp_path / command)}  # features makes a directory there
     argv = [paths[arg[1:-1]] if arg.startswith("{") else arg for arg in COMMANDS[command]]
-    block = SVEB_BLOCK if target in IN_PLACE_OF else store._RECORD_BLOCK
-    with warnings.catch_warnings(), mock.patch.object(store, "_RECORD_BLOCK", block):
+    block = SVEB_BLOCK if target in IN_PLACE_OF else backend.APPLY_BLOCK
+    with warnings.catch_warnings(), mock.patch.object(backend, "APPLY_BLOCK", block):
         warnings.simplefilter("error")  # a warning would print to stderr beside the message
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             rc = main(argv)

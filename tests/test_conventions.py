@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import svkit
 
 SRC = Path(svkit.__file__).parent
@@ -40,3 +42,33 @@ def test_every_block_size_is_patched_by_a_test():
     constants = _block_constants()
     assert {("store", "_RECORD_BLOCK"), ("store", "_FIELD_BLOCK"), ("backend", "APPLY_BLOCK")} <= constants
     assert not constants - _patched(), sorted(constants - _patched())
+
+
+def _reads_sveb(node) -> bool:
+    """Whether `node` builds a ByteReader that checks the SVEB magic, by name or as store.MAGIC."""
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ByteReader"
+            and any(getattr(a, "id", getattr(a, "attr", None)) == "MAGIC" for a in node.args))
+
+
+_SVEB_READS = {
+    "ByteReader(f, path, MAGIC, FORMAT_VERSION, 'SVEB')": True,
+    "store.ByteReader(f, p, store.MAGIC, 1, 'SVEB')": True,
+    "ByteReader(f, path, PIPELINE_MAGIC, PIPELINE_VERSION, 'pipeline')": False,
+    "MAGIC + header": False,
+}
+
+
+@pytest.mark.parametrize("source, reads", _SVEB_READS.items())
+def test_sveb_read_detector(source, reads):
+    assert any(map(_reads_sveb, ast.walk(ast.parse(source)))) == reads
+
+
+def test_embedding_file_is_the_only_sveb_reader():
+    """Every SVEB read goes through store.EmbeddingFile, so a second reader of the format,
+    with its own blocks, checks and messages, cannot come back."""
+    readers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:  # each top-level definition
+            if any(map(_reads_sveb, ast.walk(node))):
+                readers.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
+    assert readers == {"store.EmbeddingFile"}

@@ -302,10 +302,13 @@ class TestTsvWriters:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(s=writable_sets())
     def test_embeddings_byte_equal(self, tmp_path, s):
-        """An empty set, which the oracle wrote as a file that no reader accepts, is refused."""
+        """An empty set, or one of dimension 0, which the oracle wrote as a file that no reader
+        accepts, is refused."""
         (tmp_path / "got.tsv").unlink(missing_ok=True)
-        if len(s) == 0:
-            with pytest.raises(ContractError, match="^a TSV embedding file needs at least one record, got an empty"):
+        if 0 in s.vectors.shape:
+            message = ("a TSV embedding file needs at least one record, got an empty set" if len(s) == 0
+                       else "TSV embedding records need at least one value, got dimension 0")
+            with pytest.raises(ContractError, match=f"^{message}$"):
                 store.write_embeddings_tsv(s, tmp_path / "got.tsv")
             assert not (tmp_path / "got.tsv").exists()
             return
@@ -331,9 +334,18 @@ class TestTsvWriters:
         oracle_write_matrix_tsv(m, tmp_path / "want.tsv")
         assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
 
-    def test_dim_zero_keeps_the_tab(self, tmp_path):
-        store.write_embeddings_tsv(store.EmbeddingSet(["a", "b"], np.zeros((2, 0))), tmp_path / "e.tsv")
-        assert (tmp_path / "e.tsv").read_bytes() == b"a\t\nb\t\n"
+    @pytest.mark.parametrize("old", [None, b"old bytes"], ids=["absent", "existing"])
+    def test_dim_zero_is_refused_before_open(self, tmp_path, old):
+        """`a<TAB>` lines, which every reader refuses as a non-numeric value, are not written:
+        the file is left as it was."""
+        if old is not None:
+            (tmp_path / "e.tsv").write_bytes(old)
+        with pytest.raises(ContractError, match="^TSV embedding records need at least one value, got dimension 0$"):
+            store.write_embeddings_tsv(store.EmbeddingSet(["a", "b"], np.zeros((2, 0))), tmp_path / "e.tsv")
+        assert ((tmp_path / "e.tsv").read_bytes() if (tmp_path / "e.tsv").exists() else None) == old
+        (tmp_path / "d0.tsv").write_bytes(b"a\t\nb\t\n")
+        with pytest.raises(FormatError, match="d0.tsv:1: non-numeric value$"):
+            store.read_embeddings(tmp_path / "d0.tsv")
 
     def test_more_rows_than_one_block(self, tmp_path):
         rng = np.random.default_rng(12)
